@@ -1,8 +1,7 @@
 """Exact computational toolkit for subadjoint-variety Lie algebras.
 
-Everything is exact rational arithmetic; the large eliminations optionally
-run over a prime field in a way that keeps PASS verdicts unconditional.
-Typical use:
+Everything is exact rational arithmetic, and every verdict comes from
+exact sparse elimination.  Typical use:
 
     from subadjoint import build_case, build_g, run
 

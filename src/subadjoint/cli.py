@@ -35,14 +35,11 @@ def build_parser() -> argparse.ArgumentParser:
                         f"or 'none' for an empty (vacuous) report")
     p.add_argument("--heavy", action="store_true",
                    help="enable the E-series prolongation/Spencer solvers")
-    p.add_argument("--mode", default="auto",
-                   choices=("auto", "exact", "modp", "modp-certify"),
-                   help="linear-algebra mode (auto picks exact for small "
-                        "systems, modp-certify for large ones)")
     p.add_argument("--seed", type=int, default=0,
-                   help="seed for sampling, primes, and row shuffles")
+                   help="seed for sampling and row shuffles")
     p.add_argument("--samples", type=int, default=10,
-                   help="orbit sample budget per irreducible summand")
+                   help="orbit sample budget per irreducible summand (base-locus "
+                        "sampling takes at least the summand's dimension)")
     p.add_argument("--rank-ceiling", type=int, default=8,
                    help="largest B/D rank in the registry")
     p.add_argument("--kmin", type=int, default=-7,
@@ -59,9 +56,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as e:
+        # argparse exits 2 on a usage error, which here means DEGRADED
+        return 3 if e.code else 0
     options = RunOptions(
-        mode=args.mode, seed=args.seed, samples=args.samples,
+        seed=args.seed, samples=args.samples,
         kmin=args.kmin, heavy=args.heavy, timings=args.timings,
         rank_ceiling=args.rank_ceiling,
     )

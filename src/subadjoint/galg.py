@@ -50,22 +50,14 @@ class GAlgebra:
     def component_dims(self) -> dict:
         return {d: len(ix) for d, ix in self.components().items()}
 
-    def gplus_indices(self) -> list:
-        return [i for i, d in enumerate(self.degree) if d >= 1]
-
     def subspace(self, indices) -> Subspace:
         return Subspace.from_vectors(
             self.table.dim, [{i: Fraction(1)} for i in indices]
         )
 
-    def ad_matrix(self, x: Vec) -> list:
-        """Columns of ad(x) on g."""
-        return self.table.ad_columns(x)
-
 
 def build_g(case: SubadjointCase) -> GAlgebra:
     """Assemble the table of g from the ambient s, abelianizing V."""
-    s = case.rs
     st = case.s_table
     l_keys = [("h", b) for b in case.l_simple_roots] + [
         ("e", r) for r in case.l_roots
@@ -85,25 +77,6 @@ def build_g(case: SubadjointCase) -> GAlgebra:
         return case.e(r)
 
     s_index_to_v = {case.root_index(r): v_pos[r] for r in case.V_roots}
-    cartan_pos = {}  # s Cartan index -> decomposition over l simple coroots
-    dvals = [s.form(b, b) / 2 for b in case.l_simple_roots]
-
-    def l_root_coords(r):
-        from .cases import _coords_in_simple_system
-        return _coords_in_simple_system(s, r, list(case.l_simple_roots))
-
-    def coroot_in_l_basis(r) -> Vec:
-        # r^vee = sum k_i d(beta_i)/d(r) beta_i^vee for r = sum k_i beta_i
-        ks = l_root_coords(r)
-        dr = s.form(r, r) / 2
-        out: Vec = {}
-        for i, k in enumerate(ks):
-            c = k * dvals[i] / dr
-            if c:
-                assert c.denominator == 1
-                out[l_offset + i] = Fraction(c)
-        return out
-
     def s_bracket_to_g(vec: Vec, *, in_l: bool) -> Vec:
         """Translate an s-coordinate bracket value into g coordinates."""
         out: Vec = {}

@@ -170,10 +170,6 @@ class Subspace:
     def contains(self, vec: Vec) -> bool:
         return self._acc().contains(vec)
 
-    def contains_space(self, other: "Subspace") -> bool:
-        acc = self._acc()
-        return all(acc.contains(v) for v in other.basis_vectors())
-
     def span_with(self, other: "Subspace") -> "Subspace":
         return Subspace.from_vectors(
             self.ambient_dim, self.basis_vectors() + other.basis_vectors()

@@ -1,15 +1,12 @@
-"""Exact rational sparse linear algebra with a mod-p fast path.
+"""Exact rational sparse linear algebra, plus a mod-p rank kernel.
 
 Vectors are sparse dicts {index: Fraction} with no explicit zeros.  The
-workhorses are two incremental reduced-row-echelon accumulators: RrefBasis
-over the rationals and ModpDenseRref over a prime field (numpy int64 rows,
-safe for primes below 2**25 so that row combinations never overflow).
-
-A mod-p rank is always a true lower bound on the exact rank, hence the
-mod-p kernel dimension is always a true upper bound on the exact kernel
-dimension.  Callers exploit this: an exact witness basis from below plus a
-mod-p kernel from above pin an exact dimension without rational
-elimination.
+workhorse is RrefBasis, an incremental reduced-row-echelon accumulator over
+the rationals; every verdict of the verifier comes from it.  ModpDenseRref
+is the same accumulator over a prime field (float64 rows reduced through
+BLAS).  No check uses it: it remains for rank cross-checks and for the
+benchmark's solve tracing.  A mod-p rank is always a lower bound on the
+exact rank.
 """
 
 from __future__ import annotations
@@ -47,16 +44,6 @@ def vec_scale(v: Vec, c: Fraction) -> Vec:
     if not c:
         return {}
     return {k: c * x for k, x in v.items()}
-
-
-def vec_sub(a: Vec, b: Vec) -> Vec:
-    out = dict(a)
-    vec_add_scaled(out, b, Fraction(-1))
-    return out
-
-
-def vec_eq(a: Vec, b: Vec) -> bool:
-    return vec_sub(a, b) == {}
 
 
 class RrefBasis:
@@ -282,7 +269,7 @@ def rows_to_modp_array(rows: list[Vec], ncols: int, p: int) -> np.ndarray:
 
 
 class SparseRationalMatrix:
-    """Row-sparse exact matrix with kernel/rank/det and a mod-p fast path."""
+    """Row-sparse exact matrix with kernel/rank/det and a mod-p rank."""
 
     def __init__(self, nrows: int, ncols: int, rows: list[Vec] | None = None):
         self.nrows = nrows
@@ -302,18 +289,6 @@ class SparseRationalMatrix:
         for r in dense:
             rows.append({j: Fraction(v) for j, v in enumerate(r) if v})
         return cls(len(dense), len(dense[0]) if dense else 0, rows)
-
-    def to_dense(self) -> list[list[Fraction]]:
-        return [
-            [row.get(j, Fraction(0)) for j in range(self.ncols)] for row in self.rows
-        ]
-
-    def transpose(self) -> "SparseRationalMatrix":
-        rows: list[Vec] = [dict() for _ in range(self.ncols)]
-        for i, row in enumerate(self.rows):
-            for j, v in row.items():
-                rows[j][i] = v
-        return SparseRationalMatrix(self.ncols, self.nrows, rows)
 
     def rank(self) -> int:
         acc = RrefBasis(self.ncols)
@@ -403,61 +378,3 @@ def mat_inverse(m: list[list[Fraction]]) -> list[list[Fraction]]:
 def mat_vec(m: list[list[Fraction]], v: list[Fraction]) -> list[Fraction]:
     return [sum((r[j] * v[j] for j in range(len(v))), Fraction(0)) for r in m]
 
-
-class KernelTracker:
-    """Streamed kernel computation with an early-exit floor.
-
-    Rows arrive in batches; the tracker maintains the kernel dimension of
-    everything seen so far.  Once the dimension reaches `floor` it can never
-    go lower by adding more rows of the same system, so processing may stop
-    when the caller knows `floor` is also a lower bound for the full system.
-    """
-
-    def __init__(self, ncols: int, mode: str, primes: list[int] | None = None,
-                 floor: int = 0):
-        if mode not in ("exact", "modp"):
-            raise ValueError(f"unknown mode {mode!r}")
-        self.mode = mode
-        self.ncols = ncols
-        self.floor = floor
-        self.primes = primes or []
-        if mode == "exact":
-            self._acc = RrefBasis(ncols)
-            self._modp: list[ModpDenseRref] = []
-        else:
-            if not self.primes:
-                raise ValueError("modp mode needs primes")
-            self._acc = None
-            self._modp = [ModpDenseRref(ncols, p) for p in self.primes]
-        self.stopped_early = False
-
-    def kernel_dim(self) -> int:
-        if self.mode == "exact":
-            return self._acc.kernel_dim()
-        dims = [acc.kernel_dim() for acc in self._modp]
-        # the true kernel dim is at most min over primes
-        return min(dims)
-
-    def primes_agree(self) -> bool:
-        if self.mode == "exact":
-            return True
-        dims = [acc.kernel_dim() for acc in self._modp]
-        return len(set(dims)) == 1
-
-    def feed(self, rows: list[Vec]) -> bool:
-        """Absorb rows; returns False once the floor is reached (may stop)."""
-        if self.mode == "exact":
-            for row in rows:
-                self._acc.add(row)
-        else:
-            for acc in self._modp:
-                acc.add_batch(rows_to_modp_array(rows, self.ncols, acc.p))
-        if self.kernel_dim() <= self.floor:
-            self.stopped_early = True
-            return False
-        return True
-
-    def kernel_basis_exact(self) -> list[Vec]:
-        if self.mode != "exact":
-            raise RuntimeError("exact kernel basis unavailable in modp mode")
-        return self._acc.kernel_basis()

@@ -9,15 +9,15 @@ spaces below).  The compatibility equation
 
 is imposed on every basis pair; the bracket of an n_0-value with n_+ is the
 derivation action, the bracket of a negative-level value with y is
-evaluation of the stored map.  The kernel is computed exactly or modulo a
-prime.
+evaluation of the stored map.  The kernel is computed by exact sparse
+elimination.
 
-Mod-p logic: the mod-p kernel dimension always bounds the exact one from
-above.  When exact witness maps are supplied (for the main cases, the ad
-action of g_{-1}), hitting the witnessed dimension mod p pins the exact
-dimension, the witnesses span the true prolongation space, and the tower
-continues exactly.  A mod-p kernel of dimension zero proves vanishing over
-Q outright.
+Exact witness maps (for the main cases, the ad action of g_{-1}) lie in the
+prolongation once they pass substitution, so their rank is a floor: when
+the kernel of the rows seen so far shrinks to it, no further row can lower
+it and elimination stops early.  Every kernel basis map is then substituted
+into the equation on all pairs.  A failed substitution raises
+ProlongConsistencyError, not an assert, so `python -O` keeps the check.
 """
 
 from __future__ import annotations
@@ -27,17 +27,23 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .liecore import LieAlgebraTable, check_jacobi
-from .linalg import (
-    KernelTracker,
-    RrefBasis,
-    Vec,
-    modp_primes,
-    vec_add_scaled,
-)
+from .linalg import RrefBasis, Vec, vec_add_scaled
 
 
 class ProlongDepthError(RuntimeError):
     """k_max beyond the safety bound: the prolongation may be infinite."""
+
+
+class ProlongConsistencyError(RuntimeError):
+    """A witness or kernel map fails the compatibility equation, or the
+    computed dimensions vanish non-monotonically.
+
+    `witness` is True when a supplied witness map failed.
+    """
+
+    def __init__(self, message: str, witness: bool = False):
+        super().__init__(message)
+        self.witness = witness
 
 
 DEPTH_LIMIT_DEFAULT = 6
@@ -153,12 +159,8 @@ TaggedMap = list  # per n_+ basis index: sparse dict over target coordinates
 @dataclass
 class ProlongResult:
     dims: dict
-    bases: dict                  # k -> list[TaggedMap]; exact when conclusive
-    mode: str
-    primes: tuple = ()
-    conclusive: bool = True
+    bases: dict                  # k -> list[TaggedMap]
     stopped_early: dict = field(default_factory=dict)
-    residual_checked: bool = False
 
     def monotone_vanishing_ok(self) -> bool:
         ks = sorted(self.dims)
@@ -314,7 +316,6 @@ def residual_is_zero(inp: ProlongInput, tower: _Tower, k: int, phi: TaggedMap) -
 def prolongation(
     inp: ProlongInput,
     k_max: int,
-    mode: str = "exact",
     seed: int = 0,
     witnesses: dict | None = None,
     depth_limit: int = DEPTH_LIMIT_DEFAULT,
@@ -322,12 +323,13 @@ def prolongation(
     batch: int = 512,
     validate: bool = True,
 ) -> ProlongResult:
-    """Compute prolongation dimensions (and bases) up to k_max.
+    """Compute prolongation dimensions and bases up to k_max.
 
     witnesses maps a level k to exact maps known to lie in the k-th
-    prolongation; they are verified by substitution, serve as an early-exit
-    floor, and in mod-p mode carry the exact tower forward when the mod-p
-    kernel dimension matches their span.
+    prolongation; they are verified by substitution and serve as an
+    early-exit floor.  seed fixes the order in which pairs are eliminated.
+    Raises ProlongConsistencyError if a witness or kernel map fails
+    substitution.
     """
     if k_max < 1:
         raise ValueError("k_max must be >= 1")
@@ -336,25 +338,21 @@ def prolongation(
             f"k_max={k_max} exceeds the safety bound {depth_limit}; pass "
             f"allow_deep=True for inputs with known infinite prolongations"
         )
-    if mode not in ("exact", "modp", "modp-certify"):
-        raise ValueError(f"unknown mode {mode!r}")
     if validate:
         inp.validate()
     witnesses = witnesses or {}
     tower = _Tower(inp)
     dims: dict[int, int] = {}
     stopped: dict[int, bool] = {}
-    primes_used: list[int] = []
-    conclusive = True
 
     for k in range(1, k_max + 1):
         offsets, sizes, ncols = _unknown_layout(inp, tower, k)
-        wit_maps = witnesses.get(k, [])
-        floor = 0
         wit_acc = RrefBasis(ncols)
-        for phi in wit_maps:
-            assert residual_is_zero(inp, tower, k, phi), \
-                "witness map fails the compatibility equation"
+        for phi in witnesses.get(k, []):
+            if not residual_is_zero(inp, tower, k, phi):
+                raise ProlongConsistencyError(
+                    f"witness map fails the compatibility equation at level {k}",
+                    witness=True)
             wit_acc.add(_map_to_vec(offsets, phi))
         floor = wit_acc.rank
 
@@ -363,73 +361,40 @@ def prolongation(
             tower.bases[k] = []
             continue
 
-        pairs = _iter_pairs(inp, seed)
-        if mode == "exact":
-            tracker = KernelTracker(ncols, "exact", floor=floor)
-        else:
-            primes = modp_primes(seed + k, count=2)
-            tracker = KernelTracker(ncols, "modp", primes=[primes[0]], floor=floor)
-            primes_used.append(primes[0])
-        buf: list[Vec] = []
-        exhausted = True
-        for (u, v) in pairs:
-            buf.extend(_pair_rows(inp, tower, k, offsets, u, v))
-            if len(buf) >= batch:
-                if not tracker.feed(buf):
-                    exhausted = False
-                    buf = []
+        # no row can push the kernel below the witnesses' span, so reaching
+        # the floor ends elimination; it is tested after every `batch` rows
+        acc = RrefBasis(ncols)
+        pending = 0
+        stopped[k] = False
+        for (u, v) in _iter_pairs(inp, seed):
+            rows = _pair_rows(inp, tower, k, offsets, u, v)
+            for row in rows:
+                acc.add(row)
+            pending += len(rows)
+            if pending >= batch:
+                pending = 0
+                if acc.kernel_dim() <= floor:
+                    stopped[k] = True
                     break
-                buf = []
-        if buf and exhausted:
-            tracker.feed(buf)
-        stopped[k] = not exhausted
-        kdim = tracker.kernel_dim()
 
-        if mode == "exact":
-            dims[k] = kdim
-            basis = [
-                _kernel_vec_to_map(inp, tower, k, offsets, sizes, vec)
-                for vec in tracker.kernel_basis_exact()
-            ]
-            for phi in basis:
-                assert residual_is_zero(inp, tower, k, phi), \
-                    "solver kernel fails substitution"
-            tower.bases[k] = basis
-        else:
-            # kdim bounds the exact dimension from above; the witnesses bound
-            # it from below
-            if kdim == floor:
-                dims[k] = floor
-                tower.bases[k] = list(wit_maps)
-            elif kdim == 0:
-                dims[k] = 0
-                tower.bases[k] = []
-            else:
-                # not pinned: report the mod-p value, flag inconclusive, and
-                # require a second prime to agree before trusting even that
-                p2 = modp_primes(seed + k, count=2)[1]
-                tracker2 = KernelTracker(ncols, "modp", primes=[p2], floor=floor)
-                primes_used.append(p2)
-                for (u, v) in _iter_pairs(inp, seed):
-                    rows = _pair_rows(inp, tower, k, offsets, u, v)
-                    if rows and not tracker2.feed(rows):
-                        break
-                dims[k] = max(kdim, tracker2.kernel_dim())
-                tower.bases[k] = []
-                conclusive = False
-        if not conclusive:
-            break
+        dims[k] = acc.kernel_dim()
+        basis = [
+            _kernel_vec_to_map(inp, tower, k, offsets, sizes, vec)
+            for vec in acc.kernel_basis()
+        ]
+        for phi in basis:
+            if not residual_is_zero(inp, tower, k, phi):
+                raise ProlongConsistencyError(
+                    f"solver kernel fails substitution at level {k}")
+        tower.bases[k] = basis
 
     res = ProlongResult(
         dims=dims,
         bases={k: tower.bases.get(k, []) for k in dims},
-        mode=mode,
-        primes=tuple(primes_used),
-        conclusive=conclusive,
         stopped_early=stopped,
     )
-    res.residual_checked = mode == "exact" or bool(witnesses)
-    assert res.monotone_vanishing_ok(), "vanishing is not monotone"
+    if not res.monotone_vanishing_ok():
+        raise ProlongConsistencyError("vanishing is not monotone")
     return res
 
 

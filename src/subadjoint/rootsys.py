@@ -420,11 +420,6 @@ def chevalley_table(rs: RootSystem) -> LieAlgebraTable:
     return LieAlgebraTable(dim=dim, labels=labels, brackets=brackets)
 
 
-def structure_constant(rs: RootSystem, a: Root, b: Root) -> Fraction:
-    """Public N(a, b) accessor (fresh recursion; intended for tests)."""
-    return ChevalleyConstants(rs).n(a, b)
-
-
 def string_length_down(rs: RootSystem, beta: Root, alpha: Root) -> int:
     return _string_down(rs, beta, alpha)
 

@@ -17,15 +17,7 @@ from fractions import Fraction
 from math import comb
 
 from .galg import GAlgebra, operator_a
-from .linalg import (
-    ModpDenseRref,
-    RrefBasis,
-    SparseRationalMatrix,
-    Vec,
-    modp_primes,
-    rows_to_modp_array,
-    vec_add_scaled,
-)
+from .linalg import SparseRationalMatrix, Vec, vec_add_scaled
 from .rootsys import WeightVector
 
 KMIN_SUPPORT = -6  # C^{k,2} vanishes for k <= -7: source degrees cap at 5
@@ -175,61 +167,15 @@ class QDimension:
     dim_C2: int
     rank: int
     value: int
-    mode: str
-    primes: tuple = ()
-    certified: bool = False
-    probabilistic: bool = False
 
 
-def q_dimension(g: GAlgebra, k: int, mode: str = "exact", seed: int = 0) -> QDimension:
-    """dim Q^k(g) = dim C^{k,2} - rank del.
-
-    modp mode reports the rank only after two primes agree; a mod-p rank is
-    always a true lower bound on the exact rank, so the reported value is a
-    true upper bound on dim Q^k either way.  modp-certify re-verifies the
-    pivot rows exactly.
-    """
+def q_dimension(g: GAlgebra, k: int) -> QDimension:
+    """dim Q^k(g) = dim C^{k,2} - rank del, by exact elimination."""
     mat, sp = spencer_differential(g, k)
     if sp.dim_C2 == 0 or sp.dim_C1 == 0:
-        return QDimension(k, sp.dim_C2, 0, sp.dim_C2, mode)
-    if mode == "exact":
-        rank = mat.rank()
-        return QDimension(k, sp.dim_C2, rank, sp.dim_C2 - rank, "exact")
-    if mode not in ("modp", "modp-certify"):
-        raise ValueError(f"unknown mode {mode!r}")
-    primes = modp_primes(seed, count=2)
-    ranks = []
-    pivots_by_prime = []
-    for p in primes:
-        acc = ModpDenseRref(sp.dim_C1, p)
-        batch = 1024
-        for lo in range(0, sp.dim_C2, batch):
-            block = mat.rows[lo : lo + batch]
-            acc.add_batch(rows_to_modp_array(block, sp.dim_C1, p))
-        ranks.append(acc.rank)
-        pivots_by_prime.append(acc.piv_cols)
-    if ranks[0] != ranks[1]:
-        # disagreement: a prime lost rank; retry with fresh primes
-        return q_dimension(g, k, mode=mode, seed=seed + 1000003)
-    rank = ranks[0]
-    certified = False
-    if mode == "modp-certify":
-        # exact elimination restricted to the mod-p pivot columns proves
-        # rank >= r through an independent code path
-        piv_cols = sorted(set(pivots_by_prime[0]))
-        acc = RrefBasis(len(piv_cols))
-        remap = {c: i for i, c in enumerate(piv_cols)}
-        for row in mat.rows:
-            sub = {remap[c]: v for c, v in row.items() if c in remap}
-            if sub:
-                acc.add(sub)
-            if acc.rank == rank:
-                break
-        certified = acc.rank == rank
-    return QDimension(
-        k, sp.dim_C2, rank, sp.dim_C2 - rank, mode,
-        primes=tuple(primes), certified=certified, probabilistic=True,
-    )
+        return QDimension(k, sp.dim_C2, 0, sp.dim_C2)
+    rank = mat.rank()
+    return QDimension(k, sp.dim_C2, rank, sp.dim_C2 - rank)
 
 
 # --------------------------------------------------------------------------
@@ -244,9 +190,6 @@ class SummandDescriptor:
     dim: int
     weight_list: list    # WeightVector per Hom-basis element
     cI_values: tuple     # sorted distinct values
-
-    def max_cI(self):
-        return max(self.cI_values) if self.cI_values else None
 
 
 _FAMILY_NAMES = {
@@ -434,9 +377,6 @@ class PartialDifferentialReport:
     rank_prime: int
     nullity_doubleprime: int
     pairing_nondegenerate: bool
-    mode: str
-    primes: tuple = ()
-    certified: bool = False
 
     @property
     def status(self) -> str:
@@ -448,8 +388,7 @@ class PartialDifferentialReport:
         return "PASS" if ok else "FAIL"
 
 
-def partial_prime_checks(case, g: GAlgebra, mode: str = "exact",
-                         seed: int = 0) -> PartialDifferentialReport:
+def partial_prime_checks(case, g: GAlgebra) -> PartialDifferentialReport:
     """del' surjective onto Hom(L2 V_2, V_3), del'' injective, pairing perfect.
 
     del', del'' are the restrictions of del to f: V_2 -> l_1 extended by
@@ -497,38 +436,12 @@ def partial_prime_checks(case, g: GAlgebra, mode: str = "exact",
                for w in V2]
     pair_ok = SparseRationalMatrix.from_dense(pairing).det() != 0
 
-    target_prime = comb(len(V2), 2)
-    primes: tuple = ()
-    certified = False
-    if mode == "exact":
-        rank_prime = mat_prime.rank()
-        nullity = len(cols) - mat_dp.rank()
-    elif mode in ("modp", "modp-certify"):
-        ps = modp_primes(seed, count=2)
-        primes = tuple(ps)
-        r1 = [mat_prime.rank_modp(p) for p in ps]
-        r2 = [mat_dp.rank_modp(p) for p in ps]
-        if r1[0] != r1[1] or r2[0] != r2[1]:
-            return partial_prime_checks(case, g, mode=mode, seed=seed + 1000003)
-        rank_prime = r1[0]
-        nullity = len(cols) - r2[0]
-        # rank mod p bounds exact rank from below, so surjectivity of del'
-        # (rank = full target) and injectivity of del'' (nullity = 0) are
-        # both proved, not probabilistic, when the counts come out right
-        if mode == "modp-certify":
-            certified = (mat_prime.rank() == rank_prime
-                         and mat_dp.rank() == r2[0])
-    else:
-        raise ValueError(f"unknown mode {mode!r}")
     return PartialDifferentialReport(
         dim_hom=len(cols),
-        dim_target_prime=target_prime,
-        rank_prime=rank_prime,
-        nullity_doubleprime=nullity,
+        dim_target_prime=comb(len(V2), 2),
+        rank_prime=mat_prime.rank(),
+        nullity_doubleprime=len(cols) - mat_dp.rank(),
         pairing_nondegenerate=pair_ok,
-        mode=mode,
-        primes=primes,
-        certified=certified,
     )
 
 

@@ -2,7 +2,7 @@
 
 Check granularity mirrors the structural statements being verified, one
 check id per claim, so a failing report localizes a regression.  Reports
-are deterministic for a fixed (case, checks, seed, mode, version); wall
+are deterministic for a fixed (case, checks, seed, version); wall
 times are measured but zeroed in JSON output unless explicitly requested,
 keeping byte-identical reruns.
 """
@@ -35,6 +35,7 @@ from .galg import (
 from .liecore import check_jacobi
 from .linalg import RrefBasis, SparseRationalMatrix
 from .prolong import (
+    ProlongConsistencyError,
     ad_witnesses,
     input_from_g,
     prolongation,
@@ -46,15 +47,11 @@ from .spencer import (
     g_basis_cI,
     partial_prime_checks,
     q_dimension,
-    spencer_spaces,
     summand_cI_table,
 )
 
 CHECK_GROUPS = ("jacobi", "forms", "xvv", "gstructure", "prolong",
                 "spencer", "weights")
-
-#: prolongation system sizes small enough for exact elimination by default
-EXACT_SIZE_LIMIT = 400
 
 
 @dataclass(frozen=True)
@@ -154,7 +151,6 @@ def registry_entry(case_id: str, rank_ceiling: int = 12) -> CaseDescriptor:
 
 @dataclass
 class RunOptions:
-    mode: str = "auto"          # auto | exact | modp | modp-certify
     seed: int = 0
     samples: int = 10
     kmin: int = -7
@@ -170,7 +166,6 @@ class CheckRecord:
     dims: dict = field(default_factory=dict)
     values: dict = field(default_factory=dict)
     witnesses: dict = field(default_factory=dict)
-    mode: str = "exact"
     millis: int = 0
 
 
@@ -206,7 +201,6 @@ class VerificationReport:
                     "dims": _jsonify(c.dims),
                     "values": _jsonify(c.values),
                     "witnesses": _jsonify(c.witnesses),
-                    "mode": c.mode,
                     "millis": c.millis if timings else 0,
                 }
                 for c in self.checks
@@ -233,23 +227,14 @@ def _jsonify(obj):
 class _Recorder:
     def __init__(self):
         self.records: list[CheckRecord] = []
-        self.primes: set[int] = set()
 
-    def add(self, check_id: str, status: str, t0: float, mode: str = "exact",
-            dims=None, values=None, witnesses=None, primes=()):
+    def add(self, check_id: str, status: str, t0: float,
+            dims=None, values=None, witnesses=None):
         self.records.append(CheckRecord(
             check_id=check_id, status=status,
             dims=dims or {}, values=values or {}, witnesses=witnesses or {},
-            mode=mode, millis=int((time.monotonic() - t0) * 1000),
+            millis=int((time.monotonic() - t0) * 1000),
         ))
-        self.primes.update(primes)
-
-
-def resolve_mode(options: RunOptions, descriptor: CaseDescriptor,
-                 system_size: int) -> str:
-    if options.mode != "auto":
-        return options.mode
-    return "exact" if system_size <= EXACT_SIZE_LIMIT else "modp-certify"
 
 
 def _is_e_series(case_id: str) -> bool:
@@ -272,8 +257,7 @@ def run(case_id: str, check_set, options: RunOptions | None = None) -> Verificat
     if not checks:
         return VerificationReport(
             case_id=case_id, version=__version__, checks=[], dims={},
-            environment={"seed": options.seed, "primes": [],
-                         "mode": options.mode, "heavy": options.heavy},
+            environment={"seed": options.seed, "heavy": options.heavy},
             vacuous=True,
         )
 
@@ -346,8 +330,6 @@ def run(case_id: str, check_set, options: RunOptions | None = None) -> Verificat
 
     env = {
         "seed": options.seed,
-        "primes": sorted(rec.primes),
-        "mode": options.mode,
         "heavy": options.heavy,
         "convention": "v0 is a lowest weight vector; c(b) from [b, v0] = c(b) v0",
         "base_locus_claims": "verified at sampled points only",
@@ -409,9 +391,12 @@ def _run_forms(rec: _Recorder, case, options: RunOptions) -> None:
                     "beta_iii_compatible": compat})
 
     t1 = time.monotonic()
-    samples = sample_closed_orbit(case, options.samples, options.seed)
     hw = highest_weight_roots_of_l1(case)
-    per = len(samples) // len(hw) if hw else 0
+    ideal_dims = [sum(1 for r in case.l1_roots() if case.ideal_of_root(r) == ci)
+                  for ci in range(len(hw))]
+    # fewer points than an ideal's dimension can never span it
+    per = max([options.samples, *ideal_dims])
+    samples = sample_closed_orbit(case, per, options.seed)
     iii_null = all(iii_value(case, forms, b) == 0 for b in samples)
     is_ii1 = case.s_label == "B3"
     ii_null_flags = []
@@ -421,12 +406,10 @@ def _run_forms(rec: _Recorder, case, options: RunOptions) -> None:
         ii_null_flags.append(
             all(all(x == 0 for x in ii_value(case, forms, b)) for b in batch)
         )
-        ideal_dim = sum(1 for r in case.l1_roots()
-                        if case.ideal_of_root(r) == ci)
         acc = RrefBasis(case.s_table.dim)
         for b in batch:
             acc.add(b)
-        span_ok = span_ok and acc.rank == ideal_dim
+        span_ok = span_ok and acc.rank == ideal_dims[ci]
     if is_ii1:
         dvals = {}
         for ci in range(len(hw)):
@@ -472,45 +455,39 @@ def _run_gstructure(rec: _Recorder, case, g, options: RunOptions) -> None:
 
 def _run_prolong(rec: _Recorder, desc, case, g, options: RunOptions) -> None:
     t1 = time.monotonic()
-    sp1 = spencer_spaces(g, -1)
-    mode = resolve_mode(options, desc, sp1.dim_C1)
-    if _is_e_series(desc.case_id):
-        if not options.heavy:
-            rec.add("prolong-dims", "SKIPPED", t1, mode=mode,
-                    values={"reason": "E-series prolongation runs under --heavy"})
-            return
-        if mode == "exact":
-            rec.add("prolong-dims", "SKIPPED", t1, mode=mode,
-                    values={"reason": "size guard: exact elimination on an "
-                            "E-series system; use modp or modp-certify"})
-            return
+    if _is_e_series(desc.case_id) and not options.heavy:
+        rec.add("prolong-dims", "SKIPPED", t1,
+                values={"reason": "E-series prolongation runs under --heavy"})
+        return
     inp, gplus, g0 = input_from_g(g)
     wits = ad_witnesses(g, inp, gplus, g0)
     wrank = witness_rank(wits)
     dminus1 = g.component_dims()[-1]
-    res = prolongation(inp, 2, mode=mode, seed=options.seed,
-                       witnesses={1: wits}, batch=1024)
-    ok = res.conclusive and res.dims.get(1) == dminus1 and res.dims.get(2) == 0
-    status = "PASS" if ok else ("INCONCLUSIVE" if not res.conclusive else "FAIL")
-    rec.add("prolong-dims", status, t1, mode=mode,
-            dims={"p_minus_1": res.dims.get(1), "p_minus_2": res.dims.get(2),
-                  "expected_p1": dminus1},
-            values={"conclusive": res.conclusive,
-                    "stopped_early": res.stopped_early},
-            primes=res.primes)
+    wits_ok = True
+    try:
+        res = prolongation(inp, 2, seed=options.seed,
+                           witnesses={1: wits}, batch=1024)
+    except ProlongConsistencyError as e:
+        wits_ok = not e.witness
+        rec.add("prolong-dims", "FAIL", t1,
+                dims={"expected_p1": dminus1}, values={"error": str(e)})
+    else:
+        ok = res.dims.get(1) == dminus1 and res.dims.get(2) == 0
+        rec.add("prolong-dims", "PASS" if ok else "FAIL", t1,
+                dims={"p_minus_1": res.dims.get(1),
+                      "p_minus_2": res.dims.get(2), "expected_p1": dminus1},
+                values={"stopped_early": res.stopped_early})
     t1 = time.monotonic()
-    inj_ok = wrank == dminus1
+    inj_ok = wrank == dminus1 and wits_ok
     rec.add("prolong-ad-witnesses", "PASS" if inj_ok else "FAIL", t1,
             dims={"witness_rank": wrank, "dim_g_minus_1": dminus1},
-            values={"witnesses_satisfy_compatibility": True})
+            values={"witnesses_satisfy_compatibility": wits_ok})
 
 
 def _run_spencer(rec: _Recorder, desc, case, g, options: RunOptions) -> None:
     t1 = time.monotonic()
-    sp1 = spencer_spaces(g, -1)
-    mode = resolve_mode(options, desc, sp1.dim_C1)
     if _is_e_series(desc.case_id) and not options.heavy:
-        rec.add("spencer-checks", "SKIPPED", t1, mode=mode,
+        rec.add("spencer-checks", "SKIPPED", t1,
                 values={"reason": "E-series Spencer solvers run under --heavy"})
         return
 
@@ -520,29 +497,24 @@ def _run_spencer(rec: _Recorder, desc, case, g, options: RunOptions) -> None:
     rec.add("spencer-cocycle-ad", "PASS" if cocycle_ok else "FAIL", t1)
 
     t1 = time.monotonic()
-    rep = partial_prime_checks(case, g, mode=mode, seed=options.seed)
-    rec.add("restricted-differentials", rep.status, t1, mode=mode,
+    rep = partial_prime_checks(case, g)
+    rec.add("restricted-differentials", rep.status, t1,
             dims={"dim_hom_V2_l1": rep.dim_hom,
                   "rank_prime": rep.rank_prime,
                   "target_prime": rep.dim_target_prime,
                   "nullity_doubleprime": rep.nullity_doubleprime},
-            values={"pairing_perfect": rep.pairing_nondegenerate,
-                    "certified": rep.certified},
-            primes=rep.primes)
+            values={"pairing_perfect": rep.pairing_nondegenerate})
 
     t1 = time.monotonic()
     qvals = {}
     ok = True
-    primes = set()
     for k in range(max(options.kmin, KMIN_SUPPORT - 1), 0):
-        q = q_dimension(g, k, mode="exact" if mode == "exact" else "modp",
-                        seed=options.seed)
+        q = q_dimension(g, k)
         qvals[k] = q.value
-        primes.update(q.primes)
         if q.value > q.dim_C2 or (q.dim_C2 == 0 and q.value != 0):
             ok = False
-    rec.add("spencer-qdim", "PASS" if ok else "FAIL", t1, mode=mode,
-            values={"q_dims": qvals}, primes=primes)
+    rec.add("spencer-qdim", "PASS" if ok else "FAIL", t1,
+            values={"q_dims": qvals})
 
 
 def _cocycle_ad_ok(g) -> bool:
@@ -644,9 +616,8 @@ def emit(reports, fmt: str = "text", timings: bool = False) -> str:
             if c.values:
                 extra += " " + _compact(c.values)
             ms = f" [{c.millis} ms]" if timings else ""
-            lines.append(f"  {c.status:<12} {c.check_id} ({c.mode}){ms}{extra}")
-        env = r.environment
-        lines.append(f"  seed={env.get('seed')} primes={env.get('primes')}")
+            lines.append(f"  {c.status:<12} {c.check_id}{ms}{extra}")
+        lines.append(f"  seed={r.environment.get('seed')}")
         lines.append("")
     counts = {}
     for r in reports:

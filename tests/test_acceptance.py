@@ -1,9 +1,8 @@
 """Acceptance suite: one test per exit criterion, one printed line each.
 
 Everything is exact arithmetic; the only tolerances are the stated wall
-clock budgets.  The E-series solver runs use the mod-p path whose PASS
-verdicts are rigorous (mod-p kernel dimensions bound exact ones from above,
-exact witnesses bound them from below).
+clock budgets.  The E-series solver runs use the same exact elimination as
+every other case, only behind --heavy.
 """
 
 import subprocess
@@ -54,12 +53,11 @@ def prolong_reports():
     out = {}
     for cid in EXACT_PROLONG:
         t0 = time.monotonic()
-        rep = run(cid, {"prolong"}, RunOptions(seed=7, mode="exact"))
+        rep = run(cid, {"prolong"}, RunOptions(seed=7))
         out[cid] = (rep, time.monotonic() - t0)
     for cid in E_SERIES:
         t0 = time.monotonic()
-        rep = run(cid, {"prolong"},
-                  RunOptions(seed=7, mode="modp-certify", heavy=True))
+        rep = run(cid, {"prolong"}, RunOptions(seed=7, heavy=True))
         out[cid] = (rep, time.monotonic() - t0)
     return out
 
@@ -100,7 +98,6 @@ def test_criterion_03_prolongation_theorem(prolong_reports):
         p1, p2 = rec.dims["p_minus_1"], rec.dims["p_minus_2"]
         ok = ok and rec.status == "PASS"
         ok = ok and p1 == expected[cid] and p2 == 0
-        ok = ok and rec.values["conclusive"]
         budget = 3600.0 if cid == "E8" else 300.0
         ok = ok and wall < budget
         details.append(f"{cid}:{p1}/{p2} {wall:.0f}s")
@@ -146,8 +143,7 @@ def test_criterion_07_partial_differentials():
     for cid in ACTIVE:
         case = build_case(cid)
         g = build_g(case)
-        mode = "modp-certify" if cid in E_SERIES else "exact"
-        rep = partial_prime_checks(case, g, mode=mode, seed=7)
+        rep = partial_prime_checks(case, g)
         d = len(g.V_level_indices[2])
         ok = ok and rep.status == "PASS"
         ok = ok and rep.rank_prime == comb(d, 2) == rep.dim_target_prime
@@ -220,3 +216,10 @@ def test_criterion_12_determinism():
     ok = r1.stdout == r2.stdout and len(r1.stdout) > 1000
     report_line(12, "byte-identical-reports", ok,
                 f"({len(r1.stdout)} bytes)")
+
+
+def test_criterion_13_default_run_has_no_fail(sweep):
+    failing = [f"{cid}:{c.check_id}" for cid, rep in sweep.items()
+               for c in rep.checks if c.status == "FAIL"]
+    report_line(13, "default-run-no-fail", not failing,
+                f"({len(sweep)} cases, FAIL: {failing})")

@@ -4,7 +4,6 @@ from fractions import Fraction
 import numpy as np
 
 from subadjoint.linalg import (
-    KernelTracker,
     ModpDenseRref,
     RrefBasis,
     SparseRationalMatrix,
@@ -140,23 +139,3 @@ def test_modp_rank_never_exceeds_exact():
     other = modp_primes(2)[1]
     assert mat.rank_modp(other) == 2
 
-
-def test_kernel_tracker_floor_stops_early():
-    tracker = KernelTracker(3, "exact", floor=1)
-    assert tracker.feed([{0: Fraction(1)}])          # kernel dim 2 > 1
-    assert not tracker.feed([{1: Fraction(1)}])      # kernel dim 1 == floor
-    assert tracker.stopped_early
-
-
-def test_kernel_tracker_modp_matches_exact_dim():
-    rng = random.Random(9)
-    primes = modp_primes(4)
-    for _ in range(20):
-        n, m = rng.randint(2, 12), rng.randint(2, 12)
-        rows = _random_rows(rng, n, m)
-        exact = KernelTracker(m, "exact")
-        exact.feed(rows)
-        mp = KernelTracker(m, "modp", primes=primes)
-        mp.feed(rows)
-        assert mp.kernel_dim() == exact.kernel_dim()
-        assert mp.primes_agree()

@@ -1,10 +1,14 @@
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from subadjoint.cases import build_case
 from subadjoint.galg import build_g
 from subadjoint.prolong import (
+    ProlongConsistencyError,
     ProlongDepthError,
     ad_witnesses,
     direct_sum_check,
@@ -124,27 +128,68 @@ def test_main_prolongation_exact(label, d1):
     inp, gplus, g0 = input_from_g(g)
     wits = ad_witnesses(g, inp, gplus, g0)
     assert witness_rank(wits) == d1
-    res = prolongation(inp, 2, mode="exact", witnesses={1: wits})
+    res = prolongation(inp, 2, witnesses={1: wits})
     assert res.dims == {1: d1, 2: 0}
-    assert res.conclusive and res.residual_checked
 
 
-def test_main_prolongation_modp_matches_exact():
-    case = build_case("D5")
+def test_witness_floor_stops_early():
+    case = build_case("B3")
     g = build_g(case)
     inp, gplus, g0 = input_from_g(g)
     wits = ad_witnesses(g, inp, gplus, g0)
-    exact = prolongation(inp, 2, mode="exact", witnesses={1: wits})
-    modp = prolongation(inp, 2, mode="modp-certify", witnesses={1: wits}, seed=5)
-    assert exact.dims == modp.dims == {1: 5, 2: 0}
-    assert modp.conclusive
+    # the witnesses pin level 1 at their rank before every pair is fed
+    res = prolongation(inp, 1, witnesses={1: wits}, batch=1)
+    assert res.stopped_early == {1: True}
+    # without a floor, elimination runs through all pairs to the same kernel
+    full = prolongation(inp, 1, batch=1)
+    assert full.stopped_early == {1: False}
+    assert res.dims == full.dims == {1: 2}
+
+
+def _corrupted_b3_witnesses():
+    """The B3 ad witnesses with one coefficient of the first one changed."""
+    case = build_case("B3")
+    g = build_g(case)
+    inp, gplus, g0 = input_from_g(g)
+    wits = ad_witnesses(g, inp, gplus, g0)
+    block = next(b for b in wits[0] if b)
+    block[next(iter(block))] += 1
+    return inp, wits
+
+
+def test_corrupted_witness_raises():
+    inp, wits = _corrupted_b3_witnesses()
+    with pytest.raises(ProlongConsistencyError) as err:
+        prolongation(inp, 2, witnesses={1: wits})
+    assert err.value.witness
+
+
+def test_corrupted_witness_raises_under_python_O():
+    # the check must not be an assert, which -O strips
+    script = "\n".join([
+        "import sys",
+        f"sys.path.insert(0, {str(Path(__file__).parent)!r})",
+        "from test_prolong import _corrupted_b3_witnesses",
+        "from subadjoint.prolong import ProlongConsistencyError, prolongation",
+        "if __debug__:",
+        "    sys.exit('not running under -O')",
+        "inp, wits = _corrupted_b3_witnesses()",
+        "try:",
+        "    prolongation(inp, 2, witnesses={1: wits})",
+        "except ProlongConsistencyError:",
+        "    sys.exit(0)",
+        "sys.exit('corrupted witness accepted')",
+    ])
+    r = subprocess.run([sys.executable, "-O", "-c", script],
+                       capture_output=True, text=True)
+    assert r.returncode == 0, r.stderr
 
 
 def test_solver_kernel_satisfies_compatibility():
     case = build_case("B4")
     g = build_g(case)
     inp, gplus, g0 = input_from_g(g)
-    res = prolongation(inp, 1, mode="exact")
+    res = prolongation(inp, 1)
     tower = _Tower(inp)
     for phi in res.bases[1]:
         assert residual_is_zero(inp, tower, 1, phi)
@@ -164,5 +209,5 @@ def test_monotone_vanishing_reported():
     case = build_case("F4")
     g = build_g(case)
     inp, gplus, g0 = input_from_g(g)
-    res = prolongation(inp, 2, mode="exact")
+    res = prolongation(inp, 2)
     assert res.monotone_vanishing_ok()

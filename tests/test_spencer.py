@@ -73,15 +73,6 @@ def test_rank_and_qdim_b3(b3):
     assert q_dimension(g, -7).value == 0
 
 
-def test_qdim_modp_agrees_with_exact(b3):
-    case, g = b3
-    for k in (-1, -2, -3):
-        exact = q_dimension(g, k, mode="exact")
-        modp = q_dimension(g, k, mode="modp-certify", seed=11)
-        assert modp.value == exact.value
-        assert modp.certified
-
-
 def test_decomposition_closure(b3, f4):
     for case, g in (b3, f4):
         for k in range(-7, 0):
@@ -165,14 +156,6 @@ def test_partial_differentials_b3(b3):
     assert rep.nullity_doubleprime == 0
     assert rep.pairing_nondegenerate
     assert rep.status == "PASS"
-
-
-def test_partial_differentials_modp_f4(f4):
-    case, g = f4
-    exact = partial_prime_checks(case, g, mode="exact")
-    modp = partial_prime_checks(case, g, mode="modp-certify", seed=3)
-    assert exact.status == modp.status == "PASS"
-    assert exact.rank_prime == modp.rank_prime == comb(6, 2)
 
 
 def test_conjugation_expansion(b3, f4):

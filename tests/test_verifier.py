@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from subadjoint import verify
 from subadjoint.cases import CaseExcludedError
 from subadjoint.cli import main
 from subadjoint.verify import (
@@ -107,14 +108,24 @@ def test_e_series_defaults_skip_solvers():
     assert exit_code(rep) == 2
 
 
-def test_e_series_exact_mode_guard():
-    rep = run("E6", {"prolong"}, RunOptions(seed=1, heavy=True, mode="exact"))
-    statuses = {c.check_id: c.status for c in rep.checks}
-    assert statuses["prolong-dims"] == "SKIPPED"
-    assert "size guard" in [
-        c.values.get("reason", "") for c in rep.checks
-        if c.check_id == "prolong-dims"
-    ][0]
+def test_corrupted_witness_fails_prolong_checks(monkeypatch):
+    real = verify.ad_witnesses
+
+    def corrupted(*args):
+        wits = real(*args)
+        block = next(b for b in wits[0] if b)
+        block[next(iter(block))] += 1
+        return wits
+
+    monkeypatch.setattr(verify, "ad_witnesses", corrupted)
+    rep = run("B3", {"prolong"}, RunOptions(seed=7))
+    recs = {c.check_id: c for c in rep.checks}
+    assert recs["prolong-dims"].status == "FAIL"
+    assert "witness" in recs["prolong-dims"].values["error"]
+    assert recs["prolong-ad-witnesses"].status == "FAIL"
+    assert not recs["prolong-ad-witnesses"].values[
+        "witnesses_satisfy_compatibility"]
+    assert exit_code(rep) == 1
 
 
 def test_cli_list(capsys):
@@ -129,6 +140,18 @@ def test_cli_excluded_case_usage_error(capsys):
 
 def test_cli_unknown_check_usage_error(capsys):
     assert main(["--case", "B3", "--checks", "nope"]) == 3
+
+
+def test_cli_argparse_errors_are_usage_errors(capsys):
+    # argparse alone would exit 2, the DEGRADED code
+    assert main(["--mode", "exact"]) == 3
+    assert main(["--seed", "x"]) == 3
+    assert "usage:" in capsys.readouterr().err
+
+
+def test_cli_help_exits_zero(capsys):
+    assert main(["--help"]) == 0
+    assert "--mode" not in capsys.readouterr().out
 
 
 def test_cli_single_case_json(capsys, tmp_path):
