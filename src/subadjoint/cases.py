@@ -25,7 +25,6 @@ from .liecore import (
 )
 from .linalg import (
     RrefBasis,
-    SparseRationalMatrix,
     Vec,
     mat_inverse,
     mat_vec,
@@ -39,13 +38,25 @@ from .rootsys import (
     chevalley_table,
     classify_dynkin,
     node_orbit,
-    ordered_basis,
     root_height,
 )
 
 
 class CaseExcludedError(ValueError):
     """Raised for labels with no subadjoint case."""
+
+
+class CaseConsistencyError(RuntimeError):
+    """The built case or its g disagrees with an independent construction:
+    grading bookkeeping, line stabilizers, iterated brackets or the
+    marked-node table.
+    """
+
+
+def _check(ok: bool, message: str) -> None:
+    """Raise CaseConsistencyError unless ok (an assert would vanish under -O)."""
+    if not ok:
+        raise CaseConsistencyError(message)
 
 
 # marked-node oracle per case: (factor type, 1-based Bourbaki index of the
@@ -94,6 +105,7 @@ class SubadjointCase:
     V_decomp: dict = field(default_factory=dict)    # j -> Subspace of s
     V_root_level: dict = field(default_factory=dict)  # root -> j in 0..3
     c_functional: dict = field(default_factory=dict)  # l_0 label -> Fraction
+    l_table: LieAlgebraTable | None = None  # [l, l] over the l basis
 
     # ---- derived basis bookkeeping -------------------------------------
     @property
@@ -123,9 +135,47 @@ class SubadjointCase:
     def e(self, r: tuple) -> Vec:
         return {self._root_index[r]: Fraction(1)}
 
+    def root_of_index(self, k: int) -> tuple:
+        """The root whose root vector is s basis vector k."""
+        if k < self.rs.rank:
+            raise ValueError(f"s basis vector {k} is a Cartan element")
+        return self._s_roots[k - self.rs.rank]
+
     def coroot_vec(self, r: tuple) -> Vec:
         cor = self.rs.coroot_coords(r)
         return {i: Fraction(c) for i, c in enumerate(cor) if c}
+
+    def l_coords(self, v: Vec) -> Vec:
+        """Coordinates of an s-vector lying in l over the l basis.
+
+        The l basis is `_l_basis_vectors`: the simple coroots of l, then the
+        root vectors of l.  Root-vector entries map by position; the Cartan
+        part h gets t = C_l^{-T} (<beta_j, h>)_j.  Raises ValueError if v has
+        a root component outside l or h is not sum_i t_i beta_i^vee.
+        """
+        rank, nh = self.rs.rank, len(self.l_simple_roots)
+        h = {k: c for k, c in v.items() if k < rank}
+        out: Vec = {}
+        if h:
+            pair = [sum((c * self.rs.pairing(b, k) for k, c in h.items()),
+                        Fraction(0)) for b in self.l_simple_roots]
+            inv = self._l_cartan_inv
+            back: Vec = {}
+            for i, b in enumerate(self.l_simple_roots):
+                t = sum((inv[j][i] * pair[j] for j in range(nh)), Fraction(0))
+                if t:
+                    out[i] = t
+                    vec_add_scaled(back, self.coroot_vec(b), t)
+            if back != h:
+                raise ValueError("Cartan part outside the coroot span of l")
+        for k, c in v.items():
+            if k >= rank:
+                pos = self._l_root_pos.get(k)
+                if pos is None:
+                    raise ValueError(
+                        f"root {self.root_of_index(k)} is not a root of l")
+                out[nh + pos] = c
+        return out
 
     def weight_in_l_coords(self, weight_root) -> tuple:
         """Simple-root coordinates (over l) of an s-weight restricted to l."""
@@ -177,27 +227,26 @@ def build_case(label: str) -> SubadjointCase:
     s_table = chevalley_table(rs)
     contact = contact_grading(s_table, rs)
 
-    basis = ordered_basis(rs)
-    root_index = {key[1]: i for i, key in enumerate(basis) if key[0] == "e"}
+    s_roots = tuple(rs.all_roots())
+    root_index = {r: rs.rank + i for i, r in enumerate(s_roots)}
 
     degree = {}
     theta_cor = rs.coroot_coords(rs.highest_root)
-    for r in rs.all_roots():
+    for r in s_roots:
         d = Fraction(2) * rs.form(r, rs.highest_root) / rs.form(
             rs.highest_root, rs.highest_root
         )
         # coroot-coefficient route must agree with the symmetric-form route
-        assert d == sum(
+        _check(d == sum(
             Fraction(theta_cor[j]) * rs.pairing(r, j) for j in range(rs.rank)
-        )
-        assert d.denominator == 1
+        ) and d.denominator == 1, "contact degree routes disagree")
         degree[r] = int(d)
 
-    V_roots = tuple(r for r in rs.all_roots() if degree[r] == 1)
+    V_roots = tuple(r for r in s_roots if degree[r] == 1)
 
     # the semisimple part l of s_0: degree-zero root subsystem
     l_simple = _degree_zero_simple_system(rs, degree)
-    l_roots = tuple(r for r in rs.all_roots() if degree[r] == 0)
+    l_roots = tuple(r for r in s_roots if degree[r] == 0)
     l_cartan = [
         [_int(Fraction(2) * rs.form(a, b) / rs.form(a, a)) for b in l_simple]
         for a in l_simple
@@ -214,8 +263,8 @@ def build_case(label: str) -> SubadjointCase:
         v for v in V_roots
         if all(not rs.is_root(tuple(x + y for x, y in zip(v, b))) for b in l_simple)
     ]
-    assert len(lows) == 1, f"lowest weight vector not unique: {lows}"
-    assert len(his) == 1, f"highest weight vector not unique: {his}"
+    _check(len(lows) == 1, f"lowest weight vector not unique: {lows}")
+    _check(len(his) == 1, f"highest weight vector not unique: {his}")
     v0_root, vhi_root = lows[0], his[0]
 
     # embedding weight omega_*: v0 is a lowest weight vector, so the
@@ -225,7 +274,8 @@ def build_case(label: str) -> SubadjointCase:
     fund = []
     for b in l_simple:
         fund.append(-Fraction(2) * rs.form(v0_root, b) / rs.form(b, b))
-    assert all(x.denominator == 1 and x >= 0 for x in fund), fund
+    _check(all(x.denominator == 1 and x >= 0 for x in fund),
+           f"v0 is not a lowest weight vector: {fund}")
     marked = tuple(i for i, x in enumerate(fund) if x > 0)
     embedding_weight = WeightVector(tuple(fund), "fundamental")
     embedding_weight_simple = WeightVector(
@@ -240,31 +290,16 @@ def build_case(label: str) -> SubadjointCase:
     per_comp = {ci: 0 for ci in range(len(comps))}
     for m in marked:
         per_comp[node_comp[m]] += 1
-    assert all(v == 1 for v in per_comp.values()), \
-        "expected exactly one marked node per simple ideal"
+    _check(all(v == 1 for v in per_comp.values()),
+           "expected exactly one marked node per simple ideal")
 
-    # grading element z: the element of the coroot span of l with
-    # <beta_j, z> = 1 for marked j and 0 otherwise
-    nl = len(l_simple)
-    rows = []
-    for j in range(nl):
-        row = {i: Fraction(l_cartan[i][j]) for i in range(nl) if l_cartan[i][j]}
-        row[nl] = Fraction(-1) if j in marked else Fraction(0)
-        if row.get(nl) == 0:
-            row.pop(nl)
-        rows.append(row)
-    # solve sum_i t_i C_l[i][j] = [j in I]; append the inhomogeneity as an
-    # extra column and read the affine solution from the kernel
-    ker = SparseRationalMatrix.from_rows(rows, nl + 1).kernel()
-    sols = [k for k in ker if k.get(nl)]
-    assert len(sols) == 1, "grading element not unique"
-    sol = vec_scale(sols[0], 1 / sols[0][nl])
+    # grading element z: the element sum_i t_i beta_i^vee of the coroot span
+    # of l with <beta_j, z> = [j in I], so t = C_l^{-T} e_I
     z: Vec = {}
-    for i in range(nl):
-        t = sol.get(i)
-        if t:
-            cor = rs.coroot_coords(l_simple[i])
-            vec_add_scaled(z, {k: Fraction(c) for k, c in enumerate(cor) if c}, t)
+    for i, b in enumerate(l_simple):
+        t = sum((l_cartan_inv[j][i] for j in marked), Fraction(0))
+        cor = rs.coroot_coords(b)
+        vec_add_scaled(z, {k: Fraction(c) for k, c in enumerate(cor) if c}, t)
 
     # l-grading by z eigenvalues
     def z_eigenvalue(r) -> Fraction:
@@ -275,7 +310,8 @@ def build_case(label: str) -> SubadjointCase:
     l_degree = {}
     for r in l_roots:
         ev = z_eigenvalue(r)
-        assert ev.denominator == 1 and abs(ev) <= 1, (r, ev)
+        _check(ev.denominator == 1 and abs(ev) <= 1,
+               f"z eigenvalue {ev} on the l root {r}")
         l_degree[r] = int(ev)
 
     case = SubadjointCase(
@@ -301,16 +337,18 @@ def build_case(label: str) -> SubadjointCase:
         l_degree=l_degree,
     )
     case._root_index = root_index
+    case._s_roots = s_roots
+    case._l_root_pos = {root_index[r]: i for i, r in enumerate(l_roots)}
     case._l_cartan_inv = l_cartan_inv
     ideal_of = {}
     for r in l_roots:
-        coords = _coords_in_simple_system(rs, r, l_simple)
-        support = [i for i, c in enumerate(coords) if c]
-        cis = {node_comp[i] for i in support}
-        assert len(cis) == 1
+        coords = case.weight_in_l_coords(r)
+        cis = {node_comp[i] for i, c in enumerate(coords) if c}
+        _check(len(cis) == 1, f"l root {r} meets {len(cis)} simple ideals")
         ideal_of[r] = cis.pop()
     case._ideal_of_root = ideal_of
     case._node_comp = node_comp
+    case.l_table = _restricted_table(case)
 
     _finish_gradings(case)
     _validate_case(case)
@@ -318,25 +356,8 @@ def build_case(label: str) -> SubadjointCase:
 
 
 def _int(x: Fraction) -> int:
-    assert x.denominator == 1, x
+    _check(x.denominator == 1, f"non-integral Cartan entry {x}")
     return int(x)
-
-
-def _coords_in_simple_system(rs, r, l_simple):
-    """Integer coordinates of an l-root in the simple system of l."""
-    rows = []
-    n = len(l_simple)
-    for k in range(rs.rank):
-        row = {i: Fraction(l_simple[i][k]) for i in range(n) if l_simple[i][k]}
-        if r[k]:
-            row[n] = Fraction(-r[k])
-        if row:
-            rows.append(row)
-    ker = SparseRationalMatrix.from_rows(rows, n + 1).kernel()
-    sols = [k for k in ker if k.get(n)]
-    assert len(sols) == 1
-    sol = vec_scale(sols[0], 1 / sols[0][n])
-    return [sol.get(i, Fraction(0)) for i in range(n)]
 
 
 def _finish_gradings(case: SubadjointCase) -> None:
@@ -359,7 +380,8 @@ def _finish_gradings(case: SubadjointCase) -> None:
     levels: dict[int, list] = {}
     for v in case.V_roots:
         j = z_eig(v) - base
-        assert j.denominator == 1 and 0 <= j <= 3, (v, j)
+        _check(j.denominator == 1 and 0 <= j <= 3,
+               f"osculating level {j} of the V root {v}")
         case.V_root_level[v] = int(j)
         levels.setdefault(int(j), []).append(case.e(v))
     case.V_decomp = {
@@ -371,11 +393,11 @@ def _finish_gradings(case: SubadjointCase) -> None:
     cf = {}
     for r in case.l0_roots():
         br = s.bracket(case.e(r), v0)
-        assert set(br) <= {case.v0_index}
+        _check(set(br) <= {case.v0_index}, "l_0 moves the v0 line")
         cf[("e", r)] = br.get(case.v0_index, Fraction(0))
     for b in case.l_simple_roots:
         br = s.bracket(case.coroot_vec(b), v0)
-        assert set(br) <= {case.v0_index}
+        _check(set(br) <= {case.v0_index}, "l_0 moves the v0 line")
         cf[("h", b)] = br.get(case.v0_index, Fraction(0))
     case.c_functional = cf
 
@@ -385,17 +407,18 @@ def _validate_case(case: SubadjointCase) -> None:
     dim = s.dim
     d1 = case.dim_l1
     dims_V = {j: sp.dim for j, sp in case.V_decomp.items()}
-    assert dims_V == {0: 1, 1: d1, 2: d1, 3: 1}, dims_V
-    assert case.dim_V == 2 * d1 + 2
-    assert set(case.l_grading) == {-1, 0, 1}
-    assert case.l_grading[1].dim == case.l_grading[-1].dim == d1
+    _check(dims_V == {0: 1, 1: d1, 2: d1, 3: 1}, f"V level dims {dims_V}")
+    _check(case.dim_V == 2 * d1 + 2, "dim V != 2 dim l_1 + 2")
+    _check(set(case.l_grading) == {-1, 0, 1}, "l is not 3-graded")
+    _check(case.l_grading[1].dim == case.l_grading[-1].dim == d1,
+           "dim l_1 != dim l_-1")
 
     # marked-node oracle (Prop-2.4-style table, up to diagram automorphisms)
     expected = _expected_factors(rs.series, rs.rank)
     got = []
     for ci, comp in enumerate(case.l_components):
         mk = [m for m in case.marked if case._node_comp[m] == ci]
-        assert len(mk) == 1
+        _check(len(mk) == 1, f"simple ideal {ci} has {len(mk)} marked nodes")
         pos = comp.nodes.index(mk[0])
         got.append((comp.type_label, pos))
     def orbit_key(item):
@@ -404,53 +427,40 @@ def _validate_case(case: SubadjointCase) -> None:
         return (t, tuple(sorted(node_orbit(series, rank, pos))))
     want = sorted(orbit_key((t, p - 1)) for t, p in expected)
     have = sorted(orbit_key(g) for g in got)
-    assert have == want, (have, want)
+    _check(have == want, f"marked nodes {have}, table says {want}")
 
     # stabilizer cross-checks: p = l_{-1} + l_0 fixes the line through v0,
     # and the opposite parabolic fixes the highest weight line
     l_basis = _l_basis_vectors(case)
-    lsub = Subspace.from_vectors(dim, l_basis)
-    Lrestr = _restricted_table(case, l_basis)
-    v0 = case.e(case.v0_root)
-    vhi = case.e(case.vhi_root)
 
-    def act(xcoeffs: Vec, v: Vec) -> Vec:
+    def in_s(xcoeffs: Vec) -> Vec:
         x: Vec = {}
         for i, c in xcoeffs.items():
             vec_add_scaled(x, l_basis[i], c)
-        return s.bracket(x, v)
+        return x
 
-    stab = line_stabilizer(Lrestr, v0, act, dim)
-    stab_vectors = []
-    for row in stab.basis_vectors():
-        x: Vec = {}
-        for i, c in row.items():
-            vec_add_scaled(x, l_basis[i], c)
-        stab_vectors.append(x)
-    stab_in_s = Subspace.from_vectors(dim, stab_vectors)
+    def act(xcoeffs: Vec, v: Vec) -> Vec:
+        return s.bracket(in_s(xcoeffs), v)
+
+    def stabilizer_in_s(v: Vec) -> Subspace:
+        stab = line_stabilizer(case.l_table, v, act, dim)
+        return Subspace.from_vectors(
+            dim, [in_s(row) for row in stab.basis_vectors()])
+
+    v0 = case.e(case.v0_root)
     p_expected = case.l_grading[-1].span_with(case.l_grading[0])
-    assert stab_in_s == p_expected, "line stabilizer disagrees with l_{-1}+l_0"
-
-    stab_hi = line_stabilizer(Lrestr, vhi, act, dim)
-    vhi_vectors = []
-    for row in stab_hi.basis_vectors():
-        x: Vec = {}
-        for i, c in row.items():
-            vec_add_scaled(x, l_basis[i], c)
-        vhi_vectors.append(x)
-    stab_hi_in_s = Subspace.from_vectors(dim, vhi_vectors)
+    _check(stabilizer_in_s(v0) == p_expected,
+           "line stabilizer disagrees with l_{-1}+l_0")
     q_expected = case.l_grading[0].span_with(case.l_grading[1])
-    assert stab_hi_in_s == q_expected, "opposite stabilizer disagrees"
+    _check(stabilizer_in_s(case.e(case.vhi_root)) == q_expected,
+           "opposite stabilizer disagrees")
 
     # z centralizes l_0 and has spectrum {-1,0,1} on l (by construction of
     # l_degree; here we check the bracket action agrees)
-    for vec in case.l_grading[0].basis_vectors():
-        assert not s.bracket(case.z, vec)
-    for j in (-1, 1):
+    for j in (-1, 0, 1):
         for vec in case.l_grading[j].basis_vectors():
-            got_v = s.bracket(case.z, vec)
-            want_v = vec_scale(vec, Fraction(j))
-            assert got_v == want_v
+            _check(s.bracket(case.z, vec) == vec_scale(vec, Fraction(j)),
+                   f"z does not act by {j} on l_{j}")
 
     # osculating route: V_{j+1} = [l_1, V_j] starting from V_0 = <v0>
     cur = case.V_decomp[0]
@@ -463,20 +473,21 @@ def _validate_case(case: SubadjointCase) -> None:
                 if b:
                     nxt.append(b)
         cur = Subspace.from_vectors(dim, nxt)
-        assert cur == case.V_decomp[j + 1], \
-            f"bracket route disagrees with z-eigenspace route at level {j + 1}"
+        _check(cur == case.V_decomp[j + 1],
+               f"bracket route disagrees with z-eigenspace route at level "
+               f"{j + 1}")
 
     # degree clipping: [l_1, V_3] = 0 and [l_{-1}, V_0] = 0
     for a in l1_vecs:
         for w in case.V_decomp[3].basis_vectors():
-            assert not s.bracket(a, w)
+            _check(not s.bracket(a, w), "[l_1, V_3] != 0")
     for r in case.lminus1_roots():
-        assert not s.bracket(case.e(r), v0)
+        _check(not s.bracket(case.e(r), v0), "[l_-1, V_0] != 0")
 
     # [x, v0] stays on the v0 line for the whole parabolic
     for vec in p_expected.basis_vectors():
-        br = s.bracket(vec, v0)
-        assert set(br) <= {case.v0_index}
+        _check(set(s.bracket(vec, v0)) <= {case.v0_index},
+               "the parabolic moves the v0 line")
 
 
 def _l_basis_vectors(case: SubadjointCase) -> list[Vec]:
@@ -486,38 +497,17 @@ def _l_basis_vectors(case: SubadjointCase) -> list[Vec]:
     return out
 
 
-def _restricted_table(case: SubadjointCase, l_basis: list[Vec]) -> LieAlgebraTable:
-    """l as an abstract table in the given basis (used for stabilizers)."""
+def _restricted_table(case: SubadjointCase) -> LieAlgebraTable:
+    """l as an abstract table over the l basis (stabilizers, and g's [l, l])."""
     s = case.s_table
+    l_basis = _l_basis_vectors(case)
     n = len(l_basis)
-    acc = RrefBasis(s.dim)
-    for v in l_basis:
-        acc.add(v)
-    # express an s-vector lying in l in the l-basis by solving small systems
-    cols = {}
-
-    def to_l_coords(v: Vec) -> Vec:
-        rows = []
-        for k in range(s.dim):
-            row = {i: l_basis[i].get(k) for i in range(n) if k in l_basis[i]}
-            row = {i: c for i, c in row.items() if c}
-            if k in v and v[k]:
-                row[n] = -v[k]
-            if row:
-                rows.append(row)
-        ker = SparseRationalMatrix.from_rows(rows, n + 1).kernel()
-        sols = [s_ for s_ in ker if s_.get(n)]
-        assert len(sols) == 1
-        sol = vec_scale(sols[0], 1 / sols[0][n])
-        sol.pop(n)
-        return {i: c for i, c in sol.items() if c}
-
     brackets = {}
     for i in range(n):
         for j in range(i + 1, n):
             b = s.bracket(l_basis[i], l_basis[j])
             if b:
-                brackets[(i, j)] = to_l_coords(b)
+                brackets[(i, j)] = case.l_coords(b)
     labels = tuple(
         [f"H{i}" for i in range(len(case.l_simple_roots))]
         + [f"X{i}" for i in range(len(case.l_roots))]

@@ -13,14 +13,14 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .cases import SubadjointCase
-from .liecore import LieAlgebraTable, Subspace, check_jacobi
-from .linalg import (
-    SparseRationalMatrix,
-    Vec,
-    vec_add_scaled,
-    vec_scale,
+from .cases import (
+    CaseConsistencyError,
+    SubadjointCase,
+    _check,
+    _l_basis_vectors,
 )
+from .liecore import LieAlgebraTable, Subspace, check_jacobi
+from .linalg import SparseRationalMatrix, Vec, vec_add_scaled
 
 
 @dataclass
@@ -69,34 +69,6 @@ def build_g(case: SubadjointCase) -> GAlgebra:
     l_pos = {key: l_offset + i for i, key in enumerate(l_keys)}
     v_pos = {r: v_offset + i for i, r in enumerate(case.V_roots)}
 
-    # l vectors in s coordinates, for bracketing inside s
-    def l_vec_in_s(key) -> Vec:
-        kind, r = key
-        if kind == "h":
-            return case.coroot_vec(r)
-        return case.e(r)
-
-    s_index_to_v = {case.root_index(r): v_pos[r] for r in case.V_roots}
-    def s_bracket_to_g(vec: Vec, *, in_l: bool) -> Vec:
-        """Translate an s-coordinate bracket value into g coordinates."""
-        out: Vec = {}
-        if in_l:
-            # split into Cartan part and root-vector part
-            for k, c in vec.items():
-                kind, data = _s_basis_kind(case, k)
-                if kind == "e":
-                    out[l_pos[("e", data)]] = c
-            cart = {k: c for k, c in vec.items()
-                    if _s_basis_kind(case, k)[0] == "h"}
-            if cart:
-                sol = _cartan_to_l(case, cart, l_offset)
-                for k, c in sol.items():
-                    out[k] = out.get(k, Fraction(0)) + c
-        else:
-            for k, c in vec.items():
-                out[s_index_to_v[k]] = c
-        return {k: c for k, c in out.items() if c}
-
     brackets: dict[tuple[int, int], Vec] = {}
 
     def put(i, j, vec):
@@ -110,15 +82,20 @@ def build_g(case: SubadjointCase) -> GAlgebra:
     # [Id, v] = v for v in V; [Id, l] = 0
     for r in case.V_roots:
         put(0, v_pos[r], {v_pos[r]: Fraction(1)})
-    # [l, l] and [l, V]; [V, V] = 0 by construction of the semidirect product
-    l_vecs = [l_vec_in_s(k) for k in l_keys]
+    # [l, l] from the restricted table of l, [l, V] from s; [V, V] = 0 by
+    # construction of the semidirect product
+    l_table = case.l_table.brackets
+    l_vecs = _l_basis_vectors(case)
+    s_index_to_v = {case.root_index(r): v_pos[r] for r in case.V_roots}
     for i in range(nl):
         for j in range(i + 1, nl):
-            b = st.bracket(l_vecs[i], l_vecs[j])
-            put(l_offset + i, l_offset + j, s_bracket_to_g(b, in_l=True))
+            b = l_table.get((i, j), {})
+            put(l_offset + i, l_offset + j,
+                {l_offset + k: c for k, c in b.items()})
         for r in case.V_roots:
             b = st.bracket(l_vecs[i], case.e(r))
-            put(l_offset + i, v_pos[r], s_bracket_to_g(b, in_l=False))
+            put(l_offset + i, v_pos[r],
+                {s_index_to_v[k]: c for k, c in b.items()})
 
     labels = ["Id"] + [
         ("H" if k[0] == "h" else "x") + "".join(f"{c:+d}" for c in k[1])
@@ -165,58 +142,29 @@ def build_g(case: SubadjointCase) -> GAlgebra:
     return g
 
 
-def _s_basis_kind(case, k):
-    rank = case.rs.rank
-    if k < rank:
-        return ("h", k)
-    return ("e", case.rs.all_roots()[k - rank])
-
-
-def _cartan_to_l(case, cart: Vec, l_offset: int) -> Vec:
-    """Express a Cartan vector of s lying in l over the simple coroots of l."""
-    n = len(case.l_simple_roots)
-    cols = [case.coroot_vec(b) for b in case.l_simple_roots]
-    rows = []
-    for k in range(case.rs.rank):
-        row = {i: cols[i][k] for i in range(n) if k in cols[i]}
-        if k in cart and cart[k]:
-            row[n] = -cart[k]
-        if row:
-            rows.append(row)
-    ker = SparseRationalMatrix.from_rows(rows, n + 1).kernel()
-    sols = [s_ for s_ in ker if s_.get(n)]
-    assert len(sols) == 1, "Cartan vector not in the coroot span of l"
-    sol = vec_scale(sols[0], 1 / sols[0][n])
-    return {l_offset + i: c for i, c in sol.items() if i < n and c}
-
-
 def _validate_g(g: GAlgebra) -> None:
     case = g.case
     t = g.table
     dims = g.component_dims()
     d1 = case.dim_l1
     expected = {-1: d1, 0: 2 + (case.dim_l - 2 * d1), 1: 2 * d1, 2: d1, 3: 1}
-    assert dims == expected, (dims, expected)
+    _check(dims == expected, f"g component dims {dims}, expected {expected}")
 
     # V abelian ideal: [V, V] = 0 and [g, V] in V
     vidx = set(range(g.v_offset, t.dim))
     for (i, j), vec in t.brackets.items():
         if i in vidx and j in vidx:
-            raise AssertionError("V not abelian in g")
+            raise CaseConsistencyError("V not abelian in g")
         if i in vidx or j in vidx:
-            assert set(vec) <= vidx, "V not an ideal"
+            _check(set(vec) <= vidx, "V not an ideal")
     # Id acts as the identity on V and zero on l
     for j in range(t.dim):
-        b = t.bracket_basis(0, j)
-        if j in vidx:
-            assert b == {j: Fraction(1)}
-        else:
-            assert not b
+        want = {j: Fraction(1)} if j in vidx else {}
+        _check(t.bracket_basis(0, j) == want, "Id does not act as 0 + Id_V")
     # degree additivity on basis brackets
     for (i, j), vec in t.brackets.items():
         dd = g.degree[i] + g.degree[j]
-        for k in vec:
-            assert g.degree[k] == dd, "grading not additive"
+        _check(all(g.degree[k] == dd for k in vec), "grading not additive")
 
 
 @dataclass

@@ -678,15 +678,10 @@ def input_from_l(case, ideal: int | None = None) -> ProlongInput:
             raw = s.bracket(x, case.e(r))
             col = {}
             for k, c in raw.items():
-                rr = _root_of_index(case, k)
+                rr = case.root_of_index(k)
                 col[pos[rr]] = c
             cols.append(col)
         if flat.add(_flatten(cols, len(l1))):
             mats.append(cols)
     return ProlongInput(nplus=nplus, degrees=(1,) * len(l1), n0_mats=tuple(mats))
 
-
-def _root_of_index(case, k: int):
-    rank = case.rs.rank
-    assert k >= rank, "expected a root vector index"
-    return case.rs.all_roots()[k - rank]

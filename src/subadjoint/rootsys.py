@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property
 
 from .liecore import LieAlgebraTable
 from .linalg import mat_inverse, mat_vec
@@ -125,25 +125,31 @@ class RootSystem:
 
     def pairing(self, x, i: int) -> Fraction:
         """<x, a_i^vee> for x in simple-root coordinates."""
-        return sum(Fraction(self.cartan[i][j]) * x[j] for j in range(self.rank))
+        return Fraction(sum(c * xj for c, xj in zip(self.cartan[i], x)))
+
+    @cached_property
+    def _form6(self) -> tuple:
+        """6 (a_i, a_j): integral, since every d_i is 1, 1/2 or 1/3."""
+        out = tuple(
+            tuple(6 * d * c for c in row)
+            for d, row in zip(self.half_lengths, self.cartan)
+        )
+        if any(v.denominator != 1 for row in out for v in row):
+            raise ValueError("half lengths outside {1, 1/2, 1/3}")
+        return tuple(tuple(int(v) for v in row) for row in out)
 
     def form(self, x, y) -> Fraction:
         """(x, y) with long roots of squared length 2."""
-        total = Fraction(0)
-        for i in range(self.rank):
-            if not x[i]:
-                continue
-            row = self.cartan[i]
-            di = self.half_lengths[i]
-            for j in range(self.rank):
-                if y[j]:
-                    total += Fraction(x[i]) * Fraction(y[j]) * di * row[j]
-        return total
+        total = 0
+        for xi, row in zip(x, self._form6):
+            if xi:
+                total += xi * sum(c * yj for c, yj in zip(row, y) if yj)
+        return Fraction(total, 6)
 
     def is_root(self, x) -> bool:
-        return tuple(x) in self._root_set()
+        return tuple(x) in self._root_set
 
-    @lru_cache(maxsize=None)
+    @cached_property
     def _root_set(self) -> frozenset:
         neg = tuple(tuple(-c for c in r) for r in self.positive_roots)
         return frozenset(self.positive_roots) | frozenset(neg)

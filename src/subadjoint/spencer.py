@@ -42,10 +42,12 @@ def g_basis_weights(g: GAlgebra) -> list[tuple]:
     return out
 
 
+def _cI(case, coords) -> Fraction:
+    return sum((coords[i] for i in case.marked), Fraction(0))
+
+
 def g_basis_cI(g: GAlgebra) -> list[Fraction]:
-    case = g.case
-    weights = g_basis_weights(g)
-    return [sum((w[i] for i in case.marked), Fraction(0)) for w in weights]
+    return [_cI(g.case, w) for w in g_basis_weights(g)]
 
 
 # --------------------------------------------------------------------------
@@ -164,18 +166,23 @@ def c1_vector_of_ad(g: GAlgebra, x_index: int, sp: SpencerSpaces) -> Vec:
 @dataclass
 class QDimension:
     k: int
+    dim_C1: int
     dim_C2: int
     rank: int
     value: int
+
+    def expected_rank(self, dim_g_minus_1: int) -> int:
+        """ker del on C^{k,1} is the (-k)-th prolongation: g_{-1}, then 0."""
+        return self.dim_C1 - (dim_g_minus_1 if self.k == -1 else 0)
 
 
 def q_dimension(g: GAlgebra, k: int) -> QDimension:
     """dim Q^k(g) = dim C^{k,2} - rank del, by exact elimination."""
     mat, sp = spencer_differential(g, k)
     if sp.dim_C2 == 0 or sp.dim_C1 == 0:
-        return QDimension(k, sp.dim_C2, 0, sp.dim_C2)
+        return QDimension(k, sp.dim_C1, sp.dim_C2, 0, sp.dim_C2)
     rank = mat.rank()
-    return QDimension(k, sp.dim_C2, rank, sp.dim_C2 - rank)
+    return QDimension(k, sp.dim_C1, sp.dim_C2, rank, sp.dim_C2 - rank)
 
 
 # --------------------------------------------------------------------------
@@ -232,7 +239,7 @@ def _v_piece(g: GAlgebra, j: int) -> list:
 def hom_decomposition(case, g: GAlgebra, k: int) -> list[SummandDescriptor]:
     """The direct-sum pieces of C^{k,2} with full weight lists and c^I sets."""
     weights = g_basis_weights(g)
-    cIs = g_basis_cI(g)
+    cIs = [_cI(case, w) for w in weights]
     nl = len(case.l_simple_roots)
 
     def hom_weights(src_pairs, targets):
@@ -290,19 +297,12 @@ def hom_decomposition(case, g: GAlgebra, k: int) -> list[SummandDescriptor]:
                     name=_FAMILY_NAMES[fam], family=fam, index=(i, j),
                     dim=len(wl), weight_list=wl, cI_values=cs,
                 ))
-    total = sum(d.dim for d in out)
-    sp_dim = spencer_spaces(g, k).dim_C2 if k <= -1 else None
-    if sp_dim is not None:
-        assert total == sp_dim, "decomposition misses part of C^{k,2}"
     return out
 
 
 def cI_set(summand: SummandDescriptor, case) -> set:
     """c^I values recomputed from the stored weight list."""
-    out = set()
-    for w in summand.weight_list:
-        out.add(sum((w.coords[i] for i in case.marked), Fraction(0)))
-    return out
+    return {_cI(case, w.coords) for w in summand.weight_list}
 
 
 def rk_designated(k: int, family: int, index: tuple | None) -> bool:
@@ -341,7 +341,8 @@ class SummandTable:
 
 
 def summand_cI_table(case, g: GAlgebra, k: int) -> SummandTable:
-    """Check the six c^I values and the R_k containment verdict at level k."""
+    """Check the six c^I values and the R_k containment verdict at level k,
+    and that the pieces add up to all of C^{k,2} (k <= -1)."""
     desc = hom_decomposition(case, g, k)
     table_ok = True
     containment_ok = True
@@ -358,7 +359,10 @@ def summand_cI_table(case, g: GAlgebra, k: int) -> SummandTable:
                     or rk_allowed_extra(k, d.family, d.index)):
                 containment_ok = False
                 offending.append((d.name, d.index, "not in R_k", None))
-    closure_ok = True  # asserted inside hom_decomposition
+    total, dim_C2 = sum(d.dim for d in desc), spencer_spaces(g, k).dim_C2
+    closure_ok = total == dim_C2
+    if not closure_ok:
+        offending.append(("pieces of C^{k,2}", None, total, dim_C2))
     return SummandTable(
         k=k, descriptors=desc, table_ok=table_ok,
         containment_ok=containment_ok, closure_ok=closure_ok,

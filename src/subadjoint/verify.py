@@ -505,16 +505,17 @@ def _run_spencer(rec: _Recorder, desc, case, g, options: RunOptions) -> None:
                   "nullity_doubleprime": rep.nullity_doubleprime},
             values={"pairing_perfect": rep.pairing_nondegenerate})
 
+    # ker del on C^{k,1} is the (-k)-th prolongation, so the ranks are forced
     t1 = time.monotonic()
-    qvals = {}
+    dminus1 = g.component_dims()[-1]
+    qvals, ranks, dims_C1 = {}, {}, {}
     ok = True
     for k in range(max(options.kmin, KMIN_SUPPORT - 1), 0):
         q = q_dimension(g, k)
-        qvals[k] = q.value
-        if q.value > q.dim_C2 or (q.dim_C2 == 0 and q.value != 0):
-            ok = False
+        qvals[k], ranks[k], dims_C1[k] = q.value, q.rank, q.dim_C1
+        ok = ok and q.rank == q.expected_rank(dminus1)
     rec.add("spencer-qdim", "PASS" if ok else "FAIL", t1,
-            values={"q_dims": qvals})
+            values={"q_dims": qvals, "ranks": ranks, "dim_C1": dims_C1})
 
 
 def _cocycle_ad_ok(g) -> bool:

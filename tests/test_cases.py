@@ -1,9 +1,14 @@
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
 
 from subadjoint.cases import (
+    CaseConsistencyError,
     CaseExcludedError,
+    _l_basis_vectors,
+    _validate_case,
     build_case,
     check_xvv,
     fundamental_forms,
@@ -225,3 +230,63 @@ def test_xvv_no_samples_inconclusive(b3):
     cert = check_xvv(b3, [])
     assert cert.status == "INCONCLUSIVE"
     assert cert.kernel_dim == len(b3.lminus1_roots())
+
+
+def _run_under_O(lines):
+    script = "\n".join([
+        "import sys",
+        "if __debug__:",
+        "    sys.exit('not running under -O')",
+        *lines,
+    ])
+    return subprocess.run([sys.executable, "-O", "-c", script],
+                          capture_output=True, text=True)
+
+
+@pytest.mark.parametrize("label", ["B3", "D4", "F4", "E6"])
+def test_l_coords(label):
+    case = build_case(label)
+    for i, v in enumerate(_l_basis_vectors(case)):
+        assert case.l_coords(v) == {i: Fraction(1)}
+    # theta^vee spans the centre of s_0, outside l; V is outside l
+    with pytest.raises(ValueError):
+        case.l_coords(case.coroot_vec(case.rs.highest_root))
+    with pytest.raises(ValueError):
+        case.l_coords(case.e(case.v0_root))
+
+
+def test_l_coords_rejects_under_python_O():
+    r = _run_under_O([
+        "from subadjoint.cases import build_case",
+        "case = build_case('D4')",
+        "for v in (case.coroot_vec(case.rs.highest_root),",
+        "          case.e(case.v0_root)):",
+        "    try:",
+        "        case.l_coords(v)",
+        "    except ValueError:",
+        "        continue",
+        "    sys.exit(f'{v} accepted as a vector of l')",
+    ])
+    assert r.returncode == 0, r.stderr
+
+
+def test_swapped_osculating_levels_raise():
+    case = build_case("B3")
+    case.V_decomp[1], case.V_decomp[2] = case.V_decomp[2], case.V_decomp[1]
+    with pytest.raises(CaseConsistencyError):
+        _validate_case(case)
+
+
+def test_swapped_osculating_levels_raise_under_python_O():
+    r = _run_under_O([
+        "from subadjoint.cases import (",
+        "    CaseConsistencyError, _validate_case, build_case)",
+        "case = build_case('B3')",
+        "case.V_decomp[1], case.V_decomp[2] = case.V_decomp[2], case.V_decomp[1]",
+        "try:",
+        "    _validate_case(case)",
+        "except CaseConsistencyError:",
+        "    sys.exit(0)",
+        "sys.exit('swapped V_1, V_2 accepted')",
+    ])
+    assert r.returncode == 0, r.stderr

@@ -1,3 +1,5 @@
+import gc
+import weakref
 from fractions import Fraction
 
 import pytest
@@ -183,3 +185,32 @@ def test_node_orbits():
     assert node_orbit("D", 4, 0) == frozenset({0, 2, 3})
     assert node_orbit("E", 6, 0) == frozenset({0, 5})
     assert node_orbit("E", 7, 0) == frozenset({0})
+
+
+def test_root_system_is_collectable():
+    # the root set is cached on the instance, not in a global cache; a type
+    # no other test builds, so no equal instance can stand in for this one
+    rs = build_root_system("A11")
+    assert rs.is_root(rs.highest_root)
+    ref = weakref.ref(rs)
+    del rs
+    gc.collect()
+    assert ref() is None
+
+
+@pytest.mark.parametrize("label", ["B3", "F4", "G2"])
+def test_integer_form_matches_fraction_formula(label):
+    rs = build_root_system(label)
+
+    def form(x, y):
+        return sum(
+            (Fraction(x[i]) * Fraction(y[j]) * rs.half_lengths[i]
+             * rs.cartan[i][j]
+             for i in range(rs.rank) for j in range(rs.rank)),
+            Fraction(0),
+        )
+
+    roots = rs.all_roots()
+    for x in roots:
+        for y in roots:
+            assert rs.form(x, y) == form(x, y)

@@ -1,6 +1,10 @@
 from fractions import Fraction
 from math import comb
 
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from subadjoint.cases import build_case
@@ -65,7 +69,8 @@ def test_rank_and_qdim_b3(b3):
     case, g = b3
     q = q_dimension(g, -1)
     # kernel of del on C^{-1,1} is exactly the first prolongation (dim 2)
-    assert q.rank == 26 - 2
+    assert q.dim_C1 == 26
+    assert q.rank == 26 - 2 == q.expected_rank(2)
     assert q.value == 45 - 24
     for k in range(-7, 0):
         qk = q_dimension(g, k)
@@ -162,3 +167,34 @@ def test_conjugation_expansion(b3, f4):
     for case, g in (b3, f4):
         rep = conjugation_expansion_check(g, trials=6, seed=4)
         assert rep.status == "PASS"
+
+
+def _b3_without_v3():
+    case = build_case("B3")
+    g = build_g(case)
+    g.V_level_indices = {**g.V_level_indices, 3: ()}
+    return case, g
+
+
+def test_closure_detects_missing_piece():
+    case, g = _b3_without_v3()
+    tab = summand_cI_table(case, g, -1)
+    assert not tab.closure_ok
+    assert tab.status == "FAIL"
+
+
+def test_closure_detects_missing_piece_under_python_O():
+    script = "\n".join([
+        "import sys",
+        f"sys.path.insert(0, {str(Path(__file__).parent)!r})",
+        "from test_spencer import _b3_without_v3",
+        "from subadjoint.spencer import summand_cI_table",
+        "if __debug__:",
+        "    sys.exit('not running under -O')",
+        "case, g = _b3_without_v3()",
+        "tab = summand_cI_table(case, g, -1)",
+        "sys.exit(0 if tab.status == 'FAIL' else 'lost V_3 pieces accepted')",
+    ])
+    r = subprocess.run([sys.executable, "-O", "-c", script],
+                       capture_output=True, text=True)
+    assert r.returncode == 0, r.stderr

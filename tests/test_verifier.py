@@ -128,6 +128,42 @@ def test_corrupted_witness_fails_prolong_checks(monkeypatch):
     assert exit_code(rep) == 1
 
 
+def _corrupt_build_g(monkeypatch, corrupt):
+    real = verify.build_g
+
+    def corrupted(case):
+        g = real(case)
+        corrupt(g)
+        return g
+
+    monkeypatch.setattr(verify, "build_g", corrupted)
+
+
+def test_corrupted_bracket_fails_spencer_qdim(monkeypatch):
+    def double_g1_g1(g):
+        key = next(k for k in sorted(g.table.brackets)
+                   if g.degree[k[0]] == g.degree[k[1]] == 1)
+        vec = g.table.brackets[key]
+        vec[next(iter(vec))] *= 2
+
+    _corrupt_build_g(monkeypatch, double_g1_g1)
+    rep = run("B3", {"spencer"}, RunOptions(seed=7))
+    rec = next(c for c in rep.checks if c.check_id == "spencer-qdim")
+    # ad g_{-1} is no longer a cocycle, so del becomes injective on C^{-1,1}
+    assert rec.values["ranks"][-1] == rec.values["dim_C1"][-1] == 26
+    assert rec.status == "FAIL"
+
+
+def test_lost_v3_fails_six_families(monkeypatch):
+    def drop_v3(g):
+        g.V_level_indices = {**g.V_level_indices, 3: ()}
+
+    _corrupt_build_g(monkeypatch, drop_v3)
+    rep = run("B3", {"weights"}, RunOptions(seed=7))
+    statuses = {c.check_id: c.status for c in rep.checks}
+    assert statuses["cI-six-families"] == "FAIL"
+
+
 def test_cli_list(capsys):
     assert main(["--list"]) == 0
     out = capsys.readouterr().out
