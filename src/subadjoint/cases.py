@@ -531,7 +531,7 @@ def symplectic_form(case: SubadjointCase) -> list[list[Fraction]]:
             if i == j:
                 continue
             br = s.bracket_basis(idx[i], idx[j])
-            assert set(br) <= {theta_idx}, "degree-2 bracket escaped s_2"
+            _check(set(br) <= {theta_idx}, "degree-2 bracket escaped s_2")
             mat[i][j] = br.get(theta_idx, Fraction(0))
     return mat
 

@@ -35,8 +35,8 @@ class ProlongDepthError(RuntimeError):
 
 
 class ProlongConsistencyError(RuntimeError):
-    """A witness or kernel map fails the compatibility equation, or the
-    computed dimensions vanish non-monotonically.
+    """n_+ violates Jacobi, a witness or kernel map fails the compatibility
+    equation, or the computed dimensions vanish non-monotonically.
 
     `witness` is True when a supplied witness map failed.
     """
@@ -79,7 +79,8 @@ class ProlongInput:
         n = self.dim
         assert len(self.degrees) == n
         assert all(d >= 1 for d in self.degrees)
-        assert not check_jacobi(self.nplus), "n_+ violates Jacobi"
+        if check_jacobi(self.nplus):
+            raise ProlongConsistencyError("n_+ violates Jacobi")
         # bracket degree additivity with clipping to the support
         for (i, j), vec in self.nplus.brackets.items():
             dd = self.degrees[i] + self.degrees[j]
@@ -328,8 +329,8 @@ def prolongation(
     witnesses maps a level k to exact maps known to lie in the k-th
     prolongation; they are verified by substitution and serve as an
     early-exit floor.  seed fixes the order in which pairs are eliminated.
-    Raises ProlongConsistencyError if a witness or kernel map fails
-    substitution.
+    Raises ProlongConsistencyError if n_+ violates Jacobi or a witness or
+    kernel map fails substitution.
     """
     if k_max < 1:
         raise ValueError("k_max must be >= 1")

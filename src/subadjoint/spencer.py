@@ -16,9 +16,9 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from math import comb
 
+from .cases import _check
 from .galg import GAlgebra, operator_a
 from .linalg import SparseRationalMatrix, Vec, vec_add_scaled
-from .rootsys import WeightVector
 
 KMIN_SUPPORT = -6  # C^{k,2} vanishes for k <= -7: source degrees cap at 5
 
@@ -42,12 +42,10 @@ def g_basis_weights(g: GAlgebra) -> list[tuple]:
     return out
 
 
-def _cI(case, coords) -> Fraction:
-    return sum((coords[i] for i in case.marked), Fraction(0))
-
-
 def g_basis_cI(g: GAlgebra) -> list[Fraction]:
-    return [_cI(g.case, w) for w in g_basis_weights(g)]
+    """c^I of each g basis weight: the sum of its marked-node coordinates."""
+    marked = g.case.marked
+    return [sum((w[i] for i in marked), Fraction(0)) for w in g_basis_weights(g)]
 
 
 # --------------------------------------------------------------------------
@@ -69,6 +67,23 @@ class SpencerSpaces:
         return len(self.basis_C2)
 
 
+def cochain_dims(g: GAlgebra, k: int) -> tuple[int, int]:
+    """dim C^{k,1} and dim C^{k,2} in closed form from the component dims."""
+    dims_g = g.component_dims()
+    dim_C1 = sum(
+        dims_g.get(d, 0) * dims_g.get(d + k, 0) for d in (1, 2, 3)
+    )
+    dim_C2 = 0
+    for d1 in (1, 2, 3):
+        for d2 in range(d1, 4):
+            target = dims_g.get(d1 + d2 + k, 0)
+            if d1 == d2:
+                dim_C2 += comb(dims_g.get(d1, 0), 2) * target
+            else:
+                dim_C2 += dims_g.get(d1, 0) * dims_g.get(d2, 0) * target
+    return dim_C1, dim_C2
+
+
 def spencer_spaces(g: GAlgebra, k: int) -> SpencerSpaces:
     if k > -1:
         raise ValueError("Spencer degree k must be <= -1")
@@ -88,20 +103,9 @@ def spencer_spaces(g: GAlgebra, k: int) -> SpencerSpaces:
         for w in bydeg.get(g.degree[u] + g.degree[v] + k, [])
     ]
     sp = SpencerSpaces(k=k, basis_C1=C1, basis_C2=C2)
-    dims_g = g.component_dims()
-    want = sum(
-        dims_g.get(d, 0) * dims_g.get(d + k, 0) for d in (1, 2, 3)
-    )
-    assert sp.dim_C1 == want, "C^{k,1} dimension bookkeeping failed"
-    want2 = 0
-    for d1 in (1, 2, 3):
-        for d2 in range(d1, 4):
-            target = dims_g.get(d1 + d2 + k, 0)
-            if d1 == d2:
-                want2 += comb(dims_g.get(d1, 0), 2) * target
-            else:
-                want2 += dims_g.get(d1, 0) * dims_g.get(d2, 0) * target
-    assert sp.dim_C2 == want2, "C^{k,2} dimension bookkeeping failed"
+    want1, want2 = cochain_dims(g, k)
+    _check(sp.dim_C1 == want1, "C^{k,1} dimension bookkeeping failed")
+    _check(sp.dim_C2 == want2, "C^{k,2} dimension bookkeeping failed")
     return sp
 
 
@@ -195,7 +199,6 @@ class SummandDescriptor:
     family: int          # 1..6 in the fixed display order
     index: tuple | None  # (i,) or (i, j) osculating indices
     dim: int
-    weight_list: list    # WeightVector per Hom-basis element
     cI_values: tuple     # sorted distinct values
 
 
@@ -236,73 +239,56 @@ def _v_piece(g: GAlgebra, j: int) -> list:
     return []
 
 
-def hom_decomposition(case, g: GAlgebra, k: int) -> list[SummandDescriptor]:
-    """The direct-sum pieces of C^{k,2} with full weight lists and c^I sets."""
-    weights = g_basis_weights(g)
-    cIs = [_cI(case, w) for w in weights]
-    nl = len(case.l_simple_roots)
+def hom_decomposition(case, g: GAlgebra, k: int,
+                      cIs: list | None = None) -> list[SummandDescriptor]:
+    """The direct-sum pieces of C^{k,2} with their c^I value sets.
 
-    def hom_weights(src_pairs, targets):
-        wl, cs = [], set()
-        for (a, b) in src_pairs:
-            for w in targets:
-                coords = tuple(
-                    weights[w][i] - weights[a][i] - weights[b][i]
-                    for i in range(nl)
-                )
-                wl.append(WeightVector(coords, "simple"))
-                cs.add(cIs[w] - cIs[a] - cIs[b])
-        return wl, tuple(sorted(cs))
+    c^I is linear in the weight, so Hom(A (x) B, C) takes exactly the values
+    c(w) - s for w a target and s a source pair sum c(a) + c(b), and its
+    dimension is (number of source pairs) x (number of targets).  cIs is
+    `g_basis_cI(g)`, recomputed when not given.
+    """
+    if cIs is None:
+        cIs = g_basis_cI(g)
+
+    def wedge(ix):
+        sums = {cIs[ix[a]] + cIs[ix[b]]
+                for a in range(len(ix)) for b in range(a + 1, len(ix))}
+        return comb(len(ix), 2), sums
+
+    def tensor(ix, jy):
+        return len(ix) * len(jy), {
+            s + t for s in {cIs[a] for a in ix} for t in {cIs[b] for b in jy}
+        }
+
+    def piece(fam, index, src, targets):
+        npairs, sums = src
+        values = {cIs[w] - s for w in targets for s in sums}
+        return SummandDescriptor(
+            name=_FAMILY_NAMES[fam], family=fam, index=index,
+            dim=npairs * len(targets), cI_values=tuple(sorted(values)),
+        )
 
     l1 = list(g.l1_indices)
     out = []
-
-    def wedge(ix):
-        return [(ix[a], ix[b]) for a in range(len(ix)) for b in range(a + 1, len(ix))]
-
-    def tensor(ix, jy):
-        return [(a, b) for a in ix for b in jy]
-
     # families 1, 2: sources L2 lhat_1
-    for fam, targets in ((1, _v_piece(g, k + 2)), (2, _lhat_piece(g, k + 2))):
-        wl, cs = hom_weights(wedge(l1), targets)
-        out.append(SummandDescriptor(
-            name=_FAMILY_NAMES[fam], family=fam, index=None,
-            dim=len(wl), weight_list=wl, cI_values=cs,
-        ))
+    src = wedge(l1)
+    out.append(piece(1, None, src, _v_piece(g, k + 2)))
+    out.append(piece(2, None, src, _lhat_piece(g, k + 2)))
     # families 3, 4: sources lhat_1 (x) V_i
     for i in (1, 2, 3):
         src = tensor(l1, _v_piece(g, i))
-        for fam, targets in (
-            (3, _lhat_piece(g, k + i + 1)),
-            (4, _v_piece(g, k + i + 1)),
-        ):
-            wl, cs = hom_weights(src, targets)
-            out.append(SummandDescriptor(
-                name=_FAMILY_NAMES[fam], family=fam, index=(i,),
-                dim=len(wl), weight_list=wl, cI_values=cs,
-            ))
+        out.append(piece(3, (i,), src, _lhat_piece(g, k + i + 1)))
+        out.append(piece(4, (i,), src, _v_piece(g, k + i + 1)))
     # families 5, 6: sources V_i ^ V_j
     for i in (1, 2, 3):
         for j in range(i, 4):
             src = wedge(_v_piece(g, i)) if i == j else tensor(
                 _v_piece(g, i), _v_piece(g, j)
             )
-            for fam, targets in (
-                (5, _lhat_piece(g, k + i + j)),
-                (6, _v_piece(g, k + i + j)),
-            ):
-                wl, cs = hom_weights(src, targets)
-                out.append(SummandDescriptor(
-                    name=_FAMILY_NAMES[fam], family=fam, index=(i, j),
-                    dim=len(wl), weight_list=wl, cI_values=cs,
-                ))
+            out.append(piece(5, (i, j), src, _lhat_piece(g, k + i + j)))
+            out.append(piece(6, (i, j), src, _v_piece(g, k + i + j)))
     return out
-
-
-def cI_set(summand: SummandDescriptor, case) -> set:
-    """c^I values recomputed from the stored weight list."""
-    return {_cI(case, w.coords) for w in summand.weight_list}
 
 
 def rk_designated(k: int, family: int, index: tuple | None) -> bool:
@@ -340,10 +326,12 @@ class SummandTable:
                           and self.closure_ok) else "FAIL"
 
 
-def summand_cI_table(case, g: GAlgebra, k: int) -> SummandTable:
+def summand_cI_table(case, g: GAlgebra, k: int,
+                     cIs: list | None = None) -> SummandTable:
     """Check the six c^I values and the R_k containment verdict at level k,
-    and that the pieces add up to all of C^{k,2} (k <= -1)."""
-    desc = hom_decomposition(case, g, k)
+    and that the pieces add up to all of C^{k,2} (k <= -1).  cIs is
+    `g_basis_cI(g)`, recomputed when not given."""
+    desc = hom_decomposition(case, g, k, cIs)
     table_ok = True
     containment_ok = True
     offending = []
@@ -359,7 +347,7 @@ def summand_cI_table(case, g: GAlgebra, k: int) -> SummandTable:
                     or rk_allowed_extra(k, d.family, d.index)):
                 containment_ok = False
                 offending.append((d.name, d.index, "not in R_k", None))
-    total, dim_C2 = sum(d.dim for d in desc), spencer_spaces(g, k).dim_C2
+    total, dim_C2 = sum(d.dim for d in desc), cochain_dims(g, k)[1]
     closure_ok = total == dim_C2
     if not closure_ok:
         offending.append(("pieces of C^{k,2}", None, total, dim_C2))

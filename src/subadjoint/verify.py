@@ -16,6 +16,7 @@ from fractions import Fraction
 
 from . import __version__
 from .cases import (
+    CaseConsistencyError,
     CaseExcludedError,
     build_case,
     check_xvv,
@@ -344,9 +345,13 @@ def run(case_id: str, check_set, options: RunOptions | None = None) -> Verificat
     )
 
 
-def _run_forms(rec: _Recorder, case, options: RunOptions) -> None:
+def _run_sigma(rec: _Recorder, case) -> None:
     t1 = time.monotonic()
-    sig = symplectic_form(case)
+    try:
+        sig = symplectic_form(case)
+    except CaseConsistencyError as e:
+        rec.add("sigma-form", "FAIL", t1, values={"error": str(e)})
+        return
     n = len(sig)
     alternating = all(sig[i][j] == -sig[j][i] for i in range(n) for j in range(n))
     det = SparseRationalMatrix.from_dense(sig).det()
@@ -361,6 +366,10 @@ def _run_forms(rec: _Recorder, case, options: RunOptions) -> None:
     rec.add("sigma-form", "PASS" if ok else "FAIL", t1,
             values={"alternating": alternating, "det_nonzero": det != 0,
                     "osculating_hyperplane": osc_ok})
+
+
+def _run_forms(rec: _Recorder, case, options: RunOptions) -> None:
+    _run_sigma(rec, case)
 
     t1 = time.monotonic()
     forms = fundamental_forms(case)
@@ -440,11 +449,12 @@ def _run_gstructure(rec: _Recorder, case, g, options: RunOptions) -> None:
     dims = g.component_dims()
     rec.add("g-dims", "PASS", t1, dims={"components": dims})
 
+    # each suite is one call, so its records all carry the suite's time
+    t1 = time.monotonic()
     for chk in verify_structure_identities(g):
-        t1 = time.monotonic()
         rec.add(f"identity-{chk.check_id}", chk.status, t1, values=chk.detail)
+    t1 = time.monotonic()
     for chk in verify_g_module_structure(g):
-        t1 = time.monotonic()
         rec.add(chk.check_id, chk.status, t1, values=chk.detail)
 
     t1 = time.monotonic()
@@ -571,7 +581,7 @@ def _run_weights(rec: _Recorder, case, g, options: RunOptions) -> None:
     offenders = []
     per_k = {}
     for k in range(max(options.kmin, KMIN_SUPPORT - 1), 0):
-        tab = summand_cI_table(case, g, k)
+        tab = summand_cI_table(case, g, k, cIs)
         per_k[k] = {
             "status": tab.status,
             "families": [

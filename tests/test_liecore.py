@@ -1,4 +1,5 @@
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
@@ -12,6 +13,9 @@ from subadjoint.liecore import (
     grade_by_element,
     line_stabilizer,
 )
+from subadjoint.cases import build_case
+from subadjoint.galg import build_g
+from subadjoint.linalg import vec_add_scaled
 from subadjoint.rootsys import build_root_system, chevalley_table
 
 
@@ -22,6 +26,66 @@ def _abelian(n):
 
 def test_jacobi_abelian():
     assert check_jacobi(_abelian(5)) == []
+
+
+def _jacobi_all_triples(L):
+    """Reference scan: bracket every one of the C(n, 3) basis triples."""
+    out = []
+    for a, b, c in combinations(range(L.dim), 3):
+        total = {}
+        for x, y, z in ((a, b, c), (b, c, a), (c, a, b)):
+            vec_add_scaled(total, L.bracket(L.bracket_basis(x, y),
+                                            {z: Fraction(1)}), Fraction(1))
+        if total:
+            out.append((a, b, c))
+    return out
+
+
+def _jacobi_table(name):
+    """A fresh copy of the table plus one bracket key per corruption site."""
+    if name.startswith("g-"):
+        g = build_g(build_case(name[2:]))
+        t = g.table
+        cartan = {g.l_offset + i for i, key in enumerate(g.l_basis_keys)
+                  if key[0] == "h"}
+        l_roots = set(range(g.l_offset, g.v_offset)) - cartan
+        V = set(range(g.v_offset, t.dim))
+        sites = {
+            "id-v": min(k for k in t.brackets if k[0] == g.id_index),
+            "l-V": min(k for k in t.brackets
+                       if k[0] in l_roots and k[1] in V),
+        }
+    else:
+        t = chevalley_table(build_root_system(name))
+        cartan = set(range(build_root_system(name).rank))
+        l_roots = set(range(t.dim)) - cartan
+        sites = {}
+    sites["cartan"] = min(k for k in t.brackets
+                          if k[0] in cartan and k[1] in l_roots)
+    t = LieAlgebraTable(t.dim, t.labels,
+                        {k: dict(v) for k, v in t.brackets.items()})
+    return t, sites
+
+
+_JACOBI_CONTROLS = [
+    (name, site)
+    for name, sites in (("A2", ("cartan",)), ("B3", ("cartan",)),
+                        ("G2", ("cartan",)),
+                        ("g-B3", ("cartan", "id-v", "l-V")),
+                        ("g-D4", ("cartan", "id-v", "l-V")))
+    for site in ("clean",) + sites
+]
+
+
+@pytest.mark.parametrize("name,site", _JACOBI_CONTROLS)
+def test_jacobi_scan_matches_all_triples(name, site):
+    t, sites = _jacobi_table(name)
+    if site != "clean":
+        vec = t.brackets[sites[site]]
+        vec[min(vec)] += 1
+    want = _jacobi_all_triples(t)
+    assert check_jacobi(t) == want
+    assert (want == []) == (site == "clean")
 
 
 def test_grade_by_element_sl2():

@@ -157,6 +157,17 @@ def _corrupted_b3_witnesses():
     return inp, wits
 
 
+def test_non_jacobi_nplus_raises():
+    inp, _, _ = input_from_g(build_g(build_case("B3")))
+    t = inp.nplus
+    key = min(k for k, v in t.brackets.items()
+              if v and inp.degrees[k[0]] == inp.degrees[k[1]] == 1)
+    vec = t.brackets[key]
+    vec[min(vec)] *= 2
+    with pytest.raises(ProlongConsistencyError, match="Jacobi"):
+        inp.validate()
+
+
 def test_corrupted_witness_raises():
     inp, wits = _corrupted_b3_witnesses()
     with pytest.raises(ProlongConsistencyError) as err:

@@ -7,11 +7,10 @@ from pathlib import Path
 
 import pytest
 
-from subadjoint.cases import build_case
+from subadjoint.cases import CaseConsistencyError, build_case
 from subadjoint.galg import build_g
 from subadjoint.spencer import (
     c1_vector_of_ad,
-    cI_set,
     conjugation_expansion_check,
     expected_cI,
     g_basis_cI,
@@ -78,13 +77,19 @@ def test_rank_and_qdim_b3(b3):
     assert q_dimension(g, -7).value == 0
 
 
+def test_spencer_spaces_bookkeeping_raises():
+    # a degree-4 element is enumerated but not in the closed-form count
+    g = build_g(build_case("B3"))
+    g.degree[g.V_level_indices[3][0]] = 4
+    with pytest.raises(CaseConsistencyError, match="C\\^\\{k,1\\}"):
+        spencer_spaces(g, -2)
+
+
 def test_decomposition_closure(b3, f4):
     for case, g in (b3, f4):
         for k in range(-7, 0):
             desc = hom_decomposition(case, g, k)
             assert sum(d.dim for d in desc) == spencer_spaces(g, k).dim_C2
-            # weight multiplicities add up piece by piece
-            assert all(len(d.weight_list) == d.dim for d in desc)
 
 
 def test_lambda2_v2_to_v3_piece(b3):
@@ -97,12 +102,48 @@ def test_lambda2_v2_to_v3_piece(b3):
     assert not rk_designated(-1, 6, (2, 2))
 
 
-def test_cI_set_recomputation(b3):
-    case, g = b3
-    desc = hom_decomposition(case, g, -2)
-    for d in desc:
-        if d.dim:
-            assert cI_set(d, case) == set(d.cI_values)
+def _pieces_per_element(g, k):
+    """(family, index) -> (dim, c^I values), one Hom basis element at a time."""
+    cIs = g_basis_cI(g)
+    l1 = list(g.l1_indices)
+    V = {j: list(g.V_level_indices.get(j, ())) for j in range(4)}
+    lhat = {-1: list(g.lminus1_indices),
+            0: [g.id_index] + list(g.l0_indices), 1: l1}
+
+    def wedge(ix):
+        return [(x, y) for n, x in enumerate(ix) for y in ix[n + 1:]]
+
+    def tensor(ix, jy):
+        return [(x, y) for x in ix for y in jy]
+
+    sources = [((1, None), wedge(l1), V.get(k + 2, [])),
+               ((2, None), wedge(l1), lhat.get(k + 2, []))]
+    for i in (1, 2, 3):
+        sources.append(((3, (i,)), tensor(l1, V[i]), lhat.get(k + i + 1, [])))
+        sources.append(((4, (i,)), tensor(l1, V[i]), V.get(k + i + 1, [])))
+    for i in (1, 2, 3):
+        for j in range(i, 4):
+            src = wedge(V[i]) if i == j else tensor(V[i], V[j])
+            sources.append(((5, (i, j)), src, lhat.get(k + i + j, [])))
+            sources.append(((6, (i, j)), src, V.get(k + i + j, [])))
+    out = {}
+    for key, pairs, targets in sources:
+        values = [cIs[w] - cIs[a] - cIs[b] for a, b in pairs for w in targets]
+        out[key] = (len(values), tuple(sorted(set(values))))
+    return out
+
+
+@pytest.mark.parametrize("label", ["B3", "D4", "F4", "E6"])
+def test_set_level_cI_matches_per_element(label):
+    case = build_case(label)
+    g = build_g(case)
+    cIs = g_basis_cI(g)
+    for k in range(-7, 0):
+        want = _pieces_per_element(g, k)
+        for cached in (None, cIs):
+            desc = hom_decomposition(case, g, k, cached)
+            got = {(d.family, d.index): (d.dim, d.cI_values) for d in desc}
+            assert got == want, (label, k)
 
 
 def test_component_cI_values(b3):

@@ -1,4 +1,8 @@
 import json
+import subprocess
+import sys
+from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -152,6 +156,50 @@ def test_corrupted_bracket_fails_spencer_qdim(monkeypatch):
     # ad g_{-1} is no longer a cocycle, so del becomes injective on C^{-1,1}
     assert rec.values["ranks"][-1] == rec.values["dim_C1"][-1] == 26
     assert rec.status == "FAIL"
+
+
+def _v_bracket_hits_v0(case):
+    """Let one nonzero [V, V] bracket of s also hit v0, outside s_2."""
+    s = case.s_table
+    idx = {case.root_index(v) for v in case.V_roots}
+    key = min(k for k, v in s.brackets.items()
+              if v and k[0] in idx and k[1] in idx)
+    s.brackets[key][case.root_index(case.v0_root)] = Fraction(1)
+    return case
+
+
+def _escaped_sigma_report():
+    real = verify.build_case
+    verify.build_case = lambda case_id: _v_bracket_hits_v0(real(case_id))
+    try:
+        return run("B3", {"forms"}, RunOptions(seed=7))
+    finally:
+        verify.build_case = real
+
+
+def test_escaped_sigma_bracket_fails_sigma_form():
+    rep = _escaped_sigma_report()
+    rec = next(c for c in rep.checks if c.check_id == "sigma-form")
+    assert rec.status == "FAIL"
+    assert "escaped s_2" in rec.values["error"]
+    assert exit_code(rep) == 1
+
+
+def test_escaped_sigma_bracket_fails_under_python_O():
+    # the guard must not be an assert, which -O strips
+    script = "\n".join([
+        "import sys",
+        f"sys.path.insert(0, {str(Path(__file__).parent)!r})",
+        "from test_verifier import _escaped_sigma_report",
+        "if __debug__:",
+        "    sys.exit('not running under -O')",
+        "rep = _escaped_sigma_report()",
+        "rec = next(c for c in rep.checks if c.check_id == 'sigma-form')",
+        "sys.exit(0 if rec.status == 'FAIL' else 'escaped bracket accepted')",
+    ])
+    r = subprocess.run([sys.executable, "-O", "-c", script],
+                       capture_output=True, text=True)
+    assert r.returncode == 0, r.stderr
 
 
 def test_lost_v3_fails_six_families(monkeypatch):
