@@ -560,7 +560,7 @@ def fundamental_forms(case: SubadjointCase) -> FundamentalForms:
     l1 = case.l1_roots()
     V2 = [v for v in case.V_roots if case.V_root_level[v] == 2]
     V3 = [v for v in case.V_roots if case.V_root_level[v] == 3]
-    assert len(V3) == 1
+    _check(len(V3) == 1, f"V_3 has {len(V3)} roots, not one")
     v3_idx = case.root_index(V3[0])
     v2_pos = {case.root_index(v): k for k, v in enumerate(V2)}
     d = len(l1)
@@ -640,7 +640,8 @@ def highest_weight_roots_of_l1(case: SubadjointCase) -> list[tuple]:
                 for b in case.l_simple_roots
             )
         ]
-        assert len(cands) == 1, (ci, cands)
+        _check(len(cands) == 1,
+               f"ideal {ci} has {len(cands)} highest weight roots in l_1")
         out.append(cands[0])
     return out
 
@@ -686,7 +687,7 @@ def _exp_ad(s: LieAlgebraTable, f: Vec, v: Vec) -> Vec:
         term = vec_scale(term, Fraction(1, k))
         vec_add_scaled(out, term, Fraction(1))
         k += 1
-        assert k < 64, "ad f failed to nilpotate"
+        _check(k < 64, "ad f is not nilpotent on the sampled vector")
     return out
 
 

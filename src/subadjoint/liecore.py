@@ -327,16 +327,16 @@ def contact_grading(L: LieAlgebraTable, rs) -> Grading:
     """The 5-grading of a simple algebra by the coroot of the highest root.
 
     Basis layout must be the chevalley_table layout for rs.  The extreme
-    components are 1-dimensional; this is asserted.
+    components are 1-dimensional; InvalidGradingElement is raised otherwise.
     """
     cor = rs.coroot_coords(rs.highest_root)
     h: Vec = {i: Fraction(c) for i, c in enumerate(cor) if c}
     g = grade_by_element(L, h)
     degs = g.degrees()
     if not set(degs) <= {-2, -1, 0, 1, 2}:
-        raise AssertionError(f"contact grading degrees {degs} out of range")
-    assert g.components[2].dim == 1 and g.components[-2].dim == 1, \
-        "extreme contact components must be lines"
+        raise InvalidGradingElement(f"contact grading degrees {degs} out of range")
+    if not all(d in g.components and g.components[d].dim == 1 for d in (2, -2)):
+        raise InvalidGradingElement("extreme contact components must be lines")
     return g
 
 

@@ -35,8 +35,10 @@ class ProlongDepthError(RuntimeError):
 
 
 class ProlongConsistencyError(RuntimeError):
-    """n_+ violates Jacobi, a witness or kernel map fails the compatibility
-    equation, or the computed dimensions vanish non-monotonically.
+    """The input is not a graded nilpotent algebra with degree-0 derivations
+    (n_+ violates Jacobi, say), a witness or kernel map fails the
+    compatibility equation, or the computed dimensions vanish
+    non-monotonically.
 
     `witness` is True when a supplied witness map failed.
     """
@@ -76,16 +78,18 @@ class ProlongInput:
         return out
 
     def validate(self) -> None:
+        """Raise ProlongConsistencyError unless n_+ is a graded Lie algebra
+        generated in degree 1 and n_0 a commutator-closed family of
+        independent degree-preserving derivations."""
         n = self.dim
-        assert len(self.degrees) == n
-        assert all(d >= 1 for d in self.degrees)
+        _require(len(self.degrees) == n and all(d >= 1 for d in self.degrees),
+                 "degrees must be >= 1, one per basis vector")
         if check_jacobi(self.nplus):
             raise ProlongConsistencyError("n_+ violates Jacobi")
-        # bracket degree additivity with clipping to the support
         for (i, j), vec in self.nplus.brackets.items():
             dd = self.degrees[i] + self.degrees[j]
-            assert all(self.degrees[k] == dd for k in vec)
-        # degree-1 generates
+            _require(all(self.degrees[k] == dd for k in vec),
+                     f"bracket ({i}, {j}) is not additive in degree")
         comp = self.components()
         span = RrefBasis(n)
         for i in comp.get(1, []):
@@ -99,31 +103,32 @@ class ProlongInput:
                     if b and span.add(b):
                         new.append(b)
             frontier = new
-        assert span.rank == n, "degree-1 component does not generate"
-        # graded derivations, linearly independent, closed under commutator
+        _require(span.rank == n, "degree-1 component does not generate")
+        # a degree-preserving derivation is a level-0 solution of the
+        # compatibility equation
+        tower = _Tower(self)
         flat = RrefBasis(n * n)
         for a, mat in enumerate(self.n0_mats):
-            for j, col in enumerate(mat):
-                for k in col:
-                    assert self.degrees[k] == self.degrees[j], \
-                        "derivation not degree-preserving"
-            for i in range(n):
-                for j in range(i + 1, n):
-                    b = self.nplus.bracket_basis(i, j)
-                    lhs: Vec = {}
-                    for w, c in b.items():
-                        vec_add_scaled(lhs, mat[w], c)
-                    rhs = self.nplus.bracket(mat[i], {j: Fraction(1)})
-                    vec_add_scaled(rhs, self.nplus.bracket({i: Fraction(1)}, mat[j]),
-                                   Fraction(1))
-                    assert lhs == rhs, f"n0 element {a} is not a derivation"
-            added = flat.add(_flatten(mat, n))
-            assert added, "n0 matrices are linearly dependent"
+            _require(all(self.degrees[k] == self.degrees[j]
+                         for j, col in enumerate(mat) for k in col),
+                     f"n0 element {a} is not degree-preserving")
+            phi = [tower._to_coords(self.degrees[j], col)
+                   for j, col in enumerate(mat)]
+            _require(residual_is_zero(self, tower, 0, phi),
+                     f"n0 element {a} is not a derivation")
+            _require(flat.add(_flatten(mat, n)),
+                     "n0 matrices are linearly dependent")
         for a in range(self.n0_dim):
             for b in range(a + 1, self.n0_dim):
                 comm = _commutator(self.n0_mats[a], self.n0_mats[b], self.nplus.dim)
-                assert flat.contains(_flatten(comm, n)), \
-                    "n0 not closed under commutator"
+                _require(flat.contains(_flatten(comm, n)),
+                         "n0 not closed under commutator")
+
+
+def _require(ok: bool, message: str) -> None:
+    """Raise ProlongConsistencyError unless ok (an assert would vanish under -O)."""
+    if not ok:
+        raise ProlongConsistencyError(message)
 
 
 def _flatten(mat, n) -> Vec:
@@ -218,7 +223,7 @@ class _Tower:
         return {pos[w]: c for w, c in raw.items()}
 
 
-def _unknown_layout(inp: ProlongInput, tower: _Tower, k: int):
+def unknown_layout(inp: ProlongInput, tower: _Tower, k: int):
     offsets = []
     sizes = []
     total = 0
@@ -237,8 +242,14 @@ def _iter_pairs(inp: ProlongInput, seed: int):
     return pairs
 
 
-def _pair_rows(inp: ProlongInput, tower: _Tower, k: int, offsets, u: int, v: int):
-    """Constraint rows of phi([u,v]) - [phi(u),v] - [u,phi(v)] = 0."""
+def pair_rows(inp: ProlongInput, tower: _Tower, k: int, offsets, u: int, v: int):
+    """Constraint rows of phi([u,v]) - [phi(u),v] - [u,phi(v)] = 0.
+
+    One row per nonzero target coordinate in T_{deg u + deg v - k}, in
+    coordinate order.  This is the only place the compatibility equation is
+    written as rows; on `g_tower(g)` they are the rows of the Spencer
+    differential on C^{-k,1}, negated.
+    """
     du, dv = inp.degrees[u], inp.degrees[v]
     S = du + dv - k
     mS = tower.space_dim(S)
@@ -347,7 +358,7 @@ def prolongation(
     stopped: dict[int, bool] = {}
 
     for k in range(1, k_max + 1):
-        offsets, sizes, ncols = _unknown_layout(inp, tower, k)
+        offsets, sizes, ncols = unknown_layout(inp, tower, k)
         wit_acc = RrefBasis(ncols)
         for phi in witnesses.get(k, []):
             if not residual_is_zero(inp, tower, k, phi):
@@ -368,7 +379,7 @@ def prolongation(
         pending = 0
         stopped[k] = False
         for (u, v) in _iter_pairs(inp, seed):
-            rows = _pair_rows(inp, tower, k, offsets, u, v)
+            rows = pair_rows(inp, tower, k, offsets, u, v)
             for row in rows:
                 acc.add(row)
             pending += len(rows)
@@ -460,6 +471,21 @@ def ad_witnesses(g, inp: ProlongInput, gplus: list, g0: list) -> list[TaggedMap]
     return out
 
 
+def g_tower(g) -> tuple[ProlongInput, _Tower]:
+    """The tower of g itself: n_+ = g_+, n_0 = ad g_0, level 1 = ad g_{-1}.
+
+    Deeper levels are empty, so level k has the unknowns of
+    C^{-k,1} = Hom(g_+, g)_{-k}: columns (u, w) for u in g_+ and w in
+    g_{deg u - k}, both in g-index order.  The input is not validated, so a
+    corrupted table still yields rows and the checks built on them FAIL
+    instead of raising.
+    """
+    inp, gplus, g0 = input_from_g(g)
+    tower = _Tower(inp)
+    tower.bases[1] = ad_witnesses(g, inp, gplus, g0)
+    return inp, tower
+
+
 def witness_rank(maps: list[TaggedMap]) -> int:
     """Exact rank of a family of tagged maps (injectivity check)."""
     if not maps:
@@ -516,8 +542,10 @@ def sl2_line_input() -> ProlongInput:
 def direct_sum_input(a: ProlongInput, b: ProlongInput) -> ProlongInput:
     """Block sum of two degree-1-only abelian inputs."""
     for inp in (a, b):
-        assert all(d == 1 for d in inp.degrees), "direct sum needs degree 1 only"
-        assert not inp.nplus.brackets, "direct sum needs abelian factors"
+        if any(d != 1 for d in inp.degrees):
+            raise ValueError("direct sum needs degree 1 only")
+        if inp.nplus.brackets:
+            raise ValueError("direct sum needs abelian factors")
     n, m = a.dim, b.dim
     nplus = LieAlgebraTable(
         dim=n + m,

@@ -2,7 +2,9 @@
 restricted-differential facts feeding the cokernel analysis.
 
 C^{k,1} = Hom(g_+, g)_k and C^{k,2} = Hom(L^2 g_+, g)_k with
-del f(u, v) = [f(u), v] + [u, f(v)] - f([u, v]).  The decomposition splits
+del f(u, v) = [f(u), v] + [u, f(v)] - f([u, v]).  That is the compatibility
+equation of the Tanaka tower of g, so del and its restrictions are read off
+the tower's pair rows (`prolong.g_tower`).  The decomposition splits
 C^{k,2} by source factors (l_1 vs the osculating pieces V_i) and target
 (l-hat vs V); each piece carries a single c^I value, and the verdict checks
 that every piece meeting the nonnegative rationals is one of the designated
@@ -14,11 +16,13 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import combinations
 from math import comb
 
 from .cases import _check
 from .galg import GAlgebra, operator_a
 from .linalg import SparseRationalMatrix, Vec, vec_add_scaled
+from .prolong import g_tower, pair_rows, unknown_layout
 
 KMIN_SUPPORT = -6  # C^{k,2} vanishes for k <= -7: source degrees cap at 5
 
@@ -110,61 +114,35 @@ def spencer_spaces(g: GAlgebra, k: int) -> SpencerSpaces:
 
 
 def spencer_differential(g: GAlgebra, k: int) -> tuple[SparseRationalMatrix, SpencerSpaces]:
-    """Matrix of del: C^{k,1} -> C^{k,2} in the canonical bases."""
+    """Matrix of del: C^{k,1} -> C^{k,2}, stacked pair by pair.
+
+    C^{k,1} is level -k of `g_tower(g)` and del is its pair rows, negated:
+    one row per nonzero coordinate (u, v, w) of C^{k,2}, zero rows omitted.
+    """
     sp = spencer_spaces(g, k)
-    col_of = {uw: i for i, uw in enumerate(sp.basis_C1)}
-    row_of = {uvw: i for i, uvw in enumerate(sp.basis_C2)}
-    t = g.table
-    rows: list[Vec] = [dict() for _ in range(sp.dim_C2)]
+    inp, tower = g_tower(g)
+    offsets, sizes, _ = unknown_layout(inp, tower, -k)
+    _check(_column_labels(g, inp, tower, k, sizes) == sp.basis_C1,
+           "tower columns differ from the C^{k,1} basis")
+    rows = [
+        {c: -x for c, x in row.items()}
+        for u in range(inp.dim)
+        for v in range(u + 1, inp.dim)
+        for row in pair_rows(inp, tower, -k, offsets, u, v)
+    ]
+    return SparseRationalMatrix.from_rows(rows, sp.dim_C1), sp
+
+
+def _column_labels(g: GAlgebra, inp, tower, k: int, sizes) -> list:
+    """The (u, w) g-index pair of each level -k column of `g_tower(g)`."""
     gplus = [i for i, d in enumerate(g.degree) if d >= 1]
+    low = {d: [i for i, e in enumerate(g.degree) if e == d] for d in (-1, 0)}
 
-    def stamp(u, v, target_vec: Vec, col: int, sign: int):
-        for m, c in target_vec.items():
-            key = (u, v, m)
-            ri = row_of.get(key)
-            if ri is None:
-                continue
-            row = rows[ri]
-            val = row.get(col, Fraction(0)) + sign * c
-            if val:
-                row[col] = val
-            else:
-                row.pop(col, None)
+    def target(j: int, s: int) -> int:
+        return gplus[tower.comp_list[j][s]] if j >= 1 else low[j][s]
 
-    for ui, u in enumerate(gplus):
-        for v in gplus[ui + 1 :]:
-            # [f(u), v] over columns (u, w)
-            du, dv = g.degree[u], g.degree[v]
-            for w in range(t.dim):
-                if g.degree[w] == du + k:
-                    col = col_of.get((u, w))
-                    if col is not None:
-                        stamp(u, v, t.bracket_basis(w, v), col, +1)
-                if g.degree[w] == dv + k:
-                    col = col_of.get((v, w))
-                    if col is not None:
-                        # [u, f(v)] = -[f(v), u]
-                        stamp(u, v, t.bracket_basis(w, u), col, -1)
-            # -f([u, v])
-            for w, cw in t.bracket_basis(u, v).items():
-                for w2 in range(t.dim):
-                    if g.degree[w2] == g.degree[w] + k:
-                        col = col_of.get((w, w2))
-                        if col is not None:
-                            stamp(u, v, {w2: -cw}, col, +1)
-    return SparseRationalMatrix(sp.dim_C2, sp.dim_C1, rows), sp
-
-
-def c1_vector_of_ad(g: GAlgebra, x_index: int, sp: SpencerSpaces) -> Vec:
-    """ad(x)|_{g_+} as a coordinate vector of C^{k,1} (k = deg x)."""
-    t = g.table
-    col_of = {uw: i for i, uw in enumerate(sp.basis_C1)}
-    out: Vec = {}
-    for (u, w), i in col_of.items():
-        c = t.bracket_basis(x_index, u).get(w)
-        if c:
-            out[i] = c
-    return out
+    return [(gplus[u], target(inp.degrees[u] + k, s))
+            for u in range(inp.dim) for s in range(sizes[u])]
 
 
 @dataclass
@@ -239,7 +217,7 @@ def _v_piece(g: GAlgebra, j: int) -> list:
     return []
 
 
-def hom_decomposition(case, g: GAlgebra, k: int,
+def hom_decomposition(g: GAlgebra, k: int,
                       cIs: list | None = None) -> list[SummandDescriptor]:
     """The direct-sum pieces of C^{k,2} with their c^I value sets.
 
@@ -326,12 +304,12 @@ class SummandTable:
                           and self.closure_ok) else "FAIL"
 
 
-def summand_cI_table(case, g: GAlgebra, k: int,
+def summand_cI_table(g: GAlgebra, k: int,
                      cIs: list | None = None) -> SummandTable:
     """Check the six c^I values and the R_k containment verdict at level k,
     and that the pieces add up to all of C^{k,2} (k <= -1).  cIs is
     `g_basis_cI(g)`, recomputed when not given."""
-    desc = hom_decomposition(case, g, k, cIs)
+    desc = hom_decomposition(g, k, cIs)
     table_ok = True
     containment_ok = True
     offending = []
@@ -380,59 +358,47 @@ class PartialDifferentialReport:
         return "PASS" if ok else "FAIL"
 
 
-def partial_prime_checks(case, g: GAlgebra) -> PartialDifferentialReport:
+def partial_prime_checks(g: GAlgebra) -> PartialDifferentialReport:
     """del' surjective onto Hom(L2 V_2, V_3), del'' injective, pairing perfect.
 
     del', del'' are the restrictions of del to f: V_2 -> l_1 extended by
-    zero, landing in Hom(L2 V_2, V_3) and Hom(V_1 ^ V_2, V_2).
+    zero, landing in Hom(L2 V_2, V_3) and Hom(V_1 ^ V_2, V_2): the
+    (v in V_2, a in l_1) column block of the level-1 pair rows of
+    `g_tower(g)` on the pairs of V_2 ^ V_2 and of V_1 x V_2.
     """
     t = g.table
-    V1 = list(g.V_level_indices[1])
-    V2 = list(g.V_level_indices[2])
-    V3 = list(g.V_level_indices[3])
+    V1, V2, V3 = (list(g.V_level_indices[j]) for j in (1, 2, 3))
     l1 = list(g.l1_indices)
-    assert len(V3) == 1
+    _check(len(V3) == 1, "V_3 is not a line")
     v3 = V3[0]
-    cols = [(v, a) for v in V2 for a in l1]
-    col_of = {c: i for i, c in enumerate(cols)}
+    inp, tower = g_tower(g)
+    offsets, _, _ = unknown_layout(inp, tower, 1)
+    gplus = [i for i, d in enumerate(g.degree) if d >= 1]
+    pos = {gi: i for i, gi in enumerate(gplus)}
+    block = {offsets[pos[v]] + tower.pos_in_comp[1][pos[a]]: i
+             for i, (v, a) in enumerate((v, a) for v in V2 for a in l1)}
 
-    rows_prime: list[Vec] = []
-    for i1 in range(len(V2)):
-        for i2 in range(i1 + 1, len(V2)):
-            w1, w2 = V2[i1], V2[i2]
-            row: Vec = {}
-            for a in l1:
-                c = t.bracket_basis(a, w2).get(v3)
-                if c:
-                    row[col_of[(w1, a)]] = row.get(col_of[(w1, a)], Fraction(0)) + c
-                c = t.bracket_basis(a, w1).get(v3)
-                if c:
-                    row[col_of[(w2, a)]] = row.get(col_of[(w2, a)], Fraction(0)) - c
-            row = {k2: v for k2, v in row.items() if v}
-            if row:
-                rows_prime.append(row)
-    mat_prime = SparseRationalMatrix.from_rows(rows_prime, len(cols))
+    def restricted(pairs) -> SparseRationalMatrix:
+        rows = []
+        for u, v in pairs:
+            for row in pair_rows(inp, tower, 1, offsets, pos[u], pos[v]):
+                r = {block[c]: x for c, x in row.items() if c in block}
+                if r:
+                    rows.append(r)
+        return SparseRationalMatrix.from_rows(rows, len(block))
 
-    rows_dp: list[Vec] = []
-    for u in V1:
-        for v in V2:
-            bycoord: dict[int, Vec] = {}
-            for a in l1:
-                br = t.bracket_basis(a, u)  # [u, f(v)] = -[f(v), u]
-                for m, c in br.items():
-                    bycoord.setdefault(m, {})[col_of[(v, a)]] = -c
-            rows_dp.extend(r for r in bycoord.values() if r)
-    mat_dp = SparseRationalMatrix.from_rows(rows_dp, len(cols))
+    mat_prime = restricted(combinations(V2, 2))
+    mat_dp = restricted((u, v) for u in V1 for v in V2)
 
     pairing = [[t.bracket_basis(a, w).get(v3, Fraction(0)) for a in l1]
                for w in V2]
     pair_ok = SparseRationalMatrix.from_dense(pairing).det() != 0
 
     return PartialDifferentialReport(
-        dim_hom=len(cols),
+        dim_hom=len(block),
         dim_target_prime=comb(len(V2), 2),
         rank_prime=mat_prime.rank(),
-        nullity_doubleprime=len(cols) - mat_dp.rank(),
+        nullity_doubleprime=len(block) - mat_dp.rank(),
         pairing_nondegenerate=pair_ok,
     )
 

@@ -38,8 +38,10 @@ from .linalg import RrefBasis, SparseRationalMatrix
 from .prolong import (
     ProlongConsistencyError,
     ad_witnesses,
+    g_tower,
     input_from_g,
     prolongation,
+    residual_is_zero,
     witness_rank,
 )
 from .spencer import (
@@ -324,7 +326,7 @@ def run(case_id: str, check_set, options: RunOptions | None = None) -> Verificat
         _run_prolong(rec, desc, case, g, options)
 
     if "spencer" in checks:
-        _run_spencer(rec, desc, case, g, options)
+        _run_spencer(rec, desc, g, options)
 
     if "weights" in checks:
         _run_weights(rec, case, g, options)
@@ -372,7 +374,12 @@ def _run_forms(rec: _Recorder, case, options: RunOptions) -> None:
     _run_sigma(rec, case)
 
     t1 = time.monotonic()
-    forms = fundamental_forms(case)
+    try:
+        forms = fundamental_forms(case)
+    except CaseConsistencyError as e:
+        for check_id in ("fundamental-forms", "base-locus-samples"):
+            rec.add(check_id, "FAIL", t1, values={"error": str(e)})
+        return
     d = forms.dim
     sym2 = all(forms.II[a][b] == forms.II[b][a] for a in range(d) for b in range(d))
     sym3 = all(
@@ -400,12 +407,16 @@ def _run_forms(rec: _Recorder, case, options: RunOptions) -> None:
                     "beta_iii_compatible": compat})
 
     t1 = time.monotonic()
-    hw = highest_weight_roots_of_l1(case)
-    ideal_dims = [sum(1 for r in case.l1_roots() if case.ideal_of_root(r) == ci)
-                  for ci in range(len(hw))]
-    # fewer points than an ideal's dimension can never span it
-    per = max([options.samples, *ideal_dims])
-    samples = sample_closed_orbit(case, per, options.seed)
+    try:
+        hw = highest_weight_roots_of_l1(case)
+        ideal_dims = [sum(1 for r in case.l1_roots() if case.ideal_of_root(r) == ci)
+                      for ci in range(len(hw))]
+        # fewer points than an ideal's dimension can never span it
+        per = max([options.samples, *ideal_dims])
+        samples = sample_closed_orbit(case, per, options.seed)
+    except CaseConsistencyError as e:
+        rec.add("base-locus-samples", "FAIL", t1, values={"error": str(e)})
+        return
     iii_null = all(iii_value(case, forms, b) == 0 for b in samples)
     is_ii1 = case.s_label == "B3"
     ii_null_flags = []
@@ -494,20 +505,23 @@ def _run_prolong(rec: _Recorder, desc, case, g, options: RunOptions) -> None:
             values={"witnesses_satisfy_compatibility": wits_ok})
 
 
-def _run_spencer(rec: _Recorder, desc, case, g, options: RunOptions) -> None:
+def _run_spencer(rec: _Recorder, desc, g, options: RunOptions) -> None:
     t1 = time.monotonic()
     if _is_e_series(desc.case_id) and not options.heavy:
         rec.add("spencer-checks", "SKIPPED", t1,
                 values={"reason": "E-series Spencer solvers run under --heavy"})
         return
 
-    # cocycle check: del(ad x) = 0, evaluated directly from the brackets
+    # del(ad x) = 0 for x in g_{-1}: each ad witness solves level 1 of the
+    # tower of g, which is C^{-1,1}
     t1 = time.monotonic()
-    cocycle_ok = _cocycle_ad_ok(g)
+    inp, tower = g_tower(g)
+    cocycle_ok = all(residual_is_zero(inp, tower, 1, phi)
+                     for phi in tower.bases[1])
     rec.add("spencer-cocycle-ad", "PASS" if cocycle_ok else "FAIL", t1)
 
     t1 = time.monotonic()
-    rep = partial_prime_checks(case, g)
+    rep = partial_prime_checks(g)
     rec.add("restricted-differentials", rep.status, t1,
             dims={"dim_hom_V2_l1": rep.dim_hom,
                   "rank_prime": rep.rank_prime,
@@ -526,27 +540,6 @@ def _run_spencer(rec: _Recorder, desc, case, g, options: RunOptions) -> None:
         ok = ok and q.rank == q.expected_rank(dminus1)
     rec.add("spencer-qdim", "PASS" if ok else "FAIL", t1,
             values={"q_dims": qvals, "ranks": ranks, "dim_C1": dims_C1})
-
-
-def _cocycle_ad_ok(g) -> bool:
-    """del f = 0 for f = ad(x)|_{g_+}, x in g_{-1} (forced by Jacobi)."""
-    from .linalg import vec_add_scaled
-
-    t = g.table
-    gplus = [i for i, d in enumerate(g.degree) if d >= 1]
-    for x in [i for i, d in enumerate(g.degree) if d == -1]:
-        xv = {x: Fraction(1)}
-        for ui, u in enumerate(gplus):
-            uv = {u: Fraction(1)}
-            fu = t.bracket(xv, uv)
-            for v in gplus[ui + 1 :]:
-                vv = {v: Fraction(1)}
-                total = t.bracket(fu, vv)
-                vec_add_scaled(total, t.bracket(uv, t.bracket(xv, vv)), Fraction(1))
-                vec_add_scaled(total, t.bracket(xv, t.bracket(uv, vv)), Fraction(-1))
-                if total:
-                    return False
-    return True
 
 
 def _run_weights(rec: _Recorder, case, g, options: RunOptions) -> None:
@@ -581,7 +574,7 @@ def _run_weights(rec: _Recorder, case, g, options: RunOptions) -> None:
     offenders = []
     per_k = {}
     for k in range(max(options.kmin, KMIN_SUPPORT - 1), 0):
-        tab = summand_cI_table(case, g, k, cIs)
+        tab = summand_cI_table(g, k, cIs)
         per_k[k] = {
             "status": tab.status,
             "families": [

@@ -143,7 +143,7 @@ def test_criterion_07_partial_differentials():
     for cid in ACTIVE:
         case = build_case(cid)
         g = build_g(case)
-        rep = partial_prime_checks(case, g)
+        rep = partial_prime_checks(g)
         d = len(g.V_level_indices[2])
         ok = ok and rep.status == "PASS"
         ok = ok and rep.rank_prime == comb(d, 2) == rep.dim_target_prime

@@ -7,6 +7,7 @@ import pytest
 from subadjoint.cases import (
     CaseConsistencyError,
     CaseExcludedError,
+    _exp_ad,
     _l_basis_vectors,
     _validate_case,
     build_case,
@@ -240,7 +241,7 @@ def _run_under_O(lines):
         *lines,
     ])
     return subprocess.run([sys.executable, "-O", "-c", script],
-                          capture_output=True, text=True)
+                          capture_output=True, text=True, timeout=300)
 
 
 @pytest.mark.parametrize("label", ["B3", "D4", "F4", "E6"])
@@ -288,5 +289,26 @@ def test_swapped_osculating_levels_raise_under_python_O():
         "except CaseConsistencyError:",
         "    sys.exit(0)",
         "sys.exit('swapped V_1, V_2 accepted')",
+    ])
+    assert r.returncode == 0, r.stderr
+
+
+def test_non_nilpotent_exp_ad_raises(b3):
+    # [h_b, e_b] = 2 e_b, so the exponential series never terminates
+    b = b3.l_simple_roots[0]
+    with pytest.raises(CaseConsistencyError, match="nilpotent"):
+        _exp_ad(b3.s_table, b3.coroot_vec(b), b3.e(b))
+
+
+def test_non_nilpotent_exp_ad_raises_under_python_O():
+    r = _run_under_O([
+        "from subadjoint.cases import CaseConsistencyError, _exp_ad, build_case",
+        "case = build_case('B3')",
+        "b = case.l_simple_roots[0]",
+        "try:",
+        "    _exp_ad(case.s_table, case.coroot_vec(b), case.e(b))",
+        "except CaseConsistencyError:",
+        "    sys.exit(0)",
+        "sys.exit('non-nilpotent ad f accepted')",
     ])
     assert r.returncode == 0, r.stderr

@@ -1,5 +1,8 @@
+import subprocess
+import sys
 from fractions import Fraction
 from itertools import combinations
+from pathlib import Path
 
 import pytest
 
@@ -133,6 +136,45 @@ def test_contact_grading_additive():
     t = chevalley_table(rs)
     g = contact_grading(t, rs)
     assert bracket_additivity_violations(t, g) == []
+
+
+def _b3_table_with_plane_top():
+    """The B3 table with one [h_i, e_beta] constant bumped so that the root
+    vector e_beta moves from degree 1 to degree 2 of the contact grading."""
+    rs = build_root_system("B3")
+    t = chevalley_table(rs)
+    cor = rs.coroot_coords(rs.highest_root)
+    h = {i: Fraction(c) for i, c in enumerate(cor) if c}
+    i = min(h)
+    j = next(j for j in range(rs.rank, t.dim)
+             if t.bracket(h, {j: Fraction(1)}) == {j: Fraction(1)})
+    t.brackets[(i, j)] = {j: t.brackets[(i, j)][j] + 1 / h[i]}
+    return t, rs
+
+
+def test_contact_grading_rejects_plane_extremes():
+    t, rs = _b3_table_with_plane_top()
+    with pytest.raises(InvalidGradingElement, match="lines"):
+        contact_grading(t, rs)
+
+
+def test_contact_grading_rejects_plane_extremes_under_python_O():
+    script = "\n".join([
+        "import sys",
+        f"sys.path.insert(0, {str(Path(__file__).parent)!r})",
+        "from test_liecore import _b3_table_with_plane_top",
+        "from subadjoint.liecore import InvalidGradingElement, contact_grading",
+        "if __debug__:",
+        "    sys.exit('not running under -O')",
+        "try:",
+        "    contact_grading(*_b3_table_with_plane_top())",
+        "except InvalidGradingElement:",
+        "    sys.exit(0)",
+        "sys.exit('two-dimensional extreme component accepted')",
+    ])
+    r = subprocess.run([sys.executable, "-O", "-c", script],
+                       capture_output=True, text=True)
+    assert r.returncode == 0, r.stderr
 
 
 def test_grading_component_dims_sum():

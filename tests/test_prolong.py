@@ -7,9 +7,11 @@ import pytest
 
 from subadjoint.cases import build_case
 from subadjoint.galg import build_g
+from subadjoint.liecore import LieAlgebraTable
 from subadjoint.prolong import (
     ProlongConsistencyError,
     ProlongDepthError,
+    ProlongInput,
     ad_witnesses,
     direct_sum_check,
     direct_sum_input,
@@ -166,6 +168,52 @@ def test_non_jacobi_nplus_raises():
     vec[min(vec)] *= 2
     with pytest.raises(ProlongConsistencyError, match="Jacobi"):
         inp.validate()
+
+
+def _tripled_n0_entry_input():
+    """The B3 input with one entry of one n_0 matrix tripled."""
+    inp, _, _ = input_from_g(build_g(build_case("B3")))
+    col = next(c for c in inp.n0_mats[1] if c)
+    col[min(col)] *= 3
+    return inp
+
+
+def test_non_derivation_n0_raises():
+    with pytest.raises(ProlongConsistencyError, match="not a derivation"):
+        prolongation(_tripled_n0_entry_input(), 2)
+
+
+def test_non_derivation_n0_raises_under_python_O():
+    # the check must not be an assert, which -O strips
+    script = "\n".join([
+        "import sys",
+        f"sys.path.insert(0, {str(Path(__file__).parent)!r})",
+        "from test_prolong import _tripled_n0_entry_input",
+        "from subadjoint.prolong import ProlongConsistencyError, prolongation",
+        "if __debug__:",
+        "    sys.exit('not running under -O')",
+        "try:",
+        "    prolongation(_tripled_n0_entry_input(), 2)",
+        "except ProlongConsistencyError:",
+        "    sys.exit(0)",
+        "sys.exit('non-derivation n_0 accepted')",
+    ])
+    r = subprocess.run([sys.executable, "-O", "-c", script],
+                       capture_output=True, text=True)
+    assert r.returncode == 0, r.stderr
+
+
+def test_direct_sum_rejects_unsupported_factors():
+    inp, _, _ = input_from_g(build_g(build_case("B3")))
+    with pytest.raises(ValueError, match="degree 1 only"):
+        direct_sum_input(sl2_line_input(), inp)
+    bracketed = ProlongInput(
+        nplus=LieAlgebraTable(dim=2, labels=("x", "y"),
+                              brackets={(0, 1): {0: Fraction(1)}}),
+        degrees=(1, 1), n0_mats=(),
+    )
+    with pytest.raises(ValueError, match="abelian"):
+        direct_sum_input(sl2_line_input(), bracketed)
 
 
 def test_corrupted_witness_raises():

@@ -9,8 +9,9 @@ import pytest
 
 from subadjoint.cases import CaseConsistencyError, build_case
 from subadjoint.galg import build_g
+from subadjoint.linalg import SparseRationalMatrix
+from subadjoint.prolong import _map_to_vec, g_tower, unknown_layout
 from subadjoint.spencer import (
-    c1_vector_of_ad,
     conjugation_expansion_check,
     expected_cI,
     g_basis_cI,
@@ -54,14 +55,90 @@ def test_cochains_vanish_below_minus_six(b3):
 def test_ad_images_are_cocycles(b3):
     case, g = b3
     mat, sp = spencer_differential(g, -1)
-    for x in [i for i, d in enumerate(g.degree) if d == -1]:
-        f = c1_vector_of_ad(g, x, sp)
+    inp, tower = g_tower(g)
+    offsets, _, _ = unknown_layout(inp, tower, 1)
+    assert len(tower.bases[1]) == 2
+    for phi in tower.bases[1]:
+        f = _map_to_vec(offsets, phi)
+        assert f
         for row in mat.rows:
             val = sum(
                 row.get(j, Fraction(0)) * f.get(j, Fraction(0))
                 for j in set(row) | set(f)
             )
             assert val == 0
+
+
+def _reference_differential(g, k) -> list:
+    """Rows of del on C^{k,1}, stamped straight from g.table, one per
+    C^{k,2} basis element (u, v, w)."""
+    sp = spencer_spaces(g, k)
+    col_of = {uw: i for i, uw in enumerate(sp.basis_C1)}
+    row_of = {uvw: i for i, uvw in enumerate(sp.basis_C2)}
+    t = g.table
+    rows = [dict() for _ in range(sp.dim_C2)]
+    gplus = [i for i, d in enumerate(g.degree) if d >= 1]
+
+    def stamp(u, v, target_vec, col, sign):
+        for m, c in target_vec.items():
+            ri = row_of.get((u, v, m))
+            if ri is None:
+                continue
+            val = rows[ri].get(col, Fraction(0)) + sign * c
+            if val:
+                rows[ri][col] = val
+            else:
+                rows[ri].pop(col, None)
+
+    for ui, u in enumerate(gplus):
+        for v in gplus[ui + 1:]:
+            du, dv = g.degree[u], g.degree[v]
+            for w in range(t.dim):
+                # [f(u), v] over columns (u, w)
+                if g.degree[w] == du + k and (u, w) in col_of:
+                    stamp(u, v, t.bracket_basis(w, v), col_of[(u, w)], +1)
+                # [u, f(v)] = -[f(v), u]
+                if g.degree[w] == dv + k and (v, w) in col_of:
+                    stamp(u, v, t.bracket_basis(w, u), col_of[(v, w)], -1)
+            # -f([u, v])
+            for w, cw in t.bracket_basis(u, v).items():
+                for w2 in range(t.dim):
+                    if g.degree[w2] == g.degree[w] + k and (w, w2) in col_of:
+                        stamp(u, v, {w2: -cw}, col_of[(w, w2)], +1)
+    return rows
+
+
+def _bump_first(g, degrees) -> None:
+    """Add 1 to one structure constant of a bracket between the given
+    degrees (a new dict, so no table shares the change)."""
+    key = next(k for k in sorted(g.table.brackets)
+               if sorted((g.degree[k[0]], g.degree[k[1]])) == list(degrees)
+               and g.table.brackets[k])
+    vec = g.table.brackets[key]
+    m = min(vec)
+    g.table.brackets[key] = {**vec, m: vec[m] + 1}
+
+
+@pytest.mark.parametrize("label", ["B3", "D4", "F4"])
+def test_differential_matches_table_reference(label):
+    # the nonzero reference rows, in C^{k,2} basis order, are the rows of
+    # spencer_differential (so their RREFs agree too)
+    case = build_case(label)
+    clean = {}
+    for bump in (None, (-1, 1), (1, 1)):
+        g = build_g(case)
+        if bump:
+            _bump_first(g, bump)
+        got = {}
+        for k in (-1, -2, -3):
+            mat, sp = spencer_differential(g, k)
+            ref = [row for row in _reference_differential(g, k) if row]
+            assert mat.rows == ref, (label, bump, k)
+            got[k] = mat.rows
+        if bump is None:
+            clean = got
+        else:
+            assert got != clean, (label, bump)
 
 
 def test_rank_and_qdim_b3(b3):
@@ -88,13 +165,13 @@ def test_spencer_spaces_bookkeeping_raises():
 def test_decomposition_closure(b3, f4):
     for case, g in (b3, f4):
         for k in range(-7, 0):
-            desc = hom_decomposition(case, g, k)
+            desc = hom_decomposition(g, k)
             assert sum(d.dim for d in desc) == spencer_spaces(g, k).dim_C2
 
 
 def test_lambda2_v2_to_v3_piece(b3):
     case, g = b3
-    desc = hom_decomposition(case, g, -1)
+    desc = hom_decomposition(g, -1)
     piece = [d for d in desc if d.family == 6 and d.index == (2, 2)]
     assert len(piece) == 1
     assert piece[0].dim == comb(2, 2) == 1  # C(dim V2, 2) * dim V3
@@ -141,7 +218,7 @@ def test_set_level_cI_matches_per_element(label):
     for k in range(-7, 0):
         want = _pieces_per_element(g, k)
         for cached in (None, cIs):
-            desc = hom_decomposition(case, g, k, cached)
+            desc = hom_decomposition(g, k, cached)
             got = {(d.family, d.index): (d.dim, d.cI_values) for d in desc}
             assert got == want, (label, k)
 
@@ -159,7 +236,7 @@ def test_component_cI_values(b3):
 @pytest.mark.parametrize("k", range(-7, 0))
 def test_summand_table_all_k(b3, k):
     case, g = b3
-    tab = summand_cI_table(case, g, k)
+    tab = summand_cI_table(g, k)
     assert tab.status == "PASS", tab.offending
 
 
@@ -179,7 +256,7 @@ def test_expected_cI_table_shape():
 
 def test_k_minus_3_is_designated_whole_family(b3):
     case, g = b3
-    tab = summand_cI_table(case, g, -3)
+    tab = summand_cI_table(g, -3)
     fives = [d for d in tab.descriptors if d.family == 5 and d.dim > 0]
     assert fives and all(set(d.cI_values) == {Fraction(0)} for d in fives)
     assert all(rk_designated(-3, 5, d.index) for d in fives)
@@ -187,7 +264,7 @@ def test_k_minus_3_is_designated_whole_family(b3):
 
 def test_k_minus_4_has_no_nonnegative_summand(b3):
     case, g = b3
-    desc = hom_decomposition(case, g, -4)
+    desc = hom_decomposition(g, -4)
     for d in desc:
         if d.dim:
             assert max(d.cI_values) < 0
@@ -195,13 +272,66 @@ def test_k_minus_4_has_no_nonnegative_summand(b3):
 
 def test_partial_differentials_b3(b3):
     case, g = b3
-    rep = partial_prime_checks(case, g)
+    rep = partial_prime_checks(g)
     assert rep.dim_hom == 4
     assert rep.dim_target_prime == 1
     assert rep.rank_prime == 1
     assert rep.nullity_doubleprime == 0
     assert rep.pairing_nondegenerate
     assert rep.status == "PASS"
+
+
+def _reference_partial_ranks(g) -> tuple[int, int]:
+    """rank del' and nullity del'' stamped straight from g.table."""
+    t = g.table
+    V1, V2 = list(g.V_level_indices[1]), list(g.V_level_indices[2])
+    v3 = g.V_level_indices[3][0]
+    l1 = list(g.l1_indices)
+    col_of = {c: i for i, c in enumerate((v, a) for v in V2 for a in l1)}
+    rows_prime = []
+    for i1, w1 in enumerate(V2):
+        for w2 in V2[i1 + 1:]:
+            row = {}
+            for a in l1:
+                for w, other, sign in ((w1, w2, 1), (w2, w1, -1)):
+                    c = t.bracket_basis(a, other).get(v3)
+                    if c:
+                        col = col_of[(w, a)]
+                        row[col] = row.get(col, Fraction(0)) + sign * c
+            rows_prime.append({j: c for j, c in row.items() if c})
+    rows_dp = []
+    for u in V1:
+        for v in V2:
+            bycoord = {}
+            for a in l1:
+                for m, c in t.bracket_basis(a, u).items():
+                    bycoord.setdefault(m, {})[col_of[(v, a)]] = -c
+            rows_dp.extend(bycoord.values())
+    n = len(col_of)
+    return (SparseRationalMatrix.from_rows(rows_prime, n).rank(),
+            n - SparseRationalMatrix.from_rows(rows_dp, n).rank())
+
+
+@pytest.mark.parametrize("label", ["B3", "D4", "F4"])
+def test_lost_pairing_entry_fails_restricted_differentials(label):
+    g = build_g(build_case(label))
+    rep = partial_prime_checks(g)
+    assert rep.status == "PASS"
+    assert (rep.rank_prime, rep.nullity_doubleprime) == \
+        _reference_partial_ranks(g)
+    # delete the V_3 entry of the one [l_1[0], V_2] bracket
+    a, v3 = g.l1_indices[0], g.V_level_indices[3][0]
+    hits = [w for w in g.V_level_indices[2]
+            if g.table.bracket_basis(a, w).get(v3)]
+    assert len(hits) == 1
+    key = tuple(sorted((a, hits[0])))
+    g.table.brackets[key] = {
+        m: c for m, c in g.table.brackets[key].items() if m != v3}
+    rep = partial_prime_checks(g)
+    assert not rep.pairing_nondegenerate
+    assert rep.status == "FAIL"
+    assert (rep.rank_prime, rep.nullity_doubleprime) == \
+        _reference_partial_ranks(g)
 
 
 def test_conjugation_expansion(b3, f4):
@@ -219,7 +349,7 @@ def _b3_without_v3():
 
 def test_closure_detects_missing_piece():
     case, g = _b3_without_v3()
-    tab = summand_cI_table(case, g, -1)
+    tab = summand_cI_table(g, -1)
     assert not tab.closure_ok
     assert tab.status == "FAIL"
 
@@ -233,7 +363,7 @@ def test_closure_detects_missing_piece_under_python_O():
         "if __debug__:",
         "    sys.exit('not running under -O')",
         "case, g = _b3_without_v3()",
-        "tab = summand_cI_table(case, g, -1)",
+        "tab = summand_cI_table(g, -1)",
         "sys.exit(0 if tab.status == 'FAIL' else 'lost V_3 pieces accepted')",
     ])
     r = subprocess.run([sys.executable, "-O", "-c", script],

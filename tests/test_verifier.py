@@ -158,6 +158,22 @@ def test_corrupted_bracket_fails_spencer_qdim(monkeypatch):
     assert rec.status == "FAIL"
 
 
+def test_doubled_ad_constant_fails_spencer_cocycle(monkeypatch):
+    def double_gm1_g1(g):
+        key = next(k for k in sorted(g.table.brackets)
+                   if sorted((g.degree[k[0]], g.degree[k[1]])) == [-1, 1]
+                   and g.table.brackets[k])
+        vec = g.table.brackets[key]
+        m = min(vec)
+        g.table.brackets[key] = {**vec, m: 2 * vec[m]}
+
+    _corrupt_build_g(monkeypatch, double_gm1_g1)
+    rep = run("B3", {"spencer"}, RunOptions(seed=7))
+    statuses = {c.check_id: c.status for c in rep.checks}
+    assert statuses["spencer-cocycle-ad"] == "FAIL"
+    assert exit_code(rep) == 1
+
+
 def _v_bracket_hits_v0(case):
     """Let one nonzero [V, V] bracket of s also hit v0, outside s_2."""
     s = case.s_table
@@ -196,6 +212,67 @@ def test_escaped_sigma_bracket_fails_under_python_O():
         "rep = _escaped_sigma_report()",
         "rec = next(c for c in rep.checks if c.check_id == 'sigma-form')",
         "sys.exit(0 if rec.status == 'FAIL' else 'escaped bracket accepted')",
+    ])
+    r = subprocess.run([sys.executable, "-O", "-c", script],
+                       capture_output=True, text=True)
+    assert r.returncode == 0, r.stderr
+
+
+def _v3_moved_to_v2(case):
+    v3 = next(v for v in case.V_roots if case.V_root_level[v] == 3)
+    case.V_root_level[v3] = 2
+
+
+def _merged_ideals(case):
+    case._ideal_of_root = dict.fromkeys(case._ideal_of_root, 0)
+
+
+def _corrupted_forms_report(corrupt):
+    """Run B3 forms with the case corrupted once g is built (build_g would
+    reject the first corruption itself)."""
+    real = verify.build_g
+
+    def corrupted(case):
+        g = real(case)
+        corrupt(case)
+        return g
+
+    verify.build_g = corrupted
+    try:
+        return run("B3", {"forms"}, RunOptions(seed=7))
+    finally:
+        verify.build_g = real
+
+
+# (corruption, the records it must turn FAIL, a word of their error)
+FORMS_ERRORS = [
+    ("_v3_moved_to_v2", ["fundamental-forms", "base-locus-samples"], "V_3"),
+    ("_merged_ideals", ["base-locus-samples"], "highest weight"),
+]
+
+
+@pytest.mark.parametrize("corrupt,failed,word", FORMS_ERRORS)
+def test_forms_errors_fail_forms_checks(corrupt, failed, word):
+    rep = _corrupted_forms_report(globals()[corrupt])
+    recs = {c.check_id: c for c in rep.checks}
+    for check_id in failed:
+        assert recs[check_id].status == "FAIL"
+        assert word in recs[check_id].values["error"]
+    assert exit_code(rep) == 1
+
+
+@pytest.mark.parametrize("corrupt,failed,word", FORMS_ERRORS)
+def test_forms_errors_fail_under_python_O(corrupt, failed, word):
+    # the guards must not be asserts, which -O strips
+    script = "\n".join([
+        "import sys",
+        f"sys.path.insert(0, {str(Path(__file__).parent)!r})",
+        f"from test_verifier import _corrupted_forms_report, {corrupt}",
+        "if __debug__:",
+        "    sys.exit('not running under -O')",
+        f"rep = _corrupted_forms_report({corrupt})",
+        "st = {c.check_id: c.status for c in rep.checks}",
+        f"sys.exit(0 if all(st[c] == 'FAIL' for c in {failed!r}) else str(st))",
     ])
     r = subprocess.run([sys.executable, "-O", "-c", script],
                        capture_output=True, text=True)
