@@ -34,7 +34,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help=f"comma list from {', '.join(CHECK_GROUPS)}, or 'all', "
                         f"or 'none' for an empty (vacuous) report")
     p.add_argument("--heavy", action="store_true",
-                   help="enable the E-series prolongation/Spencer solvers")
+                   help="no effect: every solver runs by default; accepted "
+                        "so existing command lines keep working")
     p.add_argument("--seed", type=int, default=0,
                    help="seed for sampling and row shuffles")
     p.add_argument("--samples", type=int, default=10,

@@ -6,7 +6,8 @@ the rationals; every verdict of the verifier comes from it.  ModpDenseRref
 is the same accumulator over a prime field (float64 rows reduced through
 BLAS).  No check uses it: it remains for rank cross-checks and for the
 benchmark's solve tracing.  A mod-p rank is always a lower bound on the
-exact rank.
+exact rank.  numpy is imported only by the mod-p helpers (ModpDenseRref,
+rows_to_modp_array), so importing the package does not load it.
 """
 
 from __future__ import annotations
@@ -14,8 +15,6 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from typing import Iterable
-
-import numpy as np
 
 Vec = dict  # {int: Fraction}
 
@@ -118,6 +117,7 @@ class ModpDenseRref:
     """
 
     def __init__(self, ncols: int, p: int):
+        import numpy as np
         if p >= _MODP_HI:
             raise ValueError("prime too large for the float64 fast path")
         self.ncols = ncols
@@ -135,6 +135,7 @@ class ModpDenseRref:
         return self.ncols - self.nrows
 
     def _grow(self, extra: int) -> None:
+        import numpy as np
         need = self.nrows + extra
         if need <= self._cap:
             return
@@ -146,6 +147,7 @@ class ModpDenseRref:
         self._cap = newcap
 
     def _reduce_block(self, B: np.ndarray) -> np.ndarray:
+        import numpy as np
         p = self.p
         B = np.mod(B, p)
         if not self.nrows:
@@ -161,6 +163,7 @@ class ModpDenseRref:
 
     def add_batch(self, B: np.ndarray) -> None:
         """Absorb a (b, ncols) block of rows (any integer dtype or float64)."""
+        import numpy as np
         p = self.p
         B = self._reduce_block(np.asarray(B, dtype=np.float64).copy())
         nb = B.shape[0]
@@ -209,6 +212,7 @@ class ModpDenseRref:
         self.piv_cols.extend(newcols)
 
     def kernel_basis(self) -> np.ndarray:
+        import numpy as np
         free = [c for c in range(self.ncols) if c not in set(self.piv_cols)]
         K = np.zeros((len(free), self.ncols), dtype=np.int64)
         for i, f in enumerate(free):
@@ -257,6 +261,7 @@ def modp_primes(seed: int, count: int = 2) -> list[int]:
 
 def rows_to_modp_array(rows: list[Vec], ncols: int, p: int) -> np.ndarray:
     """Dense float64 reduction of sparse rational rows modulo p."""
+    import numpy as np
     B = np.zeros((len(rows), ncols), dtype=np.float64)
     for i, row in enumerate(rows):
         for j, v in row.items():

@@ -242,13 +242,17 @@ def _iter_pairs(inp: ProlongInput, seed: int):
     return pairs
 
 
-def pair_rows(inp: ProlongInput, tower: _Tower, k: int, offsets, u: int, v: int):
+def pair_rows(inp: ProlongInput, tower: _Tower, k: int, offsets, u: int, v: int,
+              only: dict | None = None):
     """Constraint rows of phi([u,v]) - [phi(u),v] - [u,phi(v)] = 0.
 
     One row per nonzero target coordinate in T_{deg u + deg v - k}, in
     coordinate order.  This is the only place the compatibility equation is
     written as rows; on `g_tower(g)` they are the rows of the Spencer
-    differential on C^{-k,1}, negated.
+    differential on C^{-k,1}, negated.  `only`, when given, maps a source
+    index to the slots s of phi(source) to keep (none for a missing
+    source): the rows are then those of that column block, with the same
+    column numbers and zero rows dropped.
     """
     du, dv = inp.degrees[u], inp.degrees[v]
     S = du + dv - k
@@ -256,6 +260,11 @@ def pair_rows(inp: ProlongInput, tower: _Tower, k: int, offsets, u: int, v: int)
     if mS == 0:
         return []
     bycoord: dict[int, Vec] = {}
+
+    def slots(x: int):
+        if only is None:
+            return range(tower.space_dim(inp.degrees[x] - k))
+        return only.get(x, ())
 
     def stamp(col: int, coords: Vec, sign: int):
         for m, c in coords.items():
@@ -268,16 +277,16 @@ def pair_rows(inp: ProlongInput, tower: _Tower, k: int, offsets, u: int, v: int)
 
     # phi([u, v]): unknowns of the source elements w
     for w, cw in inp.nplus.bracket_basis(u, v).items():
-        for s in range(tower.space_dim(inp.degrees[w] - k)):
+        for s in slots(w):
             stamp(offsets[w] + s, {s: cw}, +1)
     # -[phi(u), v]
     ju = du - k
-    for s in range(tower.space_dim(ju)):
+    for s in slots(u):
         _, coords = tower.bracket_with_nplus(ju, s, v)
         stamp(offsets[u] + s, coords, -1)
     # -[u, phi(v)] = +[phi(v), u]
     jv = dv - k
-    for s in range(tower.space_dim(jv)):
+    for s in slots(v):
         _, coords = tower.bracket_with_nplus(jv, s, u)
         stamp(offsets[v] + s, coords, +1)
     return [row for _, row in sorted(bycoord.items()) if row]

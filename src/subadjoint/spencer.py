@@ -21,8 +21,14 @@ from math import comb
 
 from .cases import _check
 from .galg import GAlgebra, operator_a
-from .linalg import SparseRationalMatrix, Vec, vec_add_scaled
-from .prolong import g_tower, pair_rows, unknown_layout
+from .linalg import RrefBasis, SparseRationalMatrix, Vec, vec_add_scaled
+from .prolong import (
+    g_tower,
+    pair_rows,
+    residual_is_zero,
+    unknown_layout,
+    witness_rank,
+)
 
 KMIN_SUPPORT = -6  # C^{k,2} vanishes for k <= -7: source degrees cap at 5
 
@@ -113,24 +119,29 @@ def spencer_spaces(g: GAlgebra, k: int) -> SpencerSpaces:
     return sp
 
 
-def spencer_differential(g: GAlgebra, k: int) -> tuple[SparseRationalMatrix, SpencerSpaces]:
-    """Matrix of del: C^{k,1} -> C^{k,2}, stacked pair by pair.
+def _differential_rows(g: GAlgebra, k: int):
+    """Level -k pair rows of `g_tower(g)`, generated pair by pair.
 
-    C^{k,1} is level -k of `g_tower(g)` and del is its pair rows, negated:
-    one row per nonzero coordinate (u, v, w) of C^{k,2}, zero rows omitted.
+    C^{k,1} is level -k of the tower and these are the rows of del, negated:
+    one per nonzero coordinate (u, v, w) of C^{k,2}, zero rows omitted,
+    pairs u < v in g_+ order.  Returns (rows, spaces, (inp, tower)); rows is
+    a generator, so a caller that stops early never builds the rest.
     """
     sp = spencer_spaces(g, k)
     inp, tower = g_tower(g)
     offsets, sizes, _ = unknown_layout(inp, tower, -k)
     _check(_column_labels(g, inp, tower, k, sizes) == sp.basis_C1,
            "tower columns differ from the C^{k,1} basis")
-    rows = [
-        {c: -x for c, x in row.items()}
-        for u in range(inp.dim)
-        for v in range(u + 1, inp.dim)
-        for row in pair_rows(inp, tower, -k, offsets, u, v)
-    ]
-    return SparseRationalMatrix.from_rows(rows, sp.dim_C1), sp
+    rows = (row for u in range(inp.dim) for v in range(u + 1, inp.dim)
+            for row in pair_rows(inp, tower, -k, offsets, u, v))
+    return rows, sp, (inp, tower)
+
+
+def spencer_differential(g: GAlgebra, k: int) -> tuple[SparseRationalMatrix, SpencerSpaces]:
+    """Matrix of del: C^{k,1} -> C^{k,2}, stacked pair by pair."""
+    rows, sp, _ = _differential_rows(g, k)
+    return SparseRationalMatrix.from_rows(
+        ({c: -x for c, x in row.items()} for row in rows), sp.dim_C1), sp
 
 
 def _column_labels(g: GAlgebra, inp, tower, k: int, sizes) -> list:
@@ -158,13 +169,35 @@ class QDimension:
         return self.dim_C1 - (dim_g_minus_1 if self.k == -1 else 0)
 
 
-def q_dimension(g: GAlgebra, k: int) -> QDimension:
-    """dim Q^k(g) = dim C^{k,2} - rank del, by exact elimination."""
-    mat, sp = spencer_differential(g, k)
-    if sp.dim_C2 == 0 or sp.dim_C1 == 0:
-        return QDimension(k, sp.dim_C1, sp.dim_C2, 0, sp.dim_C2)
-    rank = mat.rank()
-    return QDimension(k, sp.dim_C1, sp.dim_C2, rank, sp.dim_C2 - rank)
+def ad_cocycles(inp, tower) -> list:
+    """The ad g_{-1} maps at level 1 of `g_tower(g)` that pass substitution.
+
+    Each is a cocycle in C^{-1,1}, so their rank is a floor on ker del there.
+    """
+    return [phi for phi in tower.bases[1] if residual_is_zero(inp, tower, 1, phi)]
+
+
+def q_dimension(g: GAlgebra, k: int, cocycles: list | None = None) -> QDimension:
+    """dim Q^k(g) = dim C^{k,2} - rank del, by exact elimination.
+
+    ker del contains the ad cocycles at k = -1, so rank del is at most
+    dim C^{k,1} minus their rank (at most dim C^{k,1} below k = -1), and
+    elimination stops once it reaches that cap: the rank is then the full
+    one.  `cocycles` is `ad_cocycles` of `g_tower(g)`, computed when not
+    given.
+    """
+    rows, sp, (inp, tower) = _differential_rows(g, k)
+    cap = sp.dim_C1
+    if k == -1:
+        if cocycles is None:
+            cocycles = ad_cocycles(inp, tower)
+        cap -= witness_rank(cocycles)
+    acc = RrefBasis(sp.dim_C1)
+    for row in rows:
+        if acc.rank >= cap:
+            break
+        acc.add(row)
+    return QDimension(k, sp.dim_C1, sp.dim_C2, acc.rank, sp.dim_C2 - acc.rank)
 
 
 # --------------------------------------------------------------------------
@@ -375,16 +408,16 @@ def partial_prime_checks(g: GAlgebra) -> PartialDifferentialReport:
     offsets, _, _ = unknown_layout(inp, tower, 1)
     gplus = [i for i, d in enumerate(g.degree) if d >= 1]
     pos = {gi: i for i, gi in enumerate(gplus)}
-    block = {offsets[pos[v]] + tower.pos_in_comp[1][pos[a]]: i
-             for i, (v, a) in enumerate((v, a) for v in V2 for a in l1)}
+    l1_slots = [tower.pos_in_comp[1][pos[a]] for a in l1]
+    only = {pos[v]: l1_slots for v in V2}
+    block = {offsets[pos[v]] + s: i
+             for i, (v, s) in enumerate((v, s) for v in V2 for s in l1_slots)}
 
     def restricted(pairs) -> SparseRationalMatrix:
-        rows = []
-        for u, v in pairs:
-            for row in pair_rows(inp, tower, 1, offsets, pos[u], pos[v]):
-                r = {block[c]: x for c, x in row.items() if c in block}
-                if r:
-                    rows.append(r)
+        rows = [{block[c]: x for c, x in row.items()}
+                for u, v in pairs
+                for row in pair_rows(inp, tower, 1, offsets, pos[u], pos[v],
+                                     only)]
         return SparseRationalMatrix.from_rows(rows, len(block))
 
     mat_prime = restricted(combinations(V2, 2))

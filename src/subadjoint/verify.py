@@ -41,11 +41,11 @@ from .prolong import (
     g_tower,
     input_from_g,
     prolongation,
-    residual_is_zero,
     witness_rank,
 )
 from .spencer import (
     KMIN_SUPPORT,
+    ad_cocycles,
     conjugation_expansion_check,
     g_basis_cI,
     partial_prime_checks,
@@ -240,10 +240,6 @@ class _Recorder:
         ))
 
 
-def _is_e_series(case_id: str) -> bool:
-    return case_id.startswith("E")
-
-
 def run(case_id: str, check_set, options: RunOptions | None = None) -> VerificationReport:
     """Execute the selected checks for one case, in dependency order."""
     options = options or RunOptions()
@@ -301,32 +297,16 @@ def run(case_id: str, check_set, options: RunOptions | None = None) -> Verificat
         _run_forms(rec, case, options)
 
     if "xvv" in checks:
-        t1 = time.monotonic()
-        samples = sample_closed_orbit(case, options.samples, options.seed)
-        cert = check_xvv(case, samples)
-        escalated = False
-        if cert.status == "INCONCLUSIVE" and options.samples > 0:
-            # a nonzero kernel after the default budget is never a
-            # refutation; retry once with four times the points
-            escalated = True
-            samples = sample_closed_orbit(
-                case, 4 * options.samples, options.seed + 1
-            )
-            cert = check_xvv(case, samples)
-        rec.add("xvv-kernel", cert.status, t1,
-                dims={"kernel": cert.kernel_dim},
-                values={"samples": cert.samples_used,
-                        "budget_per_ideal": options.samples,
-                        "escalated": escalated})
+        _run_xvv(rec, case, options)
 
     if "gstructure" in checks:
         _run_gstructure(rec, case, g, options)
 
     if "prolong" in checks:
-        _run_prolong(rec, desc, case, g, options)
+        _run_prolong(rec, g, options)
 
     if "spencer" in checks:
-        _run_spencer(rec, desc, g, options)
+        _run_spencer(rec, g, options)
 
     if "weights" in checks:
         _run_weights(rec, case, g, options)
@@ -450,6 +430,30 @@ def _run_forms(rec: _Recorder, case, options: RunOptions) -> None:
                     "strictness_case": is_ii1})
 
 
+def _run_xvv(rec: _Recorder, case, options: RunOptions) -> None:
+    t1 = time.monotonic()
+    try:
+        samples = sample_closed_orbit(case, options.samples, options.seed)
+        cert = check_xvv(case, samples)
+        escalated = False
+        if cert.status == "INCONCLUSIVE" and options.samples > 0:
+            # a nonzero kernel after the default budget is never a
+            # refutation; retry once with four times the points
+            escalated = True
+            samples = sample_closed_orbit(
+                case, 4 * options.samples, options.seed + 1
+            )
+            cert = check_xvv(case, samples)
+    except CaseConsistencyError as e:
+        rec.add("xvv-kernel", "FAIL", t1, values={"error": str(e)})
+        return
+    rec.add("xvv-kernel", cert.status, t1,
+            dims={"kernel": cert.kernel_dim},
+            values={"samples": cert.samples_used,
+                    "budget_per_ideal": options.samples,
+                    "escalated": escalated})
+
+
 def _run_gstructure(rec: _Recorder, case, g, options: RunOptions) -> None:
     t1 = time.monotonic()
     viol = g_jacobi_violations(g)
@@ -474,12 +478,8 @@ def _run_gstructure(rec: _Recorder, case, g, options: RunOptions) -> None:
             values={"trials": er.trials})
 
 
-def _run_prolong(rec: _Recorder, desc, case, g, options: RunOptions) -> None:
+def _run_prolong(rec: _Recorder, g, options: RunOptions) -> None:
     t1 = time.monotonic()
-    if _is_e_series(desc.case_id) and not options.heavy:
-        rec.add("prolong-dims", "SKIPPED", t1,
-                values={"reason": "E-series prolongation runs under --heavy"})
-        return
     inp, gplus, g0 = input_from_g(g)
     wits = ad_witnesses(g, inp, gplus, g0)
     wrank = witness_rank(wits)
@@ -505,19 +505,13 @@ def _run_prolong(rec: _Recorder, desc, case, g, options: RunOptions) -> None:
             values={"witnesses_satisfy_compatibility": wits_ok})
 
 
-def _run_spencer(rec: _Recorder, desc, g, options: RunOptions) -> None:
-    t1 = time.monotonic()
-    if _is_e_series(desc.case_id) and not options.heavy:
-        rec.add("spencer-checks", "SKIPPED", t1,
-                values={"reason": "E-series Spencer solvers run under --heavy"})
-        return
-
+def _run_spencer(rec: _Recorder, g, options: RunOptions) -> None:
     # del(ad x) = 0 for x in g_{-1}: each ad witness solves level 1 of the
-    # tower of g, which is C^{-1,1}
+    # tower of g, which is C^{-1,1}; the ones that do bound ker del there
     t1 = time.monotonic()
     inp, tower = g_tower(g)
-    cocycle_ok = all(residual_is_zero(inp, tower, 1, phi)
-                     for phi in tower.bases[1])
+    cocycles = ad_cocycles(inp, tower)
+    cocycle_ok = len(cocycles) == len(tower.bases[1])
     rec.add("spencer-cocycle-ad", "PASS" if cocycle_ok else "FAIL", t1)
 
     t1 = time.monotonic()
@@ -535,7 +529,7 @@ def _run_spencer(rec: _Recorder, desc, g, options: RunOptions) -> None:
     qvals, ranks, dims_C1 = {}, {}, {}
     ok = True
     for k in range(max(options.kmin, KMIN_SUPPORT - 1), 0):
-        q = q_dimension(g, k)
+        q = q_dimension(g, k, cocycles)
         qvals[k], ranks[k], dims_C1[k] = q.value, q.rank, q.dim_C1
         ok = ok and q.rank == q.expected_rank(dminus1)
     rec.add("spencer-qdim", "PASS" if ok else "FAIL", t1,

@@ -2,7 +2,7 @@
 
 Everything is exact arithmetic; the only tolerances are the stated wall
 clock budgets.  The E-series solver runs use the same exact elimination as
-every other case, only behind --heavy.
+every other case, by default (--heavy has no effect).
 """
 
 import subprocess
@@ -219,7 +219,7 @@ def test_criterion_12_determinism():
 
 
 def test_criterion_13_default_run_has_no_fail(sweep):
-    failing = [f"{cid}:{c.check_id}" for cid, rep in sweep.items()
-               for c in rep.checks if c.status == "FAIL"]
-    report_line(13, "default-run-no-fail", not failing,
-                f"({len(sweep)} cases, FAIL: {failing})")
+    failing = [f"{cid}:{c.check_id}:{c.status}" for cid, rep in sweep.items()
+               for c in rep.checks if c.status in ("FAIL", "SKIPPED")]
+    report_line(13, "default-run-no-fail-no-skip", not failing,
+                f"({len(sweep)} cases, FAIL/SKIPPED: {failing})")

@@ -154,6 +154,28 @@ def test_rank_and_qdim_b3(b3):
     assert q_dimension(g, -7).value == 0
 
 
+@pytest.mark.parametrize("label", ["B3", "D4", "F4", "E6"])
+def test_early_exit_rank_equals_full_rank(label):
+    # q_dimension stops at the forced rank; the full elimination agrees
+    g = build_g(build_case(label))
+    for k in range(-7, 0):
+        assert q_dimension(g, k).rank == spencer_differential(g, k)[0].rank()
+
+
+def test_import_leaves_numpy_unloaded():
+    # numpy serves only the mod-p helpers, which no check calls
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    script = "\n".join([
+        "import sys",
+        f"sys.path.insert(0, {src!r})",
+        "import subadjoint",
+        "sys.exit('numpy' in sys.modules)",
+    ])
+    r = subprocess.run([sys.executable, "-c", script],
+                       capture_output=True, text=True)
+    assert r.returncode == 0, r.stderr or "import subadjoint loaded numpy"
+
+
 def test_spencer_spaces_bookkeeping_raises():
     # a degree-4 element is enumerated but not in the closed-form count
     g = build_g(build_case("B3"))

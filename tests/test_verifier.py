@@ -103,13 +103,20 @@ def test_emit_deterministic_in_process():
     assert a == b
 
 
-def test_e_series_defaults_skip_solvers():
+def test_e_series_runs_solvers_by_default():
     rep = run("E6", {"prolong", "spencer"}, RunOptions(seed=1))
     statuses = {c.check_id: c.status for c in rep.checks}
-    assert statuses["prolong-dims"] == "SKIPPED"
-    assert statuses["spencer-checks"] == "SKIPPED"
-    assert rep.status == "DEGRADED"
-    assert exit_code(rep) == 2
+    assert set(statuses) >= {"prolong-dims", "prolong-ad-witnesses",
+                             "spencer-cocycle-ad", "restricted-differentials",
+                             "spencer-qdim"}
+    assert set(statuses.values()) == {"PASS"}
+    assert exit_code(rep) == 0
+    # --heavy changes nothing but the environment stamp
+    heavy = run("E6", {"prolong", "spencer"}, RunOptions(seed=1, heavy=True))
+    a, b = json.loads(emit(rep, fmt="json")), json.loads(emit(heavy, fmt="json"))
+    assert (a["environment"].pop("heavy"), b["environment"].pop("heavy")) \
+        == (False, True)
+    assert a == b
 
 
 def test_corrupted_witness_fails_prolong_checks(monkeypatch):
@@ -277,6 +284,24 @@ def test_forms_errors_fail_under_python_O(corrupt, failed, word):
     r = subprocess.run([sys.executable, "-O", "-c", script],
                        capture_output=True, text=True)
     assert r.returncode == 0, r.stderr
+
+
+def test_merged_ideals_fail_xvv_kernel(monkeypatch):
+    # sampling asks for one highest weight per ideal of l_1; the error is a
+    # FAIL record, not an exception out of run
+    real = verify.build_g
+
+    def corrupted(case):
+        g = real(case)
+        _merged_ideals(case)
+        return g
+
+    monkeypatch.setattr(verify, "build_g", corrupted)
+    rep = run("B3", {"xvv"}, RunOptions(seed=7))
+    rec = next(c for c in rep.checks if c.check_id == "xvv-kernel")
+    assert rec.status == "FAIL"
+    assert "highest weight" in rec.values["error"]
+    assert exit_code(rep) == 1
 
 
 def test_lost_v3_fails_six_families(monkeypatch):
