@@ -37,7 +37,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="no effect: every solver runs by default; accepted "
                         "so existing command lines keep working")
     p.add_argument("--seed", type=int, default=0,
-                   help="seed for sampling and row shuffles")
+                   help="seed for sampling and random trials")
     p.add_argument("--samples", type=int, default=10,
                    help="orbit sample budget per irreducible summand (base-locus "
                         "sampling takes at least the summand's dimension)")

@@ -13,16 +13,17 @@ evaluation of the stored map.  The kernel is computed by exact sparse
 elimination.
 
 Exact witness maps (for the main cases, the ad action of g_{-1}) lie in the
-prolongation once they pass substitution, so their rank is a floor: when
-the kernel of the rows seen so far shrinks to it, no further row can lower
-it and elimination stops early.  Every kernel basis map is then substituted
-into the equation on all pairs.  A failed substitution raises
-ProlongConsistencyError, not an assert, so `python -O` keeps the check.
+prolongation once they pass substitution, so their rank is a floor: no row
+can push the kernel below their span.  `forced_rank` feeds pair rows,
+highest degree sum first, into one accumulator and stops once the rank
+reaches dim minus that floor.  `prolongation` then substitutes every
+kernel basis map into the equation on all pairs.  A failed substitution
+raises ProlongConsistencyError, not an assert, so `python -O` keeps the
+check.
 """
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -48,7 +49,7 @@ class ProlongConsistencyError(RuntimeError):
         self.witness = witness
 
 
-DEPTH_LIMIT_DEFAULT = 6
+DEPTH_LIMIT = 6  # deeper levels need allow_deep
 
 
 @dataclass
@@ -235,13 +236,6 @@ def unknown_layout(inp: ProlongInput, tower: _Tower, k: int):
     return offsets, sizes, total
 
 
-def _iter_pairs(inp: ProlongInput, seed: int):
-    pairs = [(u, v) for u in range(inp.dim) for v in range(u + 1, inp.dim)]
-    rng = random.Random(f"prolong-pairs-{seed}")
-    rng.shuffle(pairs)
-    return pairs
-
-
 def pair_rows(inp: ProlongInput, tower: _Tower, k: int, offsets, u: int, v: int,
               only: dict | None = None):
     """Constraint rows of phi([u,v]) - [phi(u),v] - [u,phi(v)] = 0.
@@ -292,6 +286,28 @@ def pair_rows(inp: ProlongInput, tower: _Tower, k: int, offsets, u: int, v: int,
     return [row for _, row in sorted(bycoord.items()) if row]
 
 
+def forced_rank(inp: ProlongInput, tower: _Tower, k: int, offsets, ncols: int,
+                floor: int) -> tuple[RrefBasis, bool]:
+    """Eliminate the level-k pair rows until the rank reaches ncols - floor.
+
+    `floor` is the rank of maps known to solve level k: no row can push the
+    kernel below their span, so at that rank elimination is complete and
+    the remaining rows are never built.  Pairs come highest degree sum
+    first (index order within a sum), which reaches the rank after fewer
+    rows than index order.  Returns the accumulator and whether rows were
+    left when it stopped.
+    """
+    pairs = sorted(((u, v) for u in range(inp.dim) for v in range(u + 1, inp.dim)),
+                   key=lambda p: -inp.degrees[p[0]] - inp.degrees[p[1]])
+    acc = RrefBasis(ncols)
+    for u, v in pairs:
+        for row in pair_rows(inp, tower, k, offsets, u, v):
+            if acc.rank >= ncols - floor:
+                return acc, True
+            acc.add(row)
+    return acc, False
+
+
 def _kernel_vec_to_map(inp, tower, k, offsets, sizes, vec: Vec) -> TaggedMap:
     phi: TaggedMap = [dict() for _ in range(inp.dim)]
     for u in range(inp.dim):
@@ -334,33 +350,26 @@ def residual_is_zero(inp: ProlongInput, tower: _Tower, k: int, phi: TaggedMap) -
     return True
 
 
-def prolongation(
-    inp: ProlongInput,
-    k_max: int,
-    seed: int = 0,
-    witnesses: dict | None = None,
-    depth_limit: int = DEPTH_LIMIT_DEFAULT,
-    allow_deep: bool = False,
-    batch: int = 512,
-    validate: bool = True,
-) -> ProlongResult:
+def prolongation(inp: ProlongInput, k_max: int, witnesses: dict | None = None,
+                 allow_deep: bool = False) -> ProlongResult:
     """Compute prolongation dimensions and bases up to k_max.
 
     witnesses maps a level k to exact maps known to lie in the k-th
-    prolongation; they are verified by substitution and serve as an
-    early-exit floor.  seed fixes the order in which pairs are eliminated.
-    Raises ProlongConsistencyError if n_+ violates Jacobi or a witness or
-    kernel map fails substitution.
+    prolongation; they are verified by substitution and their rank is the
+    floor at which `forced_rank` stops.  `stopped_early[k]` says whether it
+    stopped with rows left.  Raises ProlongDepthError for k_max beyond
+    DEPTH_LIMIT unless allow_deep, and ProlongConsistencyError if the input
+    fails `ProlongInput.validate` or a witness or kernel map fails
+    substitution.
     """
     if k_max < 1:
         raise ValueError("k_max must be >= 1")
-    if k_max > depth_limit and not allow_deep:
+    if k_max > DEPTH_LIMIT and not allow_deep:
         raise ProlongDepthError(
-            f"k_max={k_max} exceeds the safety bound {depth_limit}; pass "
+            f"k_max={k_max} exceeds the safety bound {DEPTH_LIMIT}; pass "
             f"allow_deep=True for inputs with known infinite prolongations"
         )
-    if validate:
-        inp.validate()
+    inp.validate()
     witnesses = witnesses or {}
     tower = _Tower(inp)
     dims: dict[int, int] = {}
@@ -368,36 +377,13 @@ def prolongation(
 
     for k in range(1, k_max + 1):
         offsets, sizes, ncols = unknown_layout(inp, tower, k)
-        wit_acc = RrefBasis(ncols)
-        for phi in witnesses.get(k, []):
-            if not residual_is_zero(inp, tower, k, phi):
-                raise ProlongConsistencyError(
-                    f"witness map fails the compatibility equation at level {k}",
-                    witness=True)
-            wit_acc.add(_map_to_vec(offsets, phi))
-        floor = wit_acc.rank
-
-        if ncols == 0:
-            dims[k] = 0
-            tower.bases[k] = []
-            continue
-
-        # no row can push the kernel below the witnesses' span, so reaching
-        # the floor ends elimination; it is tested after every `batch` rows
-        acc = RrefBasis(ncols)
-        pending = 0
-        stopped[k] = False
-        for (u, v) in _iter_pairs(inp, seed):
-            rows = pair_rows(inp, tower, k, offsets, u, v)
-            for row in rows:
-                acc.add(row)
-            pending += len(rows)
-            if pending >= batch:
-                pending = 0
-                if acc.kernel_dim() <= floor:
-                    stopped[k] = True
-                    break
-
+        wits = witnesses.get(k, [])
+        if not all(residual_is_zero(inp, tower, k, phi) for phi in wits):
+            raise ProlongConsistencyError(
+                f"witness map fails the compatibility equation at level {k}",
+                witness=True)
+        acc, stopped[k] = forced_rank(inp, tower, k, offsets, ncols,
+                                      witness_rank(wits))
         dims[k] = acc.kernel_dim()
         basis = [
             _kernel_vec_to_map(inp, tower, k, offsets, sizes, vec)

@@ -4,11 +4,12 @@ restricted-differential facts feeding the cokernel analysis.
 C^{k,1} = Hom(g_+, g)_k and C^{k,2} = Hom(L^2 g_+, g)_k with
 del f(u, v) = [f(u), v] + [u, f(v)] - f([u, v]).  That is the compatibility
 equation of the Tanaka tower of g, so del and its restrictions are read off
-the tower's pair rows (`prolong.g_tower`).  The decomposition splits
-C^{k,2} by source factors (l_1 vs the osculating pieces V_i) and target
-(l-hat vs V); each piece carries a single c^I value, and the verdict checks
-that every piece meeting the nonnegative rationals is one of the designated
-R_k pieces (plus the one quotiented piece Hom(L^2 V_2, V_3) at k = -1).
+the tower's pair rows (`prolong.g_tower`, kept with its ranks of del in one
+`CaseTower` per case).  The decomposition splits C^{k,2} by source factors
+(l_1 vs the osculating pieces V_i) and target (l-hat vs V); each piece
+carries a single c^I value, and the verdict checks that every piece meeting
+the nonnegative rationals is one of the designated R_k pieces (plus the one
+quotiented piece Hom(L^2 V_2, V_3) at k = -1).
 """
 
 from __future__ import annotations
@@ -21,8 +22,9 @@ from math import comb
 
 from .cases import _check
 from .galg import GAlgebra, operator_a
-from .linalg import RrefBasis, SparseRationalMatrix, Vec, vec_add_scaled
+from .linalg import SparseRationalMatrix, Vec, vec_add_scaled
 from .prolong import (
+    forced_rank,
     g_tower,
     pair_rows,
     residual_is_zero,
@@ -119,41 +121,36 @@ def spencer_spaces(g: GAlgebra, k: int) -> SpencerSpaces:
     return sp
 
 
-def _differential_rows(g: GAlgebra, k: int):
-    """Level -k pair rows of `g_tower(g)`, generated pair by pair.
+def _tower_level(g: GAlgebra, inp, tower, k: int):
+    """(C^{k,1}/C^{k,2} spaces, column offsets) of level -k of `g_tower(g)`.
 
-    C^{k,1} is level -k of the tower and these are the rows of del, negated:
-    one per nonzero coordinate (u, v, w) of C^{k,2}, zero rows omitted,
-    pairs u < v in g_+ order.  Returns (rows, spaces, (inp, tower)); rows is
-    a generator, so a caller that stops early never builds the rest.
+    Checks that the level's columns, (u, w) for u in g_+ and w in
+    g_{deg u + k} in g-index order, are the C^{k,1} basis.
     """
     sp = spencer_spaces(g, k)
-    inp, tower = g_tower(g)
     offsets, sizes, _ = unknown_layout(inp, tower, -k)
-    _check(_column_labels(g, inp, tower, k, sizes) == sp.basis_C1,
-           "tower columns differ from the C^{k,1} basis")
-    rows = (row for u in range(inp.dim) for v in range(u + 1, inp.dim)
-            for row in pair_rows(inp, tower, -k, offsets, u, v))
-    return rows, sp, (inp, tower)
-
-
-def spencer_differential(g: GAlgebra, k: int) -> tuple[SparseRationalMatrix, SpencerSpaces]:
-    """Matrix of del: C^{k,1} -> C^{k,2}, stacked pair by pair."""
-    rows, sp, _ = _differential_rows(g, k)
-    return SparseRationalMatrix.from_rows(
-        ({c: -x for c, x in row.items()} for row in rows), sp.dim_C1), sp
-
-
-def _column_labels(g: GAlgebra, inp, tower, k: int, sizes) -> list:
-    """The (u, w) g-index pair of each level -k column of `g_tower(g)`."""
     gplus = [i for i, d in enumerate(g.degree) if d >= 1]
     low = {d: [i for i, e in enumerate(g.degree) if e == d] for d in (-1, 0)}
 
     def target(j: int, s: int) -> int:
         return gplus[tower.comp_list[j][s]] if j >= 1 else low[j][s]
 
-    return [(gplus[u], target(inp.degrees[u] + k, s))
-            for u in range(inp.dim) for s in range(sizes[u])]
+    labels = [(gplus[u], target(inp.degrees[u] + k, s))
+              for u in range(inp.dim) for s in range(sizes[u])]
+    _check(labels == sp.basis_C1, "tower columns differ from the C^{k,1} basis")
+    return sp, offsets
+
+
+def spencer_differential(g: GAlgebra, k: int) -> tuple[SparseRationalMatrix, SpencerSpaces]:
+    """Matrix of del: C^{k,1} -> C^{k,2}, the level -k pair rows of
+    `g_tower(g)` negated: one row per nonzero coordinate (u, v, w) of
+    C^{k,2}, zero rows omitted, pairs u < v in g_+ order."""
+    inp, tower = g_tower(g)
+    sp, offsets = _tower_level(g, inp, tower, k)
+    rows = ({c: -x for c, x in row.items()}
+            for u in range(inp.dim) for v in range(u + 1, inp.dim)
+            for row in pair_rows(inp, tower, -k, offsets, u, v))
+    return SparseRationalMatrix.from_rows(rows, sp.dim_C1), sp
 
 
 @dataclass
@@ -163,41 +160,49 @@ class QDimension:
     dim_C2: int
     rank: int
     value: int
+    stopped_early: bool = False  # the forced rank came with rows left
 
     def expected_rank(self, dim_g_minus_1: int) -> int:
         """ker del on C^{k,1} is the (-k)-th prolongation: g_{-1}, then 0."""
         return self.dim_C1 - (dim_g_minus_1 if self.k == -1 else 0)
 
 
-def ad_cocycles(inp, tower) -> list:
-    """The ad g_{-1} maps at level 1 of `g_tower(g)` that pass substitution.
+class CaseTower:
+    """`g_tower(g)` for one case, its ad witnesses substituted once, and the
+    per-degree solves of `q_dimension`, kept in `qdims`.
 
-    Each is a cocycle in C^{-1,1}, so their rank is a floor on ker del there.
+    `passes[i]` says whether ad witness i satisfies the compatibility
+    equation at level 1 (C^{-1,1}), i.e. is a cocycle; the rank of those
+    that do is `cocycle_rank`.
     """
-    return [phi for phi in tower.bases[1] if residual_is_zero(inp, tower, 1, phi)]
+
+    def __init__(self, g: GAlgebra):
+        self.inp, self.tower = g_tower(g)
+        self.witnesses = self.tower.bases[1]
+        self.passes = [residual_is_zero(self.inp, self.tower, 1, phi)
+                       for phi in self.witnesses]
+        self.cocycle_rank = witness_rank(
+            [phi for phi, ok in zip(self.witnesses, self.passes) if ok])
+        self.qdims: dict[int, QDimension] = {}
 
 
-def q_dimension(g: GAlgebra, k: int, cocycles: list | None = None) -> QDimension:
+def q_dimension(g: GAlgebra, k: int, tower: CaseTower | None = None) -> QDimension:
     """dim Q^k(g) = dim C^{k,2} - rank del, by exact elimination.
 
     ker del contains the ad cocycles at k = -1, so rank del is at most
-    dim C^{k,1} minus their rank (at most dim C^{k,1} below k = -1), and
-    elimination stops once it reaches that cap: the rank is then the full
-    one.  `cocycles` is `ad_cocycles` of `g_tower(g)`, computed when not
-    given.
+    dim C^{k,1} minus their rank (at most dim C^{k,1} below k = -1);
+    `forced_rank` stops at that cap, and the rank is then the full one.
+    `tower` is the case's `CaseTower`, built when not given; the result is
+    kept there, so each degree is solved once per tower.
     """
-    rows, sp, (inp, tower) = _differential_rows(g, k)
-    cap = sp.dim_C1
-    if k == -1:
-        if cocycles is None:
-            cocycles = ad_cocycles(inp, tower)
-        cap -= witness_rank(cocycles)
-    acc = RrefBasis(sp.dim_C1)
-    for row in rows:
-        if acc.rank >= cap:
-            break
-        acc.add(row)
-    return QDimension(k, sp.dim_C1, sp.dim_C2, acc.rank, sp.dim_C2 - acc.rank)
+    tower = tower or CaseTower(g)
+    if k not in tower.qdims:
+        sp, offsets = _tower_level(g, tower.inp, tower.tower, k)
+        acc, stopped = forced_rank(tower.inp, tower.tower, -k, offsets, sp.dim_C1,
+                                   tower.cocycle_rank if k == -1 else 0)
+        tower.qdims[k] = QDimension(k, sp.dim_C1, sp.dim_C2, acc.rank,
+                                    sp.dim_C2 - acc.rank, stopped)
+    return tower.qdims[k]
 
 
 # --------------------------------------------------------------------------
@@ -391,20 +396,22 @@ class PartialDifferentialReport:
         return "PASS" if ok else "FAIL"
 
 
-def partial_prime_checks(g: GAlgebra) -> PartialDifferentialReport:
+def partial_prime_checks(g: GAlgebra,
+                         tower: CaseTower | None = None) -> PartialDifferentialReport:
     """del' surjective onto Hom(L2 V_2, V_3), del'' injective, pairing perfect.
 
     del', del'' are the restrictions of del to f: V_2 -> l_1 extended by
     zero, landing in Hom(L2 V_2, V_3) and Hom(V_1 ^ V_2, V_2): the
     (v in V_2, a in l_1) column block of the level-1 pair rows of
-    `g_tower(g)` on the pairs of V_2 ^ V_2 and of V_1 x V_2.
+    `g_tower(g)` on the pairs of V_2 ^ V_2 and of V_1 x V_2.  `tower` is the
+    case's `CaseTower`; the tower is built when it is not given.
     """
     t = g.table
     V1, V2, V3 = (list(g.V_level_indices[j]) for j in (1, 2, 3))
     l1 = list(g.l1_indices)
     _check(len(V3) == 1, "V_3 is not a line")
     v3 = V3[0]
-    inp, tower = g_tower(g)
+    inp, tower = g_tower(g) if tower is None else (tower.inp, tower.tower)
     offsets, _, _ = unknown_layout(inp, tower, 1)
     gplus = [i for i, d in enumerate(g.degree) if d >= 1]
     pos = {gi: i for i, gi in enumerate(gplus)}

@@ -26,6 +26,7 @@ from .cases import (
     iii_value,
     sample_closed_orbit,
     symplectic_form,
+    _check,
 )
 from .galg import (
     build_g,
@@ -35,17 +36,10 @@ from .galg import (
 )
 from .liecore import check_jacobi
 from .linalg import RrefBasis, SparseRationalMatrix
-from .prolong import (
-    ProlongConsistencyError,
-    ad_witnesses,
-    g_tower,
-    input_from_g,
-    prolongation,
-    witness_rank,
-)
+from .prolong import ProlongConsistencyError, witness_rank
 from .spencer import (
     KMIN_SUPPORT,
-    ad_cocycles,
+    CaseTower,
     conjugation_expansion_check,
     g_basis_cI,
     partial_prime_checks,
@@ -73,9 +67,12 @@ class CaseDescriptor:
     exclusion_reason: str = ""
 
     def __post_init__(self):
-        if not self.excluded:
-            assert self.dim_V == 2 * self.dim_l1 + 2
-            assert sum(self.g_dims) == 1 + self.dim_l + self.dim_V
+        if self.excluded:
+            return
+        if self.dim_V != 2 * self.dim_l1 + 2:
+            raise ValueError(f"{self.case_id}: dim V != 2 dim l_1 + 2")
+        if sum(self.g_dims) != 1 + self.dim_l + self.dim_V:
+            raise ValueError(f"{self.case_id}: sum of g_dims != 1 + dim l + dim V")
 
 
 def _so_case(series: str, l: int) -> CaseDescriptor:
@@ -300,13 +297,14 @@ def run(case_id: str, check_set, options: RunOptions | None = None) -> Verificat
         _run_xvv(rec, case, options)
 
     if "gstructure" in checks:
-        _run_gstructure(rec, case, g, options)
+        _run_gstructure(rec, desc, g, options)
 
+    tower = None  # one per case; the first group to read it builds it
     if "prolong" in checks:
-        _run_prolong(rec, g, options)
+        tower = _run_prolong(rec, g)
 
     if "spencer" in checks:
-        _run_spencer(rec, g, options)
+        _run_spencer(rec, g, tower, options)
 
     if "weights" in checks:
         _run_weights(rec, case, g, options)
@@ -454,7 +452,8 @@ def _run_xvv(rec: _Recorder, case, options: RunOptions) -> None:
                     "escalated": escalated})
 
 
-def _run_gstructure(rec: _Recorder, case, g, options: RunOptions) -> None:
+def _run_gstructure(rec: _Recorder, desc: CaseDescriptor, g,
+                    options: RunOptions) -> None:
     t1 = time.monotonic()
     viol = g_jacobi_violations(g)
     rec.add("g-jacobi", "PASS" if not viol else "FAIL", t1,
@@ -462,7 +461,9 @@ def _run_gstructure(rec: _Recorder, case, g, options: RunOptions) -> None:
 
     t1 = time.monotonic()
     dims = g.component_dims()
-    rec.add("g-dims", "PASS", t1, dims={"components": dims})
+    ok = tuple(dims.get(d, 0) for d in (-1, 0, 1, 2, 3)) == desc.g_dims
+    rec.add("g-dims", "PASS" if ok else "FAIL", t1,
+            dims={"components": dims})
 
     # each suite is one call, so its records all carry the suite's time
     t1 = time.monotonic()
@@ -478,44 +479,46 @@ def _run_gstructure(rec: _Recorder, case, g, options: RunOptions) -> None:
             values={"trials": er.trials})
 
 
-def _run_prolong(rec: _Recorder, g, options: RunOptions) -> None:
+def _run_prolong(rec: _Recorder, g) -> CaseTower:
+    # level k of the tower is C^{-k,1}: the first prolongation is
+    # dim C^{-1,1} - rank del, the second dim C^{-2,1} - rank del
     t1 = time.monotonic()
-    inp, gplus, g0 = input_from_g(g)
-    wits = ad_witnesses(g, inp, gplus, g0)
-    wrank = witness_rank(wits)
+    tower = CaseTower(g)
     dminus1 = g.component_dims()[-1]
-    wits_ok = True
+    wits_ok = all(tower.passes)
     try:
-        res = prolongation(inp, 2, seed=options.seed,
-                           witnesses={1: wits}, batch=1024)
-    except ProlongConsistencyError as e:
-        wits_ok = not e.witness
+        tower.inp.validate()
+        _check(wits_ok, "witness map fails the compatibility equation at level 1")
+        q1, q2 = (q_dimension(g, k, tower) for k in (-1, -2))
+    except (ProlongConsistencyError, CaseConsistencyError) as e:
         rec.add("prolong-dims", "FAIL", t1,
                 dims={"expected_p1": dminus1}, values={"error": str(e)})
     else:
-        ok = res.dims.get(1) == dminus1 and res.dims.get(2) == 0
+        p1, p2 = q1.dim_C1 - q1.rank, q2.dim_C1 - q2.rank
+        ok = p1 == dminus1 and p2 == 0
         rec.add("prolong-dims", "PASS" if ok else "FAIL", t1,
-                dims={"p_minus_1": res.dims.get(1),
-                      "p_minus_2": res.dims.get(2), "expected_p1": dminus1},
-                values={"stopped_early": res.stopped_early})
+                dims={"p_minus_1": p1, "p_minus_2": p2, "expected_p1": dminus1},
+                values={"stopped_early": {1: q1.stopped_early,
+                                          2: q2.stopped_early}})
     t1 = time.monotonic()
+    wrank = witness_rank(tower.witnesses)
     inj_ok = wrank == dminus1 and wits_ok
     rec.add("prolong-ad-witnesses", "PASS" if inj_ok else "FAIL", t1,
             dims={"witness_rank": wrank, "dim_g_minus_1": dminus1},
             values={"witnesses_satisfy_compatibility": wits_ok})
+    return tower
 
 
-def _run_spencer(rec: _Recorder, g, options: RunOptions) -> None:
+def _run_spencer(rec: _Recorder, g, tower: CaseTower | None,
+                 options: RunOptions) -> None:
     # del(ad x) = 0 for x in g_{-1}: each ad witness solves level 1 of the
     # tower of g, which is C^{-1,1}; the ones that do bound ker del there
     t1 = time.monotonic()
-    inp, tower = g_tower(g)
-    cocycles = ad_cocycles(inp, tower)
-    cocycle_ok = len(cocycles) == len(tower.bases[1])
-    rec.add("spencer-cocycle-ad", "PASS" if cocycle_ok else "FAIL", t1)
+    tower = tower or CaseTower(g)
+    rec.add("spencer-cocycle-ad", "PASS" if all(tower.passes) else "FAIL", t1)
 
     t1 = time.monotonic()
-    rep = partial_prime_checks(g)
+    rep = partial_prime_checks(g, tower)
     rec.add("restricted-differentials", rep.status, t1,
             dims={"dim_hom_V2_l1": rep.dim_hom,
                   "rank_prime": rep.rank_prime,
@@ -526,14 +529,17 @@ def _run_spencer(rec: _Recorder, g, options: RunOptions) -> None:
     # ker del on C^{k,1} is the (-k)-th prolongation, so the ranks are forced
     t1 = time.monotonic()
     dminus1 = g.component_dims()[-1]
-    qvals, ranks, dims_C1 = {}, {}, {}
-    ok = True
-    for k in range(max(options.kmin, KMIN_SUPPORT - 1), 0):
-        q = q_dimension(g, k, cocycles)
-        qvals[k], ranks[k], dims_C1[k] = q.value, q.rank, q.dim_C1
-        ok = ok and q.rank == q.expected_rank(dminus1)
+    try:
+        qs = [q_dimension(g, k, tower)
+              for k in range(max(options.kmin, KMIN_SUPPORT - 1), 0)]
+    except CaseConsistencyError as e:
+        rec.add("spencer-qdim", "FAIL", t1, values={"error": str(e)})
+        return
+    ok = all(q.rank == q.expected_rank(dminus1) for q in qs)
     rec.add("spencer-qdim", "PASS" if ok else "FAIL", t1,
-            values={"q_dims": qvals, "ranks": ranks, "dim_C1": dims_C1})
+            values={"q_dims": {q.k: q.value for q in qs},
+                    "ranks": {q.k: q.rank for q in qs},
+                    "dim_C1": {q.k: q.dim_C1 for q in qs}})
 
 
 def _run_weights(rec: _Recorder, case, g, options: RunOptions) -> None:

@@ -140,10 +140,10 @@ def test_witness_floor_stops_early():
     inp, gplus, g0 = input_from_g(g)
     wits = ad_witnesses(g, inp, gplus, g0)
     # the witnesses pin level 1 at their rank before every pair is fed
-    res = prolongation(inp, 1, witnesses={1: wits}, batch=1)
+    res = prolongation(inp, 1, witnesses={1: wits})
     assert res.stopped_early == {1: True}
     # without a floor, elimination runs through all pairs to the same kernel
-    full = prolongation(inp, 1, batch=1)
+    full = prolongation(inp, 1)
     assert full.stopped_early == {1: False}
     assert res.dims == full.dims == {1: 2}
 

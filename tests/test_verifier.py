@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import subprocess
 import sys
@@ -6,16 +7,20 @@ from pathlib import Path
 
 import pytest
 
-from subadjoint import verify
-from subadjoint.cases import CaseExcludedError
+from subadjoint import prolong, spencer, verify
+from subadjoint.cases import CaseExcludedError, build_case
 from subadjoint.cli import main
+from subadjoint.galg import build_g
+from subadjoint.prolong import ad_witnesses, input_from_g, prolongation
 from subadjoint.verify import (
+    CaseDescriptor,
     CheckRecord,
     RunOptions,
     VerificationReport,
     emit,
     exit_code,
     list_cases,
+    registry_entry,
     run,
 )
 
@@ -41,6 +46,48 @@ def test_registry_dims_internally_consistent():
             continue
         assert c.dim_V == 2 * c.dim_l1 + 2
         assert sum(c.g_dims) == 1 + c.dim_l + c.dim_V
+
+
+def _bad_registry_row():
+    """A registry row with dim V = 13 != 2 dim l_1 + 2 = 12."""
+    return CaseDescriptor(case_id="X", s_label="B3", dim_V=13, dim_l1=5,
+                          dim_l=6, g_dims=(5, 3, 10, 5, 1), l_factors=(),
+                          note="")
+
+
+def test_bad_registry_row_raises():
+    with pytest.raises(ValueError, match="dim V"):
+        _bad_registry_row()
+
+
+def test_bad_registry_row_raises_under_python_O():
+    # the guard must not be an assert, which -O strips
+    script = "\n".join([
+        "import sys",
+        f"sys.path.insert(0, {str(Path(__file__).parent)!r})",
+        "from test_verifier import _bad_registry_row",
+        "if __debug__:",
+        "    sys.exit('not running under -O')",
+        "try:",
+        "    _bad_registry_row()",
+        "except ValueError:",
+        "    sys.exit(0)",
+        "sys.exit('bad registry row accepted')",
+    ])
+    r = subprocess.run([sys.executable, "-O", "-c", script],
+                       capture_output=True, text=True)
+    assert r.returncode == 0, r.stderr
+
+
+def test_patched_registry_row_fails_g_dims(monkeypatch):
+    # one dimension moved from g_0 to g_1 keeps the row's sum rule
+    real = registry_entry("B3")
+    d = real.g_dims
+    row = dataclasses.replace(real, g_dims=(d[0], d[1] - 1, d[2] + 1, *d[3:]))
+    monkeypatch.setattr(verify, "registry_entry", lambda *args: row)
+    rep = run("B3", {"gstructure"}, RunOptions(seed=7))
+    statuses = {c.check_id: c.status for c in rep.checks}
+    assert statuses["g-dims"] == "FAIL"
 
 
 def test_run_excluded_case_raises():
@@ -120,7 +167,7 @@ def test_e_series_runs_solvers_by_default():
 
 
 def test_corrupted_witness_fails_prolong_checks(monkeypatch):
-    real = verify.ad_witnesses
+    real = prolong.ad_witnesses
 
     def corrupted(*args):
         wits = real(*args)
@@ -128,7 +175,7 @@ def test_corrupted_witness_fails_prolong_checks(monkeypatch):
         block[next(iter(block))] += 1
         return wits
 
-    monkeypatch.setattr(verify, "ad_witnesses", corrupted)
+    monkeypatch.setattr(prolong, "ad_witnesses", corrupted)
     rep = run("B3", {"prolong"}, RunOptions(seed=7))
     recs = {c.check_id: c for c in rep.checks}
     assert recs["prolong-dims"].status == "FAIL"
@@ -150,19 +197,81 @@ def _corrupt_build_g(monkeypatch, corrupt):
     monkeypatch.setattr(verify, "build_g", corrupted)
 
 
-def test_corrupted_bracket_fails_spencer_qdim(monkeypatch):
-    def double_g1_g1(g):
-        key = next(k for k in sorted(g.table.brackets)
-                   if g.degree[k[0]] == g.degree[k[1]] == 1)
-        vec = g.table.brackets[key]
-        vec[next(iter(vec))] *= 2
+def _double_g1_g1(g):
+    key = next(k for k in sorted(g.table.brackets)
+               if g.degree[k[0]] == g.degree[k[1]] == 1)
+    vec = g.table.brackets[key]
+    vec[next(iter(vec))] *= 2
 
-    _corrupt_build_g(monkeypatch, double_g1_g1)
+
+def test_corrupted_bracket_fails_spencer_qdim(monkeypatch):
+    _corrupt_build_g(monkeypatch, _double_g1_g1)
     rep = run("B3", {"spencer"}, RunOptions(seed=7))
     rec = next(c for c in rep.checks if c.check_id == "spencer-qdim")
     # ad g_{-1} is no longer a cocycle, so del becomes injective on C^{-1,1}
     assert rec.values["ranks"][-1] == rec.values["dim_C1"][-1] == 26
     assert rec.status == "FAIL"
+
+
+def test_prolong_and_spencer_share_one_tower(monkeypatch):
+    calls = {"g_tower": 0, "substitutions": 0, "levels": []}
+    real_tower, real_forced = spencer.g_tower, spencer.forced_rank
+
+    def g_tower(g):
+        calls["g_tower"] += 1
+        return real_tower(g)
+
+    def forced_rank(inp, tower, k, *args):
+        calls["levels"].append(k)
+        return real_forced(inp, tower, k, *args)
+
+    def counting(real):
+        def residual_is_zero(inp, tower, k, phi):
+            calls["substitutions"] += k == 1
+            return real(inp, tower, k, phi)
+        return residual_is_zero
+
+    monkeypatch.setattr(spencer, "g_tower", g_tower)
+    monkeypatch.setattr(spencer, "forced_rank", forced_rank)
+    for mod in (prolong, spencer):
+        monkeypatch.setattr(mod, "residual_is_zero",
+                            counting(mod.residual_is_zero))
+    rep = run("B3", {"prolong", "spencer"}, RunOptions(seed=7))
+    assert rep.status == "PASS"
+    assert calls["g_tower"] == 1
+    assert calls["substitutions"] == 2      # the two ad witnesses of B3
+    assert sorted(calls["levels"]) == list(range(1, 8))
+
+
+def test_doubled_bracket_fails_prolong_and_spencer(monkeypatch):
+    _corrupt_build_g(monkeypatch, _double_g1_g1)
+    rep = run("B3", {"prolong", "spencer"}, RunOptions(seed=7))
+    statuses = {c.check_id: c.status for c in rep.checks}
+    assert statuses["prolong-dims"] == statuses["spencer-qdim"] == "FAIL"
+
+
+def test_solve_error_fails_every_reader(monkeypatch):
+    # an error in the shared solve is a FAIL record on each check that
+    # reads it, not an exception out of run
+    real = spencer.cochain_dims
+    monkeypatch.setattr(spencer, "cochain_dims",
+                        lambda g, k: (real(g, k)[0] + 1, real(g, k)[1]))
+    rep = run("B3", {"prolong", "spencer"}, RunOptions(seed=7))
+    recs = {c.check_id: c for c in rep.checks}
+    for check_id in ("prolong-dims", "spencer-qdim"):
+        assert recs[check_id].status == "FAIL"
+        assert "bookkeeping" in recs[check_id].values["error"]
+
+
+@pytest.mark.parametrize("label", ["B3", "D4", "F4"])
+def test_prolong_dims_match_prolongation(label):
+    g = build_g(build_case(label))
+    inp, gplus, g0 = input_from_g(g)
+    res = prolongation(inp, 2, witnesses={1: ad_witnesses(g, inp, gplus, g0)})
+    rep = run(label, {"prolong"}, RunOptions(seed=7))
+    rec = next(c for c in rep.checks if c.check_id == "prolong-dims")
+    assert (rec.dims["p_minus_1"], rec.dims["p_minus_2"]) == (res.dims[1],
+                                                              res.dims[2])
 
 
 def test_doubled_ad_constant_fails_spencer_cocycle(monkeypatch):
