@@ -1,8 +1,9 @@
 """Generic finite-dimensional graded Lie algebra machinery over Q.
 
-Everything is exact: vectors are sparse {index: Fraction} dicts, brackets
-are sparse structure-constant tables, subspaces are canonical reduced
-echelon matrices with cleared denominators.  Tables are immutable by
+Everything is exact: vectors are sparse {index: value} dicts whose values
+are exact rationals, `int` when integral; brackets are sparse
+structure-constant tables; subspaces are canonical reduced echelon
+matrices with cleared denominators.  Tables are immutable by
 convention after construction and safe to share.
 """
 
@@ -25,12 +26,20 @@ class LieAlgebraTable:
     """Finite-dimensional Lie algebra as a sparse bracket table.
 
     brackets holds (i, j) -> sparse vector for i < j only; the (j, i)
-    bracket is the negation.  Absent keys mean zero.
+    bracket is the negation.  Absent keys mean zero.  Construction stores
+    every integral constant as an `int`, in place, so products of table
+    entries stay in integer arithmetic.
     """
 
     dim: int
     labels: tuple
     brackets: dict = field(default_factory=dict)
+
+    def __post_init__(self):
+        for vec in self.brackets.values():
+            for k, c in vec.items():
+                if c.denominator == 1:
+                    vec[k] = int(c)
 
     def bracket_basis(self, i: int, j: int) -> Vec:
         if i == j:
@@ -82,14 +91,12 @@ def check_jacobi(L: LieAlgebraTable) -> list[tuple[int, int, int]]:
     a table breaking weight homogeneity is among the faults to catch.
     """
     n = L.dim
-    # ad[i][j] = [e_i, e_j] as read by bracket(), integral constants as int
+    # ad[i][j] = [e_i, e_j] as read by bracket()
     ad: list[dict] = [{} for _ in range(n)]
     for (i, j), vec in L.brackets.items():
-        v = {k: int(c) if c.denominator == 1 else c
-             for k, c in vec.items() if c}
-        if v and i < j:
-            ad[i][j] = v
-            ad[j][i] = {k: -c for k, c in v.items()}
+        if vec and i < j:
+            ad[i][j] = vec
+            ad[j][i] = {k: -c for k, c in vec.items()}
 
     def violates(a: int, b: int, c: int) -> bool:
         total: dict = {}

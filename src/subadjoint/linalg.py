@@ -1,6 +1,7 @@
 """Exact rational sparse linear algebra, plus a mod-p rank kernel.
 
-Vectors are sparse dicts {index: Fraction} with no explicit zeros.  The
+Vectors are sparse dicts {index: value} with no explicit zeros, values
+exact rationals, `int` when integral (a `Fraction` otherwise).  The
 workhorse is RrefBasis, an incremental reduced-row-echelon accumulator over
 the rationals; every verdict of the verifier comes from it.  ModpDenseRref
 is the same accumulator over a prime field (float64 rows reduced through
@@ -16,7 +17,7 @@ import random
 from fractions import Fraction
 from typing import Iterable
 
-Vec = dict  # {int: Fraction}
+Vec = dict  # {int: int | Fraction}
 
 # Mod-p rows live in float64 so reductions run through BLAS matmuls.  With
 # p < 2**20 and the inner dimension chunked at 4096, every intermediate is an
@@ -27,7 +28,7 @@ _MODP_HI = 1 << MODP_BITS
 _MATMUL_BLOCK = 4096
 
 
-def vec_add_scaled(dst: Vec, src: Vec, c: Fraction) -> None:
+def vec_add_scaled(dst: Vec, src: Vec, c) -> None:
     """dst += c * src, dropping entries that cancel to zero."""
     if not c:
         return
@@ -39,7 +40,7 @@ def vec_add_scaled(dst: Vec, src: Vec, c: Fraction) -> None:
             dst.pop(k, None)
 
 
-def vec_scale(v: Vec, c: Fraction) -> Vec:
+def vec_scale(v: Vec, c) -> Vec:
     if not c:
         return {}
     return {k: c * x for k, x in v.items()}
@@ -49,27 +50,39 @@ class RrefBasis:
     """Incremental reduced row echelon basis over the rationals.
 
     Rows are kept fully reduced: every pivot column appears in exactly one
-    stored row, with value 1.  Adding a row costs one pass over its support
-    plus back-elimination of the new pivot column.
+    stored row, with value 1.  A row whose pivot entry is +-1 keeps its
+    values as they come (`int` rows stay `int`); any other pivot divides
+    the row through as `Fraction`s.  `holders` maps each non-pivot column
+    to the pivots of the stored rows with a nonzero entry there, so adding
+    a row costs one pass over the stored rows its support meets, plus one
+    over the rows that hold its new pivot column.
     """
 
     def __init__(self, ncols: int):
         self.ncols = ncols
         self.rows: dict[int, Vec] = {}  # pivot column -> row
+        self.holders: dict[int, set[int]] = {}  # column -> pivots holding it
 
     @property
     def rank(self) -> int:
         return len(self.rows)
 
     def reduce(self, row: Vec) -> Vec:
+        """row minus its components along the stored rows.
+
+        A stored row meets no other pivot column, so each pivot column of
+        row is cleared once, in any order.
+        """
         out = {k: v for k, v in row.items() if v}
-        for c in sorted(out):
-            coef = out.get(c)
-            if not coef:
-                continue
-            piv = self.rows.get(c)
-            if piv is not None:
-                vec_add_scaled(out, piv, -coef)
+        rows = self.rows
+        for c in [c for c in out if c in rows]:
+            coef = out[c]
+            for k, v in rows[c].items():
+                w = out.get(k, 0) - coef * v
+                if w:
+                    out[k] = w
+                else:
+                    del out[k]
         return out
 
     def add(self, row: Vec) -> bool:
@@ -78,28 +91,47 @@ class RrefBasis:
         if not red:
             return False
         lead = min(red)
-        inv = 1 / Fraction(red[lead])
-        red = vec_scale(red, inv)
-        for piv, prow in self.rows.items():
-            coef = prow.get(lead)
-            if coef:
-                vec_add_scaled(prow, red, -coef)
-        self.rows[lead] = red
+        p = red[lead]
+        if p == -1:
+            red = {k: -v for k, v in red.items()}
+        elif p != 1:
+            inv = 1 / Fraction(p)
+            red = {k: v * inv for k, v in red.items()}
+        rows, holders = self.rows, self.holders
+        tail = [(k, v) for k, v in red.items() if k != lead]
+        for k, _ in tail:
+            holders.setdefault(k, set()).add(lead)
+        for piv in holders.pop(lead, ()):
+            prow = rows[piv]
+            coef = prow.pop(lead)
+            for k, v in tail:
+                old = prow.get(k)
+                if old is None:
+                    prow[k] = -coef * v
+                    holders[k].add(piv)
+                    continue
+                w = old - coef * v
+                if w:
+                    prow[k] = w
+                else:
+                    del prow[k]
+                    holders[k].discard(piv)
+        rows[lead] = red
         return True
 
     def contains(self, row: Vec) -> bool:
         return not self.reduce(row)
 
     def kernel_basis(self) -> list[Vec]:
-        """Basis of {x : Rx = 0} when rows are read as linear functionals."""
-        free = [c for c in range(self.ncols) if c not in self.rows]
+        """Basis of {x : Rx = 0} when rows are read as linear functionals:
+        one vector per free column f, with 1 at f."""
         out = []
-        for f in free:
-            v: Vec = {f: Fraction(1)}
-            for piv, prow in self.rows.items():
-                coef = prow.get(f)
-                if coef:
-                    v[piv] = -coef
+        for f in range(self.ncols):
+            if f in self.rows:
+                continue
+            v: Vec = {f: 1}
+            for piv in self.holders.get(f, ()):
+                v[piv] = -self.rows[piv][f]
             out.append(v)
         return out
 
@@ -331,7 +363,8 @@ class SparseRationalMatrix:
         for k in ker:
             t = k.get(self.ncols)
             if t:
-                return {i: c / t for i, c in k.items() if i < self.ncols and c}
+                return {i: Fraction(c) / t for i, c in k.items()
+                        if i < self.ncols and c}
         return None
 
     def det(self) -> Fraction:

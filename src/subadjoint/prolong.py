@@ -94,13 +94,13 @@ class ProlongInput:
         comp = self.components()
         span = RrefBasis(n)
         for i in comp.get(1, []):
-            span.add({i: Fraction(1)})
-        frontier = [{i: Fraction(1)} for i in comp.get(1, [])]
+            span.add({i: 1})
+        frontier = [{i: 1} for i in comp.get(1, [])]
         while frontier:
             new = []
             for x in frontier:
                 for i in comp.get(1, []):
-                    b = self.nplus.bracket({i: Fraction(1)}, x)
+                    b = self.nplus.bracket({i: 1}, x)
                     if b and span.add(b):
                         new.append(b)
             frontier = new
@@ -152,7 +152,7 @@ def _commutator(A, B, n):
 
 def _vec_sub(a: Vec, b: Vec) -> Vec:
     out = dict(a)
-    vec_add_scaled(out, b, Fraction(-1))
+    vec_add_scaled(out, b, -1)
     return out
 
 
@@ -263,7 +263,7 @@ def pair_rows(inp: ProlongInput, tower: _Tower, k: int, offsets, u: int, v: int,
     def stamp(col: int, coords: Vec, sign: int):
         for m, c in coords.items():
             row = bycoord.setdefault(m, {})
-            val = row.get(col, Fraction(0)) + sign * c
+            val = row.get(col, 0) + sign * c
             if val:
                 row[col] = val
             else:
@@ -316,7 +316,7 @@ def _kernel_vec_to_map(inp, tower, k, offsets, sizes, vec: Vec) -> TaggedMap:
         for s in range(sizes[u]):
             c = vec.get(base + s)
             if c:
-                block[s] = Fraction(c)
+                block[s] = c
         phi[u] = block
     return phi
 
@@ -441,7 +441,8 @@ def ad_witnesses(g, inp: ProlongInput, gplus: list, g0: list) -> list[TaggedMap]
     """phi_a = ad(a)|_{g_+} for a in g_{-1}, written in tower coordinates.
 
     Degree-1 sources land in g_0 (n_0 coordinates, valid because ad is
-    faithful on g_0), higher sources land back in n_+.
+    faithful on g_0), higher sources land back in n_+.  Raises
+    ProlongConsistencyError when [a, u] leaves g_{deg u - 1}.
     """
     t = g.table
     pos = {gi: i for i, gi in enumerate(gplus)}
@@ -456,6 +457,10 @@ def ad_witnesses(g, inp: ProlongInput, gplus: list, g0: list) -> list[TaggedMap]
         for u in gplus:
             raw = t.bracket_basis(a, u)
             du = g.degree[u]
+            if any(g.degree[w] != du - 1 for w in raw):
+                raise ProlongConsistencyError(
+                    f"[{t.labels[a]}, {t.labels[u]}] is not in g_{du - 1}: "
+                    f"the grading of g is not additive")
             if du == 1:
                 phi[pos[u]] = {g0_pos[x]: c for x, c in raw.items()}
             else:

@@ -27,6 +27,20 @@ from .linalg import mat_inverse, mat_vec
 
 Root = tuple  # integer coordinates in the simple-root basis
 
+
+class RootDataError(ValueError):
+    """Root data that breaks what the construction relies on: the positive
+    root count, a unique dominant highest root, a nonzero extraspecial
+    constant, integral Chevalley constants, or a Dynkin diagram of one of
+    the supported types."""
+
+
+def _require(ok: bool, message: str) -> None:
+    """Raise RootDataError unless ok (an assert would vanish under -O)."""
+    if not ok:
+        raise RootDataError(message)
+
+
 _CLASSICAL_POSITIVE_COUNTS = {
     "A": lambda n: n * (n + 1) // 2,
     "B": lambda n: n * n,
@@ -140,11 +154,15 @@ class RootSystem:
 
     def form(self, x, y) -> Fraction:
         """(x, y) with long roots of squared length 2."""
+        return Fraction(self.form6(x, y), 6)
+
+    def form6(self, x, y) -> int:
+        """6 (x, y), an integer for integral x and y."""
         total = 0
         for xi, row in zip(x, self._form6):
             if xi:
                 total += xi * sum(c * yj for c, yj in zip(row, y) if yj)
-        return Fraction(total, 6)
+        return total
 
     def is_root(self, x) -> bool:
         return tuple(x) in self._root_set
@@ -221,16 +239,15 @@ def build_root_system(label: str) -> RootSystem:
         layers.append(sorted(nxt))
     positives = tuple(r for layer in layers for r in sorted(layer))
     expected = _CLASSICAL_POSITIVE_COUNTS[series](rank)
-    if len(positives) != expected:
-        raise AssertionError(
-            f"{label}: closure produced {len(positives)} positive roots, "
-            f"expected {expected}"
-        )
+    _require(len(positives) == expected,
+             f"{label}: closure produced {len(positives)} positive roots, "
+             f"expected {expected}")
     top_height = max(root_height(r) for r in positives)
     tops = [r for r in positives if root_height(r) == top_height]
-    assert len(tops) == 1, "highest root must be unique"
+    _require(len(tops) == 1, f"{label}: highest root is not unique")
     theta = tops[0]
-    assert all(all(theta[i] >= r[i] for i in range(rank)) for r in positives)
+    _require(all(all(theta[i] >= r[i] for i in range(rank)) for r in positives),
+             f"{label}: highest root does not dominate every positive root")
     d = _simple_root_half_lengths(C)
     return RootSystem(
         series=series,
@@ -297,12 +314,24 @@ def _string_down(rs: RootSystem, beta: Root, alpha: Root) -> int:
             return p
 
 
+def _quotient(num: int, den: int, a: Root, b: Root) -> int:
+    """num / den, which is the constant N(a, b) and so an integer."""
+    q, r = divmod(num, den)
+    if r:
+        raise RootDataError(
+            f"structure constant N({a}, {b}) = {Fraction(num, den)} is not "
+            f"an integer")
+    return q
+
+
 class ChevalleyConstants:
-    """All N(a, b) for a Chevalley basis, built by the height recursion."""
+    """All N(a, b) for a Chevalley basis, built by the height recursion in
+    integer arithmetic: each division is exact or raises RootDataError."""
 
     def __init__(self, rs: RootSystem):
         self.rs = rs
-        self._memo: dict[tuple[Root, Root], Fraction] = {}
+        self._memo: dict[tuple[Root, Root], int] = {}
+        self._norm6 = {r: rs.form6(r, r) for r in rs.all_roots()}
         self._extraspecial: dict[Root, tuple[Root, Root]] = {}
         self._build_extraspecial()
 
@@ -319,12 +348,12 @@ class ChevalleyConstants:
         for g, pairs in by_sum.items():
             self._extraspecial[g] = min(pairs, key=lambda ab: order[ab[0]])
 
-    def n(self, a: Root, b: Root) -> Fraction:
+    def n(self, a: Root, b: Root) -> int:
         """Structure constant in [e_a, e_b] = N(a,b) e_{a+b}."""
         rs = self.rs
         s = tuple(x + y for x, y in zip(a, b))
         if not rs.is_root(s):
-            return Fraction(0)
+            return 0
         key = (a, b)
         if key in self._memo:
             return self._memo[key]
@@ -333,7 +362,7 @@ class ChevalleyConstants:
         self._memo[(b, a)] = -val
         return val
 
-    def _compute(self, a: Root, b: Root, s: Root) -> Fraction:
+    def _compute(self, a: Root, b: Root, s: Root) -> int:
         rs = self.rs
         apos = root_height(a) > 0
         bpos = root_height(b) > 0
@@ -342,19 +371,21 @@ class ChevalleyConstants:
                 return -self.n(b, a)
             xi, eta = self._extraspecial[s]
             if (a, b) == (xi, eta):
-                return Fraction(_string_down(rs, b, a) + 1)
+                return _string_down(rs, b, a) + 1
             # Jacobi on (e_{-xi}, e_a, e_b); every constant on the right has
             # strictly smaller height data, so the recursion terminates.
             lhs_coef = self.n(s, tuple(-x for x in xi))
-            rhs = Fraction(0)
+            rhs = 0
             amx = tuple(x - y for x, y in zip(a, xi))
             if rs.is_root(amx):
                 rhs -= self.n(tuple(-x for x in xi), a) * self.n(amx, b)
             bmx = tuple(x - y for x, y in zip(b, xi))
             if rs.is_root(bmx):
                 rhs -= self.n(b, tuple(-x for x in xi)) * self.n(bmx, a)
-            assert lhs_coef, "extraspecial constant vanished"
-            return rhs / lhs_coef
+            if not lhs_coef:
+                raise RootDataError(
+                    f"extraspecial constant N({s}, -{xi}) vanished")
+            return _quotient(rhs, lhs_coef, a, b)
         if not apos and not bpos:
             return -self.n(tuple(-x for x in a), tuple(-x for x in b))
         if not apos:  # make the first argument positive
@@ -364,10 +395,11 @@ class ChevalleyConstants:
         diff = tuple(x - y for x, y in zip(a, mu))  # = s
         if root_height(diff) > 0:
             # triple (s, mu, -a): N(a,-mu) = N(s,mu) (s,s)/(a,a)
-            return self.n(diff, mu) * rs.form(diff, diff) / rs.form(a, a)
+            return _quotient(self.n(diff, mu) * self._norm6[diff],
+                             self._norm6[a], a, b)
         u = tuple(-x for x in diff)
         # triple (a, u, -mu): N(a,-mu) = -N(a,u) (u,u)/(mu,mu)
-        return -self.n(a, u) * rs.form(u, u) / rs.form(mu, mu)
+        return _quotient(-self.n(a, u) * self._norm6[u], self._norm6[mu], a, b)
 
 
 def ordered_basis(rs: RootSystem) -> list[tuple]:
@@ -381,16 +413,17 @@ def chevalley_table(rs: RootSystem) -> LieAlgebraTable:
     """Integer structure-constant table for the simple algebra of rs.
 
     Basis: h_1..h_rank, then e_alpha over all roots (positives in closure
-    order, then negatives).  Deterministic: two calls on equal input give
-    identical tables.
+    order, then negatives).  Constants are stored as `int`; a non-integral
+    or vanishing one raises RootDataError.  Deterministic: two calls on
+    equal input give identical tables.
     """
     basis = ordered_basis(rs)
     index = {key: i for i, key in enumerate(basis)}
     nconst = ChevalleyConstants(rs)
     dim = len(basis)
-    brackets: dict[tuple[int, int], dict[int, Fraction]] = {}
+    brackets: dict[tuple[int, int], dict[int, int]] = {}
 
-    def put(i: int, j: int, vec: dict[int, Fraction]):
+    def put(i: int, j: int, vec: dict[int, int]):
         if not vec:
             return
         if i < j:
@@ -403,9 +436,11 @@ def chevalley_table(rs: RootSystem) -> LieAlgebraTable:
         er = index[("e", r)]
         for i in range(rs.rank):
             c = rs.pairing(r, i)
-            assert c.denominator == 1
+            if c.denominator != 1:
+                raise RootDataError(
+                    f"<{r}, a_{i + 1}^vee> = {c} is not an integer")
             if c:
-                put(index[("h", i)], er, {er: Fraction(c)})
+                put(index[("h", i)], er, {er: int(c)})
     for ia, a in enumerate(roots):
         ea = index[("e", a)]
         for b in roots[ia + 1 :]:
@@ -413,12 +448,14 @@ def chevalley_table(rs: RootSystem) -> LieAlgebraTable:
             s = tuple(x + y for x, y in zip(a, b))
             if not any(s):
                 cor = rs.coroot_coords(a)
-                put(ea, eb, {index[("h", i)]: Fraction(c)
+                put(ea, eb, {index[("h", i)]: c
                              for i, c in enumerate(cor) if c})
             elif rs.is_root(s):
                 c = nconst.n(a, b)
-                assert c.denominator == 1 and c != 0
-                put(ea, eb, {index[("e", s)]: c})
+                if c.denominator != 1 or not c:
+                    raise RootDataError(f"structure constant N({a}, {b}) = {c} "
+                                        f"is not a nonzero integer")
+                put(ea, eb, {index[("e", s)]: int(c)})
     labels = tuple(
         f"h{i + 1}" if kind == "h" else "e" + "".join(f"{c:+d}" for c in data)
         for kind, data in ((k[0], k[1]) for k in basis)
@@ -507,12 +544,12 @@ def _classify_component(C, nodes, adj) -> DynkinComponent:
             nxt = [w for w in local_adj[cur] if w != prev]
             if not nxt:
                 return path
-            assert len(nxt) == 1
+            _require(len(nxt) == 1, "diagram branches where a path is required")
             prev, cur = cur, nxt[0]
             path.append(cur)
 
     if maxmult == 3:
-        assert k == 2, "triple edge only in G2"
+        _require(k == 2, "triple edge only in G2")
         # Bourbaki G2: a1 short, a2 long; the short root's row holds the -3
         a, b = nodes
         if C[a][b] == -3:
@@ -520,12 +557,12 @@ def _classify_component(C, nodes, adj) -> DynkinComponent:
         return DynkinComponent("G", 2, (b, a))
 
     if maxmult == 2:
-        assert max(degrees.values()) <= 2 and len(ends) == 2, \
-            "double edge requires a path"
+        _require(max(degrees.values()) <= 2 and len(ends) == 2,
+                 "double edge requires a path")
         path = walk_path(ends[0])
         dbl = [(path[i], path[i + 1]) for i in range(k - 1)
                if mults[(path[i], path[i + 1])] == 2]
-        assert len(dbl) == 1
+        _require(len(dbl) == 1, "path carries more than one double edge")
         i = path.index(dbl[0][0])
         if k == 2:
             # B2 = C2: normalize to B2, long root first
@@ -542,7 +579,7 @@ def _classify_component(C, nodes, adj) -> DynkinComponent:
             if C[w][v] == -2:
                 return DynkinComponent("B", k, tuple(path))
             return DynkinComponent("C", k, tuple(path))
-        assert k == 4, "interior double edge only in F4"
+        _require(k == 4, "interior double edge only in F4")
         v, w = path[1], path[2]
         if C[v][w] == -1:  # long side first (Bourbaki F4: a2 long, a3 short)
             return DynkinComponent("F", 4, tuple(path))
@@ -554,7 +591,7 @@ def _classify_component(C, nodes, adj) -> DynkinComponent:
         path = walk_path(ends[0])
         alt = walk_path(ends[1])
         return DynkinComponent("A", k, tuple(min(path, alt)))
-    assert len(branch) == 1, "only one branch node in A-D-E"
+    _require(len(branch) == 1, "only one branch node in A-D-E")
     b = branch[0]
     tails = []
     for w in sorted(local_adj[b]):
@@ -575,7 +612,7 @@ def _classify_component(C, nodes, adj) -> DynkinComponent:
         long = tails[2]
         order = list(reversed(long)) + [b] + [tails[0][0], tails[1][0]]
         return DynkinComponent("D", k, tuple(order))
-    assert (l1, l2) == (1, 2) and k in (6, 7, 8), "unrecognized diagram"
+    _require((l1, l2) == (1, 2) and k in (6, 7, 8), "unrecognized diagram")
     # E_k in Bourbaki order: a1 a3 a4 a5 ... on the long path, a2 the stub
     arm2, arm_long = tails[1], tails[2]
     order = [arm2[1], tails[0][0], arm2[0], b] + arm_long

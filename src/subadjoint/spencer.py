@@ -17,6 +17,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from itertools import combinations
 from math import comb
 
@@ -68,15 +69,27 @@ def g_basis_cI(g: GAlgebra) -> list[Fraction]:
 class SpencerSpaces:
     k: int
     basis_C1: list   # (u, w) pairs of g basis indices
-    basis_C2: list   # (u, v, w) with u < v
+    dim_C2: int
+    degree: tuple = field(repr=False)  # degree per g basis index
 
     @property
     def dim_C1(self) -> int:
         return len(self.basis_C1)
 
-    @property
-    def dim_C2(self) -> int:
-        return len(self.basis_C2)
+    @cached_property
+    def basis_C2(self) -> list:
+        """(u, v, w) with u < v in g_+ and w in g_{deg u + deg v + k}, in
+        g-index order; listed on first read."""
+        bydeg: dict[int, list] = {}
+        for i, d in enumerate(self.degree):
+            bydeg.setdefault(d, []).append(i)
+        gplus = [i for i, d in enumerate(self.degree) if d >= 1]
+        return [
+            (u, v, w)
+            for ui, u in enumerate(gplus)
+            for v in gplus[ui + 1 :]
+            for w in bydeg.get(self.degree[u] + self.degree[v] + self.k, [])
+        ]
 
 
 def cochain_dims(g: GAlgebra, k: int) -> tuple[int, int]:
@@ -108,13 +121,12 @@ def spencer_spaces(g: GAlgebra, k: int) -> SpencerSpaces:
         for u in gplus
         for w in bydeg.get(g.degree[u] + k, [])
     ]
-    C2 = [
-        (u, v, w)
+    dim_C2 = sum(
+        len(bydeg.get(g.degree[u] + g.degree[v] + k, ()))
         for ui, u in enumerate(gplus)
         for v in gplus[ui + 1 :]
-        for w in bydeg.get(g.degree[u] + g.degree[v] + k, [])
-    ]
-    sp = SpencerSpaces(k=k, basis_C1=C1, basis_C2=C2)
+    )
+    sp = SpencerSpaces(k=k, basis_C1=C1, dim_C2=dim_C2, degree=tuple(g.degree))
     want1, want2 = cochain_dims(g, k)
     _check(sp.dim_C1 == want1, "C^{k,1} dimension bookkeeping failed")
     _check(sp.dim_C2 == want2, "C^{k,2} dimension bookkeeping failed")

@@ -264,7 +264,7 @@ def run(case_id: str, check_set, options: RunOptions | None = None) -> Verificat
     got_dims = {
         "V": case.dim_V, "l1": case.dim_l1, "l": case.dim_l,
         "V_levels": [case.V_decomp[j].dim for j in range(4)],
-        "g": [g.component_dims()[d] for d in (-1, 0, 1, 2, 3)],
+        "g": [g.component_dims().get(d, 0) for d in (-1, 0, 1, 2, 3)],
         "factors": [c.type_label for c in case.l_components],
     }
     dims_ok = (
@@ -479,11 +479,24 @@ def _run_gstructure(rec: _Recorder, desc: CaseDescriptor, g,
             values={"trials": er.trials})
 
 
-def _run_prolong(rec: _Recorder, g) -> CaseTower:
+def _case_tower(rec: _Recorder, g, check_ids, t1: float) -> CaseTower | None:
+    """The case's CaseTower, or None once each of check_ids has FAILed with
+    the error that stopped it (a grading of g that is not additive)."""
+    try:
+        return CaseTower(g)
+    except ProlongConsistencyError as e:
+        for check_id in check_ids:
+            rec.add(check_id, "FAIL", t1, values={"error": str(e)})
+        return None
+
+
+def _run_prolong(rec: _Recorder, g) -> CaseTower | None:
     # level k of the tower is C^{-k,1}: the first prolongation is
     # dim C^{-1,1} - rank del, the second dim C^{-2,1} - rank del
     t1 = time.monotonic()
-    tower = CaseTower(g)
+    tower = _case_tower(rec, g, ("prolong-dims", "prolong-ad-witnesses"), t1)
+    if tower is None:
+        return None
     dminus1 = g.component_dims()[-1]
     wits_ok = all(tower.passes)
     try:
@@ -514,7 +527,11 @@ def _run_spencer(rec: _Recorder, g, tower: CaseTower | None,
     # del(ad x) = 0 for x in g_{-1}: each ad witness solves level 1 of the
     # tower of g, which is C^{-1,1}; the ones that do bound ker del there
     t1 = time.monotonic()
-    tower = tower or CaseTower(g)
+    tower = tower or _case_tower(rec, g, ("spencer-cocycle-ad",
+                                          "restricted-differentials",
+                                          "spencer-qdim"), t1)
+    if tower is None:
+        return
     rec.add("spencer-cocycle-ad", "PASS" if all(tower.passes) else "FAIL", t1)
 
     t1 = time.monotonic()

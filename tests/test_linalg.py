@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 
 import numpy as np
+import pytest
 
 from subadjoint.linalg import (
     ModpDenseRref,
@@ -139,3 +140,141 @@ def test_modp_rank_never_exceeds_exact():
     other = modp_primes(2)[1]
     assert mat.rank_modp(other) == 2
 
+
+class _FractionRref:
+    """Reference: the elimination as it was before int rows and the holder
+    index.  Every value a Fraction, reduction in column order,
+    back-elimination over every stored row."""
+
+    def __init__(self, ncols):
+        self.ncols = ncols
+        self.rows = {}
+
+    def reduce(self, row):
+        out = {k: Fraction(v) for k, v in row.items() if v}
+        for c in sorted(out):
+            coef = out.get(c)
+            piv = self.rows.get(c)
+            if coef and piv is not None:
+                for k, v in piv.items():
+                    w = out.get(k, Fraction(0)) - coef * v
+                    if w:
+                        out[k] = w
+                    else:
+                        out.pop(k, None)
+        return out
+
+    def add(self, row):
+        red = self.reduce(row)
+        if not red:
+            return False
+        lead = min(red)
+        inv = 1 / red[lead]
+        red = {k: v * inv for k, v in red.items()}
+        for prow in self.rows.values():
+            coef = prow.get(lead)
+            if coef:
+                for k, v in red.items():
+                    w = prow.get(k, Fraction(0)) - coef * v
+                    if w:
+                        prow[k] = w
+                    else:
+                        prow.pop(k, None)
+        self.rows[lead] = red
+        return True
+
+    def kernel_basis(self):
+        out = []
+        for f in range(self.ncols):
+            if f not in self.rows:
+                v = {f: Fraction(1)}
+                for piv, prow in self.rows.items():
+                    if prow.get(f):
+                        v[piv] = -prow[f]
+                out.append(v)
+        return out
+
+
+def _engine_rows(rng, kind, n, m):
+    """Sparse rows over m columns with `unit` entries +-1 (pivots mostly
+    +-1), `int` entries in -3..3 (non-unit pivots) or `fraction` entries;
+    a third of the rows are combinations of earlier ones."""
+    rows = []
+    for _ in range(n):
+        if rows and rng.random() < 0.33:
+            row = {}
+            for src in rng.sample(rows, min(len(rows), 2)):
+                c = rng.choice((-2, -1, 1, 3))
+                for k, v in src.items():
+                    row[k] = row.get(k, 0) + c * v
+            rows.append({k: v for k, v in row.items() if v})
+            continue
+        row = {}
+        for j in range(m):
+            if rng.random() < 0.3:
+                if kind == "unit":
+                    v = rng.choice((-1, 1))
+                elif kind == "int":
+                    v = rng.choice((-3, -2, -1, 1, 2, 3))
+                else:
+                    v = Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+                row[j] = v
+        rows.append(row)
+    return rows
+
+
+def _exact_values(vecs):
+    return all(type(v) in (int, Fraction) for vec in vecs for v in vec.values())
+
+
+def _scanned_holders(acc):
+    out = {}
+    for piv, row in acc.rows.items():
+        for k in row:
+            if k != piv:
+                out.setdefault(k, set()).add(piv)
+    return out
+
+
+@pytest.mark.parametrize("kind", ["unit", "int", "fraction"])
+def test_rref_matches_fraction_reference(kind):
+    rng = random.Random(f"rref-{kind}")
+    for _ in range(40):
+        n, m = rng.randint(1, 14), rng.randint(1, 12)
+        rows = _engine_rows(rng, kind, n, m)
+        acc, ref = RrefBasis(m), _FractionRref(m)
+        for row in rows:
+            assert acc.add(row) == ref.add(row)
+            assert acc.rows == ref.rows
+            assert {k: v for k, v in acc.holders.items() if v} \
+                == _scanned_holders(acc)
+            assert _exact_values(acc.rows.values())
+        assert acc.rank == len(ref.rows)
+        ker = acc.kernel_basis()
+        assert ker == ref.kernel_basis()
+        assert _exact_values(ker)
+        mat = SparseRationalMatrix.from_rows(rows, m)
+        xs = {j: rng.randint(-3, 3) for j in range(m)}
+        b = {}
+        for i, row in enumerate(rows):
+            v = sum(c * xs.get(j, 0) for j, c in row.items())
+            if v:
+                b[i] = v
+        sol = mat.solve(b)
+        assert sol is not None and _exact_values([sol])
+        for i, row in enumerate(rows):
+            assert sum(c * sol.get(j, 0) for j, c in row.items()) \
+                == b.get(i, 0)
+
+
+def test_rref_rows_stay_int_under_unit_pivots():
+    acc = RrefBasis(4)
+    for row in ({0: 1, 1: 2, 3: -1}, {1: -1, 2: 3}, {2: 1, 3: 1}):
+        assert acc.add(row)
+    assert acc.rows == {0: {0: 1, 3: -7}, 1: {1: 1, 3: 3}, 2: {2: 1, 3: 1}}
+    assert all(type(v) is int for r in acc.rows.values() for v in r.values())
+    # a pivot of 2 divides its row through as Fractions
+    acc = RrefBasis(2)
+    acc.add({0: 2, 1: 1})
+    assert acc.rows == {0: {0: 1, 1: Fraction(1, 2)}}
+    assert type(acc.rows[0][1]) is Fraction

@@ -1,12 +1,17 @@
 import gc
+import subprocess
+import sys
 import weakref
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+from subadjoint import rootsys
 from subadjoint.liecore import check_antisymmetry, check_jacobi
 from subadjoint.rootsys import (
     ChevalleyConstants,
+    RootDataError,
     WeightVector,
     build_root_system,
     chevalley_table,
@@ -109,7 +114,52 @@ def test_integer_structure_constants():
     t = chevalley_table(rs)
     for vec in t.brackets.values():
         for c in vec.values():
-            assert c.denominator == 1
+            assert type(c) is int and c
+
+
+def _half_constant_table():
+    """The A2 table with every N(a, b) patched to 1/2."""
+    real = rootsys.ChevalleyConstants.n
+    rootsys.ChevalleyConstants.n = lambda self, a, b: Fraction(1, 2)
+    try:
+        return chevalley_table(build_root_system("A2"))
+    finally:
+        rootsys.ChevalleyConstants.n = real
+
+
+def test_non_integral_constant_raises():
+    with pytest.raises(RootDataError, match="not a nonzero integer"):
+        _half_constant_table()
+
+
+def test_non_integral_constant_raises_under_python_O():
+    # int storage rests on this guard; an assert would vanish under -O
+    script = "\n".join([
+        "import sys",
+        f"sys.path.insert(0, {str(Path(__file__).parent)!r})",
+        "from test_rootsys import _half_constant_table",
+        "from subadjoint.rootsys import RootDataError",
+        "if __debug__:",
+        "    sys.exit('not running under -O')",
+        "try:",
+        "    _half_constant_table()",
+        "except RootDataError:",
+        "    sys.exit(0)",
+        "sys.exit('non-integral constant stored')",
+    ])
+    r = subprocess.run([sys.executable, "-O", "-c", script],
+                       capture_output=True, text=True)
+    assert r.returncode == 0, r.stderr
+
+
+def test_two_branch_nodes_rejected():
+    # simply laced tree with branch nodes 2 and 3: no A-D-E type
+    n = 6
+    cartan = [[2 if i == j else 0 for j in range(n)] for i in range(n)]
+    for i, j in ((0, 2), (1, 2), (2, 3), (3, 4), (3, 5)):
+        cartan[i][j] = cartan[j][i] = -1
+    with pytest.raises(RootDataError, match="one branch node"):
+        classify_dynkin(cartan)
 
 
 def test_weight_conversion_a1():

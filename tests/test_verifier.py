@@ -250,6 +250,28 @@ def test_doubled_bracket_fails_prolong_and_spencer(monkeypatch):
     assert statuses["prolong-dims"] == statuses["spencer-qdim"] == "FAIL"
 
 
+def _v3_to_degree_4(g):
+    g.degree[g.V_level_indices[3][0]] = 4
+
+
+@pytest.mark.parametrize("groups,failed", [
+    ({"prolong"}, ["prolong-dims", "prolong-ad-witnesses"]),
+    ({"spencer"}, ["spencer-cocycle-ad", "restricted-differentials",
+                   "spencer-qdim"]),
+])
+def test_corrupted_degree_fails_tower_readers(monkeypatch, groups, failed):
+    # [g_{-1}, V_3] lands in g_2, not in g_3: building the tower stops, and
+    # every record that reads it FAILs with the reason instead of run raising
+    _corrupt_build_g(monkeypatch, _v3_to_degree_4)
+    rep = run("B3", groups, RunOptions(seed=7))
+    recs = {c.check_id: c for c in rep.checks}
+    assert recs["case-dims"].status == "FAIL"
+    for check_id in failed:
+        assert recs[check_id].status == "FAIL"
+        assert "not additive" in recs[check_id].values["error"]
+    assert exit_code(rep) == 1
+
+
 def test_solve_error_fails_every_reader(monkeypatch):
     # an error in the shared solve is a FAIL record on each check that
     # reads it, not an exception out of run
