@@ -104,8 +104,10 @@ class SubadjointCase:
     l_grading: dict = field(default_factory=dict)   # j -> Subspace of s
     V_decomp: dict = field(default_factory=dict)    # j -> Subspace of s
     V_root_level: dict = field(default_factory=dict)  # root -> j in 0..3
-    c_functional: dict = field(default_factory=dict)  # l_0 label -> Fraction
+    c_functional: dict = field(default_factory=dict)  # l_0 label -> int
     l_table: LieAlgebraTable | None = None  # [l, l] over the l basis
+    _l_weights: dict = field(default_factory=dict, repr=False,
+                             compare=False)  # root -> weight_in_l_coords
 
     # ---- derived basis bookkeeping -------------------------------------
     @property
@@ -133,7 +135,7 @@ class SubadjointCase:
         return self._root_index[r]
 
     def e(self, r: tuple) -> Vec:
-        return {self._root_index[r]: Fraction(1)}
+        return {self._root_index[r]: 1}
 
     def root_of_index(self, k: int) -> tuple:
         """The root whose root vector is s basis vector k."""
@@ -143,7 +145,7 @@ class SubadjointCase:
 
     def coroot_vec(self, r: tuple) -> Vec:
         cor = self.rs.coroot_coords(r)
-        return {i: Fraction(c) for i, c in enumerate(cor) if c}
+        return {i: c for i, c in enumerate(cor) if c}
 
     def l_coords(self, v: Vec) -> Vec:
         """Coordinates of an s-vector lying in l over the l basis.
@@ -157,8 +159,8 @@ class SubadjointCase:
         h = {k: c for k, c in v.items() if k < rank}
         out: Vec = {}
         if h:
-            pair = [sum((c * self.rs.pairing(b, k) for k, c in h.items()),
-                        Fraction(0)) for b in self.l_simple_roots]
+            pair = [sum(c * self.rs.pairing(b, k) for k, c in h.items())
+                    for b in self.l_simple_roots]
             inv = self._l_cartan_inv
             back: Vec = {}
             for i, b in enumerate(self.l_simple_roots):
@@ -178,16 +180,16 @@ class SubadjointCase:
         return out
 
     def weight_in_l_coords(self, weight_root) -> tuple:
-        """Simple-root coordinates (over l) of an s-weight restricted to l."""
-        f = [
-            Fraction(2) * self.rs.form(weight_root, b) / self.rs.form(b, b)
-            for b in self.l_simple_roots
-        ]
-        return tuple(mat_vec(self._l_cartan_inv, f))
-
-    def cI(self, weight_root) -> Fraction:
-        c = self.weight_in_l_coords(weight_root)
-        return sum((c[i] for i in self.marked), Fraction(0))
+        """Simple-root coordinates (over l) of an s-weight restricted to l,
+        computed once per root: C_l^{-1} applied to the integer pairings
+        <weight_root, b^vee> with the simple roots b of l."""
+        out = self._l_weights.get(weight_root)
+        if out is None:
+            f = [_cartan_entry(self.rs, b, weight_root)
+                 for b in self.l_simple_roots]
+            out = self._l_weights[weight_root] = tuple(
+                mat_vec(self._l_cartan_inv, f))
+        return out
 
     def ideal_of_root(self, r: tuple) -> int:
         """Index of the simple ideal containing the root r of l."""
@@ -231,26 +233,21 @@ def build_case(label: str) -> SubadjointCase:
     root_index = {r: rs.rank + i for i, r in enumerate(s_roots)}
 
     degree = {}
-    theta_cor = rs.coroot_coords(rs.highest_root)
+    theta = rs.highest_root
+    theta_cor = rs.coroot_coords(theta)
     for r in s_roots:
-        d = Fraction(2) * rs.form(r, rs.highest_root) / rs.form(
-            rs.highest_root, rs.highest_root
-        )
+        d = _cartan_entry(rs, theta, r)
         # coroot-coefficient route must agree with the symmetric-form route
-        _check(d == sum(
-            Fraction(theta_cor[j]) * rs.pairing(r, j) for j in range(rs.rank)
-        ) and d.denominator == 1, "contact degree routes disagree")
-        degree[r] = int(d)
+        _check(d == sum(theta_cor[j] * rs.pairing(r, j) for j in range(rs.rank)),
+               "contact degree routes disagree")
+        degree[r] = d
 
     V_roots = tuple(r for r in s_roots if degree[r] == 1)
 
     # the semisimple part l of s_0: degree-zero root subsystem
     l_simple = _degree_zero_simple_system(rs, degree)
     l_roots = tuple(r for r in s_roots if degree[r] == 0)
-    l_cartan = [
-        [_int(Fraction(2) * rs.form(a, b) / rs.form(a, a)) for b in l_simple]
-        for a in l_simple
-    ]
+    l_cartan = [[_cartan_entry(rs, a, b) for b in l_simple] for a in l_simple]
     comps = classify_dynkin(l_cartan)
 
     # lowest/highest weight vectors of V under l: killed by all lowering
@@ -269,17 +266,14 @@ def build_case(label: str) -> SubadjointCase:
 
     # embedding weight omega_*: v0 is a lowest weight vector, so the
     # restriction of its weight to the Cartan of l is -omega_*
-    l_cartan_frac = [[Fraction(x) for x in row] for row in l_cartan]
-    l_cartan_inv = mat_inverse(l_cartan_frac)
-    fund = []
-    for b in l_simple:
-        fund.append(-Fraction(2) * rs.form(v0_root, b) / rs.form(b, b))
-    _check(all(x.denominator == 1 and x >= 0 for x in fund),
+    l_cartan_inv = mat_inverse(l_cartan)
+    fund = [-_cartan_entry(rs, b, v0_root) for b in l_simple]
+    _check(all(x >= 0 for x in fund),
            f"v0 is not a lowest weight vector: {fund}")
     marked = tuple(i for i, x in enumerate(fund) if x > 0)
     embedding_weight = WeightVector(tuple(fund), "fundamental")
     embedding_weight_simple = WeightVector(
-        tuple(mat_vec(l_cartan_inv, [Fraction(x) for x in fund])), "simple"
+        tuple(mat_vec(l_cartan_inv, fund)), "simple"
     )
 
     # each simple ideal carries exactly one marked node
@@ -299,7 +293,7 @@ def build_case(label: str) -> SubadjointCase:
     for i, b in enumerate(l_simple):
         t = sum((l_cartan_inv[j][i] for j in marked), Fraction(0))
         cor = rs.coroot_coords(b)
-        vec_add_scaled(z, {k: Fraction(c) for k, c in enumerate(cor) if c}, t)
+        vec_add_scaled(z, {k: c for k, c in enumerate(cor) if c}, t)
 
     # l-grading by z eigenvalues
     def z_eigenvalue(r) -> Fraction:
@@ -321,7 +315,7 @@ def build_case(label: str) -> SubadjointCase:
         contact=contact,
         V_roots=V_roots,
         V=Subspace.from_vectors(
-            s_table.dim, [{root_index[r]: Fraction(1)} for r in V_roots]
+            s_table.dim, [{root_index[r]: 1} for r in V_roots]
         ),
         v0_root=v0_root,
         v0_index=root_index[v0_root],
@@ -355,9 +349,12 @@ def build_case(label: str) -> SubadjointCase:
     return case
 
 
-def _int(x: Fraction) -> int:
-    _check(x.denominator == 1, f"non-integral Cartan entry {x}")
-    return int(x)
+def _cartan_entry(rs: RootSystem, a: tuple, b: tuple) -> int:
+    """<b, a^vee> = 2 (a, b) / (a, a) for roots a, b: an integer, so the
+    division of the integer forms 6(., .) is exact or raises."""
+    q, rem = divmod(2 * rs.form6(a, b), rs.form6(a, a))
+    _check(not rem, f"non-integral Cartan entry <{b}, {a}^vee>")
+    return q
 
 
 def _finish_gradings(case: SubadjointCase) -> None:
@@ -394,11 +391,11 @@ def _finish_gradings(case: SubadjointCase) -> None:
     for r in case.l0_roots():
         br = s.bracket(case.e(r), v0)
         _check(set(br) <= {case.v0_index}, "l_0 moves the v0 line")
-        cf[("e", r)] = br.get(case.v0_index, Fraction(0))
+        cf[("e", r)] = br.get(case.v0_index, 0)
     for b in case.l_simple_roots:
         br = s.bracket(case.coroot_vec(b), v0)
         _check(set(br) <= {case.v0_index}, "l_0 moves the v0 line")
-        cf[("h", b)] = br.get(case.v0_index, Fraction(0))
+        cf[("h", b)] = br.get(case.v0_index, 0)
     case.c_functional = cf
 
 
@@ -459,7 +456,7 @@ def _validate_case(case: SubadjointCase) -> None:
     # l_degree; here we check the bracket action agrees)
     for j in (-1, 0, 1):
         for vec in case.l_grading[j].basis_vectors():
-            _check(s.bracket(case.z, vec) == vec_scale(vec, Fraction(j)),
+            _check(s.bracket(case.z, vec) == vec_scale(vec, j),
                    f"z does not act by {j} on l_{j}")
 
     # osculating route: V_{j+1} = [l_1, V_j] starting from V_0 = <v0>
@@ -519,20 +516,20 @@ def _restricted_table(case: SubadjointCase) -> LieAlgebraTable:
 # Symplectic form and fundamental forms
 # --------------------------------------------------------------------------
 
-def symplectic_form(case: SubadjointCase) -> list[list[Fraction]]:
+def symplectic_form(case: SubadjointCase) -> list[list[int]]:
     """Matrix of sigma on the V basis, valued in the line s_2."""
     rs, s = case.rs, case.s_table
     theta_idx = case.root_index(rs.highest_root)
     n = case.dim_V
     idx = [case.root_index(v) for v in case.V_roots]
-    mat = [[Fraction(0)] * n for _ in range(n)]
+    mat = [[0] * n for _ in range(n)]
     for i in range(n):
         for j in range(n):
             if i == j:
                 continue
             br = s.bracket_basis(idx[i], idx[j])
             _check(set(br) <= {theta_idx}, "degree-2 bracket escaped s_2")
-            mat[i][j] = br.get(theta_idx, Fraction(0))
+            mat[i][j] = br.get(theta_idx, 0)
     return mat
 
 
@@ -566,8 +563,8 @@ def fundamental_forms(case: SubadjointCase) -> FundamentalForms:
     d = len(l1)
     v0 = case.e(case.v0_root)
 
-    def to_v2(vec: Vec) -> list[Fraction]:
-        out = [Fraction(0)] * len(V2)
+    def to_v2(vec: Vec) -> list[int]:
+        out = [0] * len(V2)
         for k, c in vec.items():
             out[v2_pos[k]] = c
         return out
@@ -576,8 +573,8 @@ def fundamental_forms(case: SubadjointCase) -> FundamentalForms:
     II = [[to_v2(s.bracket(case.e(a), first[bi])) for bi in range(d)]
           for a in l1]
     III = [[[s.bracket(case.e(a), s.bracket(case.e(b), first[ci])).get(
-        v3_idx, Fraction(0)) for ci in range(d)] for b in l1] for a in l1]
-    beta = [[s.bracket(case.e(a), case.e(w)).get(v3_idx, Fraction(0))
+        v3_idx, 0) for ci in range(d)] for b in l1] for a in l1]
+    beta = [[s.bracket(case.e(a), case.e(w)).get(v3_idx, 0)
              for a in l1] for w in V2]
     return FundamentalForms(
         l1_roots=tuple(l1), V2_roots=tuple(V2), II=II, III=III, beta=beta
@@ -587,9 +584,9 @@ def fundamental_forms(case: SubadjointCase) -> FundamentalForms:
 def ii_value(case: SubadjointCase, forms: FundamentalForms, b: Vec) -> list:
     """II(b, b) for an arbitrary vector b in l_1 (V_2 coordinates)."""
     l1_idx = [case.root_index(r) for r in forms.l1_roots]
-    coeffs = [b.get(i, Fraction(0)) for i in l1_idx]
+    coeffs = [b.get(i, 0) for i in l1_idx]
     d = forms.dim
-    out = [Fraction(0)] * len(forms.V2_roots)
+    out = [0] * len(forms.V2_roots)
     for i in range(d):
         if not coeffs[i]:
             continue
@@ -604,12 +601,12 @@ def ii_value(case: SubadjointCase, forms: FundamentalForms, b: Vec) -> list:
     return out
 
 
-def iii_value(case: SubadjointCase, forms: FundamentalForms, b: Vec) -> Fraction:
+def iii_value(case: SubadjointCase, forms: FundamentalForms, b: Vec):
     """III(b, b, b) for an arbitrary vector b in l_1."""
     l1_idx = [case.root_index(r) for r in forms.l1_roots]
-    coeffs = [b.get(i, Fraction(0)) for i in l1_idx]
+    coeffs = [b.get(i, 0) for i in l1_idx]
     d = forms.dim
-    total = Fraction(0)
+    total = 0
     for i in range(d):
         if not coeffs[i]:
             continue
@@ -685,7 +682,7 @@ def _exp_ad(s: LieAlgebraTable, f: Vec, v: Vec) -> Vec:
         if not term:
             break
         term = vec_scale(term, Fraction(1, k))
-        vec_add_scaled(out, term, Fraction(1))
+        vec_add_scaled(out, term, 1)
         k += 1
         _check(k < 64, "ad f is not nilpotent on the sampled vector")
     return out

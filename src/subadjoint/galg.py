@@ -11,7 +11,6 @@ what the operator A = ad(v0) shifts by one.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 from .cases import (
     CaseConsistencyError,
@@ -52,7 +51,7 @@ class GAlgebra:
 
     def subspace(self, indices) -> Subspace:
         return Subspace.from_vectors(
-            self.table.dim, [{i: Fraction(1)} for i in indices]
+            self.table.dim, [{i: 1} for i in indices]
         )
 
 
@@ -81,7 +80,7 @@ def build_g(case: SubadjointCase) -> GAlgebra:
 
     # [Id, v] = v for v in V; [Id, l] = 0
     for r in case.V_roots:
-        put(0, v_pos[r], {v_pos[r]: Fraction(1)})
+        put(0, v_pos[r], {v_pos[r]: 1})
     # [l, l] from the restricted table of l, [l, V] from s; [V, V] = 0 by
     # construction of the semidirect product
     l_table = case.l_table.brackets
@@ -159,7 +158,7 @@ def _validate_g(g: GAlgebra) -> None:
             _check(set(vec) <= vidx, "V not an ideal")
     # Id acts as the identity on V and zero on l
     for j in range(t.dim):
-        want = {j: Fraction(1)} if j in vidx else {}
+        want = {j: 1} if j in vidx else {}
         _check(t.bracket_basis(0, j) == want, "Id does not act as 0 + Id_V")
     # degree additivity on basis brackets
     for (i, j), vec in t.brackets.items():
@@ -192,8 +191,8 @@ class OperatorA:
 
 
 def operator_a(g: GAlgebra) -> OperatorA:
-    v0 = {g.v0_index: Fraction(1)}
-    return OperatorA(g=g, columns=[g.table.bracket(v0, {j: Fraction(1)})
+    v0 = {g.v0_index: 1}
+    return OperatorA(g=g, columns=[g.table.bracket(v0, {j: 1})
                                    for j in range(g.table.dim)])
 
 
@@ -219,17 +218,17 @@ def verify_structure_identities(g: GAlgebra) -> list[IdentityCheck]:
     """
     t = g.table
     out = []
-    v0 = {g.v0_index: Fraction(1)}
+    v0 = {g.v0_index: 1}
 
     # (a): coefficients of t^0, t^1, t^2 vanish for all basis pairs in l_1
     bad = None
-    dots = {a: t.bracket({a: Fraction(1)}, v0) for a in g.l1_indices}
+    dots = {a: t.bracket({a: 1}, v0) for a in g.l1_indices}
     for a in g.l1_indices:
         for b in g.l1_indices:
-            av, bv = {a: Fraction(1)}, {b: Fraction(1)}
+            av, bv = {a: 1}, {b: 1}
             c0 = t.bracket(av, bv)
             c1 = t.bracket(av, dots[b])
-            vec_add_scaled(c1, t.bracket(dots[a], bv), Fraction(1))
+            vec_add_scaled(c1, t.bracket(dots[a], bv), 1)
             c2 = t.bracket(dots[a], dots[b])
             if c0 or c1 or c2:
                 bad = (a, b)
@@ -347,7 +346,7 @@ def verify_g_module_structure(g: GAlgebra) -> list[IdentityCheck]:
         br = t.bracket_basis(x, g.v0_index)
         if set(br) - {g.v0_index}:
             ok_c = False
-        vals[t.labels[x]] = br.get(g.v0_index, Fraction(0))
+        vals[t.labels[x]] = br.get(g.v0_index, 0)
     out.append(IdentityCheck(
         "c-functional", "PASS" if ok_c else "FAIL",
         {"nonzero_values": sum(1 for v in vals.values() if v)},

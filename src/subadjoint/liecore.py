@@ -10,7 +10,6 @@ convention after construction and safe to share.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 from math import gcd
 from typing import Callable
 
@@ -67,7 +66,7 @@ class LieAlgebraTable:
 
     def ad_columns(self, x: Vec) -> list[Vec]:
         """Columns of ad(x): image of each basis vector."""
-        return [self.bracket(x, {j: Fraction(1)}) for j in range(self.dim)]
+        return [self.bracket(x, {j: 1}) for j in range(self.dim)]
 
 
 def check_antisymmetry(L: LieAlgebraTable) -> bool:
@@ -169,7 +168,7 @@ class Subspace:
     @classmethod
     def full(cls, ambient_dim: int) -> "Subspace":
         return cls.from_vectors(
-            ambient_dim, [{i: Fraction(1)} for i in range(ambient_dim)]
+            ambient_dim, [{i: 1} for i in range(ambient_dim)]
         )
 
     @property
@@ -180,7 +179,7 @@ class Subspace:
         return not self.rows
 
     def basis_vectors(self) -> list[Vec]:
-        return [{i: Fraction(v) for i, v in row} for row in self.rows]
+        return [dict(row) for row in self.rows]
 
     def _acc(self) -> RrefBasis:
         acc = RrefBasis(self.ambient_dim)
@@ -287,13 +286,13 @@ def grade_by_element(L: LieAlgebraTable, h: Vec) -> Grading:
     if diagonal:
         degree = {}
         for j, col in enumerate(cols):
-            ev = col.get(j, Fraction(0))
+            ev = col.get(j, 0)
             if ev.denominator != 1:
                 raise InvalidGradingElement(f"non-integer eigenvalue {ev}")
             degree[j] = int(ev)
         comps: dict[int, list] = {}
         for j, d in degree.items():
-            comps.setdefault(d, []).append({j: Fraction(1)})
+            comps.setdefault(d, []).append({j: 1})
         components = {
             d: Subspace.from_vectors(L.dim, vs) for d, vs in comps.items()
         }
@@ -311,7 +310,7 @@ def grade_by_element(L: LieAlgebraTable, h: Vec) -> Grading:
         for i in range(L.dim):
             row: Vec = {}
             for j, col in enumerate(cols):
-                v = col.get(i, Fraction(0))
+                v = col.get(i, 0)
                 if i == j:
                     v -= lam
                 if v:
@@ -337,7 +336,7 @@ def contact_grading(L: LieAlgebraTable, rs) -> Grading:
     components are 1-dimensional; InvalidGradingElement is raised otherwise.
     """
     cor = rs.coroot_coords(rs.highest_root)
-    h: Vec = {i: Fraction(c) for i, c in enumerate(cor) if c}
+    h: Vec = {i: c for i, c in enumerate(cor) if c}
     g = grade_by_element(L, h)
     degs = g.degrees()
     if not set(degs) <= {-2, -1, 0, 1, 2}:
@@ -356,7 +355,7 @@ def line_stabilizer(L: LieAlgebraTable, v: Vec, action: Callable[[Vec, Vec], Vec
     """
     cols = []
     for i in range(L.dim):
-        cols.append(action({i: Fraction(1)}, v))
+        cols.append(action({i: 1}, v))
     rows = []
     for m in range(module_dim):
         row: Vec = {}

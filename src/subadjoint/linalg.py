@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from math import lcm
 from typing import Iterable
 
 Vec = dict  # {int: int | Fraction}
@@ -324,7 +325,7 @@ class SparseRationalMatrix:
     def from_dense(cls, dense: list[list]) -> "SparseRationalMatrix":
         rows = []
         for r in dense:
-            rows.append({j: Fraction(v) for j, v in enumerate(r) if v})
+            rows.append({j: v for j, v in enumerate(r) if v})
         return cls(len(dense), len(dense[0]) if dense else 0, rows)
 
     def rank(self) -> int:
@@ -368,15 +369,24 @@ class SparseRationalMatrix:
         return None
 
     def det(self) -> Fraction:
-        """Exact determinant via fraction-free (Bareiss) elimination."""
+        """Exact determinant, as a Fraction, by integer Bareiss elimination.
+
+        Each row is scaled by the lcm of its denominators, so the
+        elimination runs on Python ints.  By Sylvester's identity every
+        division of the fraction-free elimination (Bareiss, Math. Comp. 22,
+        1968) is exact; a remainder raises ArithmeticError.  The result is
+        the integer determinant over the product of the row scales.
+        """
         if self.nrows != self.ncols:
             raise ValueError("determinant of a non-square matrix")
         n = self.nrows
-        if n == 0:
-            return Fraction(1)
-        a = [[Fraction(row.get(j, 0)) for j in range(n)] for row in self.rows]
-        sign = 1
-        prev = Fraction(1)
+        scale = 1
+        a = []
+        for row in self.rows:
+            m = lcm(*(v.denominator for v in row.values()))
+            scale *= m
+            a.append([int(row.get(j, 0) * m) for j in range(n)])
+        sign, prev = 1, 1
         for k in range(n - 1):
             if not a[k][k]:
                 for i in range(k + 1, n):
@@ -386,12 +396,18 @@ class SparseRationalMatrix:
                         break
                 else:
                     return Fraction(0)
-            for i in range(k + 1, n):
+            rk = a[k]
+            piv = rk[k]
+            for ri in a[k + 1:]:
+                c = ri[k]
                 for j in range(k + 1, n):
-                    a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) / prev
-                a[i][k] = Fraction(0)
-            prev = a[k][k]
-        return sign * a[n - 1][n - 1]
+                    q, rem = divmod(ri[j] * piv - c * rk[j], prev)
+                    if rem:
+                        raise ArithmeticError("inexact Bareiss division")
+                    ri[j] = q
+                ri[k] = 0
+            prev = piv
+        return Fraction(sign * a[n - 1][n - 1] if n else 1, scale)
 
 
 def mat_inverse(m: list[list[Fraction]]) -> list[list[Fraction]]:

@@ -18,7 +18,7 @@ Conventions fixed once for the whole package:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 
@@ -31,8 +31,9 @@ Root = tuple  # integer coordinates in the simple-root basis
 class RootDataError(ValueError):
     """Root data that breaks what the construction relies on: the positive
     root count, a unique dominant highest root, a nonzero extraspecial
-    constant, integral Chevalley constants, or a Dynkin diagram of one of
-    the supported types."""
+    constant, integral Chevalley constants and coroot coefficients, half
+    lengths in {1, 1/2, 1/3}, or a Dynkin diagram of one of the supported
+    types."""
 
 
 def _require(ok: bool, message: str) -> None:
@@ -132,14 +133,17 @@ class RootSystem:
     positive_roots: tuple
     highest_root: Root
     half_lengths: tuple  # d_i = (a_i, a_i)/2, long roots normalized to 1
+    _coroots: dict = field(default_factory=dict, init=False, repr=False,
+                           compare=False)  # root -> coroot_coords(root)
 
     @property
     def type_label(self) -> str:
         return f"{self.series}{self.rank}"
 
-    def pairing(self, x, i: int) -> Fraction:
-        """<x, a_i^vee> for x in simple-root coordinates."""
-        return Fraction(sum(c * xj for c, xj in zip(self.cartan[i], x)))
+    def pairing(self, x, i: int):
+        """<x, a_i^vee> for x in simple-root coordinates (an `int` for
+        integral x)."""
+        return sum(c * xj for c, xj in zip(self.cartan[i], x))
 
     @cached_property
     def _form6(self) -> tuple:
@@ -148,8 +152,8 @@ class RootSystem:
             tuple(6 * d * c for c in row)
             for d, row in zip(self.half_lengths, self.cartan)
         )
-        if any(v.denominator != 1 for row in out for v in row):
-            raise ValueError("half lengths outside {1, 1/2, 1/3}")
+        _require(all(v.denominator == 1 for row in out for v in row),
+                 "half lengths outside {1, 1/2, 1/3}")
         return tuple(tuple(int(v) for v in row) for row in out)
 
     def form(self, x, y) -> Fraction:
@@ -178,15 +182,20 @@ class RootSystem:
         return list(self.positive_roots) + neg
 
     def coroot_coords(self, alpha) -> tuple:
-        """alpha^vee = sum_i c_i a_i^vee; returns integer c_i."""
-        dalpha = self.form(alpha, alpha) / 2
-        out = []
-        for i in range(self.rank):
-            c = Fraction(alpha[i]) * self.half_lengths[i] / dalpha
-            if c.denominator != 1:
-                raise ValueError("non-integral coroot coefficient")
-            out.append(int(c))
-        return tuple(out)
+        """alpha^vee = sum_i c_i a_i^vee; returns the integer c_i, cached per
+        root.  c_i = alpha_i 6(a_i, a_i) / 6(alpha, alpha), an exact division
+        or RootDataError."""
+        alpha = tuple(alpha)
+        out = self._coroots.get(alpha)
+        if out is None:
+            norm6 = self.form6(alpha, alpha)
+            out = []
+            for i, x in enumerate(alpha):
+                c, rem = divmod(x * self._form6[i][i], norm6)
+                _require(not rem, f"non-integral coroot coefficient of {alpha}")
+                out.append(c)
+            out = self._coroots[alpha] = tuple(out)
+        return out
 
 
 def _parse_label(label: str) -> tuple[str, int]:
@@ -436,11 +445,8 @@ def chevalley_table(rs: RootSystem) -> LieAlgebraTable:
         er = index[("e", r)]
         for i in range(rs.rank):
             c = rs.pairing(r, i)
-            if c.denominator != 1:
-                raise RootDataError(
-                    f"<{r}, a_{i + 1}^vee> = {c} is not an integer")
             if c:
-                put(index[("h", i)], er, {er: int(c)})
+                put(index[("h", i)], er, {er: c})
     for ia, a in enumerate(roots):
         ea = index[("e", a)]
         for b in roots[ia + 1 :]:

@@ -442,7 +442,7 @@ def partial_prime_checks(g: GAlgebra,
     mat_prime = restricted(combinations(V2, 2))
     mat_dp = restricted((u, v) for u in V1 for v in V2)
 
-    pairing = [[t.bracket_basis(a, w).get(v3, Fraction(0)) for a in l1]
+    pairing = [[t.bracket_basis(a, w).get(v3, 0) for a in l1]
                for w in V2]
     pair_ok = SparseRationalMatrix.from_dense(pairing).det() != 0
 

@@ -32,6 +32,24 @@ def f4():
     return build_case("F4")
 
 
+@pytest.mark.parametrize("label", ["B3", "D4", "F4"])
+def test_case_data_and_forms_are_int(label):
+    case = build_case(label)
+    vals = []
+    for r in case.rs.all_roots():
+        vals += case.e(r).values()
+        vals += case.coroot_vec(r).values()
+    for sp in [*case.V_decomp.values(), *case.l_grading.values(), case.V]:
+        for vec in sp.basis_vectors():
+            vals += vec.values()
+    vals += [x for row in symplectic_form(case) for x in row]
+    forms = fundamental_forms(case)
+    vals += [x for rows in forms.II for row in rows for x in row]
+    vals += [x for rows in forms.III for row in rows for x in row]
+    vals += [x for row in forms.beta for x in row]
+    assert vals and all(type(v) is int for v in vals)
+
+
 def test_b3_dimensions(b3):
     assert b3.dim_V == 6
     assert b3.dim_l1 == 2

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import lcm, prod
 
 import numpy as np
 import pytest
@@ -66,6 +67,74 @@ def test_det_known_value():
     assert m.det() == 1
     m = SparseRationalMatrix.from_dense([[0, 1], [1, 0]])
     assert m.det() == -1
+
+
+def _fraction_det(dense):
+    """Reference: the Bareiss elimination as it was before integer rows,
+    every entry a Fraction."""
+    n = len(dense)
+    if n == 0:
+        return Fraction(1)
+    a = [[Fraction(v) for v in row] for row in dense]
+    sign = 1
+    prev = Fraction(1)
+    for k in range(n - 1):
+        if not a[k][k]:
+            for i in range(k + 1, n):
+                if a[i][k]:
+                    a[k], a[i] = a[i], a[k]
+                    sign = -sign
+                    break
+            else:
+                return Fraction(0)
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) / prev
+            a[i][k] = Fraction(0)
+        prev = a[k][k]
+    return sign * a[n - 1][n - 1]
+
+
+def _det_matrix(rng, kind, shape, n):
+    """n x n dense matrix of `int` or `fraction` entries, a third of them
+    zero.  `singular`: the last row combines two others; `swap`: the first
+    pivot is zero and a lower row is not, so elimination must swap rows."""
+    def entry():
+        if rng.random() < 0.33:
+            return 0
+        if kind == "int":
+            return rng.randint(-9, 9)
+        return Fraction(rng.randint(-9, 9), rng.randint(1, 6))
+
+    a = [[entry() for _ in range(n)] for _ in range(n)]
+    if shape == "singular":
+        x, y = rng.sample(range(n - 1), 2) if n > 2 else (0, 0)
+        cx, cy = rng.choice((-2, 1, 3)), rng.choice((-1, 2))
+        a[-1] = [cx * u + cy * v for u, v in zip(a[x], a[y])]
+    elif shape == "swap":
+        a[0][0] = 0
+        a[rng.randrange(1, n)][0] = rng.choice((-2, 1, 5))
+    return a
+
+
+@pytest.mark.parametrize("kind", ["int", "fraction"])
+@pytest.mark.parametrize("shape", ["random", "singular", "swap"])
+def test_det_matches_fraction_reference(kind, shape):
+    rng = random.Random(f"det-{kind}-{shape}")
+    for _ in range(40):
+        dense = _det_matrix(rng, kind, shape, rng.randint(2, 7))
+        det = SparseRationalMatrix.from_dense(dense).det()
+        assert type(det) is Fraction
+        assert det == _fraction_det(dense)
+        if shape == "singular":
+            assert det == 0
+        # the row-scaled integer twin has det times the product of the scales
+        scales = [lcm(*(Fraction(v).denominator for v in row)) for row in dense]
+        twin = [[int(v * m) for v in row] for row, m in zip(dense, scales)]
+        twin_det = SparseRationalMatrix.from_dense(twin).det()
+        assert type(twin_det) is Fraction
+        assert twin_det == det * prod(scales)
+    assert SparseRationalMatrix.from_dense([]).det() == Fraction(1)
 
 
 def test_solve():

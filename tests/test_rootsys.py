@@ -1,3 +1,4 @@
+import dataclasses
 import gc
 import subprocess
 import sys
@@ -150,6 +151,66 @@ def test_non_integral_constant_raises_under_python_O():
     r = subprocess.run([sys.executable, "-O", "-c", script],
                        capture_output=True, text=True)
     assert r.returncode == 0, r.stderr
+
+
+def _a2_with_half_lengths(*d):
+    return dataclasses.replace(build_root_system("A2"),
+                               half_lengths=tuple(Fraction(x) for x in d))
+
+
+def _non_integral_coroot():
+    # 6(alpha, alpha) = 9 for alpha = a_1 + a_2, which does not divide
+    # alpha_1 6(a_1, a_1) = 12
+    return _a2_with_half_lengths(1, Fraction(1, 2)).coroot_coords((1, 1))
+
+
+def _non_integral_form6():
+    # 6 (1/4) C[1][0] = -3/2
+    return _a2_with_half_lengths(1, Fraction(1, 4)).form6((1, 0), (0, 1))
+
+
+# (fault, a word of its message); each guard must raise RootDataError
+ROOT_DATA_FAULTS = [
+    ("_non_integral_coroot", "coroot coefficient"),
+    ("_non_integral_form6", "half lengths"),
+]
+
+
+@pytest.mark.parametrize("fault,word", ROOT_DATA_FAULTS)
+def test_bad_root_data_raises(fault, word):
+    with pytest.raises(RootDataError, match=word):
+        globals()[fault]()
+
+
+@pytest.mark.parametrize("fault,word", ROOT_DATA_FAULTS)
+def test_bad_root_data_raises_under_python_O(fault, word):
+    # the guards must not be asserts, which -O strips
+    script = "\n".join([
+        "import sys",
+        f"sys.path.insert(0, {str(Path(__file__).parent)!r})",
+        f"from test_rootsys import {fault}",
+        "from subadjoint.rootsys import RootDataError",
+        "if __debug__:",
+        "    sys.exit('not running under -O')",
+        "try:",
+        f"    {fault}()",
+        "except RootDataError:",
+        "    sys.exit(0)",
+        "sys.exit('non-integral root data accepted')",
+    ])
+    r = subprocess.run([sys.executable, "-O", "-c", script],
+                       capture_output=True, text=True)
+    assert r.returncode == 0, r.stderr
+
+
+def test_coroot_coords_integral_and_cached():
+    rs = build_root_system("F4")
+    for r in rs.all_roots():
+        cor = rs.coroot_coords(r)
+        assert all(type(c) is int for c in cor)
+        assert rs.coroot_coords(r) is cor
+        # <r, r^vee> = 2
+        assert sum(c * rs.pairing(r, i) for i, c in enumerate(cor)) == 2
 
 
 def test_two_branch_nodes_rejected():

@@ -417,6 +417,62 @@ def test_forms_errors_fail_under_python_O(corrupt, failed, word):
     assert r.returncode == 0, r.stderr
 
 
+def _zero_sigma_pair(case):
+    """Zero one [v, theta - v] bracket of s, v and theta - v both not v0."""
+    s = case.s_table
+    theta = case.root_index(case.rs.highest_root)
+    idx = {case.root_index(v) for v in case.V_roots} - {case.v0_index}
+    key = min(k for k, vec in s.brackets.items()
+              if theta in vec and k[0] in idx and k[1] in idx)
+    s.brackets[key] = {}
+
+
+def _zero_beta_entry(case):
+    """Zero the V_3 coefficient of one [a, w] bracket, a in l_1, w in V_2."""
+    s = case.s_table
+    v3 = next(case.root_index(v) for v in case.V_roots
+              if case.V_root_level[v] == 3)
+    pairs = {(case.root_index(a), case.root_index(w))
+             for a in case.l1_roots() for w in case.V_roots
+             if case.V_root_level[w] == 2}
+    key = min(k for k, vec in s.brackets.items()
+              if v3 in vec and (k in pairs or k[::-1] in pairs))
+    del s.brackets[key][v3]
+
+
+# (corruption, the record it must turn FAIL, the value that reads false);
+# each makes a determinant vanish without raising an error
+FORMS_VALUE_FAULTS = [
+    ("_zero_sigma_pair", "sigma-form", "det_nonzero"),
+    ("_zero_beta_entry", "fundamental-forms", "beta_det_nonzero"),
+]
+
+
+@pytest.mark.parametrize("corrupt,check_id,value", FORMS_VALUE_FAULTS)
+def test_vanishing_determinant_fails_forms_check(corrupt, check_id, value):
+    rep = _corrupted_forms_report(globals()[corrupt])
+    rec = next(c for c in rep.checks if c.check_id == check_id)
+    assert rec.status == "FAIL"
+    assert "error" not in rec.values
+    assert rec.values[value] is False
+    if check_id == "sigma-form":
+        assert rec.values["alternating"] and rec.values["osculating_hyperplane"]
+    assert exit_code(rep) == 1
+
+
+def test_swapped_v_levels_fail_cI_components(monkeypatch):
+    def swap_v1_v2(g):
+        levels = g.V_level_indices
+        g.V_level_indices = {**levels, 1: levels[2], 2: levels[1]}
+
+    _corrupt_build_g(monkeypatch, swap_v1_v2)
+    rep = run("B3", {"weights"}, RunOptions(seed=7))
+    rec = next(c for c in rep.checks if c.check_id == "cI-components")
+    assert rec.status == "FAIL"
+    assert rec.values["cI(V_1)"] == [Fraction(1, 2)]
+    assert exit_code(rep) == 1
+
+
 def test_merged_ideals_fail_xvv_kernel(monkeypatch):
     # sampling asks for one highest weight per ideal of l_1; the error is a
     # FAIL record, not an exception out of run
@@ -469,6 +525,17 @@ def test_cli_argparse_errors_are_usage_errors(capsys):
 def test_cli_help_exits_zero(capsys):
     assert main(["--help"]) == 0
     assert "--mode" not in capsys.readouterr().out
+
+
+def test_json_report_matches_golden_file(tmp_path):
+    # the committed report of `verify --case B3,D4,F4 --checks all --seed 7
+    # --format json`: values, their JSON types ("p/q" for every c^I) and the
+    # layout must not drift; regenerate the file only for an intended change
+    out = tmp_path / "rep.json"
+    main(["--case", "B3,D4,F4", "--checks", "all", "--seed", "7",
+          "--format", "json", "--out", str(out)])
+    golden = Path(__file__).parent / "report_B3_D4_F4_seed7.json"
+    assert out.read_bytes() == golden.read_bytes()
 
 
 def test_cli_single_case_json(capsys, tmp_path):
