@@ -83,42 +83,50 @@ def check_antisymmetry(L: LieAlgebraTable) -> bool:
 def check_jacobi(L: LieAlgebraTable) -> list[tuple[int, int, int]]:
     """All basis triples violating Jacobi.  Empty list iff Jacobi holds.
 
-    Checks every triple a < b < c with at least one nonzero pairwise
-    bracket (the others satisfy the identity term by term), read off the
-    table alone: every c > b when [a, b] != 0, else the c > b bracketing
-    nontrivially with a or b.  No weight grading of the basis is assumed:
-    a table breaking weight homogeneity is among the faults to catch.
+    J(a, b, c) = [[a, b], c] - [[a, c], b] + [[b, c], a] is accumulated,
+    for a < b < c, from its nonzero products only, one smallest index a at
+    a time: the [[a, y], z] products are read off ad(a), the [[b, c], a]
+    products off an inverse index k -> (b, c, [b, c]_k).  A triple with no
+    nonzero product satisfies the identity term by term.  The violations
+    come in lexicographic order.  No weight grading of the basis is
+    assumed: a table breaking weight homogeneity is among the faults to
+    catch.
     """
     n = L.dim
-    # ad[i][j] = [e_i, e_j] as read by bracket()
+    # ad[i][j] = [e_i, e_j] as read by bracket(); by_term[k] = [(b, c, [b, c]_k)]
     ad: list[dict] = [{} for _ in range(n)]
+    by_term: list[list] = [[] for _ in range(n)]
     for (i, j), vec in L.brackets.items():
         if vec and i < j:
             ad[i][j] = vec
             ad[j][i] = {k: -c for k, c in vec.items()}
-
-    def violates(a: int, b: int, c: int) -> bool:
-        total: dict = {}
-        for x, y, z in ((a, b, c), (b, c, a), (c, a, b)):
-            xy = ad[x].get(y)
-            if not xy:
-                continue
-            for k, coef in xy.items():
-                kz = ad[k].get(z)
-                if kz:
-                    for m, w in kz.items():
-                        total[m] = total.get(m, 0) + coef * w
-        return any(total.values())
+            for k, c in vec.items():
+                by_term[k].append((i, j, c))
 
     violations = []
     for a in range(n):
-        ad_a = ad[a]
-        for b in range(a + 1, n):
-            if b in ad_a:
-                cs = range(b + 1, n)
-            else:
-                cs = sorted(c for c in ad_a.keys() | ad[b].keys() if c > b)
-            violations.extend((a, b, c) for c in cs if violates(a, b, c))
+        acc: dict[tuple[int, int], dict] = {}
+        for y, ay in ad[a].items():
+            if y < a:
+                continue
+            for k, coef in ay.items():
+                for z, kz in ad[k].items():
+                    if z <= a or z == y:
+                        continue
+                    # [[a, y], z] is + in J(a, y, z) and - in J(a, z, y)
+                    key, sign = ((y, z), coef) if y < z else ((z, y), -coef)
+                    total = acc.setdefault(key, {})
+                    for m, w in kz.items():
+                        total[m] = total.get(m, 0) + sign * w
+        for k in ad[a]:
+            ka = ad[k][a]
+            for b, c, coef in by_term[k]:
+                if b > a:
+                    total = acc.setdefault((b, c), {})
+                    for m, w in ka.items():
+                        total[m] = total.get(m, 0) + coef * w
+        violations.extend((a, b, c) for (b, c), total in sorted(acc.items())
+                          if any(total.values()))
     return violations
 
 

@@ -7,19 +7,21 @@ spaces below).  The compatibility equation
 
     phi([x, y]) = [phi(x), y] + [x, phi(y)]
 
-is imposed on every basis pair; the bracket of an n_0-value with n_+ is the
-derivation action, the bracket of a negative-level value with y is
-evaluation of the stored map.  The kernel is computed by exact sparse
-elimination.
+is imposed on every basis pair.  The bracket of a tower value with n_+ is
+read from one action table per level, built on first use with its nonzero
+entries only: the n_+ bracket above degree zero, the derivation action at
+degree zero, evaluation of the stored map below.  The kernel is computed
+by exact sparse elimination.
 
 Exact witness maps (for the main cases, the ad action of g_{-1}) lie in the
 prolongation once they pass substitution, so their rank is a floor: no row
 can push the kernel below their span.  `forced_rank` feeds pair rows,
 highest degree sum first, into one accumulator and stops once the rank
 reaches dim minus that floor.  `prolongation` then substitutes every
-kernel basis map into the equation on all pairs.  A failed substitution
-raises ProlongConsistencyError, not an assert, so `python -O` keeps the
-check.
+kernel basis map into the equation.  Substitution evaluates only the pairs
+where a term can be nonzero, found from the support of the map, the
+brackets and the action tables.  A failed substitution raises
+ProlongConsistencyError, not an assert, so `python -O` keeps the check.
 """
 
 from __future__ import annotations
@@ -105,16 +107,17 @@ class ProlongInput:
                         new.append(b)
             frontier = new
         _require(span.rank == n, "degree-1 component does not generate")
-        # a degree-preserving derivation is a level-0 solution of the
-        # compatibility equation
-        tower = _Tower(self)
-        flat = RrefBasis(n * n)
         for a, mat in enumerate(self.n0_mats):
             _require(all(self.degrees[k] == self.degrees[j]
                          for j, col in enumerate(mat) for k in col),
                      f"n0 element {a} is not degree-preserving")
-            phi = [tower._to_coords(self.degrees[j], col)
-                   for j, col in enumerate(mat)]
+        # a degree-preserving derivation is a level-0 solution of the
+        # compatibility equation; its columns are its row of the level-0
+        # action table
+        tower = _Tower(self)
+        flat = RrefBasis(n * n)
+        for a, (mat, slot) in enumerate(zip(self.n0_mats, tower.action(0))):
+            phi = [slot.get(j, {}) for j in range(n)]
             _require(residual_is_zero(self, tower, 0, phi),
                      f"n0 element {a} is not a derivation")
             _require(flat.add(_flatten(mat, n)),
@@ -181,7 +184,13 @@ class ProlongResult:
 
 
 class _Tower:
-    """Target-space bookkeeping for one prolongation run."""
+    """Target-space bookkeeping for one prolongation run.
+
+    `action(j)` is the action table of level j: slot s of T_j maps to
+    {v: coords of [basis_s, e_v] in T_{j + deg v}}, nonzero entries only.
+    Each level's table is built the first time it is read, and only once
+    that level's space is known; tables live as long as the tower.
+    """
 
     def __init__(self, inp: ProlongInput):
         self.inp = inp
@@ -191,6 +200,8 @@ class _Tower:
             d: {g: i for i, g in enumerate(ix)} for d, ix in self.comp_list.items()
         }
         self.bases: dict[int, list[TaggedMap]] = {}  # level j -> maps
+        self._actions: dict[int, list[dict]] = {}
+        self._bracket_pairs: dict[int, list] | None = None
 
     def space_dim(self, j: int) -> int:
         if j >= 1:
@@ -199,29 +210,52 @@ class _Tower:
             return self.inp.n0_dim
         return len(self.bases.get(-j, ()))
 
-    def bracket_with_nplus(self, j: int, s: int, v: int) -> tuple[int, Vec]:
-        """[basis_s of T_j, e_v] as (target degree, coords in that space).
+    def action(self, j: int) -> list[dict]:
+        """The action table of level j (see the class docstring).
 
-        For j >= 1 this is the n_+ bracket, for j = 0 the derivation action,
-        for j < 0 evaluation of the stored map.
+        For j >= 1 it is read off the n_+ brackets, for j = 0 off the
+        derivation matrices, for j < 0 off the stored maps of level -j; a
+        level not stored yet has an empty space, and no table is kept.
         """
-        dv = self.inp.degrees[v]
-        target = j + dv
-        if j >= 1:
-            w = self.comp_list[j][s]
-            raw = self.inp.nplus.bracket_basis(w, v)
-            return target, self._to_coords(target, raw)
-        if j == 0:
-            raw = self.inp.n0_mats[s][v]
-            return target, self._to_coords(target, raw)
-        psi = self.bases[-j][s]
-        return target, dict(psi[v])
+        table = self._actions.get(j)
+        if table is not None:
+            return table
+        if j < 0 and -j not in self.bases:
+            return []
+        inp = self.inp
+        if j < 0:
+            sources = (enumerate(psi) for psi in self.bases[-j])
+        elif j == 0:
+            sources = (enumerate(mat) for mat in inp.n0_mats)
+        else:
+            sources = (((v, inp.nplus.bracket_basis(w, v)) for v in range(inp.dim))
+                       for w in self.comp_list.get(j, ()))
+        table = [self._table_row(j, raws) for raws in sources]
+        self._actions[j] = table
+        return table
 
-    def _to_coords(self, target: int, raw: Vec) -> Vec:
-        if not raw:
-            return {}
-        pos = self.pos_in_comp[target]
-        return {pos[w]: c for w, c in raw.items()}
+    def _table_row(self, j: int, raws) -> dict:
+        """{v: coords} over (v, raw) pairs: raw is a value in T_{j + deg v},
+        an n_+ vector for j >= 0 and coordinates already for j < 0; zero
+        entries and empty values are dropped."""
+        out = {}
+        for v, raw in raws:
+            coords = {w: c for w, c in raw.items() if c}
+            if coords:
+                if j >= 0:
+                    pos = self.pos_in_comp[j + self.inp.degrees[v]]
+                    coords = {pos[w]: c for w, c in coords.items()}
+                out[v] = coords
+        return out
+
+    def bracket_pairs(self, w: int) -> list:
+        """The pairs (u, v), u < v, whose n_+ bracket has a w term."""
+        if self._bracket_pairs is None:
+            self._bracket_pairs = {}
+            for (u, v), vec in self.inp.nplus.brackets.items():
+                for x in vec:
+                    self._bracket_pairs.setdefault(x, []).append((u, v))
+        return self._bracket_pairs.get(w, [])
 
 
 def unknown_layout(inp: ProlongInput, tower: _Tower, k: int):
@@ -274,15 +308,17 @@ def pair_rows(inp: ProlongInput, tower: _Tower, k: int, offsets, u: int, v: int,
         for s in slots(w):
             stamp(offsets[w] + s, {s: cw}, +1)
     # -[phi(u), v]
-    ju = du - k
+    table = tower.action(du - k)
     for s in slots(u):
-        _, coords = tower.bracket_with_nplus(ju, s, v)
-        stamp(offsets[u] + s, coords, -1)
+        coords = table[s].get(v)
+        if coords:
+            stamp(offsets[u] + s, coords, -1)
     # -[u, phi(v)] = +[phi(v), u]
-    jv = dv - k
+    table = tower.action(dv - k)
     for s in slots(v):
-        _, coords = tower.bracket_with_nplus(jv, s, u)
-        stamp(offsets[v] + s, coords, +1)
+        coords = table[s].get(u)
+        if coords:
+            stamp(offsets[v] + s, coords, +1)
     return [row for _, row in sorted(bycoord.items()) if row]
 
 
@@ -330,23 +366,39 @@ def _map_to_vec(offsets, phi: TaggedMap) -> Vec:
 
 
 def residual_is_zero(inp: ProlongInput, tower: _Tower, k: int, phi: TaggedMap) -> bool:
-    """Substitute phi back into the compatibility equation on all pairs."""
-    for u in range(inp.dim):
-        for v in range(u + 1, inp.dim):
-            du, dv = inp.degrees[u], inp.degrees[v]
-            if tower.space_dim(du + dv - k) == 0:
-                continue
-            total: Vec = {}
-            for w, cw in inp.nplus.bracket_basis(u, v).items():
-                vec_add_scaled(total, phi[w], cw)
-            for s, c in phi[u].items():
-                _, coords = tower.bracket_with_nplus(du - k, s, v)
-                vec_add_scaled(total, coords, -c)
-            for s, c in phi[v].items():
-                _, coords = tower.bracket_with_nplus(dv - k, s, u)
-                vec_add_scaled(total, coords, c)
-            if total:
-                return False
+    """Substitute phi back into the compatibility equation on every pair.
+
+    Only pairs with a term that can be nonzero are evaluated: those whose
+    bracket meets the support of phi, and those (u, v), in either order,
+    where the action table has an entry for v at some slot of phi(u).  On
+    every other pair all three terms vanish.
+    """
+    degrees = inp.degrees
+    pairs = set()
+    for u, block in enumerate(phi):
+        if not block:
+            continue
+        pairs.update(tower.bracket_pairs(u))
+        table = tower.action(degrees[u] - k)
+        for s in block:
+            for v in table[s]:
+                if v != u:
+                    pairs.add((u, v) if u < v else (v, u))
+    for u, v in pairs:
+        du, dv = degrees[u], degrees[v]
+        if tower.space_dim(du + dv - k) == 0:
+            continue
+        total: Vec = {}
+        for w, cw in inp.nplus.bracket_basis(u, v).items():
+            vec_add_scaled(total, phi[w], cw)
+        table = tower.action(du - k)
+        for s, c in phi[u].items():
+            vec_add_scaled(total, table[s].get(v, {}), -c)
+        table = tower.action(dv - k)
+        for s, c in phi[v].items():
+            vec_add_scaled(total, table[s].get(u, {}), c)
+        if total:
+            return False
     return True
 
 

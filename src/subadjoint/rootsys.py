@@ -156,12 +156,9 @@ class RootSystem:
                  "half lengths outside {1, 1/2, 1/3}")
         return tuple(tuple(int(v) for v in row) for row in out)
 
-    def form(self, x, y) -> Fraction:
-        """(x, y) with long roots of squared length 2."""
-        return Fraction(self.form6(x, y), 6)
-
     def form6(self, x, y) -> int:
-        """6 (x, y), an integer for integral x and y."""
+        """6 (x, y) with long roots of squared length 2, an integer for
+        integral x and y."""
         total = 0
         for xi, row in zip(x, self._form6):
             if xi:

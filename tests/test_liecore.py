@@ -1,5 +1,7 @@
+import random
 import subprocess
 import sys
+import tracemalloc
 from fractions import Fraction
 from itertools import combinations
 from pathlib import Path
@@ -70,12 +72,13 @@ def _jacobi_table(name):
     return t, sites
 
 
+_G_SITES = ("cartan", "id-v", "l-V", "seeded", "zeroed")
 _JACOBI_CONTROLS = [
     (name, site)
     for name, sites in (("A2", ("cartan",)), ("B3", ("cartan",)),
                         ("G2", ("cartan",)),
-                        ("g-B3", ("cartan", "id-v", "l-V")),
-                        ("g-D4", ("cartan", "id-v", "l-V")))
+                        ("g-B3", _G_SITES), ("g-D4", _G_SITES),
+                        ("g-F4", _G_SITES), ("g-E6", _G_SITES))
     for site in ("clean",) + sites
 ]
 
@@ -83,12 +86,31 @@ _JACOBI_CONTROLS = [
 @pytest.mark.parametrize("name,site", _JACOBI_CONTROLS)
 def test_jacobi_scan_matches_all_triples(name, site):
     t, sites = _jacobi_table(name)
-    if site != "clean":
+    if site in ("seeded", "zeroed"):
+        # one seeded entry: bumped, or set to an explicit zero
+        rng = random.Random(f"{name}-{site}")
+        vec = t.brackets[rng.choice(sorted(k for k, v in t.brackets.items() if v))]
+        m = rng.choice(sorted(vec))
+        vec[m] = 0 if site == "zeroed" else vec[m] + rng.choice([-2, -1, 1, 2])
+    elif site != "clean":
         vec = t.brackets[sites[site]]
         vec[min(vec)] += 1
     want = _jacobi_all_triples(t)
     assert check_jacobi(t) == want
     assert (want == []) == (site == "clean")
+
+
+def test_jacobi_scan_memory_is_per_index():
+    # the products are accumulated one smallest index at a time, so the
+    # sums of only one index's triples are held at once
+    t = build_case("E6").s_table
+    tracemalloc.start()
+    try:
+        assert check_jacobi(t) == []
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.5e6
 
 
 def test_grade_by_element_sl2():

@@ -1,6 +1,8 @@
+import random
 import subprocess
 import sys
 from fractions import Fraction
+from itertools import combinations
 from pathlib import Path
 
 import pytest
@@ -8,6 +10,7 @@ import pytest
 from subadjoint.cases import build_case
 from subadjoint.galg import build_g
 from subadjoint.liecore import LieAlgebraTable
+from subadjoint.linalg import vec_add_scaled
 from subadjoint.prolong import (
     ProlongConsistencyError,
     ProlongDepthError,
@@ -16,13 +19,16 @@ from subadjoint.prolong import (
     direct_sum_check,
     direct_sum_input,
     formal_vector_field_oracle,
+    g_tower,
     input_from_g,
     input_from_l,
+    pair_rows,
     prolongation,
     residual_is_zero,
     sl2_adjoint_check,
     sl2_line_input,
     truncation_matches_sl2,
+    unknown_layout,
     witness_rank,
     xvv_in_oracle,
     _Tower,
@@ -270,3 +276,131 @@ def test_monotone_vanishing_reported():
     inp, gplus, g0 = input_from_g(g)
     res = prolongation(inp, 2)
     assert res.monotone_vanishing_ok()
+
+
+# --------------------------------------------------------------------------
+# The compatibility equation against a direct evaluation on every pair
+# --------------------------------------------------------------------------
+
+def _reference_bracket(inp, tower, j, s, v):
+    """[basis_s of T_j, e_v] in T_{j + deg v} coordinates, read straight off
+    the n_+ bracket (j >= 1), the derivation matrix (j = 0) or the stored
+    map (j < 0)."""
+    if j < 0:
+        return dict(tower.bases[-j][s][v])
+    if j == 0:
+        raw = inp.n0_mats[s][v]
+    else:
+        raw = inp.nplus.bracket_basis(tower.comp_list[j][s], v)
+    pos = tower.pos_in_comp.get(j + inp.degrees[v], {})
+    return {pos[w]: c for w, c in raw.items()}
+
+
+def _reference_residual_is_zero(inp, tower, k, phi):
+    """The compatibility equation evaluated on every pair u < v."""
+    for u, v in combinations(range(inp.dim), 2):
+        du, dv = inp.degrees[u], inp.degrees[v]
+        if tower.space_dim(du + dv - k) == 0:
+            continue
+        total = {}
+        for w, cw in inp.nplus.bracket_basis(u, v).items():
+            vec_add_scaled(total, phi[w], cw)
+        for s, c in phi[u].items():
+            vec_add_scaled(total, _reference_bracket(inp, tower, du - k, s, v), -c)
+        for s, c in phi[v].items():
+            vec_add_scaled(total, _reference_bracket(inp, tower, dv - k, s, u), c)
+        if total:
+            return False
+    return True
+
+
+def _reference_pair_rows(inp, tower, k, offsets, u, v, only=None):
+    """The rows of one pair, stamped term by term from _reference_bracket."""
+    if tower.space_dim(inp.degrees[u] + inp.degrees[v] - k) == 0:
+        return []
+    bycoord = {}
+
+    def slots(x):
+        if only is None:
+            return range(tower.space_dim(inp.degrees[x] - k))
+        return only.get(x, ())
+
+    def stamp(col, coords, sign):
+        for m, c in coords.items():
+            row = bycoord.setdefault(m, {})
+            val = row.get(col, 0) + sign * c
+            if val:
+                row[col] = val
+            else:
+                row.pop(col, None)
+
+    for w, cw in inp.nplus.bracket_basis(u, v).items():
+        for s in slots(w):
+            stamp(offsets[w] + s, {s: cw}, +1)
+    for s in slots(u):
+        stamp(offsets[u] + s,
+              _reference_bracket(inp, tower, inp.degrees[u] - k, s, v), -1)
+    for s in slots(v):
+        stamp(offsets[v] + s,
+              _reference_bracket(inp, tower, inp.degrees[v] - k, s, u), +1)
+    return [row for _, row in sorted(bycoord.items()) if row]
+
+
+def _substitution_maps(inp, tower, level):
+    """The exact solutions of one level: the ad witnesses (level 1) or the
+    n_0 derivations in tower coordinates (level 0)."""
+    if level == 1:
+        return tower.bases[1]
+    return [[_reference_bracket(inp, tower, 0, a, v) for v in range(inp.dim)]
+            for a in range(inp.n0_dim)]
+
+
+@pytest.mark.parametrize("label", ["B3", "D4", "F4"])
+@pytest.mark.parametrize("level", [0, 1])
+def test_substitution_matches_all_pairs(label, level):
+    # seeded single-entry perturbations of exact solutions: the pairs
+    # residual_is_zero selects must catch every one the full scan catches
+    inp, tower = g_tower(build_g(build_case(label)))
+    maps = _substitution_maps(inp, tower, level)
+    assert all(residual_is_zero(inp, tower, level, phi) for phi in maps)
+    rng = random.Random(f"{label}-{level}")
+    verdicts = []
+    for _ in range(50):
+        phi = [dict(block) for block in rng.choice(maps)]
+        u = rng.choice([x for x in range(inp.dim)
+                        if tower.space_dim(inp.degrees[x] - level)])
+        s = rng.randrange(tower.space_dim(inp.degrees[u] - level))
+        vec_add_scaled(phi[u], {s: 1}, rng.choice([-2, -1, 1, 2]))
+        want = _reference_residual_is_zero(inp, tower, level, phi)
+        assert residual_is_zero(inp, tower, level, phi) == want
+        verdicts.append(want)
+    assert False in verdicts
+
+
+@pytest.mark.parametrize("label", ["B3", "D4", "F4"])
+def test_pair_rows_match_term_by_term_reference(label):
+    g = build_g(build_case(label))
+    inp, tower = g_tower(g)
+
+    def items(rows):
+        return [list(row.items()) for row in rows]
+
+    for k in range(1, 8):
+        offsets, _, _ = unknown_layout(inp, tower, k)
+        for u, v in combinations(range(inp.dim), 2):
+            assert items(pair_rows(inp, tower, k, offsets, u, v)) == items(
+                _reference_pair_rows(inp, tower, k, offsets, u, v))
+    # the (V_2, l_1) block of the restricted differentials
+    gplus = [i for i, d in enumerate(g.degree) if d >= 1]
+    pos = {gi: i for i, gi in enumerate(gplus)}
+    V1, V2 = (g.V_level_indices[j] for j in (1, 2))
+    only = {pos[v]: [tower.pos_in_comp[1][pos[a]] for a in g.l1_indices]
+            for v in V2}
+    offsets, _, _ = unknown_layout(inp, tower, 1)
+    pairs = list(combinations(V2, 2)) + [(u, v) for u in V1 for v in V2]
+    assert any(pair_rows(inp, tower, 1, offsets, pos[u], pos[v], only)
+               for u, v in pairs)
+    for u, v in pairs:
+        assert items(pair_rows(inp, tower, 1, offsets, pos[u], pos[v], only)) \
+            == items(_reference_pair_rows(inp, tower, 1, offsets, pos[u],
+                                          pos[v], only))

@@ -324,4 +324,4 @@ def test_integer_form_matches_fraction_formula(label):
     roots = rs.all_roots()
     for x in roots:
         for y in roots:
-            assert rs.form(x, y) == form(x, y)
+            assert Fraction(rs.form6(x, y), 6) == form(x, y)
