@@ -26,8 +26,6 @@ from .liecore import (
 from .linalg import (
     RrefBasis,
     Vec,
-    mat_inverse,
-    mat_vec,
     vec_add_scaled,
     vec_scale,
 )
@@ -152,23 +150,24 @@ class SubadjointCase:
 
         The l basis is `_l_basis_vectors`: the simple coroots of l, then the
         root vectors of l.  Root-vector entries map by position; the Cartan
-        part h gets t = C_l^{-T} (<beta_j, h>)_j.  Raises ValueError if v has
-        a root component outside l or h is not sum_i t_i beta_i^vee.
+        part h gets t = C_l^{-T} (<beta_j, h>)_j, in integers over the one
+        denominator of C_l^{-1}.  Raises ValueError if v has a root
+        component outside l or h is not sum_i t_i beta_i^vee.
         """
         rank, nh = self.rs.rank, len(self.l_simple_roots)
         h = {k: c for k, c in v.items() if k < rank}
         out: Vec = {}
         if h:
-            pair = [sum(c * self.rs.pairing(b, k) for k, c in h.items())
-                    for b in self.l_simple_roots]
-            inv = self._l_cartan_inv
+            pair = [sum(c * row[k] for k, c in h.items())
+                    for row in self._l_pairings]
+            inv, den = self._l_inv, self._l_den
             back: Vec = {}
-            for i, b in enumerate(self.l_simple_roots):
-                t = sum((inv[j][i] * pair[j] for j in range(nh)), Fraction(0))
+            for i, cor in enumerate(self._l_coroots):
+                t = sum(inv[j][i] * p for j, p in enumerate(pair) if p)
                 if t:
-                    out[i] = t
-                    vec_add_scaled(back, self.coroot_vec(b), t)
-            if back != h:
+                    out[i] = Fraction(t, den)
+                    vec_add_scaled(back, cor, t)
+            if back != {k: den * c for k, c in h.items()}:
                 raise ValueError("Cartan part outside the coroot span of l")
         for k, c in v.items():
             if k >= rank:
@@ -182,13 +181,15 @@ class SubadjointCase:
     def weight_in_l_coords(self, weight_root) -> tuple:
         """Simple-root coordinates (over l) of an s-weight restricted to l,
         computed once per root: C_l^{-1} applied to the integer pairings
-        <weight_root, b^vee> with the simple roots b of l."""
+        <weight_root, b^vee> with the simple roots b of l.  Both steps are
+        linear, so this is one integer matrix over the denominator of
+        C_l^{-1}; every coordinate is a `Fraction`."""
         out = self._l_weights.get(weight_root)
         if out is None:
-            f = [_cartan_entry(self.rs, b, weight_root)
-                 for b in self.l_simple_roots]
+            den = self._l_den
             out = self._l_weights[weight_root] = tuple(
-                mat_vec(self._l_cartan_inv, f))
+                Fraction(_dot(row, weight_root), den)
+                for row in self._l_weight_map)
         return out
 
     def ideal_of_root(self, r: tuple) -> int:
@@ -196,19 +197,40 @@ class SubadjointCase:
         return self._ideal_of_root[r]
 
 
+def _dot(x, y) -> int:
+    return sum(a * b for a, b in zip(x, y) if b)
+
+
 def _degree_zero_simple_system(rs: RootSystem, degree: dict) -> list[tuple]:
-    zero_pos = [r for r in rs.positive_roots if degree[r] == 0]
-    zero_set = set(zero_pos)
-    simple = []
-    for g in zero_pos:
-        decomposable = any(
-            tuple(x - y for x, y in zip(g, a)) in zero_set for a in zero_pos
-            if a != g and all(x - y >= 0 for x, y in zip(g, a))
-            and any(x - y for x, y in zip(g, a))
-        )
-        if not decomposable:
-            simple.append(g)
+    """The positive degree-zero roots that are not a sum of two of them."""
+    zero = {rs.root_code(r): r for r in rs.positive_roots if degree[r] == 0}
+    simple = [g for cg, g in zero.items()
+              if not any(cg - ca in zero for ca in zero)]
     return sorted(simple, key=lambda r: (root_height(r), r))
+
+
+def _integer_inverse(m: list[list[int]]) -> tuple[list[list[int]], int]:
+    """(A, d) with m^{-1} = A / d for an integer matrix m.
+
+    Fraction-free Gauss-Jordan elimination (Bareiss) on [m | I] ends at
+    [d I | A] with d = +-det m, so A is +-adj m; every division is exact by
+    Sylvester's identity.
+    """
+    n = len(m)
+    a = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(m)]
+    prev = 1
+    for k in range(n):
+        piv = next((i for i in range(k, n) if a[i][k]), None)
+        if piv is None:
+            raise ValueError("singular matrix")
+        a[k], a[piv] = a[piv], a[k]
+        p = a[k][k]
+        for i in range(n):
+            if i != k:
+                c = a[i][k]
+                a[i] = [(x * p - c * y) // prev for x, y in zip(a[i], a[k])]
+        prev = p
+    return [row[n:] for row in a], prev
 
 
 def build_case(label: str) -> SubadjointCase:
@@ -231,16 +253,19 @@ def build_case(label: str) -> SubadjointCase:
 
     s_roots = tuple(rs.all_roots())
     root_index = {r: rs.rank + i for i, r in enumerate(s_roots)}
+    simple = [tuple(int(i == j) for j in range(rs.rank))
+              for i in range(rs.rank)]
 
-    degree = {}
+    # the contact degree <r, theta^vee> is linear in r, so its values on the
+    # simple roots fix it; there the coroot-coefficient route must agree
+    # with the symmetric-form route
     theta = rs.highest_root
     theta_cor = rs.coroot_coords(theta)
-    for r in s_roots:
-        d = _cartan_entry(rs, theta, r)
-        # coroot-coefficient route must agree with the symmetric-form route
-        _check(d == sum(theta_cor[j] * rs.pairing(r, j) for j in range(rs.rank)),
-               "contact degree routes disagree")
-        degree[r] = d
+    deg = [_cartan_entry(rs, theta, a) for a in simple]
+    _check(deg == [sum(theta_cor[j] * rs.pairing(a, j) for j in range(rs.rank))
+                   for a in simple],
+           "contact degree routes disagree")
+    degree = {r: _dot(deg, r) for r in s_roots}
 
     V_roots = tuple(r for r in s_roots if degree[r] == 1)
 
@@ -252,28 +277,36 @@ def build_case(label: str) -> SubadjointCase:
 
     # lowest/highest weight vectors of V under l: killed by all lowering
     # (resp. raising) simple root vectors of l
-    lows = [
-        v for v in V_roots
-        if all(not rs.is_root(tuple(x - y for x, y in zip(v, b))) for b in l_simple)
-    ]
-    his = [
-        v for v in V_roots
-        if all(not rs.is_root(tuple(x + y for x, y in zip(v, b))) for b in l_simple)
-    ]
+    codes = rs._code_index
+    l_codes = [rs.root_code(b) for b in l_simple]
+    lows, his = [], []
+    for v in V_roots:
+        cv = rs.root_code(v)
+        if all(cv - cb not in codes for cb in l_codes):
+            lows.append(v)
+        if all(cv + cb not in codes for cb in l_codes):
+            his.append(v)
     _check(len(lows) == 1, f"lowest weight vector not unique: {lows}")
     _check(len(his) == 1, f"highest weight vector not unique: {his}")
     v0_root, vhi_root = lows[0], his[0]
 
+    # <x, b^vee> for the simple roots b of l is linear in x: K[i] holds its
+    # values on the simple roots of s, and C_l^{-1} K over the one
+    # denominator of C_l^{-1} maps a weight to its l simple-root coordinates
+    l_inv, l_den = _integer_inverse(l_cartan)
+    K = [[_cartan_entry(rs, b, a) for a in simple] for b in l_simple]
+    weight_map = [[sum(row[j] * K[j][k] for j in range(len(l_simple)))
+                   for k in range(rs.rank)] for row in l_inv]
+
     # embedding weight omega_*: v0 is a lowest weight vector, so the
     # restriction of its weight to the Cartan of l is -omega_*
-    l_cartan_inv = mat_inverse(l_cartan)
-    fund = [-_cartan_entry(rs, b, v0_root) for b in l_simple]
+    fund = [-_dot(row, v0_root) for row in K]
     _check(all(x >= 0 for x in fund),
            f"v0 is not a lowest weight vector: {fund}")
     marked = tuple(i for i, x in enumerate(fund) if x > 0)
     embedding_weight = WeightVector(tuple(fund), "fundamental")
     embedding_weight_simple = WeightVector(
-        tuple(mat_vec(l_cartan_inv, fund)), "simple"
+        tuple(Fraction(_dot(row, fund), l_den) for row in l_inv), "simple"
     )
 
     # each simple ideal carries exactly one marked node
@@ -291,22 +324,20 @@ def build_case(label: str) -> SubadjointCase:
     # of l with <beta_j, z> = [j in I], so t = C_l^{-T} e_I
     z: Vec = {}
     for i, b in enumerate(l_simple):
-        t = sum((l_cartan_inv[j][i] for j in marked), Fraction(0))
+        t = Fraction(sum(l_inv[j][i] for j in marked), l_den)
         cor = rs.coroot_coords(b)
         vec_add_scaled(z, {k: c for k, c in enumerate(cor) if c}, t)
 
-    # l-grading by z eigenvalues
-    def z_eigenvalue(r) -> Fraction:
-        return sum(
-            (z[k] * rs.pairing(r, k) for k in z), Fraction(0)
-        )
-
+    # l-grading by z eigenvalues: <r, z> is the sum of the marked
+    # l simple-root coordinates of r
+    z_row = [sum(weight_map[i][k] for i in marked) for k in range(rs.rank)]
     l_degree = {}
     for r in l_roots:
-        ev = z_eigenvalue(r)
-        _check(ev.denominator == 1 and abs(ev) <= 1,
-               f"z eigenvalue {ev} on the l root {r}")
-        l_degree[r] = int(ev)
+        num = _dot(z_row, r)
+        ev, rem = divmod(num, l_den)
+        _check(not rem and abs(ev) <= 1,
+               f"z eigenvalue {Fraction(num, l_den)} on the l root {r}")
+        l_degree[r] = ev
 
     case = SubadjointCase(
         s_label=f"{rs.series}{rs.rank}",
@@ -333,11 +364,16 @@ def build_case(label: str) -> SubadjointCase:
     case._root_index = root_index
     case._s_roots = s_roots
     case._l_root_pos = {root_index[r]: i for i, r in enumerate(l_roots)}
-    case._l_cartan_inv = l_cartan_inv
+    case._l_inv, case._l_den = l_inv, l_den
+    case._l_weight_map = weight_map
+    case._z_row = z_row
+    case._l_coroots = [case.coroot_vec(b) for b in l_simple]
+    case._l_pairings = [[rs.pairing(b, k) for k in range(rs.rank)]
+                        for b in l_simple]
     ideal_of = {}
     for r in l_roots:
-        coords = case.weight_in_l_coords(r)
-        cis = {node_comp[i] for i, c in enumerate(coords) if c}
+        # the nonzero l simple-root coordinates of r, read on their numerators
+        cis = {node_comp[i] for i, row in enumerate(weight_map) if _dot(row, r)}
         _check(len(cis) == 1, f"l root {r} meets {len(cis)} simple ideals")
         ideal_of[r] = cis.pop()
     case._ideal_of_root = ideal_of
@@ -358,11 +394,8 @@ def _cartan_entry(rs: RootSystem, a: tuple, b: tuple) -> int:
 
 
 def _finish_gradings(case: SubadjointCase) -> None:
-    rs, s = case.rs, case.s_table
+    s = case.s_table
     dim = s.dim
-
-    def z_eig(r) -> Fraction:
-        return sum((case.z[k] * rs.pairing(r, k) for k in case.z), Fraction(0))
 
     comps: dict[int, list] = {}
     for r in case.l_roots:
@@ -373,14 +406,17 @@ def _finish_gradings(case: SubadjointCase) -> None:
         j: Subspace.from_vectors(dim, vs) for j, vs in comps.items()
     }
 
-    base = z_eig(case.v0_root)
+    # the osculating level <v, z> - <v0, z>, over the denominator of C_l^{-1}
+    base = _dot(case._z_row, case.v0_root)
     levels: dict[int, list] = {}
     for v in case.V_roots:
-        j = z_eig(v) - base
-        _check(j.denominator == 1 and 0 <= j <= 3,
-               f"osculating level {j} of the V root {v}")
-        case.V_root_level[v] = int(j)
-        levels.setdefault(int(j), []).append(case.e(v))
+        num = _dot(case._z_row, v) - base
+        j, rem = divmod(num, case._l_den)
+        _check(not rem and 0 <= j <= 3,
+               f"osculating level {Fraction(num, case._l_den)} of the V "
+               f"root {v}")
+        case.V_root_level[v] = j
+        levels.setdefault(j, []).append(case.e(v))
     case.V_decomp = {
         j: Subspace.from_vectors(dim, vs) for j, vs in levels.items()
     }
@@ -453,10 +489,14 @@ def _validate_case(case: SubadjointCase) -> None:
            "opposite stabilizer disagrees")
 
     # z centralizes l_0 and has spectrum {-1,0,1} on l (by construction of
-    # l_degree; here we check the bracket action agrees)
+    # l_degree; here we check the bracket action agrees), read on d z for
+    # the denominator d of C_l^{-1}, whose entries are integers
+    den = case._l_den
+    zd = {k: int(c) if c.denominator == 1 else c
+          for k, c in ((k, c * den) for k, c in case.z.items())}
     for j in (-1, 0, 1):
         for vec in case.l_grading[j].basis_vectors():
-            _check(s.bracket(case.z, vec) == vec_scale(vec, j),
+            _check(s.bracket(zd, vec) == vec_scale(vec, j * den),
                    f"z does not act by {j} on l_{j}")
 
     # osculating route: V_{j+1} = [l_1, V_j] starting from V_0 = <v0>
@@ -498,11 +538,17 @@ def _restricted_table(case: SubadjointCase) -> LieAlgebraTable:
     """l as an abstract table over the l basis (stabilizers, and g's [l, l])."""
     s = case.s_table
     l_basis = _l_basis_vectors(case)
-    n = len(l_basis)
+    n, nh = len(l_basis), len(case.l_simple_roots)
+    # the root vectors of l come in s-index order, so the bracket of two of
+    # them is one stored entry of the s table
+    l_idx = [case.root_index(r) for r in case.l_roots]
     brackets = {}
     for i in range(n):
         for j in range(i + 1, n):
-            b = s.bracket(l_basis[i], l_basis[j])
+            if i < nh:
+                b = s.bracket(l_basis[i], l_basis[j])
+            else:
+                b = s.brackets.get((l_idx[i - nh], l_idx[j - nh]))
             if b:
                 brackets[(i, j)] = case.l_coords(b)
     labels = tuple(

@@ -83,18 +83,29 @@ def build_g(case: SubadjointCase) -> GAlgebra:
         put(0, v_pos[r], {v_pos[r]: 1})
     # [l, l] from the restricted table of l, [l, V] from s; [V, V] = 0 by
     # construction of the semidirect product
-    l_table = case.l_table.brackets
+    l_rows: dict[int, list] = {}  # i -> [(j, [l_i, l_j])], j ascending
+    for (i, j), b in sorted(case.l_table.brackets.items()):
+        l_rows.setdefault(i, []).append((j, b))
     l_vecs = _l_basis_vectors(case)
-    s_index_to_v = {case.root_index(r): v_pos[r] for r in case.V_roots}
+    nh = len(case.l_simple_roots)
+    v_idx = [case.root_index(r) for r in case.V_roots]
+    s_index_to_v = {k: v_offset + i for i, k in enumerate(v_idx)}
     for i in range(nl):
-        for j in range(i + 1, nl):
-            b = l_table.get((i, j), {})
+        for j, b in l_rows.get(i, ()):
             put(l_offset + i, l_offset + j,
                 {l_offset + k: c for k, c in b.items()})
-        for r in case.V_roots:
-            b = st.bracket(l_vecs[i], case.e(r))
-            put(l_offset + i, v_pos[r],
-                {s_index_to_v[k]: c for k, c in b.items()})
+        # for a root vector e_r of l, [e_r, e_v] is one stored entry of s
+        x = case.root_index(l_keys[i][1]) if i >= nh else None
+        for k in v_idx:
+            if x is None:
+                b = st.bracket(l_vecs[i], {k: 1})
+            elif x < k:
+                b = st.brackets.get((x, k))
+            else:
+                b = {w: -c for w, c in st.brackets.get((k, x), {}).items()}
+            if b:
+                put(l_offset + i, s_index_to_v[k],
+                    {s_index_to_v[w]: c for w, c in b.items()})
 
     labels = ["Id"] + [
         ("H" if k[0] == "h" else "x") + "".join(f"{c:+d}" for c in k[1])

@@ -37,7 +37,7 @@ class LieAlgebraTable:
     def __post_init__(self):
         for vec in self.brackets.values():
             for k, c in vec.items():
-                if c.denominator == 1:
+                if type(c) is not int and c.denominator == 1:
                     vec[k] = int(c)
 
     def bracket_basis(self, i: int, j: int) -> Vec:
@@ -361,19 +361,14 @@ def line_stabilizer(L: LieAlgebraTable, v: Vec, action: Callable[[Vec, Vec], Vec
     Solved as a kernel: unknowns are the coefficients of x plus one scalar t
     with action(x, v) = t*v.
     """
-    cols = []
+    bycoord: dict[int, Vec] = {}  # module coordinate m -> its row
     for i in range(L.dim):
-        cols.append(action({i: 1}, v))
-    rows = []
-    for m in range(module_dim):
-        row: Vec = {}
-        for i, c in enumerate(cols):
-            if m in c:
-                row[i] = c[m]
-        if m in v and v[m]:
-            row[L.dim] = -v[m]
-        if row:
-            rows.append(row)
+        for m, c in action({i: 1}, v).items():
+            bycoord.setdefault(m, {})[i] = c
+    for m, c in v.items():
+        if c:
+            bycoord.setdefault(m, {})[L.dim] = -c
+    rows = [bycoord[m] for m in sorted(bycoord) if m < module_dim]
     ker = SparseRationalMatrix.from_rows(rows, L.dim + 1).kernel()
     vecs = []
     for k in ker:

@@ -18,8 +18,8 @@ prolongation once they pass substitution, so their rank is a floor: no row
 can push the kernel below their span.  `forced_rank` feeds pair rows,
 highest degree sum first, into one accumulator and stops once the rank
 reaches dim minus that floor.  `prolongation` then substitutes every
-kernel basis map into the equation.  Substitution evaluates only the pairs
-where a term can be nonzero, found from the support of the map, the
+kernel basis map into the equation.  Substitution accumulates only the
+terms that can be nonzero, found from the support of the map, the
 brackets and the action tables.  A failed substitution raises
 ProlongConsistencyError, not an assert, so `python -O` keeps the check.
 """
@@ -80,10 +80,27 @@ class ProlongInput:
             out.setdefault(d, []).append(i)
         return out
 
-    def validate(self) -> None:
+    def validate(self, tower: "_Tower | None" = None) -> None:
         """Raise ProlongConsistencyError unless n_+ is a graded Lie algebra
         generated in degree 1 and n_0 a commutator-closed family of
-        independent degree-preserving derivations."""
+        independent degree-preserving derivations.
+
+        The checks run in this order: degrees, Jacobi, degree additivity,
+        generation in degree 1, degree preservation, then per n_0 element
+        the derivation property and independence, then closure.  Each one
+        relies on those before it:
+        - with Jacobi and additivity, n_+ is generated in degree 1 exactly
+          when [n_1, n_{d-1}] = n_d in each degree d >= 2, read on basis
+          brackets;
+        - a derivation of an n_+ generated in degree 1 is fixed by its
+          degree-1 block A_1, so derivations are independent exactly when
+          their blocks are, and [A, B], itself a degree-preserving
+          derivation, lies in their span exactly when
+          [A, B]|_1 = A_1 B_1 - B_1 A_1 lies in the span of the blocks.
+        Independence and closure are tested on the blocks.  `tower` is a
+        `_Tower` of this input whose level-0 action table is read; one is
+        built when it is not given.
+        """
         n = self.dim
         _require(len(self.degrees) == n and all(d >= 1 for d in self.degrees),
                  "degrees must be >= 1, one per basis vector")
@@ -94,38 +111,57 @@ class ProlongInput:
             _require(all(self.degrees[k] == dd for k in vec),
                      f"bracket ({i}, {j}) is not additive in degree")
         comp = self.components()
-        span = RrefBasis(n)
-        for i in comp.get(1, []):
-            span.add({i: 1})
-        frontier = [{i: 1} for i in comp.get(1, [])]
-        while frontier:
-            new = []
-            for x in frontier:
-                for i in comp.get(1, []):
-                    b = self.nplus.bracket({i: 1}, x)
-                    if b and span.add(b):
-                        new.append(b)
-            frontier = new
-        _require(span.rank == n, "degree-1 component does not generate")
+        for d, ix in comp.items():
+            if d == 1:
+                continue
+            span = RrefBasis(n)
+            for i in comp.get(1, ()):
+                for j in comp.get(d - 1, ()):
+                    if span.rank < len(ix):
+                        span.add(self.nplus.bracket_basis(i, j))
+            _require(span.rank == len(ix), "degree-1 component does not generate")
         for a, mat in enumerate(self.n0_mats):
             _require(all(self.degrees[k] == self.degrees[j]
                          for j, col in enumerate(mat) for k in col),
                      f"n0 element {a} is not degree-preserving")
         # a degree-preserving derivation is a level-0 solution of the
         # compatibility equation; its columns are its row of the level-0
-        # action table
-        tower = _Tower(self)
-        flat = RrefBasis(n * n)
-        for a, (mat, slot) in enumerate(zip(self.n0_mats, tower.action(0))):
+        # action table, whose degree-1 sources hold its degree-1 block
+        tower = tower or _Tower(self)
+        ones = tower.comp_list.get(1, ())
+        m = len(ones)
+        flat = RrefBasis(m * m)
+        cols, rows = [], []  # per element: {k: column k}, {k: row k} of A_1
+        for a, slot in enumerate(tower.action(0)):
             phi = [slot.get(j, {}) for j in range(n)]
             _require(residual_is_zero(self, tower, 0, phi),
                      f"n0 element {a} is not a derivation")
-            _require(flat.add(_flatten(mat, n)),
+            block = [phi[j] for j in ones]
+            _require(flat.add(_flatten(block, m)),
                      "n0 matrices are linearly dependent")
-        for a in range(self.n0_dim):
-            for b in range(a + 1, self.n0_dim):
-                comm = _commutator(self.n0_mats[a], self.n0_mats[b], self.nplus.dim)
-                _require(flat.contains(_flatten(comm, n)),
+            cols.append({k: col for k, col in enumerate(block) if col})
+            row: dict[int, Vec] = {}
+            for j, col in enumerate(block):
+                for i, v in col.items():
+                    row.setdefault(i, {})[j] = v
+            rows.append(row)
+        diagonal = [all(col.keys() == {k} for k, col in x.items()) for x in cols]
+        for a in range(len(cols)):
+            for b in range(a + 1, len(cols)):
+                if diagonal[a] and diagonal[b]:
+                    continue  # diagonal matrices commute
+                # (XY)_ij = sum_k X_ik Y_kj over the k where column k of X
+                # and row k of Y are both nonzero
+                comm: Vec = {}
+                for X, Y, sign in ((cols[a], rows[b], 1), (cols[b], rows[a], -1)):
+                    for k in X.keys() & Y.keys():
+                        yk = Y[k]
+                        for i, v in X[k].items():
+                            sv = sign * v
+                            for j, c in yk.items():
+                                key = i * m + j
+                                comm[key] = comm.get(key, 0) + sv * c
+                _require(not any(comm.values()) or flat.contains(comm),
                          "n0 not closed under commutator")
 
 
@@ -140,22 +176,6 @@ def _flatten(mat, n) -> Vec:
     for j, col in enumerate(mat):
         for i, v in col.items():
             out[i * n + j] = v
-    return out
-
-
-def _commutator(A, B, n):
-    def apply(mat, vec: Vec) -> Vec:
-        out: Vec = {}
-        for j, c in vec.items():
-            vec_add_scaled(out, mat[j], c)
-        return out
-
-    return [_vec_sub(apply(A, B[j]), apply(B, A[j])) for j in range(n)]
-
-
-def _vec_sub(a: Vec, b: Vec) -> Vec:
-    out = dict(a)
-    vec_add_scaled(out, b, -1)
     return out
 
 
@@ -202,6 +222,7 @@ class _Tower:
         self.bases: dict[int, list[TaggedMap]] = {}  # level j -> maps
         self._actions: dict[int, list[dict]] = {}
         self._bracket_pairs: dict[int, list] | None = None
+        self._ad: list[dict] | None = None
 
     def space_dim(self, j: int) -> int:
         if j >= 1:
@@ -228,8 +249,8 @@ class _Tower:
         elif j == 0:
             sources = (enumerate(mat) for mat in inp.n0_mats)
         else:
-            sources = (((v, inp.nplus.bracket_basis(w, v)) for v in range(inp.dim))
-                       for w in self.comp_list.get(j, ()))
+            ad = self.ad()
+            sources = (ad[w].items() for w in self.comp_list.get(j, ()))
         table = [self._table_row(j, raws) for raws in sources]
         self._actions[j] = table
         return table
@@ -247,6 +268,15 @@ class _Tower:
                     coords = {pos[w]: c for w, c in coords.items()}
                 out[v] = coords
         return out
+
+    def ad(self) -> list[dict]:
+        """ad[w] = {v: [e_w, e_v]} over the stored n_+ brackets, v ascending."""
+        if self._ad is None:
+            self._ad = [{} for _ in range(self.inp.dim)]
+            for (u, v), vec in sorted(self.inp.nplus.brackets.items()):
+                self._ad[u][v] = vec
+                self._ad[v][u] = {x: -c for x, c in vec.items()}
+        return self._ad
 
     def bracket_pairs(self, w: int) -> list:
         """The pairs (u, v), u < v, whose n_+ bracket has a w term."""
@@ -368,38 +398,36 @@ def _map_to_vec(offsets, phi: TaggedMap) -> Vec:
 def residual_is_zero(inp: ProlongInput, tower: _Tower, k: int, phi: TaggedMap) -> bool:
     """Substitute phi back into the compatibility equation on every pair.
 
-    Only pairs with a term that can be nonzero are evaluated: those whose
-    bracket meets the support of phi, and those (u, v), in either order,
-    where the action table has an entry for v at some slot of phi(u).  On
-    every other pair all three terms vanish.
+    The residual phi([u, v]) - [phi(u), v] + [phi(v), u] of each pair u < v
+    is accumulated term by term from the support of phi: phi(w) for the
+    pairs whose bracket has a w term, and [phi(u), v] for the entries of
+    the action table at the slots of phi(u).  Every other term vanishes.
+    A pair whose target space is empty has no equation.
     """
     degrees = inp.degrees
-    pairs = set()
-    for u, block in enumerate(phi):
-        if not block:
-            continue
-        pairs.update(tower.bracket_pairs(u))
-        table = tower.action(degrees[u] - k)
-        for s in block:
-            for v in table[s]:
-                if v != u:
-                    pairs.add((u, v) if u < v else (v, u))
-    for u, v in pairs:
-        du, dv = degrees[u], degrees[v]
-        if tower.space_dim(du + dv - k) == 0:
-            continue
-        total: Vec = {}
-        for w, cw in inp.nplus.bracket_basis(u, v).items():
-            vec_add_scaled(total, phi[w], cw)
-        table = tower.action(du - k)
-        for s, c in phi[u].items():
-            vec_add_scaled(total, table[s].get(v, {}), -c)
-        table = tower.action(dv - k)
-        for s, c in phi[v].items():
-            vec_add_scaled(total, table[s].get(u, {}), c)
-        if total:
-            return False
-    return True
+    brackets = inp.nplus.brackets
+    support = [u for u, block in enumerate(phi) if block]
+    tables = {d: tower.action(d - k) for d in {degrees[u] for u in support}}
+    total: dict = {}  # (u, v, coordinate) -> value
+    for w in support:
+        block = phi[w]
+        for u, v in tower.bracket_pairs(w):
+            cw = brackets[(u, v)][w]
+            for m, c in block.items():
+                key = (u, v, m)
+                total[key] = total.get(key, 0) + cw * c
+        # [phi(w), v] enters the pair (w, v) with sign -1, (v, w) with +1
+        table = tables[degrees[w]]
+        for s, c in block.items():
+            for v, coords in table[s].items():
+                if v == w:
+                    continue
+                lo, hi, sc = (w, v, -c) if w < v else (v, w, c)
+                for m, x in coords.items():
+                    key = (lo, hi, m)
+                    total[key] = total.get(key, 0) + sc * x
+    return not any(c and tower.space_dim(degrees[u] + degrees[v] - k)
+                   for (u, v, _), c in total.items())
 
 
 def prolongation(inp: ProlongInput, k_max: int, witnesses: dict | None = None,
@@ -421,9 +449,9 @@ def prolongation(inp: ProlongInput, k_max: int, witnesses: dict | None = None,
             f"k_max={k_max} exceeds the safety bound {DEPTH_LIMIT}; pass "
             f"allow_deep=True for inputs with known infinite prolongations"
         )
-    inp.validate()
-    witnesses = witnesses or {}
     tower = _Tower(inp)
+    inp.validate(tower)
+    witnesses = witnesses or {}
     dims: dict[int, int] = {}
     stopped: dict[int, bool] = {}
 
@@ -470,7 +498,7 @@ def input_from_g(g) -> tuple[ProlongInput, list, list]:
     brackets = {}
     for a in range(len(gplus)):
         for b in range(a + 1, len(gplus)):
-            raw = t.bracket_basis(gplus[a], gplus[b])
+            raw = t.brackets.get((gplus[a], gplus[b]))
             if raw:
                 brackets[(a, b)] = {pos[w]: c for w, c in raw.items()}
     nplus = LieAlgebraTable(

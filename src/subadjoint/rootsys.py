@@ -14,6 +14,13 @@ Conventions fixed once for the whole package:
   of its sum, all other constants derived through the Jacobi relations
   N(a,b) = -N(b,a), N(-a,-b) = -N(a,b), and the rotation identity for
   triples summing to zero.
+* Each root is also coded as one integer, code(x) = sum_i x_i 64^i.  The
+  code is linear and one-to-one on vectors with coordinates in -31..31;
+  root coordinates are at most 6 in absolute value (checked when the root
+  system is built), so sums, differences and root strings stay in range
+  and a + b is a root exactly when code(a) + code(b) is the code of a
+  root.  The Chevalley recursion and the table run on root indices found
+  this way.
 """
 
 from __future__ import annotations
@@ -166,12 +173,28 @@ class RootSystem:
         return total
 
     def is_root(self, x) -> bool:
-        return tuple(x) in self._root_set
+        return tuple(x) in self._root_index
 
     @cached_property
-    def _root_set(self) -> frozenset:
-        neg = tuple(tuple(-c for c in r) for r in self.positive_roots)
-        return frozenset(self.positive_roots) | frozenset(neg)
+    def _root_index(self) -> dict:
+        """root -> index in all_roots()."""
+        return {r: i for i, r in enumerate(self.all_roots())}
+
+    def root_code(self, x) -> int:
+        """sum_i x_i 64^i: linear in x and one-to-one on vectors with
+        coordinates in -31..31, so a + b is a root exactly when
+        code(a) + code(b) is a root code."""
+        return sum(c << (6 * i) for i, c in enumerate(x) if c)
+
+    @cached_property
+    def _codes(self) -> tuple:
+        """root_code of each root, in all_roots() order."""
+        return tuple(self.root_code(r) for r in self.all_roots())
+
+    @cached_property
+    def _code_index(self) -> dict:
+        """root code -> index in all_roots()."""
+        return {c: i for i, c in enumerate(self._codes)}
 
     def all_roots(self) -> list[Root]:
         """Positive roots in table order, then their negatives."""
@@ -254,6 +277,9 @@ def build_root_system(label: str) -> RootSystem:
     theta = tops[0]
     _require(all(all(theta[i] >= r[i] for i in range(rank)) for r in positives),
              f"{label}: highest root does not dominate every positive root")
+    # root strings have length at most 4, so every vector the root code is
+    # read on has coordinates of size at most 6 + 4 * 6 = 30
+    _require(max(theta) <= 6, f"{label}: root coordinates exceed the root code")
     d = _simple_root_half_lengths(C)
     return RootSystem(
         series=series,
@@ -304,20 +330,16 @@ def to_fundamental_coords(w: WeightVector, rs: RootSystem) -> WeightVector:
 # Chevalley structure constants
 # --------------------------------------------------------------------------
 
-def _root_order_key(rs: RootSystem, r: Root):
-    return (root_height(r), r)
-
-
 def _string_down(rs: RootSystem, beta: Root, alpha: Root) -> int:
     """Largest p with beta - p*alpha a root."""
+    codes = rs._code_index
+    step = rs.root_code(alpha)
+    cur = rs.root_code(beta) - step
     p = 0
-    cur = beta
-    while True:
-        cur = tuple(c - a for c, a in zip(cur, alpha))
-        if rs.is_root(cur):
-            p += 1
-        else:
-            return p
+    while cur in codes:
+        p += 1
+        cur -= step
+    return p
 
 
 def _quotient(num: int, den: int, a: Root, b: Root) -> int:
@@ -332,87 +354,94 @@ def _quotient(num: int, den: int, a: Root, b: Root) -> int:
 
 class ChevalleyConstants:
     """All N(a, b) for a Chevalley basis, built by the height recursion in
-    integer arithmetic: each division is exact or raises RootDataError."""
+    integer arithmetic: each division is exact or raises RootDataError.
+
+    The recursion runs on root indices into `rs.all_roots()`: index i < P
+    is the i-th positive root (height order), i + P its negative, and the
+    index of a sum is read off the root codes.  `n` takes root tuples.
+    """
 
     def __init__(self, rs: RootSystem):
         self.rs = rs
-        self._memo: dict[tuple[Root, Root], int] = {}
-        self._norm6 = {r: rs.form6(r, r) for r in rs.all_roots()}
-        self._extraspecial: dict[Root, tuple[Root, Root]] = {}
-        self._build_extraspecial()
+        self._roots = rs.all_roots()
+        self._npos = len(rs.positive_roots)
+        self._pos = rs._root_index
+        self._codes = rs._codes
+        self._index = rs._code_index
+        self._memo: dict[int, int] = {}  # a * (2 P) + b -> N(a, b)
+        norm6 = [rs.form6(r, r) for r in rs.positive_roots]
+        self._norm6 = norm6 + norm6
+        self._extraspecial = self._build_extraspecial()
 
-    def _build_extraspecial(self):
-        rs = self.rs
-        order = {r: _root_order_key(rs, r) for r in rs.positive_roots}
-        by_sum: dict[Root, list[tuple[Root, Root]]] = {}
-        pos = set(rs.positive_roots)
-        for a in rs.positive_roots:
-            for g in rs.positive_roots:
-                b = tuple(x - y for x, y in zip(g, a))
-                if b in pos and order[a] <= order[b]:
-                    by_sum.setdefault(g, []).append((a, b))
-        for g, pairs in by_sum.items():
-            self._extraspecial[g] = min(pairs, key=lambda ab: order[ab[0]])
+    def _build_extraspecial(self) -> dict[int, tuple[int, int]]:
+        """Positive sum -> its extraspecial pair (xi, eta): xi first in
+        height order among the pairs of positive roots, xi before eta."""
+        out: dict[int, tuple[int, int]] = {}
+        codes, index, npos = self._codes, self._index, self._npos
+        for a in range(npos):
+            ca = codes[a]
+            for b in range(a + 1, npos):
+                s = index.get(ca + codes[b])
+                if s is not None and s not in out:
+                    out[s] = (a, b)
+        return out
 
     def n(self, a: Root, b: Root) -> int:
         """Structure constant in [e_a, e_b] = N(a,b) e_{a+b}."""
-        rs = self.rs
-        s = tuple(x + y for x, y in zip(a, b))
-        if not rs.is_root(s):
-            return 0
-        key = (a, b)
-        if key in self._memo:
-            return self._memo[key]
-        val = self._compute(a, b, s)
-        self._memo[key] = val
-        self._memo[(b, a)] = -val
+        return self._n(self._pos[a], self._pos[b])
+
+    def _n(self, a: int, b: int) -> int:
+        """N for root indices a, b; 0 when a + b is not a root."""
+        m = self._npos * 2
+        val = self._memo.get(a * m + b)
+        if val is None:
+            s = self._index.get(self._codes[a] + self._codes[b])
+            if s is None:
+                return 0
+            val = self._compute(a, b, s)
+            self._memo[a * m + b] = val
+            self._memo[b * m + a] = -val
         return val
 
-    def _compute(self, a: Root, b: Root, s: Root) -> int:
-        rs = self.rs
-        apos = root_height(a) > 0
-        bpos = root_height(b) > 0
-        if apos and bpos:
-            if _root_order_key(rs, a) > _root_order_key(rs, b):
-                return -self.n(b, a)
+    def _compute(self, a: int, b: int, s: int) -> int:
+        npos, codes, index = self._npos, self._codes, self._index
+        if a < npos and b < npos:
+            if a > b:
+                return -self._n(b, a)
             xi, eta = self._extraspecial[s]
             if (a, b) == (xi, eta):
-                return _string_down(rs, b, a) + 1
+                return _string_down(self.rs, self._roots[b], self._roots[a]) + 1
             # Jacobi on (e_{-xi}, e_a, e_b); every constant on the right has
             # strictly smaller height data, so the recursion terminates.
-            lhs_coef = self.n(s, tuple(-x for x in xi))
+            mxi = xi + npos
+            lhs_coef = self._n(s, mxi)
             rhs = 0
-            amx = tuple(x - y for x, y in zip(a, xi))
-            if rs.is_root(amx):
-                rhs -= self.n(tuple(-x for x in xi), a) * self.n(amx, b)
-            bmx = tuple(x - y for x, y in zip(b, xi))
-            if rs.is_root(bmx):
-                rhs -= self.n(b, tuple(-x for x in xi)) * self.n(bmx, a)
+            amx = index.get(codes[a] - codes[xi])
+            if amx is not None:
+                rhs -= self._n(mxi, a) * self._n(amx, b)
+            bmx = index.get(codes[b] - codes[xi])
+            if bmx is not None:
+                rhs -= self._n(b, mxi) * self._n(bmx, a)
             if not lhs_coef:
                 raise RootDataError(
-                    f"extraspecial constant N({s}, -{xi}) vanished")
-            return _quotient(rhs, lhs_coef, a, b)
-        if not apos and not bpos:
-            return -self.n(tuple(-x for x in a), tuple(-x for x in b))
-        if not apos:  # make the first argument positive
-            return -self.n(b, a)
-        # a positive, b negative
-        mu = tuple(-x for x in b)
-        diff = tuple(x - y for x, y in zip(a, mu))  # = s
-        if root_height(diff) > 0:
+                    f"extraspecial constant N({self._roots[s]}, "
+                    f"-{self._roots[xi]}) vanished")
+            return _quotient(rhs, lhs_coef, self._roots[a], self._roots[b])
+        if a >= npos and b >= npos:
+            return -self._n(a - npos, b - npos)
+        if a >= npos:  # make the first argument positive
+            return -self._n(b, a)
+        # a positive, b = -mu negative, s = a - mu
+        mu = b - npos
+        norm6 = self._norm6
+        if s < npos:
             # triple (s, mu, -a): N(a,-mu) = N(s,mu) (s,s)/(a,a)
-            return _quotient(self.n(diff, mu) * self._norm6[diff],
-                             self._norm6[a], a, b)
-        u = tuple(-x for x in diff)
+            return _quotient(self._n(s, mu) * norm6[s], norm6[a],
+                             self._roots[a], self._roots[b])
+        u = s - npos
         # triple (a, u, -mu): N(a,-mu) = -N(a,u) (u,u)/(mu,mu)
-        return _quotient(-self.n(a, u) * self._norm6[u], self._norm6[mu], a, b)
-
-
-def ordered_basis(rs: RootSystem) -> list[tuple]:
-    """Basis layout: ('h', i) for the Cartan, then ('e', root)."""
-    return [("h", i) for i in range(rs.rank)] + [
-        ("e", r) for r in rs.all_roots()
-    ]
+        return _quotient(-self._n(a, u) * norm6[u], norm6[mu],
+                         self._roots[a], self._roots[b])
 
 
 def chevalley_table(rs: RootSystem) -> LieAlgebraTable:
@@ -420,50 +449,46 @@ def chevalley_table(rs: RootSystem) -> LieAlgebraTable:
 
     Basis: h_1..h_rank, then e_alpha over all roots (positives in closure
     order, then negatives).  Constants are stored as `int`; a non-integral
-    or vanishing one raises RootDataError.  Deterministic: two calls on
-    equal input give identical tables.
+    or vanishing one raises RootDataError.  A pair of roots costs one
+    lookup of the code of its sum, and only the pairs whose sum is a root
+    or zero reach the constants.  Deterministic: two calls on equal input
+    give identical tables.
     """
-    basis = ordered_basis(rs)
-    index = {key: i for i, key in enumerate(basis)}
+    rank = rs.rank
+    roots = rs.all_roots()
+    npos = len(rs.positive_roots)
+    codes, index = rs._codes, rs._code_index
     nconst = ChevalleyConstants(rs)
-    dim = len(basis)
     brackets: dict[tuple[int, int], dict[int, int]] = {}
 
-    def put(i: int, j: int, vec: dict[int, int]):
-        if not vec:
-            return
-        if i < j:
-            brackets[(i, j)] = vec
-        else:
-            brackets[(j, i)] = {k: -v for k, v in vec.items()}
-
-    roots = rs.all_roots()
-    for r in roots:
-        er = index[("e", r)]
-        for i in range(rs.rank):
-            c = rs.pairing(r, i)
+    # [h_i, e_r] = <r, a_i^vee> e_r; e_r has basis index rank + its root
+    # index, and the pairings of -r are those of r negated
+    pairings = [[rs.pairing(r, i) for i in range(rank)]
+                for r in rs.positive_roots]
+    pairings += [[-c for c in row] for row in pairings]
+    for er, row in enumerate(pairings, rank):
+        for i, c in enumerate(row):
             if c:
-                put(index[("h", i)], er, {er: c})
+                brackets[(i, er)] = {er: c}
     for ia, a in enumerate(roots):
-        ea = index[("e", a)]
-        for b in roots[ia + 1 :]:
-            eb = index[("e", b)]
-            s = tuple(x + y for x, y in zip(a, b))
-            if not any(s):
-                cor = rs.coroot_coords(a)
-                put(ea, eb, {index[("h", i)]: c
-                             for i, c in enumerate(cor) if c})
-            elif rs.is_root(s):
+        ca = codes[ia]
+        for ib in range(ia + 1, len(roots)):
+            s = index.get(ca + codes[ib])
+            if s is not None:
+                b = roots[ib]
                 c = nconst.n(a, b)
                 if c.denominator != 1 or not c:
                     raise RootDataError(f"structure constant N({a}, {b}) = {c} "
                                         f"is not a nonzero integer")
-                put(ea, eb, {index[("e", s)]: int(c)})
-    labels = tuple(
-        f"h{i + 1}" if kind == "h" else "e" + "".join(f"{c:+d}" for c in data)
-        for kind, data in ((k[0], k[1]) for k in basis)
-    )
-    return LieAlgebraTable(dim=dim, labels=labels, brackets=brackets)
+                brackets[(rank + ia, rank + ib)] = {rank + s: int(c)}
+            elif ib == ia + npos:
+                cor = rs.coroot_coords(a)
+                brackets[(rank + ia, rank + ib)] = {
+                    i: c for i, c in enumerate(cor) if c}
+    labels = tuple(f"h{i + 1}" for i in range(rank)) + tuple(
+        "e" + "".join(f"{c:+d}" for c in r) for r in roots)
+    return LieAlgebraTable(dim=rank + len(roots), labels=labels,
+                           brackets=brackets)
 
 
 def string_length_down(rs: RootSystem, beta: Root, alpha: Root) -> int:

@@ -500,7 +500,7 @@ def _run_prolong(rec: _Recorder, g) -> CaseTower | None:
     dminus1 = g.component_dims()[-1]
     wits_ok = all(tower.passes)
     try:
-        tower.inp.validate()
+        tower.inp.validate(tower.tower)
         _check(wits_ok, "witness map fails the compatibility equation at level 1")
         q1, q2 = (q_dimension(g, k, tower) for k in (-1, -2))
     except (ProlongConsistencyError, CaseConsistencyError) as e:
@@ -514,7 +514,8 @@ def _run_prolong(rec: _Recorder, g) -> CaseTower | None:
                 values={"stopped_early": {1: q1.stopped_early,
                                           2: q2.stopped_early}})
     t1 = time.monotonic()
-    wrank = witness_rank(tower.witnesses)
+    # when every witness passes, the cocycle rank is the rank of them all
+    wrank = tower.cocycle_rank if wits_ok else witness_rank(tower.witnesses)
     inj_ok = wrank == dminus1 and wits_ok
     rec.add("prolong-ad-witnesses", "PASS" if inj_ok else "FAIL", t1,
             dims={"witness_rank": wrank, "dim_g_minus_1": dminus1},

@@ -8,6 +8,7 @@ from subadjoint.cases import (
     CaseConsistencyError,
     CaseExcludedError,
     _exp_ad,
+    _integer_inverse,
     _l_basis_vectors,
     _validate_case,
     build_case,
@@ -19,7 +20,7 @@ from subadjoint.cases import (
     sample_closed_orbit,
     symplectic_form,
 )
-from subadjoint.linalg import RrefBasis, SparseRationalMatrix
+from subadjoint.linalg import RrefBasis, SparseRationalMatrix, mat_inverse
 
 
 @pytest.fixture(scope="module")
@@ -330,3 +331,17 @@ def test_non_nilpotent_exp_ad_raises_under_python_O():
         "sys.exit('non-nilpotent ad f accepted')",
     ])
     assert r.returncode == 0, r.stderr
+
+
+def test_integer_inverse_matches_fraction_inverse():
+    # the l Cartan inverse as integers over one denominator, with a row swap
+    # (zero leading entry) among the inputs, and a singular matrix rejected
+    for m in ([[2, -1, 0], [-1, 2, -2], [0, -1, 2]],
+              [[0, 1, 2], [1, 0, 3], [4, -3, 8]],
+              [[2, -1, 0, 0, 0, 0], [-1, 2, -1, 0, 0, 0], [0, -1, 2, -1, 0, -1],
+               [0, 0, -1, 2, -1, 0], [0, 0, 0, -1, 2, 0], [0, 0, -1, 0, 0, 2]]):
+        inv, den = _integer_inverse(m)
+        assert [[Fraction(x, den) for x in row] for row in inv] == mat_inverse(m)
+        assert all(type(x) is int for row in inv for x in row)
+    with pytest.raises(ValueError, match="singular"):
+        _integer_inverse([[1, 2], [2, 4]])

@@ -404,3 +404,74 @@ def test_pair_rows_match_term_by_term_reference(label):
         assert items(pair_rows(inp, tower, 1, offsets, pos[u], pos[v], only)) \
             == items(_reference_pair_rows(inp, tower, 1, offsets, pos[u],
                                           pos[v], only))
+
+
+def _duplicated_n0_input():
+    """The B3 input with its last n_0 matrix appended a second time."""
+    inp, _, _ = input_from_g(build_g(build_case("B3")))
+    return ProlongInput(nplus=inp.nplus, degrees=inp.degrees,
+                        n0_mats=inp.n0_mats + (inp.n0_mats[-1],))
+
+
+def _unclosed_n0_input():
+    """The F4 input without ad e_r for the highest root r of l_0 = gl3.
+
+    r is the sum of the other two positive roots b, c of l_0, so
+    [ad e_b, ad e_c] is a nonzero multiple of ad e_r: the remaining
+    matrices are independent derivations whose span is not closed.
+    """
+    g = build_g(build_case("F4"))
+    inp, _, g0 = input_from_g(g)
+    top = max((r for r in g.case.l0_roots() if sum(r) > 0), key=sum)
+    drop = g0.index(g.l_offset + g.l_basis_keys.index(("e", top)))
+    return ProlongInput(nplus=inp.nplus, degrees=inp.degrees,
+                        n0_mats=inp.n0_mats[:drop] + inp.n0_mats[drop + 1:])
+
+
+def _ungenerated_input():
+    """An abelian n_+ with a degree-2 vector that degree 1 cannot reach."""
+    nplus = LieAlgebraTable(dim=2, labels=("x", "y"), brackets={})
+    return ProlongInput(nplus=nplus, degrees=(1, 2), n0_mats=())
+
+
+def _degree_mixing_n0_input():
+    """The B3 input with one n_0 column moved partly into degree 2."""
+    inp, _, _ = input_from_g(build_g(build_case("B3")))
+    j = inp.degrees.index(1)
+    inp.n0_mats[0][j][inp.degrees.index(2)] = 1
+    return inp
+
+
+VALIDATE_CONTROLS = [
+    ("_duplicated_n0_input", "n0 matrices are linearly dependent"),
+    ("_unclosed_n0_input", "n0 not closed under commutator"),
+    ("_ungenerated_input", "degree-1 component does not generate"),
+    ("_degree_mixing_n0_input", "n0 element 0 is not degree-preserving"),
+]
+
+
+@pytest.mark.parametrize("make,message", VALIDATE_CONTROLS)
+def test_validate_controls_raise(make, message):
+    with pytest.raises(ProlongConsistencyError, match=message):
+        globals()[make]().validate()
+
+
+@pytest.mark.parametrize("make,message", VALIDATE_CONTROLS)
+def test_validate_controls_raise_under_python_O(make, message):
+    # the checks must not be asserts, which -O strips
+    script = "\n".join([
+        "import sys",
+        f"sys.path.insert(0, {str(Path(__file__).parent)!r})",
+        f"from test_prolong import {make}",
+        "from subadjoint.prolong import ProlongConsistencyError",
+        "if __debug__:",
+        "    sys.exit('not running under -O')",
+        "try:",
+        f"    {make}().validate()",
+        "except ProlongConsistencyError as e:",
+        f"    sys.exit(0 if str(e) == {message!r} else str(e))",
+        "sys.exit('invalid input accepted')",
+    ])
+    r = subprocess.run([sys.executable, "-O", "-c", script],
+                       capture_output=True, text=True)
+    assert r.returncode == 0, r.stderr

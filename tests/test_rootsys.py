@@ -325,3 +325,100 @@ def test_integer_form_matches_fraction_formula(label):
     for x in roots:
         for y in roots:
             assert Fraction(rs.form6(x, y), 6) == form(x, y)
+
+
+# the tuple-keyed height recursion that ChevalleyConstants ran on before it
+# moved to root indices, kept here as the reference for chevalley_table
+def _reference_table(rs):
+    """(labels, brackets) of chevalley_table(rs) from the tuple recursion
+    over every pair of roots."""
+    def shift(x, y, sign=1):
+        return tuple(a + sign * b for a, b in zip(x, y))
+
+    def neg(x):
+        return tuple(-a for a in x)
+
+    def order(r):
+        return (sum(r), r)
+
+    positive = set(rs.positive_roots)
+    extraspecial = {}
+    for a in rs.positive_roots:
+        for s in rs.positive_roots:
+            b = shift(s, a, -1)
+            if b in positive and order(a) <= order(b):
+                extraspecial.setdefault(s, (a, b))
+    norm6 = {r: rs.form6(r, r) for r in rs.all_roots()}
+    memo = {}
+
+    def quotient(num, den):
+        q, r = divmod(num, den)
+        assert not r
+        return q
+
+    def n(a, b):
+        s = shift(a, b)
+        if not rs.is_root(s):
+            return 0
+        if (a, b) not in memo:
+            val = compute(a, b, s)
+            memo[(a, b)], memo[(b, a)] = val, -val
+        return memo[(a, b)]
+
+    def compute(a, b, s):
+        apos, bpos = sum(a) > 0, sum(b) > 0
+        if apos and bpos:
+            if order(a) > order(b):
+                return -n(b, a)
+            xi, eta = extraspecial[s]
+            if (a, b) == (xi, eta):
+                return string_length_down(rs, b, a) + 1
+            # Jacobi on (e_{-xi}, e_a, e_b)
+            rhs = 0
+            if rs.is_root(shift(a, xi, -1)):
+                rhs -= n(neg(xi), a) * n(shift(a, xi, -1), b)
+            if rs.is_root(shift(b, xi, -1)):
+                rhs -= n(b, neg(xi)) * n(shift(b, xi, -1), a)
+            return quotient(rhs, n(s, neg(xi)))
+        if not apos and not bpos:
+            return -n(neg(a), neg(b))
+        if not apos:
+            return -n(b, a)
+        mu = neg(b)
+        if sum(s) > 0:
+            return quotient(n(s, mu) * norm6[s], norm6[a])
+        u = neg(s)
+        return quotient(-n(a, u) * norm6[u], norm6[mu])
+
+    roots = rs.all_roots()
+    index = {r: rs.rank + i for i, r in enumerate(roots)}
+    brackets = {}
+    for r in roots:
+        for i in range(rs.rank):
+            c = rs.pairing(r, i)
+            if c:
+                brackets[(i, index[r])] = {index[r]: c}
+    for ia, a in enumerate(roots):
+        for b in roots[ia + 1:]:
+            s = shift(a, b)
+            if not any(s):
+                brackets[(index[a], index[b])] = {
+                    i: c for i, c in enumerate(rs.coroot_coords(a)) if c}
+            elif rs.is_root(s):
+                brackets[(index[a], index[b])] = {index[s]: n(a, b)}
+    labels = tuple(f"h{i + 1}" for i in range(rs.rank)) + tuple(
+        "e" + "".join(f"{c:+d}" for c in r) for r in roots)
+    return labels, brackets
+
+
+@pytest.mark.parametrize("label", [
+    "A1", "A2", "C3", "G2", "B3", "B4", "B5", "B6", "B7", "B8",
+    "D4", "D5", "D6", "D7", "D8", "F4", "E6", "E7", "E8",
+])
+def test_chevalley_table_matches_tuple_recursion(label):
+    # same labels, same constants and the same key order as the reference
+    rs = build_root_system(label)
+    table = chevalley_table(rs)
+    labels, brackets = _reference_table(rs)
+    assert table.labels == labels
+    assert list(table.brackets.items()) == list(brackets.items())

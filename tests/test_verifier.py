@@ -545,3 +545,15 @@ def test_cli_single_case_json(capsys, tmp_path):
     assert code == 0
     parsed = json.loads(out.read_text())
     assert parsed["case"] == "B3"
+
+
+def test_e_series_json_report_matches_golden_file(tmp_path):
+    # the committed report of `verify --case E6,E7 --checks
+    # prolong,spencer,forms,weights --seed 7 --format json`: the E-series
+    # construction, prolongation, Spencer and weight values must not drift;
+    # regenerate the file only for an intended change
+    out = tmp_path / "rep.json"
+    main(["--case", "E6,E7", "--checks", "prolong,spencer,forms,weights",
+          "--seed", "7", "--format", "json", "--out", str(out)])
+    golden = Path(__file__).parent / "report_E6_E7_seed7.json"
+    assert out.read_bytes() == golden.read_bytes()
