@@ -24,7 +24,7 @@ from .liecore import (
     line_stabilizer,
 )
 from .linalg import (
-    RrefBasis,
+    SparseRationalMatrix,
     Vec,
     vec_add_scaled,
     vec_scale,
@@ -750,18 +750,10 @@ def check_xvv(case: SubadjointCase, samples: list[Vec]) -> XvvCertificate:
     """
     s = case.s_table
     lm1 = [case.e(r) for r in case.lminus1_roots()]
-    ncols = len(lm1)
-    acc = RrefBasis(ncols)
-    for b in samples:
-        images = [s.bracket(s.bracket(a, b), b) for a in lm1]
-        coords = set()
-        for im in images:
-            coords |= set(im)
-        for m in sorted(coords):
-            row = {i: im[m] for i, im in enumerate(images) if m in im}
-            if row:
-                acc.add(row)
-    kdim = acc.kernel_dim()
+    kdim = len(SparseRationalMatrix.from_columns(
+        [{(bi, m): c for bi, b in enumerate(samples)
+          for m, c in s.bracket(s.bracket(a, b), b).items()} for a in lm1]
+    ).kernel())
     status = "PASS" if kdim == 0 else "INCONCLUSIVE"
     return XvvCertificate(status=status, samples_used=len(samples),
                           kernel_dim=kdim)

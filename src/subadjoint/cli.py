@@ -43,8 +43,6 @@ def build_parser() -> argparse.ArgumentParser:
                         "sampling takes at least the summand's dimension)")
     p.add_argument("--rank-ceiling", type=int, default=8,
                    help="largest B/D rank in the registry")
-    p.add_argument("--kmin", type=int, default=-7,
-                   help="lowest cochain degree for the weight tables")
     p.add_argument("--format", dest="fmt", default="text",
                    choices=("text", "json"))
     p.add_argument("--timings", action="store_true",
@@ -63,8 +61,7 @@ def main(argv=None) -> int:
         # argparse exits 2 on a usage error, which here means DEGRADED
         return 3 if e.code else 0
     options = RunOptions(
-        seed=args.seed, samples=args.samples,
-        kmin=args.kmin, heavy=args.heavy, timings=args.timings,
+        seed=args.seed, samples=args.samples, heavy=args.heavy,
         rank_ceiling=args.rank_ceiling,
     )
 

@@ -253,20 +253,11 @@ def verify_structure_identities(g: GAlgebra) -> list[IdentityCheck]:
 
     # (b): annihilator of V_2 inside g_1
     g1 = [i for i, d in enumerate(g.degree) if d == 1]
-    V2 = list(g.V_level_indices[2])
-    rows = []
-    images = {u: [t.bracket_basis(u, w) for w in V2] for u in g1}
-    coords = set()
-    for u in g1:
-        for im in images[u]:
-            coords |= set(im)
-    for w_i in range(len(V2)):
-        for m in sorted(coords):
-            row = {ui: images[u][w_i].get(m) for ui, u in enumerate(g1)}
-            row = {k: v for k, v in row.items() if v}
-            if row:
-                rows.append(row)
-    ker = SparseRationalMatrix.from_rows(rows, len(g1)).kernel()
+    V2 = g.V_level_indices[2]
+    ker = SparseRationalMatrix.from_columns(
+        [{(wi, m): c for wi, w in enumerate(V2)
+          for m, c in t.bracket_basis(u, w).items()} for u in g1]
+    ).kernel()
     ann_vecs = []
     for k in ker:
         ann_vecs.append({g1[i]: c for i, c in k.items()})
@@ -311,19 +302,13 @@ def verify_g_module_structure(g: GAlgebra) -> list[IdentityCheck]:
     out = []
     g0 = [i for i, d in enumerate(g.degree) if d == 0]
     g1 = [i for i, d in enumerate(g.degree) if d == 1]
-    pos_of_g1 = {u: k for k, u in enumerate(g1)}
 
     # ker(ad: g_0 -> gl(g_1)) = 0; 'grAut(g_+) -> GL(g_1) injective' at the
     # algebra level, using that g_1 generates g_+
-    rows = []
-    for u in g1:
-        bycoord: dict[int, Vec] = {}
-        for xi, x in enumerate(g0):
-            br = t.bracket_basis(x, u)
-            for m, c in br.items():
-                bycoord.setdefault(m, {})[xi] = c
-        rows.extend(bycoord.values())
-    ker = SparseRationalMatrix.from_rows(rows, len(g0)).kernel()
+    ker = SparseRationalMatrix.from_columns(
+        [{(u, m): c for u in g1 for m, c in t.bracket_basis(x, u).items()}
+         for x in g0]
+    ).kernel()
     out.append(IdentityCheck(
         "ad-g0-faithful-on-g1", "PASS" if not ker else "FAIL",
         {"kernel_dim": len(ker)},

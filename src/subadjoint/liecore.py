@@ -13,7 +13,8 @@ from dataclasses import dataclass, field
 from math import gcd
 from typing import Callable
 
-from .linalg import RrefBasis, SparseRationalMatrix, Vec, vec_add_scaled
+from .linalg import (RrefBasis, SparseRationalMatrix, Vec, vec_add_scaled,
+                     vec_scale)
 
 
 class InvalidGradingElement(ValueError):
@@ -204,23 +205,13 @@ class Subspace:
         )
 
     def intersection(self, other: "Subspace") -> "Subspace":
-        """Solve lam*A = mu*B by stacking [A^T | -B^T] and reading kernels."""
+        """Solve lam*A = mu*B as the kernel of the map with columns [A | -B]."""
         a = self.basis_vectors()
         b = other.basis_vectors()
         if not a or not b:
             return Subspace.zero(self.ambient_dim)
-        rows = []
-        for i in range(self.ambient_dim):
-            row: Vec = {}
-            for j, v in enumerate(a):
-                if i in v:
-                    row[j] = v[i]
-            for j, v in enumerate(b):
-                if i in v:
-                    row[len(a) + j] = -v[i]
-            if row:
-                rows.append(row)
-        ker = SparseRationalMatrix.from_rows(rows, len(a) + len(b)).kernel()
+        ker = SparseRationalMatrix.from_columns(
+            a + [vec_scale(v, -1) for v in b]).kernel()
         vecs = []
         for lam in ker:
             v: Vec = {}
@@ -314,18 +305,9 @@ def grade_by_element(L: LieAlgebraTable, h: Vec) -> Grading:
     components = {}
     total = 0
     for lam in range(-bound, bound + 1):
-        rows = []
-        for i in range(L.dim):
-            row: Vec = {}
-            for j, col in enumerate(cols):
-                v = col.get(i, 0)
-                if i == j:
-                    v -= lam
-                if v:
-                    row[j] = v
-            if row:
-                rows.append(row)
-        ker = SparseRationalMatrix.from_rows(rows, L.dim).kernel()
+        ker = SparseRationalMatrix.from_columns(
+            [{**col, j: col.get(j, 0) - lam} for j, col in enumerate(cols)]
+        ).kernel()
         if ker:
             sub = Subspace.from_vectors(L.dim, ker)
             components[lam] = sub
@@ -361,15 +343,10 @@ def line_stabilizer(L: LieAlgebraTable, v: Vec, action: Callable[[Vec, Vec], Vec
     Solved as a kernel: unknowns are the coefficients of x plus one scalar t
     with action(x, v) = t*v.
     """
-    bycoord: dict[int, Vec] = {}  # module coordinate m -> its row
-    for i in range(L.dim):
-        for m, c in action({i: 1}, v).items():
-            bycoord.setdefault(m, {})[i] = c
-    for m, c in v.items():
-        if c:
-            bycoord.setdefault(m, {})[L.dim] = -c
-    rows = [bycoord[m] for m in sorted(bycoord) if m < module_dim]
-    ker = SparseRationalMatrix.from_rows(rows, L.dim + 1).kernel()
+    columns = [action({i: 1}, v) for i in range(L.dim)] + [vec_scale(v, -1)]
+    ker = SparseRationalMatrix.from_columns(
+        [{m: c for m, c in col.items() if m < module_dim} for col in columns]
+    ).kernel()
     vecs = []
     for k in ker:
         x = {i: c for i, c in k.items() if i < L.dim}

@@ -328,6 +328,21 @@ class SparseRationalMatrix:
             rows.append({j: v for j, v in enumerate(r) if v})
         return cls(len(dense), len(dense[0]) if dense else 0, rows)
 
+    @classmethod
+    def from_columns(cls, columns: list[dict]) -> "SparseRationalMatrix":
+        """The matrix of a map given by the images of its basis vectors.
+
+        columns[j] is the image of basis vector j, a sparse dict keyed by
+        any sortable row label.  Rows come in label order, zero entries are
+        dropped, so the kernel is {x : sum_j x_j columns[j] = 0}.
+        """
+        byrow: dict = {}
+        for j, col in enumerate(columns):
+            for label, v in col.items():
+                if v:
+                    byrow.setdefault(label, {})[j] = v
+        return cls.from_rows((byrow[r] for r in sorted(byrow)), len(columns))
+
     def rank(self) -> int:
         acc = RrefBasis(self.ncols)
         for row in self.rows:

@@ -1,10 +1,21 @@
 """Case registry, check orchestration, and report emission.
 
 Check granularity mirrors the structural statements being verified, one
-check id per claim, so a failing report localizes a regression.  Reports
-are deterministic for a fixed (case, checks, seed, version); wall
-times are measured but zeroed in JSON output unless explicitly requested,
-keeping byte-identical reruns.
+check id per claim, so a failing report localizes a regression.  Every
+check is one entry of the table CHECKS: its group (None for the two checks
+every run does), the ids it records and a function of the case's
+_Context, which returns one dict of record fields per id.  `run` calls the
+entries of the selected groups in table order.
+
+Error policy: an entry that raises CaseConsistencyError or
+ProlongConsistencyError (the input contradicts the construction) records
+each of its ids as FAIL with {"error": message}; any other exception is a
+bug and propagates out of `run`.
+
+Each record's millis is the time since the previous entry ended, so the
+first record, case-dims, includes building the case and g.  Reports are
+deterministic for a fixed (case, checks, seed, version); millis are zeroed
+in JSON output unless explicitly requested, keeping byte-identical reruns.
 """
 
 from __future__ import annotations
@@ -13,11 +24,13 @@ import json
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 
 from . import __version__
 from .cases import (
     CaseConsistencyError,
     CaseExcludedError,
+    SubadjointCase,
     build_case,
     check_xvv,
     fundamental_forms,
@@ -29,6 +42,7 @@ from .cases import (
     _check,
 )
 from .galg import (
+    GAlgebra,
     build_g,
     g_jacobi_violations,
     verify_g_module_structure,
@@ -46,10 +60,6 @@ from .spencer import (
     q_dimension,
     summand_cI_table,
 )
-
-CHECK_GROUPS = ("jacobi", "forms", "xvv", "gstructure", "prolong",
-                "spencer", "weights")
-
 
 @dataclass(frozen=True)
 class CaseDescriptor:
@@ -153,9 +163,7 @@ def registry_entry(case_id: str, rank_ceiling: int = 12) -> CaseDescriptor:
 class RunOptions:
     seed: int = 0
     samples: int = 10
-    kmin: int = -7
     heavy: bool = False
-    timings: bool = False
     rank_ceiling: int = 8
 
 
@@ -224,21 +232,33 @@ def _jsonify(obj):
     return str(obj)
 
 
-class _Recorder:
-    def __init__(self):
-        self.records: list[CheckRecord] = []
+@dataclass
+class _Context:
+    """One case as its checks read it.  The pieces several checks share are
+    built on first read; a build that raises is not kept, so every check
+    that reads it FAILs with the same error."""
 
-    def add(self, check_id: str, status: str, t0: float,
-            dims=None, values=None, witnesses=None):
-        self.records.append(CheckRecord(
-            check_id=check_id, status=status,
-            dims=dims or {}, values=values or {}, witnesses=witnesses or {},
-            millis=int((time.monotonic() - t0) * 1000),
-        ))
+    desc: CaseDescriptor
+    case: SubadjointCase
+    g: GAlgebra
+    options: RunOptions
+    dims: dict
+
+    @cached_property
+    def forms(self):
+        return fundamental_forms(self.case)
+
+    @cached_property
+    def tower(self) -> CaseTower:
+        return CaseTower(self.g)
+
+    @cached_property
+    def cIs(self) -> list:
+        return g_basis_cI(self.g)
 
 
 def run(case_id: str, check_set, options: RunOptions | None = None) -> VerificationReport:
-    """Execute the selected checks for one case, in dependency order."""
+    """Execute the selected checks for one case, in CHECKS order."""
     options = options or RunOptions()
     checks = set(check_set) if check_set else set()
     if "all" in checks:
@@ -257,57 +277,30 @@ def run(case_id: str, check_set, options: RunOptions | None = None) -> Verificat
             vacuous=True,
         )
 
-    rec = _Recorder()
     t0 = time.monotonic()
     case = build_case(case_id)
     g = build_g(case)
-    got_dims = {
+    dims = {
         "V": case.dim_V, "l1": case.dim_l1, "l": case.dim_l,
         "V_levels": [case.V_decomp[j].dim for j in range(4)],
         "g": [g.component_dims().get(d, 0) for d in (-1, 0, 1, 2, 3)],
         "factors": [c.type_label for c in case.l_components],
     }
-    dims_ok = (
-        case.dim_V == desc.dim_V
-        and case.dim_l1 == desc.dim_l1
-        and case.dim_l == desc.dim_l
-        and tuple(got_dims["g"]) == desc.g_dims
-        and sorted(got_dims["factors"]) == sorted(t for t, _ in desc.l_factors)
-    )
-    rec.add("case-dims", "PASS" if dims_ok else "FAIL", t0,
-            dims=got_dims, values={"note": desc.note})
-
-    t1 = time.monotonic()
-    cg = case.contact.dims()
-    contact_ok = cg.get(2) == 1 and cg.get(-2) == 1 and set(cg) == {-2, -1, 0, 1, 2}
-    rec.add("contact-grading", "PASS" if contact_ok else "FAIL", t1,
-            dims={"s_components": cg})
-
-    if "jacobi" in checks:
+    ctx = _Context(desc, case, g, options, dims)
+    records = []
+    for group, ids, check in CHECKS:
+        if group is not None and group not in checks:
+            continue
+        try:
+            results = check(ctx)
+        except (CaseConsistencyError, ProlongConsistencyError) as e:
+            results = [{"status": "FAIL", "values": {"error": str(e)}}
+                       for _ in ids]
         t1 = time.monotonic()
-        viol = check_jacobi(case.s_table)
-        rec.add("jacobi-ambient", "PASS" if not viol else "FAIL", t1,
-                values={"violations": len(viol)},
-                witnesses={"first": viol[:3]} if viol else {})
-
-    if "forms" in checks:
-        _run_forms(rec, case, options)
-
-    if "xvv" in checks:
-        _run_xvv(rec, case, options)
-
-    if "gstructure" in checks:
-        _run_gstructure(rec, desc, g, options)
-
-    tower = None  # one per case; the first group to read it builds it
-    if "prolong" in checks:
-        tower = _run_prolong(rec, g)
-
-    if "spencer" in checks:
-        _run_spencer(rec, g, tower, options)
-
-    if "weights" in checks:
-        _run_weights(rec, case, g, options)
+        millis = int((t1 - t0) * 1000)
+        records += [CheckRecord(check_id, millis=millis, **fields)
+                    for check_id, fields in zip(ids, results, strict=True)]
+        t0 = t1
 
     env = {
         "seed": options.seed,
@@ -318,20 +311,47 @@ def run(case_id: str, check_set, options: RunOptions | None = None) -> Verificat
     }
     return VerificationReport(
         case_id=case_id, version=__version__,
-        checks=rec.records,
-        dims=got_dims,
+        checks=records,
+        dims=dims,
         environment=env,
-        vacuous=not rec.records,
+        vacuous=not records,
     )
 
 
-def _run_sigma(rec: _Recorder, case) -> None:
-    t1 = time.monotonic()
-    try:
-        sig = symplectic_form(case)
-    except CaseConsistencyError as e:
-        rec.add("sigma-form", "FAIL", t1, values={"error": str(e)})
-        return
+# --------------------------------------------------------------------------
+# checks: each returns one dict of CheckRecord fields per id of its entry
+# --------------------------------------------------------------------------
+
+def _case_dims(ctx: _Context) -> list[dict]:
+    case, desc, dims = ctx.case, ctx.desc, ctx.dims
+    ok = (
+        case.dim_V == desc.dim_V
+        and case.dim_l1 == desc.dim_l1
+        and case.dim_l == desc.dim_l
+        and tuple(dims["g"]) == desc.g_dims
+        and sorted(dims["factors"]) == sorted(t for t, _ in desc.l_factors)
+    )
+    return [{"status": "PASS" if ok else "FAIL", "dims": dims,
+             "values": {"note": desc.note}}]
+
+
+def _contact_grading(ctx: _Context) -> list[dict]:
+    cg = ctx.case.contact.dims()
+    ok = cg.get(2) == 1 and cg.get(-2) == 1 and set(cg) == {-2, -1, 0, 1, 2}
+    return [{"status": "PASS" if ok else "FAIL",
+             "dims": {"s_components": cg}}]
+
+
+def _jacobi_ambient(ctx: _Context) -> list[dict]:
+    viol = check_jacobi(ctx.case.s_table)
+    return [{"status": "PASS" if not viol else "FAIL",
+             "values": {"violations": len(viol)},
+             "witnesses": {"first": viol[:3]} if viol else {}}]
+
+
+def _sigma_form(ctx: _Context) -> list[dict]:
+    case = ctx.case
+    sig = symplectic_form(case)
     n = len(sig)
     alternating = all(sig[i][j] == -sig[j][i] for i in range(n) for j in range(n))
     det = SparseRationalMatrix.from_dense(sig).det()
@@ -343,34 +363,23 @@ def _run_sigma(rec: _Recorder, case) -> None:
     # Lagrangian tangency: sigma(v0, [a, v0]) = 0 for a in l_1 is the level
     # <= 2 part of osc_ok; record it explicitly anyway
     ok = alternating and det != 0 and osc_ok
-    rec.add("sigma-form", "PASS" if ok else "FAIL", t1,
-            values={"alternating": alternating, "det_nonzero": det != 0,
-                    "osculating_hyperplane": osc_ok})
+    return [{"status": "PASS" if ok else "FAIL",
+             "values": {"alternating": alternating, "det_nonzero": det != 0,
+                        "osculating_hyperplane": osc_ok}}]
 
 
-def _run_forms(rec: _Recorder, case, options: RunOptions) -> None:
-    _run_sigma(rec, case)
-
-    t1 = time.monotonic()
-    try:
-        forms = fundamental_forms(case)
-    except CaseConsistencyError as e:
-        for check_id in ("fundamental-forms", "base-locus-samples"):
-            rec.add(check_id, "FAIL", t1, values={"error": str(e)})
-        return
+def _fundamental_forms(ctx: _Context) -> list[dict]:
+    forms = ctx.forms
     d = forms.dim
     sym2 = all(forms.II[a][b] == forms.II[b][a] for a in range(d) for b in range(d))
     sym3 = all(
         forms.III[a][b][c] == forms.III[b][a][c] == forms.III[a][c][b]
         for a in range(d) for b in range(d) for c in range(d)
     )
-    rows = []
-    for b in range(d):
-        for c in range(d):
-            row = {a: forms.III[a][b][c] for a in range(d) if forms.III[a][b][c]}
-            if row:
-                rows.append(row)
-    iii_kernel = len(SparseRationalMatrix.from_rows(rows, d).kernel())
+    # III as a map l_1 -> Hom(S^2 l_1, C): its column a is III(a, ., .)
+    iii_kernel = len(SparseRationalMatrix.from_columns(
+        [{(b, c): forms.III[a][b][c] for b in range(d) for c in range(d)}
+         for a in range(d)]).kernel())
     beta_det = SparseRationalMatrix.from_dense(forms.beta).det()
     compat = all(
         sum(forms.II[a2][a3][w] * forms.beta[w][a1]
@@ -378,23 +387,21 @@ def _run_forms(rec: _Recorder, case, options: RunOptions) -> None:
         for a1 in range(d) for a2 in range(d) for a3 in range(d)
     )
     ok = sym2 and sym3 and iii_kernel == 0 and beta_det != 0 and compat
-    rec.add("fundamental-forms", "PASS" if ok else "FAIL", t1,
-            dims={"l1": d, "iii_kernel": iii_kernel},
-            values={"ii_symmetric": sym2, "iii_symmetric": sym3,
-                    "beta_det_nonzero": beta_det != 0,
-                    "beta_iii_compatible": compat})
+    return [{"status": "PASS" if ok else "FAIL",
+             "dims": {"l1": d, "iii_kernel": iii_kernel},
+             "values": {"ii_symmetric": sym2, "iii_symmetric": sym3,
+                        "beta_det_nonzero": beta_det != 0,
+                        "beta_iii_compatible": compat}}]
 
-    t1 = time.monotonic()
-    try:
-        hw = highest_weight_roots_of_l1(case)
-        ideal_dims = [sum(1 for r in case.l1_roots() if case.ideal_of_root(r) == ci)
-                      for ci in range(len(hw))]
-        # fewer points than an ideal's dimension can never span it
-        per = max([options.samples, *ideal_dims])
-        samples = sample_closed_orbit(case, per, options.seed)
-    except CaseConsistencyError as e:
-        rec.add("base-locus-samples", "FAIL", t1, values={"error": str(e)})
-        return
+
+def _base_locus_samples(ctx: _Context) -> list[dict]:
+    case, forms = ctx.case, ctx.forms
+    hw = highest_weight_roots_of_l1(case)
+    ideal_dims = [sum(1 for r in case.l1_roots() if case.ideal_of_root(r) == ci)
+                  for ci in range(len(hw))]
+    # fewer points than an ideal's dimension can never span it
+    per = max([ctx.options.samples, *ideal_dims])
+    samples = sample_closed_orbit(case, per, ctx.options.seed)
     iii_null = all(iii_value(case, forms, b) == 0 for b in samples)
     is_ii1 = case.s_label == "B3"
     ii_null_flags = []
@@ -421,157 +428,129 @@ def _run_forms(rec: _Recorder, case, options: RunOptions) -> None:
     else:
         ii_ok = all(ii_null_flags)
     ok = iii_null and ii_ok and span_ok
-    rec.add("base-locus-samples", "PASS" if ok else "FAIL", t1,
-            values={"iii_vanishes_on_samples": iii_null,
-                    "ii_pattern_ok": ii_ok,
-                    "samples_span_each_ideal": span_ok,
-                    "strictness_case": is_ii1})
+    return [{"status": "PASS" if ok else "FAIL",
+             "values": {"iii_vanishes_on_samples": iii_null,
+                        "ii_pattern_ok": ii_ok,
+                        "samples_span_each_ideal": span_ok,
+                        "strictness_case": is_ii1}}]
 
 
-def _run_xvv(rec: _Recorder, case, options: RunOptions) -> None:
-    t1 = time.monotonic()
-    try:
-        samples = sample_closed_orbit(case, options.samples, options.seed)
+def _xvv_kernel(ctx: _Context) -> list[dict]:
+    case, options = ctx.case, ctx.options
+    samples = sample_closed_orbit(case, options.samples, options.seed)
+    cert = check_xvv(case, samples)
+    escalated = False
+    if cert.status == "INCONCLUSIVE" and options.samples > 0:
+        # a nonzero kernel after the default budget is never a
+        # refutation; retry once with four times the points
+        escalated = True
+        samples = sample_closed_orbit(case, 4 * options.samples,
+                                      options.seed + 1)
         cert = check_xvv(case, samples)
-        escalated = False
-        if cert.status == "INCONCLUSIVE" and options.samples > 0:
-            # a nonzero kernel after the default budget is never a
-            # refutation; retry once with four times the points
-            escalated = True
-            samples = sample_closed_orbit(
-                case, 4 * options.samples, options.seed + 1
-            )
-            cert = check_xvv(case, samples)
-    except CaseConsistencyError as e:
-        rec.add("xvv-kernel", "FAIL", t1, values={"error": str(e)})
-        return
-    rec.add("xvv-kernel", cert.status, t1,
-            dims={"kernel": cert.kernel_dim},
-            values={"samples": cert.samples_used,
-                    "budget_per_ideal": options.samples,
-                    "escalated": escalated})
+    return [{"status": cert.status, "dims": {"kernel": cert.kernel_dim},
+             "values": {"samples": cert.samples_used,
+                        "budget_per_ideal": options.samples,
+                        "escalated": escalated}}]
 
 
-def _run_gstructure(rec: _Recorder, desc: CaseDescriptor, g,
-                    options: RunOptions) -> None:
-    t1 = time.monotonic()
-    viol = g_jacobi_violations(g)
-    rec.add("g-jacobi", "PASS" if not viol else "FAIL", t1,
-            values={"violations": len(viol)})
-
-    t1 = time.monotonic()
-    dims = g.component_dims()
-    ok = tuple(dims.get(d, 0) for d in (-1, 0, 1, 2, 3)) == desc.g_dims
-    rec.add("g-dims", "PASS" if ok else "FAIL", t1,
-            dims={"components": dims})
-
-    # each suite is one call, so its records all carry the suite's time
-    t1 = time.monotonic()
-    for chk in verify_structure_identities(g):
-        rec.add(f"identity-{chk.check_id}", chk.status, t1, values=chk.detail)
-    t1 = time.monotonic()
-    for chk in verify_g_module_structure(g):
-        rec.add(chk.check_id, chk.status, t1, values=chk.detail)
-
-    t1 = time.monotonic()
-    er = conjugation_expansion_check(g, trials=5, seed=options.seed)
-    rec.add("est-expansion", er.status, t1,
-            values={"trials": er.trials})
+def _g_jacobi(ctx: _Context) -> list[dict]:
+    viol = g_jacobi_violations(ctx.g)
+    return [{"status": "PASS" if not viol else "FAIL",
+             "values": {"violations": len(viol)}}]
 
 
-def _case_tower(rec: _Recorder, g, check_ids, t1: float) -> CaseTower | None:
-    """The case's CaseTower, or None once each of check_ids has FAILed with
-    the error that stopped it (a grading of g that is not additive)."""
-    try:
-        return CaseTower(g)
-    except ProlongConsistencyError as e:
-        for check_id in check_ids:
-            rec.add(check_id, "FAIL", t1, values={"error": str(e)})
-        return None
+def _g_dims(ctx: _Context) -> list[dict]:
+    dims = ctx.g.component_dims()
+    ok = tuple(dims.get(d, 0) for d in (-1, 0, 1, 2, 3)) == ctx.desc.g_dims
+    return [{"status": "PASS" if ok else "FAIL",
+             "dims": {"components": dims}}]
 
 
-def _run_prolong(rec: _Recorder, g) -> CaseTower | None:
+def _identities(ctx: _Context) -> list[dict]:
+    return [{"status": c.status, "values": c.detail}
+            for c in verify_structure_identities(ctx.g)]
+
+
+def _module_structure(ctx: _Context) -> list[dict]:
+    return [{"status": c.status, "values": c.detail}
+            for c in verify_g_module_structure(ctx.g)]
+
+
+def _est_expansion(ctx: _Context) -> list[dict]:
+    er = conjugation_expansion_check(ctx.g, trials=5, seed=ctx.options.seed)
+    return [{"status": er.status, "values": {"trials": er.trials}}]
+
+
+def _prolong_dims(ctx: _Context) -> list[dict]:
     # level k of the tower is C^{-k,1}: the first prolongation is
     # dim C^{-1,1} - rank del, the second dim C^{-2,1} - rank del
-    t1 = time.monotonic()
-    tower = _case_tower(rec, g, ("prolong-dims", "prolong-ad-witnesses"), t1)
-    if tower is None:
-        return None
+    g, tower = ctx.g, ctx.tower
     dminus1 = g.component_dims()[-1]
+    tower.inp.validate(tower.tower)
+    _check(all(tower.passes),
+           "witness map fails the compatibility equation at level 1")
+    q1, q2 = (q_dimension(g, k, tower) for k in (-1, -2))
+    p1, p2 = q1.dim_C1 - q1.rank, q2.dim_C1 - q2.rank
+    ok = p1 == dminus1 and p2 == 0
+    return [{"status": "PASS" if ok else "FAIL",
+             "dims": {"p_minus_1": p1, "p_minus_2": p2,
+                      "expected_p1": dminus1},
+             "values": {"stopped_early": {1: q1.stopped_early,
+                                          2: q2.stopped_early}}}]
+
+
+def _prolong_ad_witnesses(ctx: _Context) -> list[dict]:
+    tower = ctx.tower
+    dminus1 = ctx.g.component_dims()[-1]
     wits_ok = all(tower.passes)
-    try:
-        tower.inp.validate(tower.tower)
-        _check(wits_ok, "witness map fails the compatibility equation at level 1")
-        q1, q2 = (q_dimension(g, k, tower) for k in (-1, -2))
-    except (ProlongConsistencyError, CaseConsistencyError) as e:
-        rec.add("prolong-dims", "FAIL", t1,
-                dims={"expected_p1": dminus1}, values={"error": str(e)})
-    else:
-        p1, p2 = q1.dim_C1 - q1.rank, q2.dim_C1 - q2.rank
-        ok = p1 == dminus1 and p2 == 0
-        rec.add("prolong-dims", "PASS" if ok else "FAIL", t1,
-                dims={"p_minus_1": p1, "p_minus_2": p2, "expected_p1": dminus1},
-                values={"stopped_early": {1: q1.stopped_early,
-                                          2: q2.stopped_early}})
-    t1 = time.monotonic()
     # when every witness passes, the cocycle rank is the rank of them all
     wrank = tower.cocycle_rank if wits_ok else witness_rank(tower.witnesses)
-    inj_ok = wrank == dminus1 and wits_ok
-    rec.add("prolong-ad-witnesses", "PASS" if inj_ok else "FAIL", t1,
-            dims={"witness_rank": wrank, "dim_g_minus_1": dminus1},
-            values={"witnesses_satisfy_compatibility": wits_ok})
-    return tower
+    ok = wrank == dminus1 and wits_ok
+    return [{"status": "PASS" if ok else "FAIL",
+             "dims": {"witness_rank": wrank, "dim_g_minus_1": dminus1},
+             "values": {"witnesses_satisfy_compatibility": wits_ok}}]
 
 
-def _run_spencer(rec: _Recorder, g, tower: CaseTower | None,
-                 options: RunOptions) -> None:
+def _spencer_cocycle_ad(ctx: _Context) -> list[dict]:
     # del(ad x) = 0 for x in g_{-1}: each ad witness solves level 1 of the
     # tower of g, which is C^{-1,1}; the ones that do bound ker del there
-    t1 = time.monotonic()
-    tower = tower or _case_tower(rec, g, ("spencer-cocycle-ad",
-                                          "restricted-differentials",
-                                          "spencer-qdim"), t1)
-    if tower is None:
-        return
-    rec.add("spencer-cocycle-ad", "PASS" if all(tower.passes) else "FAIL", t1)
+    return [{"status": "PASS" if all(ctx.tower.passes) else "FAIL"}]
 
-    t1 = time.monotonic()
-    rep = partial_prime_checks(g, tower)
-    rec.add("restricted-differentials", rep.status, t1,
-            dims={"dim_hom_V2_l1": rep.dim_hom,
-                  "rank_prime": rep.rank_prime,
-                  "target_prime": rep.dim_target_prime,
-                  "nullity_doubleprime": rep.nullity_doubleprime},
-            values={"pairing_perfect": rep.pairing_nondegenerate})
 
+def _restricted_differentials(ctx: _Context) -> list[dict]:
+    rep = partial_prime_checks(ctx.g, ctx.tower)
+    return [{"status": rep.status,
+             "dims": {"dim_hom_V2_l1": rep.dim_hom,
+                      "rank_prime": rep.rank_prime,
+                      "target_prime": rep.dim_target_prime,
+                      "nullity_doubleprime": rep.nullity_doubleprime},
+             "values": {"pairing_perfect": rep.pairing_nondegenerate}}]
+
+
+def _spencer_qdim(ctx: _Context) -> list[dict]:
     # ker del on C^{k,1} is the (-k)-th prolongation, so the ranks are forced
-    t1 = time.monotonic()
+    g = ctx.g
     dminus1 = g.component_dims()[-1]
-    try:
-        qs = [q_dimension(g, k, tower)
-              for k in range(max(options.kmin, KMIN_SUPPORT - 1), 0)]
-    except CaseConsistencyError as e:
-        rec.add("spencer-qdim", "FAIL", t1, values={"error": str(e)})
-        return
+    qs = [q_dimension(g, k, ctx.tower) for k in range(KMIN_SUPPORT - 1, 0)]
     ok = all(q.rank == q.expected_rank(dminus1) for q in qs)
-    rec.add("spencer-qdim", "PASS" if ok else "FAIL", t1,
-            values={"q_dims": {q.k: q.value for q in qs},
-                    "ranks": {q.k: q.rank for q in qs},
-                    "dim_C1": {q.k: q.dim_C1 for q in qs}})
+    return [{"status": "PASS" if ok else "FAIL",
+             "values": {"q_dims": {q.k: q.value for q in qs},
+                        "ranks": {q.k: q.rank for q in qs},
+                        "dim_C1": {q.k: q.dim_C1 for q in qs}}}]
 
 
-def _run_weights(rec: _Recorder, case, g, options: RunOptions) -> None:
-    t1 = time.monotonic()
+def _cI_embedding_weight(ctx: _Context) -> list[dict]:
+    case = ctx.case
     cI_star = sum(
         (case.embedding_weight_simple.coords[i] for i in case.marked),
         Fraction(0),
     )
-    ok = cI_star == Fraction(3, 2)
-    rec.add("cI-embedding-weight", "PASS" if ok else "FAIL", t1,
-            values={"cI_omega_star": cI_star})
+    return [{"status": "PASS" if cI_star == Fraction(3, 2) else "FAIL",
+             "values": {"cI_omega_star": cI_star}}]
 
-    t1 = time.monotonic()
-    cIs = g_basis_cI(g)
+
+def _cI_components(ctx: _Context) -> list[dict]:
+    g, cIs = ctx.g, ctx.cIs
     comp_ok = True
     got = {}
     for j, idxs in (("l_-1", g.lminus1_indices), ("l_1", g.l1_indices)):
@@ -585,14 +564,15 @@ def _run_weights(rec: _Recorder, case, g, options: RunOptions) -> None:
         vals = sorted({cIs[i] for i in g.V_level_indices[j]})
         got[f"cI(V_{j})"] = vals
         comp_ok = comp_ok and vals == [Fraction(j) - Fraction(3, 2)]
-    rec.add("cI-components", "PASS" if comp_ok else "FAIL", t1, values=got)
+    return [{"status": "PASS" if comp_ok else "FAIL", "values": got}]
 
-    t1 = time.monotonic()
+
+def _cI_six_families(ctx: _Context) -> list[dict]:
     all_ok = True
     offenders = []
     per_k = {}
-    for k in range(max(options.kmin, KMIN_SUPPORT - 1), 0):
-        tab = summand_cI_table(g, k, cIs)
+    for k in range(KMIN_SUPPORT - 1, 0):
+        tab = summand_cI_table(ctx.g, k, ctx.cIs)
         per_k[k] = {
             "status": tab.status,
             "families": [
@@ -604,9 +584,42 @@ def _run_weights(rec: _Recorder, case, g, options: RunOptions) -> None:
         if tab.status != "PASS":
             all_ok = False
             offenders.extend(tab.offending)
-    rec.add("cI-six-families", "PASS" if all_ok else "FAIL", t1,
-            values={"per_k": per_k},
-            witnesses={"offending": offenders} if offenders else {})
+    return [{"status": "PASS" if all_ok else "FAIL",
+             "values": {"per_k": per_k},
+             "witnesses": {"offending": offenders} if offenders else {}}]
+
+
+# (group, or None for the checks every run does; the ids the entry records;
+# the check), in report order
+CHECKS = (
+    (None, ("case-dims",), _case_dims),
+    (None, ("contact-grading",), _contact_grading),
+    ("jacobi", ("jacobi-ambient",), _jacobi_ambient),
+    ("forms", ("sigma-form",), _sigma_form),
+    ("forms", ("fundamental-forms",), _fundamental_forms),
+    ("forms", ("base-locus-samples",), _base_locus_samples),
+    ("xvv", ("xvv-kernel",), _xvv_kernel),
+    ("gstructure", ("g-jacobi",), _g_jacobi),
+    ("gstructure", ("g-dims",), _g_dims),
+    ("gstructure", ("identity-eII-coefficients",
+                    "identity-v1-annihilator-of-v2",
+                    "identity-l1-V1-intersection",
+                    "identity-v0-bracket-image",
+                    "identity-a-squared-zero",
+                    "identity-a-level-shift"), _identities),
+    ("gstructure", ("ad-g0-faithful-on-g1", "g0-preserves-tensor-split",
+                    "c-functional"), _module_structure),
+    ("gstructure", ("est-expansion",), _est_expansion),
+    ("prolong", ("prolong-dims",), _prolong_dims),
+    ("prolong", ("prolong-ad-witnesses",), _prolong_ad_witnesses),
+    ("spencer", ("spencer-cocycle-ad",), _spencer_cocycle_ad),
+    ("spencer", ("restricted-differentials",), _restricted_differentials),
+    ("spencer", ("spencer-qdim",), _spencer_qdim),
+    ("weights", ("cI-embedding-weight",), _cI_embedding_weight),
+    ("weights", ("cI-components",), _cI_components),
+    ("weights", ("cI-six-families",), _cI_six_families),
+)
+CHECK_GROUPS = tuple(dict.fromkeys(grp for grp, _, _ in CHECKS if grp))
 
 
 # --------------------------------------------------------------------------

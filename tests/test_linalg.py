@@ -53,6 +53,26 @@ def test_kernel_matches_rank_nullity():
         assert mat.rank() + len(mat.kernel()) == m
 
 
+def test_from_columns_is_the_transpose():
+    # any sortable row labels; zero entries and empty columns contribute
+    # no entry, and the kernel is the same whatever the row order
+    rng = random.Random(12)
+    for _ in range(30):
+        n, m = rng.randint(1, 10), rng.randint(1, 12)
+        rows = _random_rows(rng, n, m)
+        labels = rng.sample([(a, b) for a in range(4) for b in range(4)], n)
+        columns = [{lab: row.get(j, 0) for lab, row in zip(labels, rows)}
+                   for j in range(m)]
+        mat = SparseRationalMatrix.from_columns(columns)
+        assert mat.ncols == m
+        assert all(v for row in mat.rows for v in row.values())
+        by_label = dict(zip(labels, rows))
+        ordered = [{k: v for k, v in by_label[lab].items() if v}
+                   for lab in sorted(labels)]
+        assert [r for r in ordered if r] == mat.rows
+        assert mat.kernel() == SparseRationalMatrix.from_rows(rows, m).kernel()
+
+
 def test_det_matches_rank():
     rng = random.Random(5)
     for _ in range(25):

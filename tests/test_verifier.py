@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from subadjoint import prolong, spencer, verify
+from subadjoint import galg, prolong, spencer, verify
 from subadjoint.cases import CaseExcludedError, build_case
 from subadjoint.cli import main
 from subadjoint.galg import build_g
@@ -557,3 +557,224 @@ def test_e_series_json_report_matches_golden_file(tmp_path):
           "--seed", "7", "--format", "json", "--out", str(out)])
     golden = Path(__file__).parent / "report_E6_E7_seed7.json"
     assert out.read_bytes() == golden.read_bytes()
+
+
+def _drop_v3(g):
+    g.V_level_indices = {**g.V_level_indices, 3: ()}
+
+
+def test_lost_v3_fails_restricted_differentials(monkeypatch):
+    # partial_prime_checks needs V_3 to be a line; its error is a FAIL
+    # record, not an exception out of run
+    _corrupt_build_g(monkeypatch, _drop_v3)
+    rep = run("B3", {"spencer"}, RunOptions(seed=7))
+    rec = next(c for c in rep.checks if c.check_id == "restricted-differentials")
+    assert rec.status == "FAIL"
+    assert "V_3" in rec.values["error"]
+    assert exit_code(rep) == 1
+
+
+# --------------------------------------------------------------------------
+# negative controls: one corruption per check id of CHECKS
+# --------------------------------------------------------------------------
+
+def _bracket_key(g, pred):
+    """The first stored nonzero bracket (i, j) of g with pred(i, j)."""
+    return next(k for k in sorted(g.table.brackets)
+                if g.table.brackets[k] and pred(*k))
+
+
+def _set_bracket(g, i, j, vec):
+    """[e_i, e_j] = vec in g's table, stored as (min, max)."""
+    sign = 1 if i < j else -1
+    g.table.brackets[(min(i, j), max(i, j))] = {
+        k: sign * c for k, c in vec.items()}
+
+
+def _drop_contact_line(case, g):
+    del case.contact.components[2]
+
+
+def _double_s_bracket(case, g):
+    vec = case.s_table.brackets[min(k for k, v in case.s_table.brackets.items()
+                                    if v)]
+    vec[next(iter(vec))] *= 2
+
+
+def _swap_line_and_conic(case, g):
+    # B3's l_1 is (line) + (conic): the check expects the line, the factor
+    # of degree 1, in the base locus of II
+    w = case.embedding_weight
+    swap = {1: 2, 2: 1}
+    case.embedding_weight = dataclasses.replace(
+        w, coords=tuple(swap.get(c, c) for c in w.coords))
+
+
+def _l1_bracket_hits_v0(case, g):
+    a, b = g.l1_indices[:2]
+    _set_bracket(g, a, b, {g.v0_index: 1})
+
+
+def _v1_bracket_hits_v3(case, g):
+    _set_bracket(g, g.V_level_indices[1][0], g.V_level_indices[2][0],
+                 {g.V_level_indices[3][0]: 1})
+
+
+def _v1_listed_in_l1(case, g):
+    g.l1_indices = (*g.l1_indices, g.V_level_indices[1][0])
+
+
+def _zero_v0_l1_bracket(case, g):
+    v0, l1 = g.v0_index, set(g.l1_indices)
+    key = _bracket_key(g, lambda i, j: {i, j} - {v0} <= l1 and v0 in (i, j))
+    g.table.brackets[key] = {}
+
+
+def _v0_bracket_on_v1(case, g):
+    # A = ad v0 no longer squares to zero: A l_1 = V_1 and now A V_1 != 0
+    _set_bracket(g, g.v0_index, g.V_level_indices[1][0],
+                 {g.V_level_indices[2][0]: 1})
+
+
+def _osc_level_shifted(case, g):
+    g.osc_level[g.V_level_indices[1][0]] += 1
+
+
+def _cartan_kills_g1(case, g):
+    h = g.l0_indices[0]
+    g1 = {i for i, d in enumerate(g.degree) if d == 1}
+    for key in g.table.brackets:
+        if h in key and set(key) & g1:
+            g.table.brackets[key] = {}
+
+
+def _g0_moves_v1_into_v2(case, g):
+    v1 = set(g.V_level_indices[1])
+    g0 = {i for i, d in enumerate(g.degree) if d == 0}
+    key = _bracket_key(g, lambda i, j: {i, j} & v1 and {i, j} & g0)
+    g.table.brackets[key][g.V_level_indices[2][0]] = 1
+
+
+def _l0_moves_v0_into_v1(case, g):
+    v0, l0 = g.v0_index, set(g.l0_indices)
+    key = _bracket_key(g, lambda i, j: v0 in (i, j) and {i, j} & l0)
+    g.table.brackets[key][g.V_level_indices[1][0]] = 1
+
+
+def _ad_v0_plus_identity_on_g_plus(case, g):
+    # A picks up the identity on g_+, so exp(sA) is no longer Id + sA
+    v0 = g.v0_index
+    for j, d in enumerate(g.degree):
+        if d >= 1 and j != v0:
+            key = (min(v0, j), max(v0, j))
+            g.table.brackets[key] = {**g.table.brackets.get(key, {}), j: 1}
+
+
+def _zero_pairing_entry(case, g):
+    # the V_3 coefficient of one [a, w], a in l_1, w in V_2: the pairing
+    # l_1 x V_2 -> V_3 becomes degenerate
+    v3, v2, l1 = (g.V_level_indices[3][0], set(g.V_level_indices[2]),
+                  set(g.l1_indices))
+    key = _bracket_key(g, lambda i, j: v3 in g.table.brackets[(i, j)]
+                       and {i, j} & v2 and {i, j} & l1)
+    del g.table.brackets[key][v3]
+
+
+def _double_gm1_g1(case, g):
+    key = _bracket_key(
+        g, lambda i, j: sorted((g.degree[i], g.degree[j])) == [-1, 1])
+    vec = g.table.brackets[key]
+    m = min(vec)
+    g.table.brackets[key] = {**vec, m: 2 * vec[m]}
+
+
+def _double_embedding_weight(case, g):
+    w = case.embedding_weight_simple
+    case.embedding_weight_simple = dataclasses.replace(
+        w, coords=tuple(2 * c for c in w.coords))
+
+
+def _swap_v1_v2(case, g):
+    levels = g.V_level_indices
+    g.V_level_indices = {**levels, 1: levels[2], 2: levels[1]}
+
+
+# check id -> (case, corruption of (case, g) once both are built, a word of
+# the FAIL record's error, or None when the check itself reads the fault)
+NEGATIVE_CONTROLS = {
+    "case-dims": ("B3", lambda case, g: _v3_to_degree_4(g), None),
+    "contact-grading": ("B3", _drop_contact_line, None),
+    "jacobi-ambient": ("B3", _double_s_bracket, None),
+    "sigma-form": ("B3", lambda case, g: _zero_sigma_pair(case), None),
+    "fundamental-forms": ("B3", lambda case, g: _zero_beta_entry(case), None),
+    "base-locus-samples": ("B3", _swap_line_and_conic, None),
+    # PASS or INCONCLUSIVE are its only verdicts: it FAILs on errors only
+    "xvv-kernel": ("B3", lambda case, g: _merged_ideals(case),
+                   "highest weight"),
+    "g-jacobi": ("B3", lambda case, g: _double_g1_g1(g), None),
+    "g-dims": ("B3", lambda case, g: _v3_to_degree_4(g), None),
+    "identity-eII-coefficients": ("B3", _l1_bracket_hits_v0, None),
+    "identity-v1-annihilator-of-v2": ("B3", _v1_bracket_hits_v3, None),
+    "identity-l1-V1-intersection": ("B3", _v1_listed_in_l1, None),
+    "identity-v0-bracket-image": ("B3", _zero_v0_l1_bracket, None),
+    "identity-a-squared-zero": ("B3", _v0_bracket_on_v1, None),
+    "identity-a-level-shift": ("B3", _osc_level_shifted, None),
+    "ad-g0-faithful-on-g1": ("B3", _cartan_kills_g1, None),
+    "g0-preserves-tensor-split": ("B3", _g0_moves_v1_into_v2, None),
+    "c-functional": ("B3", _l0_moves_v0_into_v1, None),
+    "est-expansion": ("B3", _ad_v0_plus_identity_on_g_plus, None),
+    # every corruption found so far stops validate or a witness first
+    "prolong-dims": ("B3", lambda case, g: _double_g1_g1(g), "Jacobi"),
+    "prolong-ad-witnesses": ("B3", _double_gm1_g1, None),
+    "spencer-cocycle-ad": ("B3", _double_gm1_g1, None),
+    "restricted-differentials": ("B3", _zero_pairing_entry, None),
+    "spencer-qdim": ("B3", lambda case, g: _double_g1_g1(g), None),
+    "cI-embedding-weight": ("B3", _double_embedding_weight, None),
+    "cI-components": ("B3", _swap_v1_v2, None),
+    "cI-six-families": ("B3", lambda case, g: _drop_v3(g), None),
+}
+
+# check id -> why no corruption of a built case or g flips it to FAIL
+NO_NEGATIVE_CONTROL = {}
+
+CHECK_IDS = [i for _, ids, _ in verify.CHECKS for i in ids]
+
+
+def test_every_check_id_has_a_negative_control_or_a_reason():
+    assert not set(NEGATIVE_CONTROLS) & set(NO_NEGATIVE_CONTROL)
+    assert set(NEGATIVE_CONTROLS) | set(NO_NEGATIVE_CONTROL) == set(CHECK_IDS)
+
+
+@pytest.mark.parametrize("check_id", sorted(NEGATIVE_CONTROLS))
+def test_negative_control_fails_check(monkeypatch, check_id):
+    label, corrupt, word = NEGATIVE_CONTROLS[check_id]
+    group = next(grp for grp, ids, _ in verify.CHECKS if check_id in ids)
+    real = verify.build_g
+
+    def corrupted(case):
+        g = real(case)
+        corrupt(case, g)
+        return g
+
+    monkeypatch.setattr(verify, "build_g", corrupted)
+    rep = run(label, {group or "jacobi"}, RunOptions(seed=7))
+    rec = next(c for c in rep.checks if c.check_id == check_id)
+    assert rec.status == "FAIL"
+    if word is None:
+        assert "error" not in rec.values
+    else:
+        assert word in rec.values["error"]
+    assert exit_code(rep) == 1
+
+
+def test_clean_report_emits_the_check_table_in_order():
+    g = build_g(build_case("B3"))
+    suite_ids = ([f"identity-{c.check_id}" for c in
+                  galg.verify_structure_identities(g)]
+                 + [c.check_id for c in galg.verify_g_module_structure(g)])
+    table = dict((check, ids) for _, ids, check in verify.CHECKS)
+    assert suite_ids == [*table[verify._identities],
+                         *table[verify._module_structure]]
+    rep = run("B3", {"all"}, RunOptions(seed=7))
+    assert [c.check_id for c in rep.checks] == CHECK_IDS
+    assert rep.status == "PASS"
