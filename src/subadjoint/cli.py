@@ -38,11 +38,6 @@ def build_parser() -> argparse.ArgumentParser:
                         "so existing command lines keep working")
     p.add_argument("--seed", type=int, default=0,
                    help="seed for sampling and random trials")
-    p.add_argument("--samples", type=int, default=10,
-                   help="orbit sample budget per irreducible summand (base-locus "
-                        "sampling takes at least the summand's dimension)")
-    p.add_argument("--rank-ceiling", type=int, default=8,
-                   help="largest B/D rank in the registry")
     p.add_argument("--format", dest="fmt", default="text",
                    choices=("text", "json"))
     p.add_argument("--timings", action="store_true",
@@ -60,20 +55,17 @@ def main(argv=None) -> int:
     except SystemExit as e:
         # argparse exits 2 on a usage error, which here means DEGRADED
         return 3 if e.code else 0
-    options = RunOptions(
-        seed=args.seed, samples=args.samples, heavy=args.heavy,
-        rank_ceiling=args.rank_ceiling,
-    )
+    options = RunOptions(seed=args.seed, heavy=args.heavy)
 
     if args.list:
-        for c in list_cases(args.rank_ceiling):
+        for c in list_cases():
             tag = "EXCLUDED" if c.excluded else "active"
             print(f"{c.case_id:<4} {tag:<9} dimV={c.dim_V:<3} "
                   f"l1={c.dim_l1:<3} l={c.dim_l:<4} {c.note}")
         return 0
 
     if args.case == "all":
-        case_ids = [c.case_id for c in list_cases(args.rank_ceiling)
+        case_ids = [c.case_id for c in list_cases()
                     if not c.excluded]
     else:
         case_ids = [c.strip() for c in args.case.split(",") if c.strip()]

@@ -22,6 +22,12 @@ kernel basis map into the equation.  Substitution accumulates only the
 terms that can be nonzero, found from the support of the map, the
 brackets and the action tables.  A failed substitution raises
 ProlongConsistencyError, not an assert, so `python -O` keeps the check.
+
+`g_tower(g)` writes a graded Lie algebra g = g_{-1} + ... + g_3 in these
+terms in one pass over its brackets (n_+ = g_+, n_0 = ad g_0, level 1 =
+ad g_{-1}); it is the only code that turns g indices into tower
+coordinates, and a bracket that breaks the grading stops it with
+ProlongConsistencyError.
 """
 
 from __future__ import annotations
@@ -486,83 +492,58 @@ def prolongation(inp: ProlongInput, k_max: int, witnesses: dict | None = None,
 
 
 # --------------------------------------------------------------------------
-# Inputs derived from a GAlgebra
+# The tower of a GAlgebra
 # --------------------------------------------------------------------------
-
-def input_from_g(g) -> tuple[ProlongInput, list, list]:
-    """(n_+ = g_+ with ad(g_0), g_+ indices, g_0 indices) for the main solve."""
-    t = g.table
-    gplus = [i for i, d in enumerate(g.degree) if d >= 1]
-    g0 = [i for i, d in enumerate(g.degree) if d == 0]
-    pos = {gi: i for i, gi in enumerate(gplus)}
-    brackets = {}
-    for a in range(len(gplus)):
-        for b in range(a + 1, len(gplus)):
-            raw = t.brackets.get((gplus[a], gplus[b]))
-            if raw:
-                brackets[(a, b)] = {pos[w]: c for w, c in raw.items()}
-    nplus = LieAlgebraTable(
-        dim=len(gplus),
-        labels=tuple(t.labels[i] for i in gplus),
-        brackets=brackets,
-    )
-    degrees = tuple(g.degree[i] for i in gplus)
-    mats = []
-    for x in g0:
-        cols = []
-        for u in gplus:
-            raw = t.bracket_basis(x, u)
-            cols.append({pos[w]: c for w, c in raw.items()})
-        mats.append(cols)
-    return ProlongInput(nplus=nplus, degrees=degrees, n0_mats=tuple(mats)), gplus, g0
-
-
-def ad_witnesses(g, inp: ProlongInput, gplus: list, g0: list) -> list[TaggedMap]:
-    """phi_a = ad(a)|_{g_+} for a in g_{-1}, written in tower coordinates.
-
-    Degree-1 sources land in g_0 (n_0 coordinates, valid because ad is
-    faithful on g_0), higher sources land back in n_+.  Raises
-    ProlongConsistencyError when [a, u] leaves g_{deg u - 1}.
-    """
-    t = g.table
-    pos = {gi: i for i, gi in enumerate(gplus)}
-    g0_pos = {x: i for i, x in enumerate(g0)}
-    comp = {}
-    for i, d in enumerate(inp.degrees):
-        comp.setdefault(d, []).append(i)
-    pos_in_comp = {d: {n: i for i, n in enumerate(ix)} for d, ix in comp.items()}
-    out = []
-    for a in [i for i, d in enumerate(g.degree) if d == -1]:
-        phi: TaggedMap = [dict() for _ in range(inp.dim)]
-        for u in gplus:
-            raw = t.bracket_basis(a, u)
-            du = g.degree[u]
-            if any(g.degree[w] != du - 1 for w in raw):
-                raise ProlongConsistencyError(
-                    f"[{t.labels[a]}, {t.labels[u]}] is not in g_{du - 1}: "
-                    f"the grading of g is not additive")
-            if du == 1:
-                phi[pos[u]] = {g0_pos[x]: c for x, c in raw.items()}
-            else:
-                phi[pos[u]] = {
-                    pos_in_comp[du - 1][pos[w]]: c for w, c in raw.items()
-                }
-        out.append(phi)
-    return out
-
 
 def g_tower(g) -> tuple[ProlongInput, _Tower]:
     """The tower of g itself: n_+ = g_+, n_0 = ad g_0, level 1 = ad g_{-1}.
 
-    Deeper levels are empty, so level k has the unknowns of
-    C^{-k,1} = Hom(g_+, g)_{-k}: columns (u, w) for u in g_+ and w in
-    g_{deg u - k}, both in g-index order.  The input is not validated, so a
-    corrupted table still yields rows and the checks built on them FAIL
-    instead of raising.
+    One pass over the stored brackets of g builds all three, each bracket
+    [x, u] with u in g_+ read with x first when x lies in g_0 or g_{-1}.
+    n_+ vectors are written over g_+ in g-index order, and a tower value in
+    degree d by its position in `g.components()[d]` (n_0 coordinates at
+    d = 0, valid because ad is faithful on g_0).  Deeper levels are empty,
+    so level k has the unknowns of C^{-k,1} = Hom(g_+, g)_{-k}: columns
+    (u, w) for u in g_+ and w in g_{deg u - k}, both in g-index order.
+
+    A bracket with a g_+ element and a term outside g_{deg i + deg j}
+    raises ProlongConsistencyError.  The input is not validated otherwise,
+    so a corrupted table still yields rows and the checks built on them
+    FAIL instead of raising.
     """
-    inp, gplus, g0 = input_from_g(g)
+    t, degree = g.table, g.degree
+    comps = g.components()
+    slot = {i: s for ix in comps.values() for s, i in enumerate(ix)}
+    gplus = [i for i, d in enumerate(degree) if d >= 1]
+    pos = {i: n for n, i in enumerate(gplus)}
+    brackets = {}
+    n0_mats = [[{} for _ in gplus] for _ in comps.get(0, ())]
+    ad_maps = [[{} for _ in gplus] for _ in comps.get(-1, ())]
+    for (i, j), vec in t.brackets.items():
+        di, dj = degree[i], degree[j]
+        if di < 1 and dj < 1:
+            continue
+        if any(degree[w] != di + dj for w in vec):
+            raise ProlongConsistencyError(
+                f"[{t.labels[i]}, {t.labels[j]}] is not in g_{di + dj}: "
+                f"the grading of g is not additive")
+        if di >= 1 and dj >= 1:
+            if vec:
+                brackets[(pos[i], pos[j])] = {pos[w]: c for w, c in vec.items()}
+            continue
+        if di > dj:
+            i, j, di, vec = j, i, dj, {w: -c for w, c in vec.items()}
+        if di == 0:
+            n0_mats[slot[i]][pos[j]] = {pos[w]: c for w, c in vec.items()}
+        elif di == -1:
+            ad_maps[slot[i]][pos[j]] = {slot[w]: c for w, c in vec.items()}
+    nplus = LieAlgebraTable(dim=len(gplus),
+                            labels=tuple(t.labels[i] for i in gplus),
+                            brackets=brackets)
+    inp = ProlongInput(nplus=nplus, degrees=tuple(degree[i] for i in gplus),
+                       n0_mats=tuple(n0_mats))
     tower = _Tower(inp)
-    tower.bases[1] = ad_witnesses(g, inp, gplus, g0)
+    tower.bases[1] = ad_maps
     return inp, tower
 
 

@@ -70,7 +70,7 @@ class SpencerSpaces:
     k: int
     basis_C1: list   # (u, w) pairs of g basis indices
     dim_C2: int
-    degree: tuple = field(repr=False)  # degree per g basis index
+    components: dict = field(repr=False)  # g.components()
 
     @property
     def dim_C1(self) -> int:
@@ -80,15 +80,13 @@ class SpencerSpaces:
     def basis_C2(self) -> list:
         """(u, v, w) with u < v in g_+ and w in g_{deg u + deg v + k}, in
         g-index order; listed on first read."""
-        bydeg: dict[int, list] = {}
-        for i, d in enumerate(self.degree):
-            bydeg.setdefault(d, []).append(i)
-        gplus = [i for i, d in enumerate(self.degree) if d >= 1]
+        degree = {i: d for d, ix in self.components.items() for i in ix}
+        gplus = sorted(i for i, d in degree.items() if d >= 1)
         return [
             (u, v, w)
             for ui, u in enumerate(gplus)
             for v in gplus[ui + 1 :]
-            for w in bydeg.get(self.degree[u] + self.degree[v] + self.k, [])
+            for w in self.components.get(degree[u] + degree[v] + self.k, ())
         ]
 
 
@@ -112,21 +110,15 @@ def cochain_dims(g: GAlgebra, k: int) -> tuple[int, int]:
 def spencer_spaces(g: GAlgebra, k: int) -> SpencerSpaces:
     if k > -1:
         raise ValueError("Spencer degree k must be <= -1")
-    bydeg: dict[int, list] = {}
-    for i, d in enumerate(g.degree):
-        bydeg.setdefault(d, []).append(i)
+    comps = g.components()
     gplus = [i for i, d in enumerate(g.degree) if d >= 1]
-    C1 = [
-        (u, w)
-        for u in gplus
-        for w in bydeg.get(g.degree[u] + k, [])
-    ]
+    C1 = [(u, w) for u in gplus for w in comps.get(g.degree[u] + k, ())]
     dim_C2 = sum(
-        len(bydeg.get(g.degree[u] + g.degree[v] + k, ()))
+        len(comps.get(g.degree[u] + g.degree[v] + k, ()))
         for ui, u in enumerate(gplus)
         for v in gplus[ui + 1 :]
     )
-    sp = SpencerSpaces(k=k, basis_C1=C1, dim_C2=dim_C2, degree=tuple(g.degree))
+    sp = SpencerSpaces(k=k, basis_C1=C1, dim_C2=dim_C2, components=comps)
     want1, want2 = cochain_dims(g, k)
     _check(sp.dim_C1 == want1, "C^{k,1} dimension bookkeeping failed")
     _check(sp.dim_C2 == want2, "C^{k,2} dimension bookkeeping failed")
@@ -136,20 +128,14 @@ def spencer_spaces(g: GAlgebra, k: int) -> SpencerSpaces:
 def _tower_level(g: GAlgebra, inp, tower, k: int):
     """(C^{k,1}/C^{k,2} spaces, column offsets) of level -k of `g_tower(g)`.
 
-    Checks that the level's columns, (u, w) for u in g_+ and w in
-    g_{deg u + k} in g-index order, are the C^{k,1} basis.
+    The level's columns are (u, w) for u in g_+ and w in g_{deg u + k},
+    slot s of w standing for `g.components()[deg u + k][s]`; checks that
+    each u has one column per such w, so that they are the C^{k,1} basis.
     """
     sp = spencer_spaces(g, k)
     offsets, sizes, _ = unknown_layout(inp, tower, -k)
-    gplus = [i for i, d in enumerate(g.degree) if d >= 1]
-    low = {d: [i for i, e in enumerate(g.degree) if e == d] for d in (-1, 0)}
-
-    def target(j: int, s: int) -> int:
-        return gplus[tower.comp_list[j][s]] if j >= 1 else low[j][s]
-
-    labels = [(gplus[u], target(inp.degrees[u] + k, s))
-              for u in range(inp.dim) for s in range(sizes[u])]
-    _check(labels == sp.basis_C1, "tower columns differ from the C^{k,1} basis")
+    want = [len(sp.components.get(d + k, ())) for d in g.degree if d >= 1]
+    _check(sizes == want, "tower columns differ from the C^{k,1} basis")
     return sp, offsets
 
 
@@ -422,12 +408,16 @@ def partial_prime_checks(g: GAlgebra,
     V1, V2, V3 = (list(g.V_level_indices[j]) for j in (1, 2, 3))
     l1 = list(g.l1_indices)
     _check(len(V3) == 1, "V_3 is not a line")
+    _check(len(l1) == len(V2),
+           "dim l_1 != dim V_2: the pairing l_1 x V_2 -> V_3 is not square")
     v3 = V3[0]
     inp, tower = g_tower(g) if tower is None else (tower.inp, tower.tower)
     offsets, _, _ = unknown_layout(inp, tower, 1)
     gplus = [i for i, d in enumerate(g.degree) if d >= 1]
     pos = {gi: i for i, gi in enumerate(gplus)}
-    l1_slots = [tower.pos_in_comp[1][pos[a]] for a in l1]
+    ones = g.components()[1]
+    _check(set(l1) <= set(ones), "l_1 is not in g_1")
+    l1_slots = [ones.index(a) for a in l1]
     only = {pos[v]: l1_slots for v in V2}
     block = {offsets[pos[v]] + s: i
              for i, (v, s) in enumerate((v, s) for v in V2 for s in l1_slots)}
@@ -482,18 +472,15 @@ def conjugation_expansion_check(g: GAlgebra, trials: int = 5,
     must vanish identically.
     """
     rng = random.Random(f"expansion-{g.case.s_label}-{seed}")
-    t = g.table
     A = operator_a(g)
     gplus = [i for i, d in enumerate(g.degree) if d >= 1]
-    bydeg: dict[int, list] = {}
-    for i in range(t.dim):
-        bydeg.setdefault(g.degree[i], []).append(i)
+    comps = g.components()
 
     def rand_f(kf: int):
         table: dict[tuple[int, int], Vec] = {}
         for ui, u in enumerate(gplus):
             for v in gplus[ui + 1 :]:
-                tgt = bydeg.get(g.degree[u] + g.degree[v] + kf, [])
+                tgt = comps.get(g.degree[u] + g.degree[v] + kf, ())
                 if not tgt or rng.random() < 0.5:
                     continue
                 w = rng.choice(tgt)

@@ -40,6 +40,7 @@ from .cases import (
     sample_closed_orbit,
     symplectic_form,
     _check,
+    _expected_factors,
 )
 from .galg import (
     GAlgebra,
@@ -92,24 +93,19 @@ def _so_case(series: str, l: int) -> CaseDescriptor:
     d1 = m - 1
     if series == "B":
         if l == 3:
-            factors = (("A1", 1), ("A1", 1))
             dim_quad = 3
             note = "line x conic in P5 (m=3)"
         else:
-            factors = (("A1", 1), (f"B{l - 2}", 1))
             dim_quad = (2 * l - 3) * (2 * l - 4) // 2
             note = f"line x quadric Q^{m - 2} (m={m})"
     else:
         if l == 4:
-            factors = (("A1", 1), ("A1", 1), ("A1", 1))
             dim_quad = 6
             note = "three lines (m=4)"
         elif l == 5:
-            factors = (("A1", 1), ("A3", 2))
             dim_quad = 15
             note = f"line x quadric Q^{m - 2} (m={m})"
         else:
-            factors = (("A1", 1), (f"D{l - 2}", 1))
             dim_quad = (2 * l - 4) * (2 * l - 5) // 2
             note = f"line x quadric Q^{m - 2} (m={m})"
     dim_l = 3 + dim_quad
@@ -118,22 +114,24 @@ def _so_case(series: str, l: int) -> CaseDescriptor:
         case_id=f"{series}{l}", s_label=f"{series}{l}",
         dim_V=dim_V, dim_l1=d1, dim_l=dim_l,
         g_dims=(d1, 2 + l0, 2 * d1, d1, 1),
-        l_factors=factors, note=note,
+        l_factors=tuple(_expected_factors(series, l)), note=note,
     )
 
 
 def _exceptional_case(label: str) -> CaseDescriptor:
     data = {
-        "F4": (14, 6, 21, (("C3", 3),), "Lagrangian Grassmannian LG(3,6)"),
-        "E6": (20, 9, 35, (("A5", 3),), "Grassmannian Gr(3,6)"),
-        "E7": (32, 15, 66, (("D6", 6),), "spinor variety S6"),
-        "E8": (56, 27, 133, (("E7", 7),), "27-dim minuscule E7/P7"),
+        "F4": (14, 6, 21, "Lagrangian Grassmannian LG(3,6)"),
+        "E6": (20, 9, 35, "Grassmannian Gr(3,6)"),
+        "E7": (32, 15, 66, "spinor variety S6"),
+        "E8": (56, 27, 133, "27-dim minuscule E7/P7"),
     }[label]
-    dim_V, d1, dim_l, factors, note = data
+    dim_V, d1, dim_l, note = data
     l0 = dim_l - 2 * d1
     return CaseDescriptor(
         case_id=label, s_label=label, dim_V=dim_V, dim_l1=d1, dim_l=dim_l,
-        g_dims=(d1, 2 + l0, 2 * d1, d1, 1), l_factors=factors, note=note,
+        g_dims=(d1, 2 + l0, 2 * d1, d1, 1),
+        l_factors=tuple(_expected_factors(label[0], int(label[1:]))),
+        note=note,
     )
 
 
@@ -159,12 +157,13 @@ def registry_entry(case_id: str, rank_ceiling: int = 12) -> CaseDescriptor:
     raise KeyError(f"unknown case id {case_id!r}")
 
 
+SAMPLES_PER_IDEAL = 10  # orbit sample budget per irreducible summand of l_1
+
+
 @dataclass
 class RunOptions:
     seed: int = 0
-    samples: int = 10
     heavy: bool = False
-    rank_ceiling: int = 8
 
 
 @dataclass
@@ -266,7 +265,7 @@ def run(case_id: str, check_set, options: RunOptions | None = None) -> Verificat
     unknown = checks - set(CHECK_GROUPS)
     if unknown:
         raise ValueError(f"unknown checks: {sorted(unknown)}")
-    desc = registry_entry(case_id, max(options.rank_ceiling, 12))
+    desc = registry_entry(case_id)
     if desc.excluded:
         raise CaseExcludedError(f"excluded case: {desc.exclusion_reason}")
 
@@ -400,7 +399,7 @@ def _base_locus_samples(ctx: _Context) -> list[dict]:
     ideal_dims = [sum(1 for r in case.l1_roots() if case.ideal_of_root(r) == ci)
                   for ci in range(len(hw))]
     # fewer points than an ideal's dimension can never span it
-    per = max([ctx.options.samples, *ideal_dims])
+    per = max([SAMPLES_PER_IDEAL, *ideal_dims])
     samples = sample_closed_orbit(case, per, ctx.options.seed)
     iii_null = all(iii_value(case, forms, b) == 0 for b in samples)
     is_ii1 = case.s_label == "B3"
@@ -437,19 +436,18 @@ def _base_locus_samples(ctx: _Context) -> list[dict]:
 
 def _xvv_kernel(ctx: _Context) -> list[dict]:
     case, options = ctx.case, ctx.options
-    samples = sample_closed_orbit(case, options.samples, options.seed)
+    samples = sample_closed_orbit(case, SAMPLES_PER_IDEAL, options.seed)
     cert = check_xvv(case, samples)
-    escalated = False
-    if cert.status == "INCONCLUSIVE" and options.samples > 0:
+    escalated = cert.status == "INCONCLUSIVE"
+    if escalated:
         # a nonzero kernel after the default budget is never a
         # refutation; retry once with four times the points
-        escalated = True
-        samples = sample_closed_orbit(case, 4 * options.samples,
+        samples = sample_closed_orbit(case, 4 * SAMPLES_PER_IDEAL,
                                       options.seed + 1)
         cert = check_xvv(case, samples)
     return [{"status": cert.status, "dims": {"kernel": cert.kernel_dim},
              "values": {"samples": cert.samples_used,
-                        "budget_per_ideal": options.samples,
+                        "budget_per_ideal": SAMPLES_PER_IDEAL,
                         "escalated": escalated}}]
 
 

@@ -15,12 +15,10 @@ from subadjoint.prolong import (
     ProlongConsistencyError,
     ProlongDepthError,
     ProlongInput,
-    ad_witnesses,
     direct_sum_check,
     direct_sum_input,
     formal_vector_field_oracle,
     g_tower,
-    input_from_g,
     input_from_l,
     pair_rows,
     prolongation,
@@ -133,8 +131,8 @@ def test_l_input_f4_dims():
 def test_main_prolongation_exact(label, d1):
     case = build_case(label)
     g = build_g(case)
-    inp, gplus, g0 = input_from_g(g)
-    wits = ad_witnesses(g, inp, gplus, g0)
+    inp, tower = g_tower(g)
+    wits = tower.bases[1]
     assert witness_rank(wits) == d1
     res = prolongation(inp, 2, witnesses={1: wits})
     assert res.dims == {1: d1, 2: 0}
@@ -143,8 +141,8 @@ def test_main_prolongation_exact(label, d1):
 def test_witness_floor_stops_early():
     case = build_case("B3")
     g = build_g(case)
-    inp, gplus, g0 = input_from_g(g)
-    wits = ad_witnesses(g, inp, gplus, g0)
+    inp, tower = g_tower(g)
+    wits = tower.bases[1]
     # the witnesses pin level 1 at their rank before every pair is fed
     res = prolongation(inp, 1, witnesses={1: wits})
     assert res.stopped_early == {1: True}
@@ -158,15 +156,15 @@ def _corrupted_b3_witnesses():
     """The B3 ad witnesses with one coefficient of the first one changed."""
     case = build_case("B3")
     g = build_g(case)
-    inp, gplus, g0 = input_from_g(g)
-    wits = ad_witnesses(g, inp, gplus, g0)
+    inp, tower = g_tower(g)
+    wits = tower.bases[1]
     block = next(b for b in wits[0] if b)
     block[next(iter(block))] += 1
     return inp, wits
 
 
 def test_non_jacobi_nplus_raises():
-    inp, _, _ = input_from_g(build_g(build_case("B3")))
+    inp, _ = g_tower(build_g(build_case("B3")))
     t = inp.nplus
     key = min(k for k, v in t.brackets.items()
               if v and inp.degrees[k[0]] == inp.degrees[k[1]] == 1)
@@ -178,7 +176,7 @@ def test_non_jacobi_nplus_raises():
 
 def _tripled_n0_entry_input():
     """The B3 input with one entry of one n_0 matrix tripled."""
-    inp, _, _ = input_from_g(build_g(build_case("B3")))
+    inp, _ = g_tower(build_g(build_case("B3")))
     col = next(c for c in inp.n0_mats[1] if c)
     col[min(col)] *= 3
     return inp
@@ -210,7 +208,7 @@ def test_non_derivation_n0_raises_under_python_O():
 
 
 def test_direct_sum_rejects_unsupported_factors():
-    inp, _, _ = input_from_g(build_g(build_case("B3")))
+    inp, _ = g_tower(build_g(build_case("B3")))
     with pytest.raises(ValueError, match="degree 1 only"):
         direct_sum_input(sl2_line_input(), inp)
     bracketed = ProlongInput(
@@ -253,7 +251,7 @@ def test_corrupted_witness_raises_under_python_O():
 def test_solver_kernel_satisfies_compatibility():
     case = build_case("B4")
     g = build_g(case)
-    inp, gplus, g0 = input_from_g(g)
+    inp, _ = g_tower(g)
     res = prolongation(inp, 1)
     tower = _Tower(inp)
     for phi in res.bases[1]:
@@ -263,8 +261,8 @@ def test_solver_kernel_satisfies_compatibility():
 def test_witnesses_are_solver_solutions():
     case = build_case("B3")
     g = build_g(case)
-    inp, gplus, g0 = input_from_g(g)
-    wits = ad_witnesses(g, inp, gplus, g0)
+    inp, tower = g_tower(g)
+    wits = tower.bases[1]
     tower = _Tower(inp)
     for phi in wits:
         assert residual_is_zero(inp, tower, 1, phi)
@@ -273,7 +271,7 @@ def test_witnesses_are_solver_solutions():
 def test_monotone_vanishing_reported():
     case = build_case("F4")
     g = build_g(case)
-    inp, gplus, g0 = input_from_g(g)
+    inp, _ = g_tower(g)
     res = prolongation(inp, 2)
     assert res.monotone_vanishing_ok()
 
@@ -408,7 +406,7 @@ def test_pair_rows_match_term_by_term_reference(label):
 
 def _duplicated_n0_input():
     """The B3 input with its last n_0 matrix appended a second time."""
-    inp, _, _ = input_from_g(build_g(build_case("B3")))
+    inp, _ = g_tower(build_g(build_case("B3")))
     return ProlongInput(nplus=inp.nplus, degrees=inp.degrees,
                         n0_mats=inp.n0_mats + (inp.n0_mats[-1],))
 
@@ -421,7 +419,8 @@ def _unclosed_n0_input():
     matrices are independent derivations whose span is not closed.
     """
     g = build_g(build_case("F4"))
-    inp, _, g0 = input_from_g(g)
+    inp, _ = g_tower(g)
+    g0 = g.components()[0]
     top = max((r for r in g.case.l0_roots() if sum(r) > 0), key=sum)
     drop = g0.index(g.l_offset + g.l_basis_keys.index(("e", top)))
     return ProlongInput(nplus=inp.nplus, degrees=inp.degrees,
@@ -436,7 +435,7 @@ def _ungenerated_input():
 
 def _degree_mixing_n0_input():
     """The B3 input with one n_0 column moved partly into degree 2."""
-    inp, _, _ = input_from_g(build_g(build_case("B3")))
+    inp, _ = g_tower(build_g(build_case("B3")))
     j = inp.degrees.index(1)
     inp.n0_mats[0][j][inp.degrees.index(2)] = 1
     return inp

@@ -11,7 +11,7 @@ from subadjoint import galg, prolong, spencer, verify
 from subadjoint.cases import CaseExcludedError, build_case
 from subadjoint.cli import main
 from subadjoint.galg import build_g
-from subadjoint.prolong import ad_witnesses, input_from_g, prolongation
+from subadjoint.prolong import g_tower, prolongation
 from subadjoint.verify import (
     CaseDescriptor,
     CheckRecord,
@@ -167,15 +167,15 @@ def test_e_series_runs_solvers_by_default():
 
 
 def test_corrupted_witness_fails_prolong_checks(monkeypatch):
-    real = prolong.ad_witnesses
+    real = spencer.g_tower
 
-    def corrupted(*args):
-        wits = real(*args)
-        block = next(b for b in wits[0] if b)
+    def corrupted(g):
+        inp, tower = real(g)
+        block = next(b for b in tower.bases[1][0] if b)
         block[next(iter(block))] += 1
-        return wits
+        return inp, tower
 
-    monkeypatch.setattr(prolong, "ad_witnesses", corrupted)
+    monkeypatch.setattr(spencer, "g_tower", corrupted)
     rep = run("B3", {"prolong"}, RunOptions(seed=7))
     recs = {c.check_id: c for c in rep.checks}
     assert recs["prolong-dims"].status == "FAIL"
@@ -288,8 +288,8 @@ def test_solve_error_fails_every_reader(monkeypatch):
 @pytest.mark.parametrize("label", ["B3", "D4", "F4"])
 def test_prolong_dims_match_prolongation(label):
     g = build_g(build_case(label))
-    inp, gplus, g0 = input_from_g(g)
-    res = prolongation(inp, 2, witnesses={1: ad_witnesses(g, inp, gplus, g0)})
+    inp, tower = g_tower(g)
+    res = prolongation(inp, 2, witnesses={1: tower.bases[1]})
     rep = run(label, {"prolong"}, RunOptions(seed=7))
     rec = next(c for c in rep.checks if c.check_id == "prolong-dims")
     assert (rec.dims["p_minus_1"], rec.dims["p_minus_2"]) == (res.dims[1],
@@ -519,6 +519,8 @@ def test_cli_argparse_errors_are_usage_errors(capsys):
     # argparse alone would exit 2, the DEGRADED code
     assert main(["--mode", "exact"]) == 3
     assert main(["--seed", "x"]) == 3
+    assert main(["--samples", "10"]) == 3
+    assert main(["--rank-ceiling", "8"]) == 3
     assert "usage:" in capsys.readouterr().err
 
 
@@ -765,6 +767,63 @@ def test_negative_control_fails_check(monkeypatch, check_id):
     else:
         assert word in rec.values["error"]
     assert exit_code(rep) == 1
+
+
+def _corrupted_run(label, corrupt, groups):
+    real = verify.build_g
+
+    def corrupted(case):
+        g = real(case)
+        corrupt(case, g)
+        return g
+
+    verify.build_g = corrupted
+    try:
+        return run(label, groups, RunOptions(seed=7))
+    finally:
+        verify.build_g = real
+
+
+def _v2_listed_in_l1(case, g):
+    g.l1_indices = (*g.l1_indices[:-1], g.V_level_indices[2][0])
+
+
+@pytest.mark.parametrize("corrupt,word", [
+    # l_1 one longer than V_2: the pairing l_1 x V_2 -> V_3 is not square
+    (_v1_listed_in_l1, "not square"),
+    # l_1 as long as V_2 but not inside g_1: no slot of level 1 holds it
+    (_v2_listed_in_l1, "not in g_1"),
+])
+def test_misplaced_l1_fails_restricted_differentials(corrupt, word):
+    rep = _corrupted_run("B3", corrupt, {"spencer"})
+    rec = next(c for c in rep.checks if c.check_id == "restricted-differentials")
+    assert rec.status == "FAIL"
+    assert word in rec.values["error"]
+    assert exit_code(rep) == 1
+
+
+# corruptions whose bracket leaves g_{deg i + deg j} with a g_+ element
+NON_ADDITIVE = {"_l1_bracket_hits_v0", "_v0_bracket_on_v1",
+                "_g0_moves_v1_into_v2"}
+
+
+def test_no_corruption_escapes_run():
+    # every control under every group returns a report: no error of a
+    # corrupted case escapes run
+    tower_ids = {i for grp, ids, _ in verify.CHECKS
+                 if grp in ("prolong", "spencer") for i in ids}
+    failed = set()
+    for label, corrupt, _ in NEGATIVE_CONTROLS.values():
+        for group in verify.CHECK_GROUPS:
+            rep = _corrupted_run(label, corrupt, {group})
+            if corrupt.__name__ not in NON_ADDITIVE:
+                continue
+            for rec in rep.checks:
+                if rec.check_id in tower_ids:
+                    assert rec.status == "FAIL"
+                    assert "not additive" in rec.values["error"]
+                    failed.add((corrupt.__name__, rec.check_id))
+    assert len(failed) == len(NON_ADDITIVE) * len(tower_ids)
 
 
 def test_clean_report_emits_the_check_table_in_order():
