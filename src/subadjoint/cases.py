@@ -26,6 +26,7 @@ from .liecore import (
 from .linalg import (
     SparseRationalMatrix,
     Vec,
+    integer_inverse,
     vec_add_scaled,
     vec_scale,
 )
@@ -209,30 +210,6 @@ def _degree_zero_simple_system(rs: RootSystem, degree: dict) -> list[tuple]:
     return sorted(simple, key=lambda r: (root_height(r), r))
 
 
-def _integer_inverse(m: list[list[int]]) -> tuple[list[list[int]], int]:
-    """(A, d) with m^{-1} = A / d for an integer matrix m.
-
-    Fraction-free Gauss-Jordan elimination (Bareiss) on [m | I] ends at
-    [d I | A] with d = +-det m, so A is +-adj m; every division is exact by
-    Sylvester's identity.
-    """
-    n = len(m)
-    a = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(m)]
-    prev = 1
-    for k in range(n):
-        piv = next((i for i in range(k, n) if a[i][k]), None)
-        if piv is None:
-            raise ValueError("singular matrix")
-        a[k], a[piv] = a[piv], a[k]
-        p = a[k][k]
-        for i in range(n):
-            if i != k:
-                c = a[i][k]
-                a[i] = [(x * p - c * y) // prev for x, y in zip(a[i], a[k])]
-        prev = p
-    return [row[n:] for row in a], prev
-
-
 def build_case(label: str) -> SubadjointCase:
     """Construct the case for s of the given type; raises on excluded types."""
     series = label[:1].upper()
@@ -293,7 +270,7 @@ def build_case(label: str) -> SubadjointCase:
     # <x, b^vee> for the simple roots b of l is linear in x: K[i] holds its
     # values on the simple roots of s, and C_l^{-1} K over the one
     # denominator of C_l^{-1} maps a weight to its l simple-root coordinates
-    l_inv, l_den = _integer_inverse(l_cartan)
+    l_inv, l_den = integer_inverse(l_cartan)
     K = [[_cartan_entry(rs, b, a) for a in simple] for b in l_simple]
     weight_map = [[sum(row[j] * K[j][k] for j in range(len(l_simple)))
                    for k in range(rs.rank)] for row in l_inv]

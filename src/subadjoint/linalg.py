@@ -1,14 +1,21 @@
-"""Exact rational sparse linear algebra, plus a mod-p rank kernel.
+"""Exact rational linear algebra: three elimination engines.
 
 Vectors are sparse dicts {index: value} with no explicit zeros, values
-exact rationals, `int` when integral (a `Fraction` otherwise).  The
-workhorse is RrefBasis, an incremental reduced-row-echelon accumulator over
-the rationals; every verdict of the verifier comes from it.  ModpDenseRref
-is the same accumulator over a prime field (float64 rows reduced through
-BLAS).  No check uses it: it remains for rank cross-checks and for the
-benchmark's solve tracing.  A mod-p rank is always a lower bound on the
-exact rank.  numpy is imported only by the mod-p helpers (ModpDenseRref,
-rows_to_modp_array), so importing the package does not load it.
+exact rationals, `int` when integral (a `Fraction` otherwise).
+
+- RrefBasis, an incremental reduced-row-echelon accumulator over the
+  rationals, is the workhorse: every rank and kernel of the verifier
+  comes from it.
+- `bareiss`, one fraction-free Gauss-Jordan elimination on dense integer
+  rows, gives every determinant (`SparseRationalMatrix.det`) and every
+  dense inverse (`integer_inverse`: the Cartan inverses of s and of l).
+  It shares no code with RrefBasis.
+- ModpDenseRref is the RrefBasis accumulator over a prime field (float64
+  rows reduced through BLAS).  No check uses it: it remains for rank
+  cross-checks and for the benchmark's solve tracing.  A mod-p rank is
+  always a lower bound on the exact rank.  numpy is imported only by the
+  mod-p helpers (ModpDenseRref, rows_to_modp_array), so importing the
+  package does not load it.
 """
 
 from __future__ import annotations
@@ -386,11 +393,9 @@ class SparseRationalMatrix:
     def det(self) -> Fraction:
         """Exact determinant, as a Fraction, by integer Bareiss elimination.
 
-        Each row is scaled by the lcm of its denominators, so the
-        elimination runs on Python ints.  By Sylvester's identity every
-        division of the fraction-free elimination (Bareiss, Math. Comp. 22,
-        1968) is exact; a remainder raises ArithmeticError.  The result is
-        the integer determinant over the product of the row scales.
+        Each row is scaled by the lcm of its denominators, so `bareiss` runs
+        on Python ints; the result is the integer determinant over the
+        product of the row scales.
         """
         if self.nrows != self.ncols:
             raise ValueError("determinant of a non-square matrix")
@@ -401,49 +406,55 @@ class SparseRationalMatrix:
             m = lcm(*(v.denominator for v in row.values()))
             scale *= m
             a.append([int(row.get(j, 0) * m) for j in range(n)])
-        sign, prev = 1, 1
-        for k in range(n - 1):
-            if not a[k][k]:
-                for i in range(k + 1, n):
-                    if a[i][k]:
-                        a[k], a[i] = a[i], a[k]
-                        sign = -sign
-                        break
-                else:
-                    return Fraction(0)
-            rk = a[k]
-            piv = rk[k]
-            for ri in a[k + 1:]:
-                c = ri[k]
-                for j in range(k + 1, n):
-                    q, rem = divmod(ri[j] * piv - c * rk[j], prev)
-                    if rem:
-                        raise ArithmeticError("inexact Bareiss division")
-                    ri[j] = q
-                ri[k] = 0
-            prev = piv
-        return Fraction(sign * a[n - 1][n - 1] if n else 1, scale)
+        return Fraction(bareiss(a, n), scale)
 
 
-def mat_inverse(m: list[list[Fraction]]) -> list[list[Fraction]]:
-    """Dense exact inverse; raises on singular input."""
-    n = len(m)
-    a = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
-         for i, row in enumerate(m)]
-    for col in range(n):
-        piv = next((i for i in range(col, n) if a[i][col]), None)
+def bareiss(a: list[list[int]], n: int) -> int:
+    """Fraction-free Gauss-Jordan elimination on the leading n columns.
+
+    a holds n integer rows of width >= n and is reduced in place, rows
+    swapped as pivots require.  Returns det of the leading n x n block m,
+    and 0 (leaving a partly reduced) when m is singular.  Otherwise a ends
+    as [d I | d m^{-1} B] for a start of [m | B], with d = +-det m the last
+    pivot.  By Sylvester's identity every division of the elimination
+    (Bareiss, Math. Comp. 22, 1968) is exact; a remainder raises
+    ArithmeticError.
+    """
+    sign, prev = 1, 1
+    for k in range(n):
+        piv = next((i for i in range(k, n) if a[i][k]), None)
         if piv is None:
-            raise ValueError("singular matrix")
-        a[col], a[piv] = a[piv], a[col]
-        inv = 1 / a[col][col]
-        a[col] = [x * inv for x in a[col]]
-        for i in range(n):
-            if i != col and a[i][col]:
-                c = a[i][col]
-                a[i] = [x - c * y for x, y in zip(a[i], a[col])]
-    return [row[n:] for row in a]
+            return 0
+        if piv != k:
+            a[k], a[piv] = a[piv], a[k]
+            sign = -sign
+        rk = a[k]
+        p = rk[k]
+        for i, ri in enumerate(a):
+            if i == k:
+                continue
+            c = ri[k]
+            for j in range(k, len(ri)):
+                q, rem = divmod(ri[j] * p - c * rk[j], prev)
+                if rem:
+                    raise ArithmeticError("inexact Bareiss division")
+                ri[j] = q
+            # left of column k a row is zero but for a diagonal entry prev
+            # (rows i < k), whose update is prev * p / prev
+            if i < k:
+                ri[i] = p
+        prev = p
+    return sign * prev
 
 
-def mat_vec(m: list[list[Fraction]], v: list[Fraction]) -> list[Fraction]:
-    return [sum((r[j] * v[j] for j in range(len(v))), Fraction(0)) for r in m]
+def integer_inverse(m: list[list[int]]) -> tuple[list[list[int]], int]:
+    """(A, d) with m^{-1} = A / d for a nonsingular integer matrix m.
 
+    `bareiss` on [m | I] ends at [d I | A] with d = +-det m, so A is
+    +-adj m.
+    """
+    n = len(m)
+    a = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(m)]
+    if not bareiss(a, n):
+        raise ValueError("singular matrix")
+    return [row[n:] for row in a], a[0][0] if n else 1

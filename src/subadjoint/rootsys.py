@@ -30,7 +30,7 @@ from fractions import Fraction
 from functools import cached_property
 
 from .liecore import LieAlgebraTable
-from .linalg import mat_inverse, mat_vec
+from .linalg import integer_inverse
 
 Root = tuple  # integer coordinates in the simple-root basis
 
@@ -307,15 +307,13 @@ class WeightVector:
             raise ValueError(f"unknown weight basis {self.basis!r}")
 
 
-def _cartan_inverse(rs: RootSystem):
-    return mat_inverse([[Fraction(v) for v in row] for row in rs.cartan])
-
-
 def to_simple_root_coords(w: WeightVector, rs: RootSystem) -> WeightVector:
     """Fundamental-weight coordinates -> exact simple-root coordinates."""
     if w.basis == "simple":
         return w
-    coords = mat_vec(_cartan_inverse(rs), [Fraction(c) for c in w.coords])
+    inv, den = integer_inverse(rs.cartan)
+    coords = [Fraction(sum(a * c for a, c in zip(row, w.coords)), den)
+              for row in inv]
     return WeightVector(tuple(coords), "simple")
 
 

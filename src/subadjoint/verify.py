@@ -91,24 +91,9 @@ def _so_case(series: str, l: int) -> CaseDescriptor:
     m = 2 * l - 3 if series == "B" else 2 * l - 4
     dim_V = 2 * m
     d1 = m - 1
-    if series == "B":
-        if l == 3:
-            dim_quad = 3
-            note = "line x conic in P5 (m=3)"
-        else:
-            dim_quad = (2 * l - 3) * (2 * l - 4) // 2
-            note = f"line x quadric Q^{m - 2} (m={m})"
-    else:
-        if l == 4:
-            dim_quad = 6
-            note = "three lines (m=4)"
-        elif l == 5:
-            dim_quad = 15
-            note = f"line x quadric Q^{m - 2} (m={m})"
-        else:
-            dim_quad = (2 * l - 4) * (2 * l - 5) // 2
-            note = f"line x quadric Q^{m - 2} (m={m})"
-    dim_l = 3 + dim_quad
+    dim_l = 3 + m * (m - 1) // 2  # l = sl_2 + so_m
+    note = {"B3": "line x conic in P5 (m=3)", "D4": "three lines (m=4)"}.get(
+        f"{series}{l}", f"line x quadric Q^{m - 2} (m={m})")
     l0 = dim_l - 2 * d1
     return CaseDescriptor(
         case_id=f"{series}{l}", s_label=f"{series}{l}",

@@ -8,7 +8,6 @@ from subadjoint.cases import (
     CaseConsistencyError,
     CaseExcludedError,
     _exp_ad,
-    _integer_inverse,
     _l_basis_vectors,
     _validate_case,
     build_case,
@@ -20,7 +19,7 @@ from subadjoint.cases import (
     sample_closed_orbit,
     symplectic_form,
 )
-from subadjoint.linalg import RrefBasis, SparseRationalMatrix, mat_inverse
+from subadjoint.linalg import RrefBasis, SparseRationalMatrix, integer_inverse
 
 
 @pytest.fixture(scope="module")
@@ -333,6 +332,26 @@ def test_non_nilpotent_exp_ad_raises_under_python_O():
     assert r.returncode == 0, r.stderr
 
 
+def _fraction_inverse(m):
+    """Reference: the dense Fraction Gauss-Jordan inverse that the integer
+    elimination replaced; raises on singular input."""
+    n = len(m)
+    a = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
+         for i, row in enumerate(m)]
+    for col in range(n):
+        piv = next((i for i in range(col, n) if a[i][col]), None)
+        if piv is None:
+            raise ValueError("singular matrix")
+        a[col], a[piv] = a[piv], a[col]
+        inv = 1 / a[col][col]
+        a[col] = [x * inv for x in a[col]]
+        for i in range(n):
+            if i != col and a[i][col]:
+                c = a[i][col]
+                a[i] = [x - c * y for x, y in zip(a[i], a[col])]
+    return [row[n:] for row in a]
+
+
 def test_integer_inverse_matches_fraction_inverse():
     # the l Cartan inverse as integers over one denominator, with a row swap
     # (zero leading entry) among the inputs, and a singular matrix rejected
@@ -340,8 +359,12 @@ def test_integer_inverse_matches_fraction_inverse():
               [[0, 1, 2], [1, 0, 3], [4, -3, 8]],
               [[2, -1, 0, 0, 0, 0], [-1, 2, -1, 0, 0, 0], [0, -1, 2, -1, 0, -1],
                [0, 0, -1, 2, -1, 0], [0, 0, 0, -1, 2, 0], [0, 0, -1, 0, 0, 2]]):
-        inv, den = _integer_inverse(m)
-        assert [[Fraction(x, den) for x in row] for row in inv] == mat_inverse(m)
+        inv, den = integer_inverse(m)
+        assert [[Fraction(x, den) for x in row] for row in inv] == _fraction_inverse(m)
         assert all(type(x) is int for row in inv for x in row)
+        n = len(m)
+        assert [[sum(a * b for a, b in zip(row, col)) for col in zip(*inv)]
+                for row in m] == [[den * int(i == j) for j in range(n)]
+                                  for i in range(n)]
     with pytest.raises(ValueError, match="singular"):
-        _integer_inverse([[1, 2], [2, 4]])
+        integer_inverse([[1, 2], [2, 4]])

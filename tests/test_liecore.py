@@ -133,6 +133,17 @@ def test_grade_by_non_integer_rejected():
         grade_by_element(t, {0: Fraction(1, 3)})
 
 
+@pytest.mark.parametrize("h", [{1: 1}, {1: 1, 2: 1}],
+                         ids=["e_alpha", "e_alpha+e_-alpha"])
+def test_grade_by_non_diagonal_element_rejected(h):
+    # ad(e_alpha) on sl2 is nilpotent; ad(e_alpha + e_-alpha) is
+    # diagonalizable with eigenvalues -2, 0, 2, but not in the Chevalley
+    # basis, and only gradings diagonal in the basis are built
+    t = chevalley_table(build_root_system("A1"))
+    with pytest.raises(InvalidGradingElement, match="not diagonal"):
+        grade_by_element(t, h)
+
+
 def test_f4_highest_coroot_grading():
     rs = build_root_system("F4")
     t = chevalley_table(rs)

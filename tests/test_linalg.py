@@ -9,7 +9,7 @@ from subadjoint.linalg import (
     ModpDenseRref,
     RrefBasis,
     SparseRationalMatrix,
-    mat_inverse,
+    integer_inverse,
     modp_primes,
     rows_to_modp_array,
 )
@@ -183,10 +183,38 @@ def test_solve():
 
 
 def test_mat_inverse_roundtrip():
-    a = [[Fraction(2), Fraction(-1)], [Fraction(-1), Fraction(2)]]
-    inv = mat_inverse(a)
-    assert inv == [[Fraction(2, 3), Fraction(1, 3)],
-                   [Fraction(1, 3), Fraction(2, 3)]]
+    assert integer_inverse([[2, -1], [-1, 2]]) == ([[2, 1], [1, 2]], 3)
+
+
+def _matmul(x, y):
+    return [[sum(a * b for a, b in zip(row, col)) for col in zip(*y)]
+            for row in x]
+
+
+@pytest.mark.parametrize("shape", ["random", "singular", "swap"])
+def test_det_and_integer_inverse_share_bareiss(shape):
+    # det and integer_inverse run the same elimination, so these checks use
+    # no reference implementation: det is multiplicative, and a nonsingular
+    # m has m A = d I with d = +-det m
+    rng = random.Random(f"bareiss-{shape}")
+    for _ in range(40):
+        n = rng.randint(2, 7)
+        m1 = _det_matrix(rng, "int", shape, n)
+        m2 = _det_matrix(rng, "int", rng.choice(("random", "swap")), n)
+        det1 = SparseRationalMatrix.from_dense(m1).det()
+        det2 = SparseRationalMatrix.from_dense(m2).det()
+        assert SparseRationalMatrix.from_dense(_matmul(m1, m2)).det() == det1 * det2
+        if shape == "singular":
+            assert det1 == 0
+        if not det1:
+            with pytest.raises(ValueError, match="singular"):
+                integer_inverse(m1)
+            continue
+        inv, d = integer_inverse(m1)
+        assert d in (det1, -det1)
+        assert all(type(x) is int for row in inv for x in row)
+        assert _matmul(m1, inv) == [[d * int(i == j) for j in range(n)]
+                                    for i in range(n)]
 
 
 def test_modp_primes_deterministic_and_prime():
