@@ -1,7 +1,10 @@
 """Exact computational toolkit for subadjoint-variety Lie algebras.
 
 Everything is exact rational arithmetic, and every verdict comes from
-exact sparse elimination.  Typical use:
+exact sparse elimination.  The package is the verifier behind the
+`verify` command; the reference computations that only the tests use
+(formal vector fields, sl2, direct sums, weight conversions) live in
+tests/oracles.py.  Typical use:
 
     from subadjoint import build_case, build_g, run
 
@@ -34,18 +37,13 @@ from .liecore import (  # noqa: F401
 from .prolong import (  # noqa: F401
     ProlongInput,
     ProlongResult,
-    direct_sum_check,
-    formal_vector_field_oracle,
     prolongation,
-    sl2_adjoint_check,
 )
 from .rootsys import (  # noqa: F401
     RootSystem,
     WeightVector,
     build_root_system,
     chevalley_table,
-    to_fundamental_coords,
-    to_simple_root_coords,
 )
 from .spencer import (  # noqa: F401
     hom_decomposition,

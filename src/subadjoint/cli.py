@@ -69,6 +69,10 @@ def main(argv=None) -> int:
                     if not c.excluded]
     else:
         case_ids = [c.strip() for c in args.case.split(",") if c.strip()]
+        if not case_ids:
+            # an empty report would pass with nothing verified
+            print(f"error: no case id in --case {args.case!r}", file=sys.stderr)
+            return 3
 
     if args.checks == "all":
         checks = set(CHECK_GROUPS)

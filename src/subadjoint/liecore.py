@@ -70,17 +70,6 @@ class LieAlgebraTable:
         return [self.bracket(x, {j: 1}) for j in range(self.dim)]
 
 
-def check_antisymmetry(L: LieAlgebraTable) -> bool:
-    """Structural given the storage scheme; spot-checks bracket symmetry."""
-    for (i, j), v in L.brackets.items():
-        if i >= j:
-            return False
-        back = L.bracket_basis(j, i)
-        if {k: -c for k, c in v.items()} != back:
-            return False
-    return True
-
-
 def check_jacobi(L: LieAlgebraTable) -> list[tuple[int, int, int]]:
     """All basis triples violating Jacobi.  Empty list iff Jacobi holds.
 
@@ -238,37 +227,11 @@ class Grading:
     degree: dict
     components: dict  # int -> Subspace
 
-    def component(self, d: int, ambient_dim: int) -> Subspace:
-        return self.components.get(d, Subspace.zero(ambient_dim))
-
     def degrees(self) -> list[int]:
         return sorted(self.components)
 
     def dims(self) -> dict:
         return {d: s.dim for d, s in sorted(self.components.items())}
-
-
-def bracket_additivity_violations(L: LieAlgebraTable, g: Grading) -> list:
-    """Pairs (i, j) of component degrees with [g_i, g_j] not in g_{i+j}."""
-    bad = []
-    degs = g.degrees()
-    for di in degs:
-        for dj in degs:
-            if dj < di:
-                continue
-            target = g.components.get(di + dj)
-            for x in g.components[di].basis_vectors():
-                for y in g.components[dj].basis_vectors():
-                    b = L.bracket(x, y)
-                    if not b:
-                        continue
-                    if target is None or not target.contains(b):
-                        bad.append((di, dj))
-                        break
-                else:
-                    continue
-                break
-    return bad
 
 
 def grade_by_element(L: LieAlgebraTable, h: Vec) -> Grading:

@@ -316,10 +316,10 @@ def rows_to_modp_array(rows: list[Vec], ncols: int, p: int) -> np.ndarray:
 class SparseRationalMatrix:
     """Row-sparse exact matrix with kernel/rank/det and a mod-p rank."""
 
-    def __init__(self, nrows: int, ncols: int, rows: list[Vec] | None = None):
+    def __init__(self, nrows: int, ncols: int, rows: list[Vec]):
         self.nrows = nrows
         self.ncols = ncols
-        self.rows: list[Vec] = rows if rows is not None else [dict() for _ in range(nrows)]
+        self.rows = rows
         if len(self.rows) != nrows:
             raise ValueError("row count mismatch")
 

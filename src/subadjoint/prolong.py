@@ -33,10 +33,9 @@ ProlongConsistencyError.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 from .liecore import LieAlgebraTable, check_jacobi
-from .linalg import RrefBasis, Vec, vec_add_scaled
+from .linalg import RrefBasis, Vec
 
 
 class ProlongDepthError(RuntimeError):
@@ -393,14 +392,6 @@ def _kernel_vec_to_map(inp, tower, k, offsets, sizes, vec: Vec) -> TaggedMap:
     return phi
 
 
-def _map_to_vec(offsets, phi: TaggedMap) -> Vec:
-    out: Vec = {}
-    for u, block in enumerate(phi):
-        for s, c in block.items():
-            out[offsets[u] + s] = c
-    return out
-
-
 def residual_is_zero(inp: ProlongInput, tower: _Tower, k: int, phi: TaggedMap) -> bool:
     """Substitute phi back into the compatibility equation on every pair.
 
@@ -566,212 +557,3 @@ def witness_rank(maps: list[TaggedMap]) -> int:
         if acc.add(flat):
             rank += 1
     return rank
-
-
-# --------------------------------------------------------------------------
-# Oracles: formal vector fields in one variable, sl2, direct sums
-# --------------------------------------------------------------------------
-
-def formal_vector_field_oracle(k_max: int) -> tuple[LieAlgebraTable, tuple]:
-    """Truncation of the vector fields t^a d/dt, a = 0..k_max+1.
-
-    Basis index a holds t^a d/dt with degree 1 - a; brackets are
-    [t^a d, t^b d] = (b - a) t^{a+b-1} d, truncated below degree -k_max.
-    """
-    if k_max < 1:
-        raise ValueError("k_max must be >= 1")
-    n = k_max + 2
-    brackets = {}
-    for a in range(n):
-        for b in range(a + 1, n):
-            c = a + b - 1
-            if 0 <= c < n and (b - a):
-                brackets[(a, b)] = {c: Fraction(b - a)}
-    labels = tuple(f"t^{a}d/dt" if a else "d/dt" for a in range(n))
-    degrees = tuple(1 - a for a in range(n))
-    return LieAlgebraTable(dim=n, labels=labels, brackets=brackets), degrees
-
-
-def sl2_line_input() -> ProlongInput:
-    """The projective-line datum: 1-dimensional abelian n_+ with gl_1."""
-    nplus = LieAlgebraTable(dim=1, labels=("x",), brackets={})
-    return ProlongInput(nplus=nplus, degrees=(1,), n0_mats=(
-        [{0: Fraction(1)}],
-    ))
-
-
-def direct_sum_input(a: ProlongInput, b: ProlongInput) -> ProlongInput:
-    """Block sum of two degree-1-only abelian inputs."""
-    for inp in (a, b):
-        if any(d != 1 for d in inp.degrees):
-            raise ValueError("direct sum needs degree 1 only")
-        if inp.nplus.brackets:
-            raise ValueError("direct sum needs abelian factors")
-    n, m = a.dim, b.dim
-    nplus = LieAlgebraTable(
-        dim=n + m,
-        labels=tuple(a.nplus.labels) + tuple(b.nplus.labels),
-        brackets={},
-    )
-    mats = []
-    for mat in a.n0_mats:
-        mats.append([dict(mat[j]) for j in range(n)] + [dict() for _ in range(m)])
-    for mat in b.n0_mats:
-        mats.append([dict() for _ in range(n)]
-                    + [{k + n: v for k, v in mat[j].items()} for j in range(m)])
-    return ProlongInput(nplus=nplus, degrees=(1,) * (n + m), n0_mats=tuple(mats))
-
-
-@dataclass
-class DirectSumReport:
-    dims_a: dict
-    dims_b: dict
-    dims_sum: dict
-    status: str
-
-    @property
-    def ok(self) -> bool:
-        return self.status == "PASS"
-
-
-def direct_sum_check(a: ProlongInput, b: ProlongInput, k_max: int,
-                     allow_deep: bool = False) -> DirectSumReport:
-    """Prolongation dims of a block sum equal the componentwise sums."""
-    ra = prolongation(a, k_max, allow_deep=allow_deep)
-    rb = prolongation(b, k_max, allow_deep=allow_deep)
-    rs = prolongation(direct_sum_input(a, b), k_max, allow_deep=allow_deep)
-    ok = all(
-        rs.dims[k] == ra.dims[k] + rb.dims[k] for k in range(1, k_max + 1)
-    )
-    return DirectSumReport(
-        dims_a=ra.dims, dims_b=rb.dims, dims_sum=rs.dims,
-        status="PASS" if ok else "FAIL",
-    )
-
-
-def xvv_in_oracle(k_max: int) -> bool:
-    """For b in f_{-k}, k >= 1: [[b, d/dt], d/dt] != 0 unless b = 0.
-
-    Checked on the 1-dimensional graded pieces; scaling a in f_1 multiplies
-    the double bracket by a nonzero square.
-    """
-    table, degrees = formal_vector_field_oracle(k_max)
-    a = {0: Fraction(1)}  # d/dt
-    for idx, d in enumerate(degrees):
-        if d <= -1:
-            # the double bracket raises degree, so truncation never clips it
-            b = {idx: Fraction(1)}
-            if not table.bracket(table.bracket(b, a), a):
-                return False
-    return True
-
-
-@dataclass
-class Sl2MatchReport:
-    status: str
-    scalars: tuple | None
-
-
-def truncation_matches_sl2(chev_a1: LieAlgebraTable) -> Sl2MatchReport:
-    """Graded isomorphism of the degree-(-1..1) truncation with sl2.
-
-    Searches the scaling maps e -> x*d/dt, h -> z*t d/dt, f -> y*t^2 d/dt and
-    verifies every bracket relation of the A1 Chevalley table.
-    """
-    table, degrees = formal_vector_field_oracle(1)
-    # A1 Chevalley layout: h, e, f
-    h, e, f = 0, 1, 2
-    # trunc layout: d/dt (deg 1), t d/dt (deg 0), t^2 d/dt (deg -1)
-    E, H, F = {0: Fraction(1)}, {1: Fraction(1)}, {2: Fraction(1)}
-    # [H', E'] = z*x*[t d, d] must equal 2 x d; solve z, then xy
-    c1 = table.bracket(H, E).get(0, Fraction(0))
-    if not c1:
-        return Sl2MatchReport("FAIL", None)
-    z = Fraction(2) / c1
-    c2 = table.bracket(E, F).get(1, Fraction(0))
-    if not c2:
-        return Sl2MatchReport("FAIL", None)
-    x = Fraction(1)
-    y = z / (x * c2)
-
-    def img(vec: Vec) -> Vec:
-        out: Vec = {}
-        vec_add_scaled(out, E, vec.get(e, Fraction(0)) * x)
-        vec_add_scaled(out, H, vec.get(h, Fraction(0)) * z)
-        vec_add_scaled(out, F, vec.get(f, Fraction(0)) * y)
-        return out
-
-    for i in range(3):
-        for j in range(3):
-            lhs = img(chev_a1.bracket({i: Fraction(1)}, {j: Fraction(1)}))
-            rhs = table.bracket(img({i: Fraction(1)}), img({j: Fraction(1)}))
-            if lhs != rhs:
-                return Sl2MatchReport("FAIL", None)
-    return Sl2MatchReport("PASS", (x, y, z))
-
-
-@dataclass
-class AdjointFixtureReport:
-    status: str
-    phi_a_a: Vec
-    double_bracket: Vec
-    lhs: Vec
-    rhs: Vec
-
-
-def sl2_adjoint_check() -> AdjointFixtureReport:
-    """The adjoint-representation computation with w0 = t^2 d/dt.
-
-    With a = d/dt and phi = [t^3 d/dt, .] the two iterated actions on w0
-    come out as -12 t d/dt and +12 t d/dt: equal and opposite, nonzero.
-    """
-    table, degrees = formal_vector_field_oracle(4)
-    a = {0: Fraction(1)}            # d/dt
-    w0 = {2: Fraction(1)}           # t^2 d/dt
-    t3 = {3: Fraction(1)}           # t^3 d/dt
-    phi_a = table.bracket(t3, a)
-    phi_a_a = table.bracket(phi_a, a)              # expect 6 t d/dt
-    double = table.bracket(phi_a_a, a)             # expect -6 d/dt
-    lhs = table.bracket(double, w0)                # expect -12 t d/dt
-    rhs = table.bracket(a, table.bracket(phi_a_a, w0))  # expect +12 t d/dt
-    ok = (
-        phi_a_a == {1: Fraction(6)}
-        and double == {0: Fraction(-6)}
-        and lhs == {1: Fraction(-12)}
-        and rhs == {1: Fraction(12)}
-    )
-    return AdjointFixtureReport(
-        status="PASS" if ok else "FAIL",
-        phi_a_a=phi_a_a, double_bracket=double, lhs=lhs, rhs=rhs,
-    )
-
-
-def input_from_l(case, ideal: int | None = None) -> ProlongInput:
-    """(l_1 abelian, ad l_0) for a case, optionally one simple ideal only."""
-    s = case.s_table
-    l1 = [r for r in case.l1_roots() if ideal is None or case.ideal_of_root(r) == ideal]
-    pos = {r: i for i, r in enumerate(l1)}
-    nplus = LieAlgebraTable(dim=len(l1), labels=tuple(str(r) for r in l1),
-                            brackets={})
-    mats = []
-    l0_vecs = [case.coroot_vec(b) for b in case.l_simple_roots]
-    l0_vecs += [case.e(r) for r in case.l0_roots()]
-    if ideal is not None:
-        l0_vecs = [case.coroot_vec(b) for bi, b in enumerate(case.l_simple_roots)
-                   if case._node_comp[bi] == ideal]
-        l0_vecs += [case.e(r) for r in case.l0_roots()
-                    if case.ideal_of_root(r) == ideal]
-    flat = RrefBasis(len(l1) * len(l1))
-    for x in l0_vecs:
-        cols = []
-        for r in l1:
-            raw = s.bracket(x, case.e(r))
-            col = {}
-            for k, c in raw.items():
-                rr = case.root_of_index(k)
-                col[pos[rr]] = c
-            cols.append(col)
-        if flat.add(_flatten(cols, len(l1))):
-            mats.append(cols)
-    return ProlongInput(nplus=nplus, degrees=(1,) * len(l1), n0_mats=tuple(mats))
-

@@ -1,4 +1,4 @@
-"""Root systems, Chevalley bases, and weight coordinate conversions.
+"""Root systems, Chevalley bases, and the weight vector type.
 
 Conventions fixed once for the whole package:
 
@@ -30,7 +30,6 @@ from fractions import Fraction
 from functools import cached_property
 
 from .liecore import LieAlgebraTable
-from .linalg import integer_inverse
 
 Root = tuple  # integer coordinates in the simple-root basis
 
@@ -307,23 +306,6 @@ class WeightVector:
             raise ValueError(f"unknown weight basis {self.basis!r}")
 
 
-def to_simple_root_coords(w: WeightVector, rs: RootSystem) -> WeightVector:
-    """Fundamental-weight coordinates -> exact simple-root coordinates."""
-    if w.basis == "simple":
-        return w
-    inv, den = integer_inverse(rs.cartan)
-    coords = [Fraction(sum(a * c for a, c in zip(row, w.coords)), den)
-              for row in inv]
-    return WeightVector(tuple(coords), "simple")
-
-
-def to_fundamental_coords(w: WeightVector, rs: RootSystem) -> WeightVector:
-    if w.basis == "fundamental":
-        return w
-    coords = [rs.pairing(w.coords, i) for i in range(rs.rank)]
-    return WeightVector(tuple(coords), "fundamental")
-
-
 # --------------------------------------------------------------------------
 # Chevalley structure constants
 # --------------------------------------------------------------------------
@@ -487,10 +469,6 @@ def chevalley_table(rs: RootSystem) -> LieAlgebraTable:
         "e" + "".join(f"{c:+d}" for c in r) for r in roots)
     return LieAlgebraTable(dim=rank + len(roots), labels=labels,
                            brackets=brackets)
-
-
-def string_length_down(rs: RootSystem, beta: Root, alpha: Root) -> int:
-    return _string_down(rs, beta, alpha)
 
 
 # --------------------------------------------------------------------------

@@ -17,7 +17,6 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
 from itertools import combinations
 from math import comb
 
@@ -75,19 +74,6 @@ class SpencerSpaces:
     @property
     def dim_C1(self) -> int:
         return len(self.basis_C1)
-
-    @cached_property
-    def basis_C2(self) -> list:
-        """(u, v, w) with u < v in g_+ and w in g_{deg u + deg v + k}, in
-        g-index order; listed on first read."""
-        degree = {i: d for d, ix in self.components.items() for i in ix}
-        gplus = sorted(i for i, d in degree.items() if d >= 1)
-        return [
-            (u, v, w)
-            for ui, u in enumerate(gplus)
-            for v in gplus[ui + 1 :]
-            for w in self.components.get(degree[u] + degree[v] + self.k, ())
-        ]
 
 
 def cochain_dims(g: GAlgebra, k: int) -> tuple[int, int]:

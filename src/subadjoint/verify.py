@@ -52,6 +52,7 @@ from .galg import (
 from .liecore import check_jacobi
 from .linalg import RrefBasis, SparseRationalMatrix
 from .prolong import ProlongConsistencyError, witness_rank
+from .rootsys import _RANK_RANGES
 from .spencer import (
     KMIN_SUPPORT,
     CaseTower,
@@ -135,8 +136,10 @@ def list_cases(rank_ceiling: int = 8) -> list[CaseDescriptor]:
     return out
 
 
-def registry_entry(case_id: str, rank_ceiling: int = 12) -> CaseDescriptor:
-    for c in list_cases(rank_ceiling):
+def registry_entry(case_id: str) -> CaseDescriptor:
+    """The registry row of case_id, with B and D up to the rank cap that
+    `rootsys._RANK_RANGES` sets for both."""
+    for c in list_cases(min(_RANK_RANGES[s][1] for s in "BD")):
         if c.case_id == case_id:
             return c
     raise KeyError(f"unknown case id {case_id!r}")

@@ -15,16 +15,17 @@ import pytest
 
 from subadjoint.cases import build_case, check_xvv
 from subadjoint.galg import build_g
-from subadjoint.prolong import (
+from subadjoint.prolong import witness_rank
+from subadjoint.rootsys import build_root_system, chevalley_table
+from subadjoint.spencer import partial_prime_checks
+from subadjoint.verify import RunOptions, list_cases, run
+
+from oracles import (
     direct_sum_check,
     sl2_adjoint_check,
     sl2_line_input,
     truncation_matches_sl2,
-    witness_rank,
 )
-from subadjoint.rootsys import build_root_system, chevalley_table
-from subadjoint.spencer import partial_prime_checks
-from subadjoint.verify import RunOptions, list_cases, run
 
 ACTIVE = [c.case_id for c in list_cases() if not c.excluded]
 EXACT_PROLONG = ["B3", "B4", "D4", "D5", "F4"]

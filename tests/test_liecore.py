@@ -12,7 +12,6 @@ from subadjoint.liecore import (
     InvalidGradingElement,
     LieAlgebraTable,
     Subspace,
-    bracket_additivity_violations,
     check_jacobi,
     contact_grading,
     grade_by_element,
@@ -22,6 +21,8 @@ from subadjoint.cases import build_case
 from subadjoint.galg import build_g
 from subadjoint.linalg import vec_add_scaled
 from subadjoint.rootsys import build_root_system, chevalley_table
+
+from oracles import bracket_additivity_violations
 
 
 def _abelian(n):

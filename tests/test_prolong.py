@@ -15,23 +15,26 @@ from subadjoint.prolong import (
     ProlongConsistencyError,
     ProlongDepthError,
     ProlongInput,
-    direct_sum_check,
-    direct_sum_input,
-    formal_vector_field_oracle,
     g_tower,
-    input_from_l,
     pair_rows,
     prolongation,
     residual_is_zero,
-    sl2_adjoint_check,
-    sl2_line_input,
-    truncation_matches_sl2,
     unknown_layout,
     witness_rank,
-    xvv_in_oracle,
     _Tower,
 )
 from subadjoint.rootsys import build_root_system, chevalley_table
+
+from oracles import (
+    direct_sum_check,
+    direct_sum_input,
+    formal_vector_field_oracle,
+    input_from_l,
+    sl2_adjoint_check,
+    sl2_line_input,
+    truncation_matches_sl2,
+    xvv_in_oracle,
+)
 
 
 def test_oracle_bracket_relations():

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 from subadjoint import rootsys
-from subadjoint.liecore import check_antisymmetry, check_jacobi
+from subadjoint.liecore import check_jacobi
 from subadjoint.rootsys import (
     ChevalleyConstants,
     RootDataError,
@@ -18,6 +18,10 @@ from subadjoint.rootsys import (
     chevalley_table,
     classify_dynkin,
     node_orbit,
+)
+
+from oracles import (
+    check_antisymmetry,
     string_length_down,
     to_fundamental_coords,
     to_simple_root_coords,

@@ -10,7 +10,7 @@ import pytest
 from subadjoint.cases import CaseConsistencyError, build_case
 from subadjoint.galg import build_g
 from subadjoint.linalg import SparseRationalMatrix
-from subadjoint.prolong import _map_to_vec, g_tower, unknown_layout
+from subadjoint.prolong import g_tower, unknown_layout
 from subadjoint.spencer import (
     conjugation_expansion_check,
     expected_cI,
@@ -24,6 +24,8 @@ from subadjoint.spencer import (
     spencer_spaces,
     summand_cI_table,
 )
+
+from oracles import _map_to_vec, basis_C2
 
 
 @pytest.fixture(scope="module")
@@ -74,7 +76,7 @@ def _reference_differential(g, k) -> list:
     C^{k,2} basis element (u, v, w)."""
     sp = spencer_spaces(g, k)
     col_of = {uw: i for i, uw in enumerate(sp.basis_C1)}
-    row_of = {uvw: i for i, uvw in enumerate(sp.basis_C2)}
+    row_of = {uvw: i for i, uvw in enumerate(basis_C2(sp))}
     t = g.table
     rows = [dict() for _ in range(sp.dim_C2)]
     gplus = [i for i, d in enumerate(g.degree) if d >= 1]

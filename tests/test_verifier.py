@@ -40,6 +40,17 @@ def test_registry_rank_ceiling_filter():
     assert active == ["B3", "B4", "D4", "F4", "E6", "E7", "E8"]
 
 
+def test_registry_entry_reaches_the_rootsys_rank_cap(capsys):
+    # B and D stop at the cap of rootsys._RANK_RANGES, in the registry too
+    assert registry_entry("B12").dim_V == 2 * (2 * 12 - 3)
+    assert registry_entry("D12").dim_V == 2 * (2 * 12 - 4)
+    for case_id in ("B13", "D13"):
+        with pytest.raises(KeyError):
+            registry_entry(case_id)
+    assert main(["--case", "B13"]) == 3
+    assert "B13" in capsys.readouterr().err
+
+
 def test_registry_dims_internally_consistent():
     for c in list_cases():
         if c.excluded:
@@ -509,6 +520,15 @@ def test_cli_list(capsys):
 
 def test_cli_excluded_case_usage_error(capsys):
     assert main(["--case", "G2"]) == 3
+
+
+@pytest.mark.parametrize("value", [",", "", " , "])
+def test_cli_empty_case_list_usage_error(value, capsys):
+    # a run that verifies no case must not report success
+    assert main(["--case", value]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "no case id" in captured.err
 
 
 def test_cli_unknown_check_usage_error(capsys):
