@@ -87,12 +87,10 @@ class SubadjointCase:
     s_table: LieAlgebraTable
     contact: Grading
     V_roots: tuple           # degree-1 roots, table order
-    V: Subspace
     v0_root: tuple
     v0_index: int            # index in s_table basis
     vhi_root: tuple
     l_simple_roots: tuple    # roots of s spanning the simple system of l
-    l_cartan: tuple          # Cartan matrix of l in that order
     l_components: tuple      # DynkinComponent per simple ideal
     marked: tuple            # indices into l_simple_roots (the set I)
     embedding_weight: WeightVector       # omega_* in l fundamental coords
@@ -105,8 +103,6 @@ class SubadjointCase:
     V_root_level: dict = field(default_factory=dict)  # root -> j in 0..3
     c_functional: dict = field(default_factory=dict)  # l_0 label -> int
     l_table: LieAlgebraTable | None = None  # [l, l] over the l basis
-    _l_weights: dict = field(default_factory=dict, repr=False,
-                             compare=False)  # root -> weight_in_l_coords
 
     # ---- derived basis bookkeeping -------------------------------------
     @property
@@ -180,18 +176,14 @@ class SubadjointCase:
         return out
 
     def weight_in_l_coords(self, weight_root) -> tuple:
-        """Simple-root coordinates (over l) of an s-weight restricted to l,
-        computed once per root: C_l^{-1} applied to the integer pairings
-        <weight_root, b^vee> with the simple roots b of l.  Both steps are
-        linear, so this is one integer matrix over the denominator of
-        C_l^{-1}; every coordinate is a `Fraction`."""
-        out = self._l_weights.get(weight_root)
-        if out is None:
-            den = self._l_den
-            out = self._l_weights[weight_root] = tuple(
-                Fraction(_dot(row, weight_root), den)
-                for row in self._l_weight_map)
-        return out
+        """Simple-root coordinates (over l) of an s-weight restricted to l:
+        C_l^{-1} applied to the integer pairings <weight_root, b^vee> with
+        the simple roots b of l.  Both steps are linear, so this is one
+        integer matrix over the denominator of C_l^{-1}; every coordinate
+        is a `Fraction`."""
+        den = self._l_den
+        return tuple(Fraction(_dot(row, weight_root), den)
+                     for row in self._l_weight_map)
 
     def ideal_of_root(self, r: tuple) -> int:
         """Index of the simple ideal containing the root r of l."""
@@ -322,14 +314,10 @@ def build_case(label: str) -> SubadjointCase:
         s_table=s_table,
         contact=contact,
         V_roots=V_roots,
-        V=Subspace.from_vectors(
-            s_table.dim, [{root_index[r]: 1} for r in V_roots]
-        ),
         v0_root=v0_root,
         v0_index=root_index[v0_root],
         vhi_root=vhi_root,
         l_simple_roots=tuple(l_simple),
-        l_cartan=tuple(tuple(r) for r in l_cartan),
         l_components=tuple(comps),
         marked=marked,
         embedding_weight=embedding_weight,

@@ -11,6 +11,7 @@ import argparse
 import sys
 
 from .cases import CaseExcludedError
+from .rootsys import _RANK_RANGES
 from .verify import (
     CHECK_GROUPS,
     RunOptions,
@@ -22,14 +23,16 @@ from .verify import (
 
 
 def build_parser() -> argparse.ArgumentParser:
+    b_top, d_top = (_RANK_RANGES[s][1] for s in "BD")
     p = argparse.ArgumentParser(
         prog="verify",
         description="Verify the structural facts of the subadjoint-variety "
                     "graded Lie algebras, case by case, in exact arithmetic.",
     )
     p.add_argument("--case", default="all",
-                   help="case id (B3..B8, D4..D8, F4, E6, E7, E8), a "
-                        "comma-separated list, or 'all'")
+                   help=f"case id (B3..B{b_top}, D4..D{d_top}, F4, E6, "
+                        "E7, E8), a comma-separated list, or 'all' (B and D "
+                        "up to rank 8)")
     p.add_argument("--checks", default="all",
                    help=f"comma list from {', '.join(CHECK_GROUPS)}, or 'all', "
                         f"or 'none' for an empty (vacuous) report")
@@ -80,6 +83,11 @@ def main(argv=None) -> int:
         checks = set()
     else:
         checks = {c.strip() for c in args.checks.split(",") if c.strip()}
+        if not checks:
+            # an empty report would pass with nothing checked
+            print(f"error: no check group in --checks {args.checks!r}",
+                  file=sys.stderr)
+            return 3
         bad = checks - set(CHECK_GROUPS)
         if bad:
             print(f"error: unknown checks {sorted(bad)}", file=sys.stderr)

@@ -70,28 +70,39 @@ class LieAlgebraTable:
         return [self.bracket(x, {j: 1}) for j in range(self.dim)]
 
 
+def bracket_index(L: LieAlgebraTable) -> tuple[list[dict], list[list]]:
+    """(ad, terms) over the nonzero stored brackets of L.
+
+    ad[i][j] = [e_i, e_j], as bracket_basis reads it, for both orders of
+    each stored pair; terms[k] = [(i, j, c)], i < j, for [e_i, e_j]_k = c.
+    The one place a bracket table is indexed by its rows or its terms.
+    """
+    n = L.dim
+    ad: list[dict] = [{} for _ in range(n)]
+    terms: list[list] = [[] for _ in range(n)]
+    for (i, j), vec in L.brackets.items():
+        if vec and i < j:
+            ad[i][j] = vec
+            ad[j][i] = {k: -c for k, c in vec.items()}
+            for k, c in vec.items():
+                terms[k].append((i, j, c))
+    return ad, terms
+
+
 def check_jacobi(L: LieAlgebraTable) -> list[tuple[int, int, int]]:
     """All basis triples violating Jacobi.  Empty list iff Jacobi holds.
 
     J(a, b, c) = [[a, b], c] - [[a, c], b] + [[b, c], a] is accumulated,
     for a < b < c, from its nonzero products only, one smallest index a at
     a time: the [[a, y], z] products are read off ad(a), the [[b, c], a]
-    products off an inverse index k -> (b, c, [b, c]_k).  A triple with no
-    nonzero product satisfies the identity term by term.  The violations
-    come in lexicographic order.  No weight grading of the basis is
-    assumed: a table breaking weight homogeneity is among the faults to
-    catch.
+    products off the term index k -> (b, c, [b, c]_k) of `bracket_index`.
+    A triple with no nonzero product satisfies the identity term by term.
+    The violations come in lexicographic order.  No weight grading of the
+    basis is assumed: a table breaking weight homogeneity is among the
+    faults to catch.
     """
     n = L.dim
-    # ad[i][j] = [e_i, e_j] as read by bracket(); by_term[k] = [(b, c, [b, c]_k)]
-    ad: list[dict] = [{} for _ in range(n)]
-    by_term: list[list] = [[] for _ in range(n)]
-    for (i, j), vec in L.brackets.items():
-        if vec and i < j:
-            ad[i][j] = vec
-            ad[j][i] = {k: -c for k, c in vec.items()}
-            for k, c in vec.items():
-                by_term[k].append((i, j, c))
+    ad, terms = bracket_index(L)
 
     violations = []
     for a in range(n):
@@ -110,7 +121,7 @@ def check_jacobi(L: LieAlgebraTable) -> list[tuple[int, int, int]]:
                         total[m] = total.get(m, 0) + sign * w
         for k in ad[a]:
             ka = ad[k][a]
-            for b, c, coef in by_term[k]:
+            for b, c, coef in terms[k]:
                 if b > a:
                     total = acc.setdefault((b, c), {})
                     for m, w in ka.items():
@@ -159,22 +170,9 @@ class Subspace:
             acc.add(v)
         return cls(ambient_dim, _canonical_rows(acc))
 
-    @classmethod
-    def zero(cls, ambient_dim: int) -> "Subspace":
-        return cls(ambient_dim, ())
-
-    @classmethod
-    def full(cls, ambient_dim: int) -> "Subspace":
-        return cls.from_vectors(
-            ambient_dim, [{i: 1} for i in range(ambient_dim)]
-        )
-
     @property
     def dim(self) -> int:
         return len(self.rows)
-
-    def is_zero(self) -> bool:
-        return not self.rows
 
     def basis_vectors(self) -> list[Vec]:
         return [dict(row) for row in self.rows]
@@ -193,24 +191,6 @@ class Subspace:
             self.ambient_dim, self.basis_vectors() + other.basis_vectors()
         )
 
-    def intersection(self, other: "Subspace") -> "Subspace":
-        """Solve lam*A = mu*B as the kernel of the map with columns [A | -B]."""
-        a = self.basis_vectors()
-        b = other.basis_vectors()
-        if not a or not b:
-            return Subspace.zero(self.ambient_dim)
-        ker = SparseRationalMatrix.from_columns(
-            a + [vec_scale(v, -1) for v in b]).kernel()
-        vecs = []
-        for lam in ker:
-            v: Vec = {}
-            for j, coef in lam.items():
-                if j < len(a):
-                    vec_add_scaled(v, a[j], coef)
-            if v:
-                vecs.append(v)
-        return Subspace.from_vectors(self.ambient_dim, vecs)
-
 
 # --------------------------------------------------------------------------
 # Gradings
@@ -218,20 +198,17 @@ class Subspace:
 
 @dataclass
 class Grading:
-    """Integer grading of a LieAlgebraTable, diagonal in its basis.
-
-    degree maps basis index -> degree; components hold the graded pieces
-    as canonical subspaces spanned by basis vectors.
-    """
+    """Integer grading of a LieAlgebraTable, diagonal in its basis: degree
+    maps each basis index to its degree."""
 
     degree: dict
-    components: dict  # int -> Subspace
-
-    def degrees(self) -> list[int]:
-        return sorted(self.components)
 
     def dims(self) -> dict:
-        return {d: s.dim for d, s in sorted(self.components.items())}
+        """Dimension of each graded piece, by ascending degree."""
+        out: dict[int, int] = {}
+        for d in self.degree.values():
+            out[d] = out.get(d, 0) + 1
+        return dict(sorted(out.items()))
 
 
 def grade_by_element(L: LieAlgebraTable, h: Vec) -> Grading:
@@ -252,13 +229,7 @@ def grade_by_element(L: LieAlgebraTable, h: Vec) -> Grading:
         if ev.denominator != 1:
             raise InvalidGradingElement(f"non-integer eigenvalue {ev}")
         degree[j] = int(ev)
-    comps: dict[int, list] = {}
-    for j, d in degree.items():
-        comps.setdefault(d, []).append({j: 1})
-    components = {
-        d: Subspace.from_vectors(L.dim, vs) for d, vs in comps.items()
-    }
-    return Grading(degree=degree, components=components)
+    return Grading(degree=degree)
 
 
 def contact_grading(L: LieAlgebraTable, rs) -> Grading:
@@ -270,10 +241,11 @@ def contact_grading(L: LieAlgebraTable, rs) -> Grading:
     cor = rs.coroot_coords(rs.highest_root)
     h: Vec = {i: c for i, c in enumerate(cor) if c}
     g = grade_by_element(L, h)
-    degs = g.degrees()
-    if not set(degs) <= {-2, -1, 0, 1, 2}:
-        raise InvalidGradingElement(f"contact grading degrees {degs} out of range")
-    if not all(d in g.components and g.components[d].dim == 1 for d in (2, -2)):
+    dims = g.dims()
+    if not set(dims) <= {-2, -1, 0, 1, 2}:
+        raise InvalidGradingElement(
+            f"contact grading degrees {list(dims)} out of range")
+    if not dims.get(2) == dims.get(-2) == 1:
         raise InvalidGradingElement("extreme contact components must be lines")
     return g
 

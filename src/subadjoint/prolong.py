@@ -34,7 +34,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .liecore import LieAlgebraTable, check_jacobi
+from .liecore import LieAlgebraTable, bracket_index, check_jacobi
 from .linalg import RrefBasis, Vec
 
 
@@ -214,7 +214,9 @@ class _Tower:
     `action(j)` is the action table of level j: slot s of T_j maps to
     {v: coords of [basis_s, e_v] in T_{j + deg v}}, nonzero entries only.
     Each level's table is built the first time it is read, and only once
-    that level's space is known; tables live as long as the tower.
+    that level's space is known; tables live as long as the tower.  The
+    tables above degree zero and the substitution in `residual_is_zero`
+    read n_+ through one `liecore.bracket_index`, built on first use.
     """
 
     def __init__(self, inp: ProlongInput):
@@ -226,8 +228,7 @@ class _Tower:
         }
         self.bases: dict[int, list[TaggedMap]] = {}  # level j -> maps
         self._actions: dict[int, list[dict]] = {}
-        self._bracket_pairs: dict[int, list] | None = None
-        self._ad: list[dict] | None = None
+        self._index: tuple[list[dict], list[list]] | None = None
 
     def space_dim(self, j: int) -> int:
         if j >= 1:
@@ -254,7 +255,7 @@ class _Tower:
         elif j == 0:
             sources = (enumerate(mat) for mat in inp.n0_mats)
         else:
-            ad = self.ad()
+            ad = self.bracket_index()[0]
             sources = (ad[w].items() for w in self.comp_list.get(j, ()))
         table = [self._table_row(j, raws) for raws in sources]
         self._actions[j] = table
@@ -274,23 +275,11 @@ class _Tower:
                 out[v] = coords
         return out
 
-    def ad(self) -> list[dict]:
-        """ad[w] = {v: [e_w, e_v]} over the stored n_+ brackets, v ascending."""
-        if self._ad is None:
-            self._ad = [{} for _ in range(self.inp.dim)]
-            for (u, v), vec in sorted(self.inp.nplus.brackets.items()):
-                self._ad[u][v] = vec
-                self._ad[v][u] = {x: -c for x, c in vec.items()}
-        return self._ad
-
-    def bracket_pairs(self, w: int) -> list:
-        """The pairs (u, v), u < v, whose n_+ bracket has a w term."""
-        if self._bracket_pairs is None:
-            self._bracket_pairs = {}
-            for (u, v), vec in self.inp.nplus.brackets.items():
-                for x in vec:
-                    self._bracket_pairs.setdefault(x, []).append((u, v))
-        return self._bracket_pairs.get(w, [])
+    def bracket_index(self) -> tuple[list[dict], list[list]]:
+        """`liecore.bracket_index` of n_+, built on first use."""
+        if self._index is None:
+            self._index = bracket_index(self.inp.nplus)
+        return self._index
 
 
 def unknown_layout(inp: ProlongInput, tower: _Tower, k: int):
@@ -402,14 +391,13 @@ def residual_is_zero(inp: ProlongInput, tower: _Tower, k: int, phi: TaggedMap) -
     A pair whose target space is empty has no equation.
     """
     degrees = inp.degrees
-    brackets = inp.nplus.brackets
+    terms = tower.bracket_index()[1]
     support = [u for u, block in enumerate(phi) if block]
     tables = {d: tower.action(d - k) for d in {degrees[u] for u in support}}
     total: dict = {}  # (u, v, coordinate) -> value
     for w in support:
         block = phi[w]
-        for u, v in tower.bracket_pairs(w):
-            cw = brackets[(u, v)][w]
+        for u, v, cw in terms[w]:
             for m, c in block.items():
                 key = (u, v, m)
                 total[key] = total.get(key, 0) + cw * c

@@ -286,26 +286,17 @@ def check_antisymmetry(L: LieAlgebraTable) -> bool:
 
 
 def bracket_additivity_violations(L: LieAlgebraTable, g: Grading) -> list:
-    """Pairs (i, j) of component degrees with [g_i, g_j] not in g_{i+j}."""
-    bad = []
-    degs = g.degrees()
-    for di in degs:
-        for dj in degs:
-            if dj < di:
-                continue
-            target = g.components.get(di + dj)
-            for x in g.components[di].basis_vectors():
-                for y in g.components[dj].basis_vectors():
-                    b = L.bracket(x, y)
-                    if not b:
-                        continue
-                    if target is None or not target.contains(b):
-                        bad.append((di, dj))
-                        break
-                else:
-                    continue
-                break
-    return bad
+    """Pairs (d, e), d <= e, of degrees with [g_d, g_e] not in g_{d+e}.
+
+    The pieces are spanned by basis vectors, so it suffices to read the
+    degree of every term of every basis bracket."""
+    deg = g.degree
+    bad = set()
+    for (i, j), vec in L.brackets.items():
+        di, dj = sorted((deg[i], deg[j]))
+        if any(deg[k] != di + dj for k in vec):
+            bad.add((di, dj))
+    return sorted(bad)
 
 
 # --------------------------------------------------------------------------

@@ -39,7 +39,7 @@ def test_case_data_and_forms_are_int(label):
     for r in case.rs.all_roots():
         vals += case.e(r).values()
         vals += case.coroot_vec(r).values()
-    for sp in [*case.V_decomp.values(), *case.l_grading.values(), case.V]:
+    for sp in [*case.V_decomp.values(), *case.l_grading.values()]:
         for vec in sp.basis_vectors():
             vals += vec.values()
     vals += [x for row in symplectic_form(case) for x in row]

@@ -1,20 +1,24 @@
-"""Every top-level function and class in src/ is reached from `cli.main`.
+"""Every function, class and method in src/ is reached from `cli.main`.
 
 The package is the verifier: code that no `verify` run reaches, only
 tests, belongs in tests/ (see tests/oracles.py).  The scan parses src/
 with `ast` and follows names from `cli.main`:
 - a top-level function, class or module-level assignment (a table such as
   `verify.CHECKS`) reaches every name its body, decorators, bases and
-  default values read, annotations aside; a class reaches what its
-  methods read;
+  default values read, annotations aside;
+- a class body reaches what its bases, decorators, class-level statements
+  and dunder methods read.  Any other method or property is reached only
+  when its class is reached and reached code reads an attribute of that
+  name (`x.name`); it then reaches what its own body reads;
 - a name resolves to its own module's top-level binding or to a
   `from .module import name` import; `__init__.py` re-exports are not read.
 
-ALLOWED lists the names kept although `cli.main` does not reach them; each
-is a root of the walk, so what it uses is kept too.  Each entry expires
-with its reason: a tracer-held name must still be a `perfbench/tracer.py`
-TARGETS entry, a mod-p name must still be called by tests/test_linalg.py,
-and no entry may be reached from `cli.main` itself.
+ALLOWED lists the definitions kept although `cli.main` does not reach
+them, a method as ("module", "Class.method"); each is a root of the walk,
+so what it uses is kept too.  Each entry expires with its reason: a
+tracer-held name must still be a `perfbench/tracer.py` TARGETS entry, a
+mod-p name must still be called by tests/test_linalg.py, and no entry may
+be reached from `cli.main` itself.
 """
 
 import ast
@@ -31,18 +35,26 @@ MODP = "mod-p rank path, tested in tests/test_linalg.py; leaves with it"
 ALLOWED = {
     ("prolong", "prolongation"): TRACER,
     ("spencer", "spencer_differential"): TRACER,
+    ("linalg", "SparseRationalMatrix.solve"): TRACER,
     ("linalg", "modp_primes"): MODP,
+    ("linalg", "SparseRationalMatrix.rank_modp"): MODP,
 }
 
 
 class _Reads(ast.NodeVisitor):
-    """Names read by a definition, annotations left out."""
+    """Names and attribute names read by a definition, annotations left out."""
 
     def __init__(self):
         self.names = set()
+        self.attrs = set()
 
     def visit_Name(self, node):
         self.names.add(node.id)
+
+    def visit_Attribute(self, node):
+        if isinstance(node.ctx, ast.Load):
+            self.attrs.add(node.attr)
+        self.visit(node.value)
 
     def visit_arg(self, node):
         pass  # only the annotation is under an arg
@@ -58,10 +70,22 @@ class _Reads(ast.NodeVisitor):
             self.visit(node.value)
 
 
+def _is_method(stmt) -> bool:
+    """A method the scan follows by attribute name: dunders are not."""
+    return (isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef))
+            and not (stmt.name.startswith("__") and stmt.name.endswith("__")))
+
+
 def _graph():
-    """(edges, checked): edges[(module, name)] is the set of (module, name)
-    its definition reads; checked holds the functions and classes."""
-    edges, checked = {}, set()
+    """(edges, attrs, methods, checked).
+
+    edges[key] is the set of keys a definition reads by name and attrs[key]
+    the attribute names it reads; a key is (module, name), or (module,
+    "Class.method") for a method.  methods[(module, Class)] holds the
+    method names of each class; checked holds the functions, classes and
+    methods.
+    """
+    edges, attrs, methods, checked = {}, {}, {}, set()
     for path in sorted(SRC.glob("*.py")):
         module = path.stem
         if module.startswith("__"):
@@ -73,36 +97,64 @@ def _graph():
             if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module
             for alias in node.names
         }
-        bindings = {}
+        bindings = {}  # top-level name -> statements binding it
+        nodes = {}     # key -> the AST nodes it reads from
         for stmt in tree.body:
-            if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                bindings.setdefault(stmt.name, []).append(stmt)
+                nodes.setdefault(stmt.name, []).append(stmt)
+                checked.add((module, stmt.name))
+            elif isinstance(stmt, ast.ClassDef):
                 bindings.setdefault(stmt.name, []).append(stmt)
                 checked.add((module, stmt.name))
+                own = nodes.setdefault(stmt.name, [])
+                own += [*stmt.decorator_list, *stmt.bases, *stmt.keywords]
+                names = methods.setdefault((module, stmt.name), set())
+                for item in stmt.body:
+                    if _is_method(item):
+                        key = f"{stmt.name}.{item.name}"
+                        nodes.setdefault(key, []).append(item)
+                        names.add(item.name)
+                        checked.add((module, key))
+                    else:
+                        own.append(item)
             elif isinstance(stmt, (ast.Assign, ast.AnnAssign)):
                 targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
                 for target in targets:
                     for node in ast.walk(target):
                         if isinstance(node, ast.Name):
                             bindings.setdefault(node.id, []).append(stmt)
-        for name, stmts in bindings.items():
+                            nodes.setdefault(node.id, []).append(stmt)
+        for name, reads_from in nodes.items():
             reads = _Reads()
-            for stmt in stmts:
-                reads.visit(stmt)
+            for node in reads_from:
+                reads.visit(node)
             edges[(module, name)] = {
                 (module, x) if x in bindings else imported[x]
                 for x in reads.names - {name}
                 if x in bindings or x in imported
             }
-    return edges, checked
+            attrs[(module, name)] = reads.attrs
+    return edges, attrs, methods, checked
 
 
-def _reached(edges, roots) -> set:
-    seen, stack = set(), list(roots)
+def _reached(graph, roots) -> set:
+    """Keys reached from roots: by name, then methods of reached classes by
+    attribute name, until nothing new is reached."""
+    edges, attrs, methods, _ = graph
+    seen, read, stack = set(), set(), list(roots)
     while stack:
-        key = stack.pop()
-        if key not in seen:
-            seen.add(key)
-            stack.extend(edges.get(key, ()))
+        while stack:
+            key = stack.pop()
+            if key not in seen:
+                seen.add(key)
+                read |= attrs.get(key, set())
+                stack.extend(edges.get(key, ()))
+        stack = [(module, f"{cls}.{name}")
+                 for (module, cls), names in methods.items()
+                 if (module, cls) in seen
+                 for name in names & read
+                 if (module, f"{cls}.{name}") not in seen]
     return seen
 
 
@@ -120,16 +172,18 @@ def _called_in(path: Path) -> set:
 
 
 def test_src_is_reachable_from_cli_main():
-    edges, checked = _graph()
+    graph = _graph()
+    checked = graph[3]
     assert ENTRY in checked
-    unreached = checked - _reached(edges, [ENTRY, *ALLOWED])
+    unreached = checked - _reached(graph, [ENTRY, *ALLOWED])
     assert not unreached, sorted(f"{m}.{n}" for m, n in unreached)
 
 
 def test_allow_list_entries_still_hold():
-    edges, checked = _graph()
-    from_entry = _reached(edges, [ENTRY])
-    targets = {(mod, path.split(".")[0]) for mod, path, _, _ in _load_tracer().TARGETS}
+    graph = _graph()
+    checked = graph[3]
+    from_entry = _reached(graph, [ENTRY])
+    targets = {(mod, path) for mod, path, _, _ in _load_tracer().TARGETS}
     linalg_calls = _called_in(ROOT / "tests" / "test_linalg.py")
     stale = []
     for key, why in ALLOWED.items():
@@ -140,6 +194,6 @@ def test_allow_list_entries_still_hold():
             stale.append(f"{name}: reached from cli.main, drop the entry")
         elif why == TRACER and key not in targets:
             stale.append(f"{name}: no longer a tracer target")
-        elif why == MODP and key[1] not in linalg_calls:
+        elif why == MODP and key[1].split(".")[-1] not in linalg_calls:
             stale.append(f"{name}: no longer called by test_linalg.py")
     assert not stale, stale

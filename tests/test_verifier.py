@@ -531,6 +531,16 @@ def test_cli_empty_case_list_usage_error(value, capsys):
     assert "no case id" in captured.err
 
 
+@pytest.mark.parametrize("value", [",", "", " , "])
+def test_cli_empty_checks_list_usage_error(value, capsys):
+    # a run that checks nothing must not report success; only 'none' asks
+    # for an empty report
+    assert main(["--case", "B3", "--checks", value]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "no check group" in captured.err
+
+
 def test_cli_unknown_check_usage_error(capsys):
     assert main(["--case", "B3", "--checks", "nope"]) == 3
 
@@ -614,7 +624,9 @@ def _set_bracket(g, i, j, vec):
 
 
 def _drop_contact_line(case, g):
-    del case.contact.components[2]
+    # the s_2 line moves to degree 1, so s_2 is zero-dimensional
+    degree = case.contact.degree
+    degree[next(i for i, d in degree.items() if d == 2)] = 1
 
 
 def _double_s_bracket(case, g):
