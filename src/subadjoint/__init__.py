@@ -28,7 +28,6 @@ from .galg import GAlgebra, build_g, operator_a  # noqa: F401
 from .liecore import (  # noqa: F401
     Grading,
     LieAlgebraTable,
-    Subspace,
     check_jacobi,
     contact_grading,
     grade_by_element,

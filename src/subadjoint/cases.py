@@ -19,14 +19,15 @@ from fractions import Fraction
 from .liecore import (
     Grading,
     LieAlgebraTable,
-    Subspace,
     contact_grading,
     line_stabilizer,
 )
 from .linalg import (
+    RrefBasis,
     SparseRationalMatrix,
     Vec,
     integer_inverse,
+    span,
     vec_add_scaled,
     vec_scale,
 )
@@ -98,8 +99,6 @@ class SubadjointCase:
     z: Vec                   # grading element of l, s coordinates
     l_roots: tuple           # all roots of l
     l_degree: dict           # root -> degree in {-1, 0, 1}
-    l_grading: dict = field(default_factory=dict)   # j -> Subspace of s
-    V_decomp: dict = field(default_factory=dict)    # j -> Subspace of s
     V_root_level: dict = field(default_factory=dict)  # root -> j in 0..3
     c_functional: dict = field(default_factory=dict)  # l_0 label -> int
     l_table: LieAlgebraTable | None = None  # [l, l] over the l basis
@@ -360,20 +359,9 @@ def _cartan_entry(rs: RootSystem, a: tuple, b: tuple) -> int:
 
 def _finish_gradings(case: SubadjointCase) -> None:
     s = case.s_table
-    dim = s.dim
-
-    comps: dict[int, list] = {}
-    for r in case.l_roots:
-        comps.setdefault(case.l_degree[r], []).append(case.e(r))
-    for b in case.l_simple_roots:
-        comps.setdefault(0, []).append(case.coroot_vec(b))
-    case.l_grading = {
-        j: Subspace.from_vectors(dim, vs) for j, vs in comps.items()
-    }
 
     # the osculating level <v, z> - <v0, z>, over the denominator of C_l^{-1}
     base = _dot(case._z_row, case.v0_root)
-    levels: dict[int, list] = {}
     for v in case.V_roots:
         num = _dot(case._z_row, v) - base
         j, rem = divmod(num, case._l_den)
@@ -381,10 +369,6 @@ def _finish_gradings(case: SubadjointCase) -> None:
                f"osculating level {Fraction(num, case._l_den)} of the V "
                f"root {v}")
         case.V_root_level[v] = j
-        levels.setdefault(j, []).append(case.e(v))
-    case.V_decomp = {
-        j: Subspace.from_vectors(dim, vs) for j, vs in levels.items()
-    }
 
     # the functional c on l_0 with [b, v0] = c(b) v0
     v0 = case.e(case.v0_root)
@@ -404,11 +388,21 @@ def _validate_case(case: SubadjointCase) -> None:
     rs, s = case.rs, case.s_table
     dim = s.dim
     d1 = case.dim_l1
-    dims_V = {j: sp.dim for j, sp in case.V_decomp.items()}
+    # the graded pieces of l and the osculating levels of V, each spanned by
+    # the basis vectors of s that the degree maps put there
+    l_pieces: dict[int, list] = {}
+    for r in case.l_roots:
+        l_pieces.setdefault(case.l_degree[r], []).append(case.e(r))
+    l_pieces.setdefault(0, []).extend(
+        case.coroot_vec(b) for b in case.l_simple_roots)
+    V_levels: dict[int, list] = {}
+    for v in case.V_roots:
+        V_levels.setdefault(case.V_root_level[v], []).append(case.e(v))
+    dims_V = {j: len(vs) for j, vs in V_levels.items()}
     _check(dims_V == {0: 1, 1: d1, 2: d1, 3: 1}, f"V level dims {dims_V}")
     _check(case.dim_V == 2 * d1 + 2, "dim V != 2 dim l_1 + 2")
-    _check(set(case.l_grading) == {-1, 0, 1}, "l is not 3-graded")
-    _check(case.l_grading[1].dim == case.l_grading[-1].dim == d1,
+    _check(set(l_pieces) == {-1, 0, 1}, "l is not 3-graded")
+    _check(len(l_pieces[1]) == len(l_pieces[-1]) == d1,
            "dim l_1 != dim l_-1")
 
     # marked-node oracle (Prop-2.4-style table, up to diagram automorphisms)
@@ -440,17 +434,16 @@ def _validate_case(case: SubadjointCase) -> None:
     def act(xcoeffs: Vec, v: Vec) -> Vec:
         return s.bracket(in_s(xcoeffs), v)
 
-    def stabilizer_in_s(v: Vec) -> Subspace:
+    def stabilizer_in_s(v: Vec) -> RrefBasis:
         stab = line_stabilizer(case.l_table, v, act, dim)
-        return Subspace.from_vectors(
-            dim, [in_s(row) for row in stab.basis_vectors()])
+        return span(dim, (in_s(row) for row in stab.rows.values()))
 
     v0 = case.e(case.v0_root)
-    p_expected = case.l_grading[-1].span_with(case.l_grading[0])
-    _check(stabilizer_in_s(v0) == p_expected,
+    p_vecs = l_pieces[-1] + l_pieces[0]
+    _check(stabilizer_in_s(v0) == span(dim, p_vecs),
            "line stabilizer disagrees with l_{-1}+l_0")
-    q_expected = case.l_grading[0].span_with(case.l_grading[1])
-    _check(stabilizer_in_s(case.e(case.vhi_root)) == q_expected,
+    _check(stabilizer_in_s(case.e(case.vhi_root))
+           == span(dim, l_pieces[0] + l_pieces[1]),
            "opposite stabilizer disagrees")
 
     # z centralizes l_0 and has spectrum {-1,0,1} on l (by construction of
@@ -460,34 +453,29 @@ def _validate_case(case: SubadjointCase) -> None:
     zd = {k: int(c) if c.denominator == 1 else c
           for k, c in ((k, c * den) for k, c in case.z.items())}
     for j in (-1, 0, 1):
-        for vec in case.l_grading[j].basis_vectors():
+        for vec in l_pieces[j]:
             _check(s.bracket(zd, vec) == vec_scale(vec, j * den),
                    f"z does not act by {j} on l_{j}")
 
     # osculating route: V_{j+1} = [l_1, V_j] starting from V_0 = <v0>
-    cur = case.V_decomp[0]
+    cur = span(dim, V_levels[0])
     l1_vecs = [case.e(r) for r in case.l1_roots()]
     for j in range(3):
-        nxt = []
-        for a in l1_vecs:
-            for w in cur.basis_vectors():
-                b = s.bracket(a, w)
-                if b:
-                    nxt.append(b)
-        cur = Subspace.from_vectors(dim, nxt)
-        _check(cur == case.V_decomp[j + 1],
+        cur = span(dim, (s.bracket(a, w) for a in l1_vecs
+                         for w in cur.rows.values()))
+        _check(cur == span(dim, V_levels[j + 1]),
                f"bracket route disagrees with z-eigenspace route at level "
                f"{j + 1}")
 
     # degree clipping: [l_1, V_3] = 0 and [l_{-1}, V_0] = 0
     for a in l1_vecs:
-        for w in case.V_decomp[3].basis_vectors():
+        for w in V_levels[3]:
             _check(not s.bracket(a, w), "[l_1, V_3] != 0")
     for r in case.lminus1_roots():
         _check(not s.bracket(case.e(r), v0), "[l_-1, V_0] != 0")
 
     # [x, v0] stays on the v0 line for the whole parabolic
-    for vec in p_expected.basis_vectors():
+    for vec in p_vecs:
         _check(set(s.bracket(vec, v0)) <= {case.v0_index},
                "the parabolic moves the v0 line")
 

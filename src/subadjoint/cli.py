@@ -106,8 +106,13 @@ def main(argv=None) -> int:
 
     doc = emit(reports, fmt=args.fmt, timings=args.timings)
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(doc)
+        try:
+            with open(args.out, "w") as fh:
+                fh.write(doc)
+        except OSError as e:
+            print(f"error: cannot write --out {args.out!r}: {e.strerror}",
+                  file=sys.stderr)
+            return 3
     else:
         sys.stdout.write(doc)
     return exit_code(reports)

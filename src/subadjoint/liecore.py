@@ -2,19 +2,18 @@
 
 Everything is exact: vectors are sparse {index: value} dicts whose values
 are exact rationals, `int` when integral; brackets are sparse
-structure-constant tables; subspaces are canonical reduced echelon
-matrices with cleared denominators.  Tables are immutable by
-convention after construction and safe to share.
+structure-constant tables; a grading diagonal in the basis is its degree
+map; a subspace is the `linalg.RrefBasis` of its span.  Tables are
+immutable by convention after construction and safe to share.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from math import gcd
 from typing import Callable
 
-from .linalg import (RrefBasis, SparseRationalMatrix, Vec, vec_add_scaled,
-                     vec_scale)
+from .linalg import (RrefBasis, SparseRationalMatrix, Vec, span,
+                     vec_add_scaled, vec_scale)
 
 
 class InvalidGradingElement(ValueError):
@@ -90,7 +89,14 @@ def bracket_index(L: LieAlgebraTable) -> tuple[list[dict], list[list]]:
 
 
 def check_jacobi(L: LieAlgebraTable) -> list[tuple[int, int, int]]:
-    """All basis triples violating Jacobi.  Empty list iff Jacobi holds.
+    """All basis triples of L violating Jacobi (see `jacobi_violations`)."""
+    return jacobi_violations(*bracket_index(L))
+
+
+def jacobi_violations(ad: list[dict], terms: list[list]
+                      ) -> list[tuple[int, int, int]]:
+    """All basis triples violating Jacobi, read off the `bracket_index`
+    (ad, terms) of a table.  Empty list iff Jacobi holds.
 
     J(a, b, c) = [[a, b], c] - [[a, c], b] + [[b, c], a] is accumulated,
     for a < b < c, from its nonzero products only, one smallest index a at
@@ -101,11 +107,8 @@ def check_jacobi(L: LieAlgebraTable) -> list[tuple[int, int, int]]:
     basis is assumed: a table breaking weight homogeneity is among the
     faults to catch.
     """
-    n = L.dim
-    ad, terms = bracket_index(L)
-
     violations = []
-    for a in range(n):
+    for a in range(len(ad)):
         acc: dict[tuple[int, int], dict] = {}
         for y, ay in ad[a].items():
             if y < a:
@@ -129,67 +132,6 @@ def check_jacobi(L: LieAlgebraTable) -> list[tuple[int, int, int]]:
         violations.extend((a, b, c) for (b, c), total in sorted(acc.items())
                           if any(total.values()))
     return violations
-
-
-# --------------------------------------------------------------------------
-# Subspaces
-# --------------------------------------------------------------------------
-
-def _canonical_rows(acc: RrefBasis) -> tuple:
-    """Primitive integer rows from a reduced echelon basis, pivot order."""
-    rows = []
-    for piv in sorted(acc.rows):
-        row = acc.rows[piv]
-        den = 1
-        for v in row.values():
-            den = den * v.denominator // gcd(den, v.denominator)
-        ints = {k: int(v * den) for k, v in row.items()}
-        g = 0
-        for v in ints.values():
-            g = gcd(g, v)
-        if g:
-            ints = {k: v // g for k, v in ints.items()}
-        lead = ints[piv]
-        if lead < 0:
-            ints = {k: -v for k, v in ints.items()}
-        rows.append(tuple(sorted(ints.items())))
-    return tuple(rows)
-
-
-@dataclass(frozen=True)
-class Subspace:
-    """Canonical subspace: equal subspaces have identical basis matrices."""
-
-    ambient_dim: int
-    rows: tuple  # tuple of tuples of (index, int) pairs, echelon order
-
-    @classmethod
-    def from_vectors(cls, ambient_dim: int, vecs) -> "Subspace":
-        acc = RrefBasis(ambient_dim)
-        for v in vecs:
-            acc.add(v)
-        return cls(ambient_dim, _canonical_rows(acc))
-
-    @property
-    def dim(self) -> int:
-        return len(self.rows)
-
-    def basis_vectors(self) -> list[Vec]:
-        return [dict(row) for row in self.rows]
-
-    def _acc(self) -> RrefBasis:
-        acc = RrefBasis(self.ambient_dim)
-        for v in self.basis_vectors():
-            acc.add(v)
-        return acc
-
-    def contains(self, vec: Vec) -> bool:
-        return self._acc().contains(vec)
-
-    def span_with(self, other: "Subspace") -> "Subspace":
-        return Subspace.from_vectors(
-            self.ambient_dim, self.basis_vectors() + other.basis_vectors()
-        )
 
 
 # --------------------------------------------------------------------------
@@ -251,8 +193,9 @@ def contact_grading(L: LieAlgebraTable, rs) -> Grading:
 
 
 def line_stabilizer(L: LieAlgebraTable, v: Vec, action: Callable[[Vec, Vec], Vec],
-                    module_dim: int) -> Subspace:
-    """{x in L : action(x, v) in span(v)} as a canonical subspace.
+                    module_dim: int) -> RrefBasis:
+    """{x in L : action(x, v) in span(v)}, as the reduced echelon basis of
+    its span in the coordinates of L.
 
     Solved as a kernel: unknowns are the coefficients of x plus one scalar t
     with action(x, v) = t*v.
@@ -261,9 +204,5 @@ def line_stabilizer(L: LieAlgebraTable, v: Vec, action: Callable[[Vec, Vec], Vec
     ker = SparseRationalMatrix.from_columns(
         [{m: c for m, c in col.items() if m < module_dim} for col in columns]
     ).kernel()
-    vecs = []
-    for k in ker:
-        x = {i: c for i, c in k.items() if i < L.dim}
-        if x:
-            vecs.append(x)
-    return Subspace.from_vectors(L.dim, vecs)
+    return span(L.dim, ({i: c for i, c in k.items() if i < L.dim}
+                        for k in ker))

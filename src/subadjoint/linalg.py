@@ -5,7 +5,8 @@ exact rationals, `int` when integral (a `Fraction` otherwise).
 
 - RrefBasis, an incremental reduced-row-echelon accumulator over the
   rationals, is the workhorse: every rank and kernel of the verifier
-  comes from it.
+  comes from it.  It is also the one subspace type: `span` builds it,
+  and equal spaces compare equal by their unique reduced rows.
 - `bareiss`, one fraction-free Gauss-Jordan elimination on dense integer
   rows, gives every determinant (`SparseRationalMatrix.det`) and every
   dense inverse (`integer_inverse`: the Cartan inverses of s and of l).
@@ -130,6 +131,14 @@ class RrefBasis:
     def contains(self, row: Vec) -> bool:
         return not self.reduce(row)
 
+    def __eq__(self, other) -> bool:
+        """Same row space.  A space has exactly one fully reduced echelon
+        basis, so two bases span the same space exactly when their rows
+        agree (an `int` entry equals the `Fraction` of its value)."""
+        if not isinstance(other, RrefBasis):
+            return NotImplemented
+        return self.ncols == other.ncols and self.rows == other.rows
+
     def kernel_basis(self) -> list[Vec]:
         """Basis of {x : Rx = 0} when rows are read as linear functionals:
         one vector per free column f, with 1 at f."""
@@ -145,6 +154,14 @@ class RrefBasis:
 
     def kernel_dim(self) -> int:
         return self.ncols - len(self.rows)
+
+
+def span(ncols: int, vecs: Iterable[Vec]) -> RrefBasis:
+    """The reduced echelon basis of the span of vecs in Q^ncols."""
+    acc = RrefBasis(ncols)
+    for v in vecs:
+        acc.add(v)
+    return acc
 
 
 class ModpDenseRref:
@@ -351,16 +368,10 @@ class SparseRationalMatrix:
         return cls.from_rows((byrow[r] for r in sorted(byrow)), len(columns))
 
     def rank(self) -> int:
-        acc = RrefBasis(self.ncols)
-        for row in self.rows:
-            acc.add(row)
-        return acc.rank
+        return span(self.ncols, self.rows).rank
 
     def kernel(self) -> list[Vec]:
-        acc = RrefBasis(self.ncols)
-        for row in self.rows:
-            acc.add(row)
-        return acc.kernel_basis()
+        return span(self.ncols, self.rows).kernel_basis()
 
     def rank_modp(self, p: int, batch: int = 512) -> int:
         acc = ModpDenseRref(self.ncols, p)

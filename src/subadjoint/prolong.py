@@ -34,8 +34,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .liecore import LieAlgebraTable, bracket_index, check_jacobi
-from .linalg import RrefBasis, Vec
+from .liecore import LieAlgebraTable, bracket_index, jacobi_violations
+from .linalg import RrefBasis, Vec, span
 
 
 class ProlongDepthError(RuntimeError):
@@ -103,13 +103,15 @@ class ProlongInput:
           derivation, lies in their span exactly when
           [A, B]|_1 = A_1 B_1 - B_1 A_1 lies in the span of the blocks.
         Independence and closure are tested on the blocks.  `tower` is a
-        `_Tower` of this input whose level-0 action table is read; one is
+        `_Tower` of this input whose bracket index the Jacobi scan reads
+        and whose level-0 action table the derivation checks read; one is
         built when it is not given.
         """
         n = self.dim
         _require(len(self.degrees) == n and all(d >= 1 for d in self.degrees),
                  "degrees must be >= 1, one per basis vector")
-        if check_jacobi(self.nplus):
+        tower = tower or _Tower(self)
+        if jacobi_violations(*tower.bracket_index()):
             raise ProlongConsistencyError("n_+ violates Jacobi")
         for (i, j), vec in self.nplus.brackets.items():
             dd = self.degrees[i] + self.degrees[j]
@@ -132,7 +134,6 @@ class ProlongInput:
         # a degree-preserving derivation is a level-0 solution of the
         # compatibility equation; its columns are its row of the level-0
         # action table, whose degree-1 sources hold its degree-1 block
-        tower = tower or _Tower(self)
         ones = tower.comp_list.get(1, ())
         m = len(ones)
         flat = RrefBasis(m * m)
@@ -535,13 +536,6 @@ def witness_rank(maps: list[TaggedMap]) -> int:
         for block in phi:
             if block:
                 width = max(width, 1 + max(block))
-    acc = RrefBasis(width * len(maps[0]))
-    rank = 0
-    for phi in maps:
-        flat: Vec = {}
-        for u, block in enumerate(phi):
-            for s, c in block.items():
-                flat[u * width + s] = c
-        if acc.add(flat):
-            rank += 1
-    return rank
+    return span(width * len(maps[0]),
+                ({u * width + s: c for u, block in enumerate(phi)
+                  for s, c in block.items()} for phi in maps)).rank

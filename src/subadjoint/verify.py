@@ -50,7 +50,7 @@ from .galg import (
     verify_structure_identities,
 )
 from .liecore import check_jacobi
-from .linalg import RrefBasis, SparseRationalMatrix
+from .linalg import SparseRationalMatrix, span
 from .prolong import ProlongConsistencyError, witness_rank
 from .rootsys import _RANK_RANGES
 from .spencer import (
@@ -269,7 +269,8 @@ def run(case_id: str, check_set, options: RunOptions | None = None) -> Verificat
     g = build_g(case)
     dims = {
         "V": case.dim_V, "l1": case.dim_l1, "l": case.dim_l,
-        "V_levels": [case.V_decomp[j].dim for j in range(4)],
+        "V_levels": [list(case.V_root_level.values()).count(j)
+                     for j in range(4)],
         "g": [g.component_dims().get(d, 0) for d in (-1, 0, 1, 2, 3)],
         "factors": [c.type_label for c in case.l_components],
     }
@@ -398,10 +399,8 @@ def _base_locus_samples(ctx: _Context) -> list[dict]:
         ii_null_flags.append(
             all(all(x == 0 for x in ii_value(case, forms, b)) for b in batch)
         )
-        acc = RrefBasis(case.s_table.dim)
-        for b in batch:
-            acc.add(b)
-        span_ok = span_ok and acc.rank == ideal_dims[ci]
+        span_ok = (span_ok
+                   and span(case.s_table.dim, batch).rank == ideal_dims[ci])
     if is_ii1:
         dvals = {}
         for ci in range(len(hw)):

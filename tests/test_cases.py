@@ -1,5 +1,6 @@
 import subprocess
 import sys
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -19,7 +20,8 @@ from subadjoint.cases import (
     sample_closed_orbit,
     symplectic_form,
 )
-from subadjoint.linalg import RrefBasis, SparseRationalMatrix, integer_inverse
+from subadjoint.linalg import (RrefBasis, SparseRationalMatrix, integer_inverse,
+                               span)
 
 
 @pytest.fixture(scope="module")
@@ -39,9 +41,6 @@ def test_case_data_and_forms_are_int(label):
     for r in case.rs.all_roots():
         vals += case.e(r).values()
         vals += case.coroot_vec(r).values()
-    for sp in [*case.V_decomp.values(), *case.l_grading.values()]:
-        for vec in sp.basis_vectors():
-            vals += vec.values()
     vals += [x for row in symplectic_form(case) for x in row]
     forms = fundamental_forms(case)
     vals += [x for rows in forms.II for row in rows for x in row]
@@ -54,7 +53,7 @@ def test_b3_dimensions(b3):
     assert b3.dim_V == 6
     assert b3.dim_l1 == 2
     assert b3.dim_l == 6
-    assert {j: s.dim for j, s in b3.V_decomp.items()} == {0: 1, 1: 2, 2: 2, 3: 1}
+    assert Counter(b3.V_root_level.values()) == {0: 1, 1: 2, 2: 2, 3: 1}
 
 
 def test_legendrian_dimension_count(b3, f4):
@@ -168,8 +167,9 @@ def test_ii_vanishes_on_line_factor_b3(b3):
 def test_grading_clipping(b3):
     s = b3.s_table
     v0 = b3.e(b3.v0_root)
+    V3 = [b3.e(v) for v in b3.V_roots if b3.V_root_level[v] == 3]
     for r in b3.l1_roots():
-        for w in b3.V_decomp[3].basis_vectors():
+        for w in V3:
             assert not s.bracket(b3.e(r), w)
     for r in b3.lminus1_roots():
         assert not s.bracket(b3.e(r), v0)
@@ -177,11 +177,12 @@ def test_grading_clipping(b3):
 
 def test_b3_parabolic_stabilizer_dimension(b3):
     # the stabilizer of the v0 line in l is l_{-1} + l_0: dim 2 + 2
-    p = b3.l_grading[-1].span_with(b3.l_grading[0])
-    assert p.dim == 4
+    p = [b3.e(r) for r in b3.l_roots if b3.l_degree[r] <= 0]
+    p += [b3.coroot_vec(b) for b in b3.l_simple_roots]
+    assert span(b3.s_table.dim, p).rank == 4
     s = b3.s_table
     v0 = b3.e(b3.v0_root)
-    for vec in p.basis_vectors():
+    for vec in p:
         assert set(s.bracket(vec, v0)) <= {b3.v0_index}
 
 
@@ -291,7 +292,8 @@ def test_l_coords_rejects_under_python_O():
 
 def test_swapped_osculating_levels_raise():
     case = build_case("B3")
-    case.V_decomp[1], case.V_decomp[2] = case.V_decomp[2], case.V_decomp[1]
+    case.V_root_level = {v: {1: 2, 2: 1}.get(j, j)
+                         for v, j in case.V_root_level.items()}
     with pytest.raises(CaseConsistencyError):
         _validate_case(case)
 
@@ -301,12 +303,40 @@ def test_swapped_osculating_levels_raise_under_python_O():
         "from subadjoint.cases import (",
         "    CaseConsistencyError, _validate_case, build_case)",
         "case = build_case('B3')",
-        "case.V_decomp[1], case.V_decomp[2] = case.V_decomp[2], case.V_decomp[1]",
+        "case.V_root_level = {v: {1: 2, 2: 1}.get(j, j)",
+        "                     for v, j in case.V_root_level.items()}",
         "try:",
         "    _validate_case(case)",
         "except CaseConsistencyError:",
         "    sys.exit(0)",
         "sys.exit('swapped V_1, V_2 accepted')",
+    ])
+    assert r.returncode == 0, r.stderr
+
+
+def test_swapped_l_degrees_fail_line_stabilizer():
+    # an l_1 root and an l_{-1} root trade degrees: every dimension still
+    # agrees, and the stabilizer of the v0 line is the first to disagree
+    case = build_case("B3")
+    a, b = case.l1_roots()[0], case.lminus1_roots()[0]
+    case.l_degree[a], case.l_degree[b] = -1, 1
+    with pytest.raises(CaseConsistencyError,
+                       match="line stabilizer disagrees"):
+        _validate_case(case)
+
+
+def test_swapped_l_degrees_fail_line_stabilizer_under_python_O():
+    r = _run_under_O([
+        "from subadjoint.cases import (",
+        "    CaseConsistencyError, _validate_case, build_case)",
+        "case = build_case('B3')",
+        "a, b = case.l1_roots()[0], case.lminus1_roots()[0]",
+        "case.l_degree[a], case.l_degree[b] = -1, 1",
+        "try:",
+        "    _validate_case(case)",
+        "except CaseConsistencyError as e:",
+        "    sys.exit(0 if 'line stabilizer disagrees' in str(e) else str(e))",
+        "sys.exit('swapped l degrees accepted')",
     ])
     assert r.returncode == 0, r.stderr
 

@@ -12,6 +12,7 @@ from subadjoint.linalg import (
     integer_inverse,
     modp_primes,
     rows_to_modp_array,
+    span,
 )
 
 
@@ -43,6 +44,30 @@ def test_rref_tolerates_explicit_zero_entries():
     acc = RrefBasis(3)
     assert acc.add({0: Fraction(0), 1: Fraction(1)})
     assert acc.rank == 1
+
+
+def test_span_equality():
+    # a space has one reduced echelon basis: the order and scaling of the
+    # spanning vectors and int or Fraction entries leave it unchanged
+    vecs = [{0: 2, 1: 4}, {1: 1, 2: 3}, {0: 1, 1: 3, 2: 3}]
+    a = span(4, vecs)
+    assert a.rank == 2
+    assert a == span(4, reversed(vecs))
+    assert a == span(4, [{k: Fraction(-3, 7) * c for k, c in v.items()}
+                         for v in vecs])
+    assert a == span(4, a.rows.values())
+    ints = span(3, [{0: 1, 1: 2}, {1: -1, 2: 5}])
+    fracs = span(3, [{0: Fraction(1), 1: Fraction(2)},
+                     {1: Fraction(-1), 2: Fraction(5)}])
+    assert {type(v) for row in ints.rows.values() for v in row.values()} == {int}
+    assert {type(v) for row in fracs.rows.values()
+            for v in row.values()} == {Fraction}
+    assert ints == fracs
+    # unequal spaces, and one space in two ambient dimensions
+    assert a != span(4, [{0: 1}, {1: 1}])
+    assert a != span(4, vecs[:1])
+    assert a != span(5, vecs)
+    assert ints != span(3, [{0: 1, 1: 2}, {1: 1, 2: 5}])
 
 
 def test_kernel_matches_rank_nullity():

@@ -7,11 +7,13 @@ from pathlib import Path
 
 import pytest
 
+from subadjoint import liecore, prolong
 from subadjoint.cases import CaseConsistencyError, build_case
 from subadjoint.galg import build_g
 from subadjoint.linalg import SparseRationalMatrix
 from subadjoint.prolong import g_tower, unknown_layout
 from subadjoint.spencer import (
+    CaseTower,
     conjugation_expansion_check,
     expected_cI,
     g_basis_cI,
@@ -165,17 +167,39 @@ def test_early_exit_rank_equals_full_rank(label):
 
 
 def test_import_leaves_numpy_unloaded():
-    # numpy serves only the mod-p helpers, which no check calls
+    # numpy serves only the mod-p helpers, which no check calls: importing
+    # the package leaves it unloaded, and a full run passes with it blocked
     src = str(Path(__file__).resolve().parents[1] / "src")
     script = "\n".join([
         "import sys",
         f"sys.path.insert(0, {src!r})",
         "import subadjoint",
-        "sys.exit('numpy' in sys.modules)",
+        "if 'numpy' in sys.modules:",
+        "    sys.exit('import subadjoint loaded numpy')",
+        "sys.modules['numpy'] = None",
+        "from subadjoint.cli import main",
+        "sys.exit(main(['--case', 'B3', '--checks', 'all', '--seed', '7']))",
     ])
     r = subprocess.run([sys.executable, "-c", script],
                        capture_output=True, text=True)
-    assert r.returncode == 0, r.stderr or "import subadjoint loaded numpy"
+    assert r.returncode == 0, r.stderr
+
+
+def test_validated_case_tower_builds_one_bracket_index(monkeypatch):
+    # the Jacobi scan of validate reads the index the tower's substitution
+    # built, so n_+ is indexed once per case
+    g = build_g(build_case("B3"))
+    original, built = liecore.bracket_index, []
+
+    def counted(L):
+        built.append(L)
+        return original(L)
+
+    monkeypatch.setattr(liecore, "bracket_index", counted)
+    monkeypatch.setattr(prolong, "bracket_index", counted)
+    tower = CaseTower(g)
+    tower.inp.validate(tower.tower)
+    assert len(built) == 1
 
 
 def test_spencer_spaces_bookkeeping_raises():

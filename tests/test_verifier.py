@@ -579,6 +579,14 @@ def test_cli_single_case_json(capsys, tmp_path):
     assert parsed["case"] == "B3"
 
 
+@pytest.mark.parametrize("where", ["missing-directory", "directory"])
+def test_cli_unwritable_out_usage_error(tmp_path, capsys, where):
+    # the report cannot be written: a usage error, not a check FAIL
+    out = tmp_path / "missing" / "rep.json" if where != "directory" else tmp_path
+    assert main(["--case", "B3", "--checks", "weights", "--out", str(out)]) == 3
+    assert capsys.readouterr().err.startswith("error: cannot write --out")
+
+
 def test_e_series_json_report_matches_golden_file(tmp_path):
     # the committed report of `verify --case E6,E7 --checks
     # prolong,spencer,forms,weights --seed 7 --format json`: the E-series
