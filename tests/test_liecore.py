@@ -19,7 +19,7 @@ from subadjoint.liecore import (
 )
 from subadjoint.cases import build_case
 from subadjoint.galg import build_g
-from subadjoint.linalg import vec_add_scaled
+from subadjoint.linalg import span, vec_add_scaled
 from subadjoint.rootsys import build_root_system, chevalley_table
 
 from oracles import bracket_additivity_violations
@@ -260,3 +260,25 @@ def test_line_stabilizer_zero_vector():
 
     stab = line_stabilizer(t, {}, act, t.dim)
     assert stab.rank == t.dim
+
+
+def test_subspace_canonical_idempotent():
+    vecs = [{0: Fraction(2), 1: Fraction(4)}, {1: Fraction(1), 2: Fraction(3)}]
+    s1 = span(4, vecs)
+    s2 = span(4, s1.rows.values())
+    assert s1 == s2
+    # order independence
+    s3 = span(4, list(reversed(vecs)))
+    assert s1 == s3
+    # fully reduced rows: each pivot is 1 and no other row meets its column
+    for piv, row in s1.rows.items():
+        assert min(row) == piv and row[piv] == 1
+        assert all(piv not in other for p, other in s1.rows.items() if p != piv)
+
+
+def test_subspace_ops():
+    a = span(3, [{0: Fraction(1)}, {1: Fraction(1)}])
+    b = span(3, [{1: Fraction(1)}, {2: Fraction(1)}])
+    joined = span(3, [*a.rows.values(), *b.rows.values()])
+    assert joined.rank == 3
+    assert all(joined.contains(v) for v in [*a.rows.values(), *b.rows.values()])
