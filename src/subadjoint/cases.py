@@ -13,7 +13,7 @@ marked-node table per case).
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .liecore import (
@@ -99,8 +99,7 @@ class SubadjointCase:
     z: Vec                   # grading element of l, s coordinates
     l_roots: tuple           # all roots of l
     l_degree: dict           # root -> degree in {-1, 0, 1}
-    V_root_level: dict = field(default_factory=dict)  # root -> j in 0..3
-    c_functional: dict = field(default_factory=dict)  # l_0 label -> int
+    V_root_level: dict       # root -> j in 0..3
     l_table: LieAlgebraTable | None = None  # [l, l] over the l basis
 
     # ---- derived basis bookkeeping -------------------------------------
@@ -306,6 +305,15 @@ def build_case(label: str) -> SubadjointCase:
         _check(not rem and abs(ev) <= 1,
                f"z eigenvalue {Fraction(num, l_den)} on the l root {r}")
         l_degree[r] = ev
+    # osculating levels of V: <v, z> - <v0, z>
+    base = _dot(z_row, v0_root)
+    V_root_level = {}
+    for v in V_roots:
+        num = _dot(z_row, v) - base
+        j, rem = divmod(num, l_den)
+        _check(not rem and 0 <= j <= 3,
+               f"osculating level {Fraction(num, l_den)} of the V root {v}")
+        V_root_level[v] = j
 
     case = SubadjointCase(
         s_label=f"{rs.series}{rs.rank}",
@@ -324,13 +332,13 @@ def build_case(label: str) -> SubadjointCase:
         z=z,
         l_roots=l_roots,
         l_degree=l_degree,
+        V_root_level=V_root_level,
     )
     case._root_index = root_index
     case._s_roots = s_roots
     case._l_root_pos = {root_index[r]: i for i, r in enumerate(l_roots)}
     case._l_inv, case._l_den = l_inv, l_den
     case._l_weight_map = weight_map
-    case._z_row = z_row
     case._l_coroots = [case.coroot_vec(b) for b in l_simple]
     case._l_pairings = [[rs.pairing(b, k) for k in range(rs.rank)]
                         for b in l_simple]
@@ -344,7 +352,6 @@ def build_case(label: str) -> SubadjointCase:
     case._node_comp = node_comp
     case.l_table = _restricted_table(case)
 
-    _finish_gradings(case)
     _validate_case(case)
     return case
 
@@ -355,33 +362,6 @@ def _cartan_entry(rs: RootSystem, a: tuple, b: tuple) -> int:
     q, rem = divmod(2 * rs.form6(a, b), rs.form6(a, a))
     _check(not rem, f"non-integral Cartan entry <{b}, {a}^vee>")
     return q
-
-
-def _finish_gradings(case: SubadjointCase) -> None:
-    s = case.s_table
-
-    # the osculating level <v, z> - <v0, z>, over the denominator of C_l^{-1}
-    base = _dot(case._z_row, case.v0_root)
-    for v in case.V_roots:
-        num = _dot(case._z_row, v) - base
-        j, rem = divmod(num, case._l_den)
-        _check(not rem and 0 <= j <= 3,
-               f"osculating level {Fraction(num, case._l_den)} of the V "
-               f"root {v}")
-        case.V_root_level[v] = j
-
-    # the functional c on l_0 with [b, v0] = c(b) v0
-    v0 = case.e(case.v0_root)
-    cf = {}
-    for r in case.l0_roots():
-        br = s.bracket(case.e(r), v0)
-        _check(set(br) <= {case.v0_index}, "l_0 moves the v0 line")
-        cf[("e", r)] = br.get(case.v0_index, 0)
-    for b in case.l_simple_roots:
-        br = s.bracket(case.coroot_vec(b), v0)
-        _check(set(br) <= {case.v0_index}, "l_0 moves the v0 line")
-        cf[("h", b)] = br.get(case.v0_index, 0)
-    case.c_functional = cf
 
 
 def _validate_case(case: SubadjointCase) -> None:
@@ -421,8 +401,9 @@ def _validate_case(case: SubadjointCase) -> None:
     have = sorted(orbit_key(g) for g in got)
     _check(have == want, f"marked nodes {have}, table says {want}")
 
-    # stabilizer cross-checks: p = l_{-1} + l_0 fixes the line through v0,
-    # and the opposite parabolic fixes the highest weight line
+    # stabilizer cross-checks: p = l_{-1} + l_0 is the stabilizer of the
+    # line through v0 (so [x, v0] lies on that line for every x in p), and
+    # the opposite parabolic that of the highest weight line
     l_basis = _l_basis_vectors(case)
 
     def in_s(xcoeffs: Vec) -> Vec:
@@ -439,8 +420,7 @@ def _validate_case(case: SubadjointCase) -> None:
         return span(dim, (in_s(row) for row in stab.rows.values()))
 
     v0 = case.e(case.v0_root)
-    p_vecs = l_pieces[-1] + l_pieces[0]
-    _check(stabilizer_in_s(v0) == span(dim, p_vecs),
+    _check(stabilizer_in_s(v0) == span(dim, l_pieces[-1] + l_pieces[0]),
            "line stabilizer disagrees with l_{-1}+l_0")
     _check(stabilizer_in_s(case.e(case.vhi_root))
            == span(dim, l_pieces[0] + l_pieces[1]),
@@ -473,11 +453,6 @@ def _validate_case(case: SubadjointCase) -> None:
             _check(not s.bracket(a, w), "[l_1, V_3] != 0")
     for r in case.lminus1_roots():
         _check(not s.bracket(case.e(r), v0), "[l_-1, V_0] != 0")
-
-    # [x, v0] stays on the v0 line for the whole parabolic
-    for vec in p_vecs:
-        _check(set(s.bracket(vec, v0)) <= {case.v0_index},
-               "the parabolic moves the v0 line")
 
 
 def _l_basis_vectors(case: SubadjointCase) -> list[Vec]:

@@ -8,6 +8,8 @@ unknown case ids).
 from __future__ import annotations
 
 import argparse
+import errno
+import os
 import sys
 
 from .cases import CaseExcludedError
@@ -93,6 +95,14 @@ def main(argv=None) -> int:
             print(f"error: unknown checks {sorted(bad)}", file=sys.stderr)
             return 3
 
+    if args.out:
+        # fail before the run when the path cannot be opened; the open after
+        # the run still reports a path that changed in between
+        if os.path.isdir(args.out):
+            return _unwritable(args.out, os.strerror(errno.EISDIR))
+        if not os.path.isdir(os.path.dirname(args.out) or "."):
+            return _unwritable(args.out, os.strerror(errno.ENOENT))
+
     reports = []
     for cid in case_ids:
         try:
@@ -110,12 +120,15 @@ def main(argv=None) -> int:
             with open(args.out, "w") as fh:
                 fh.write(doc)
         except OSError as e:
-            print(f"error: cannot write --out {args.out!r}: {e.strerror}",
-                  file=sys.stderr)
-            return 3
+            return _unwritable(args.out, e.strerror)
     else:
         sys.stdout.write(doc)
     return exit_code(reports)
+
+
+def _unwritable(path: str, why: str) -> int:
+    print(f"error: cannot write --out {path!r}: {why}", file=sys.stderr)
+    return 3
 
 
 if __name__ == "__main__":

@@ -23,16 +23,18 @@ terms that can be nonzero, found from the support of the map, the
 brackets and the action tables.  A failed substitution raises
 ProlongConsistencyError, not an assert, so `python -O` keeps the check.
 
-`g_tower(g)` writes a graded Lie algebra g = g_{-1} + ... + g_3 in these
-terms in one pass over its brackets (n_+ = g_+, n_0 = ad g_0, level 1 =
-ad g_{-1}); it is the only code that turns g indices into tower
-coordinates, and a bracket that breaks the grading stops it with
-ProlongConsistencyError.
+One `_Tower` holds a run: its input (`tower.inp`), the stored levels and
+the action tables.  `_Tower.validate` checks the input, and every solve
+routine here takes the tower alone.  `g_tower(g)` returns the tower of a
+graded Lie algebra g = g_{-1} + ... + g_3, built in one pass over its
+brackets (n_+ = g_+, n_0 = ad g_0, level 1 = ad g_{-1}); a bracket that
+breaks the grading stops it with ProlongConsistencyError.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import accumulate
 
 from .liecore import LieAlgebraTable, bracket_index, jacobi_violations
 from .linalg import RrefBasis, Vec, span
@@ -78,97 +80,6 @@ class ProlongInput:
     @property
     def n0_dim(self) -> int:
         return len(self.n0_mats)
-
-    def components(self) -> dict:
-        out: dict[int, list] = {}
-        for i, d in enumerate(self.degrees):
-            out.setdefault(d, []).append(i)
-        return out
-
-    def validate(self, tower: "_Tower | None" = None) -> None:
-        """Raise ProlongConsistencyError unless n_+ is a graded Lie algebra
-        generated in degree 1 and n_0 a commutator-closed family of
-        independent degree-preserving derivations.
-
-        The checks run in this order: degrees, Jacobi, degree additivity,
-        generation in degree 1, degree preservation, then per n_0 element
-        the derivation property and independence, then closure.  Each one
-        relies on those before it:
-        - with Jacobi and additivity, n_+ is generated in degree 1 exactly
-          when [n_1, n_{d-1}] = n_d in each degree d >= 2, read on basis
-          brackets;
-        - a derivation of an n_+ generated in degree 1 is fixed by its
-          degree-1 block A_1, so derivations are independent exactly when
-          their blocks are, and [A, B], itself a degree-preserving
-          derivation, lies in their span exactly when
-          [A, B]|_1 = A_1 B_1 - B_1 A_1 lies in the span of the blocks.
-        Independence and closure are tested on the blocks.  `tower` is a
-        `_Tower` of this input whose bracket index the Jacobi scan reads
-        and whose level-0 action table the derivation checks read; one is
-        built when it is not given.
-        """
-        n = self.dim
-        _require(len(self.degrees) == n and all(d >= 1 for d in self.degrees),
-                 "degrees must be >= 1, one per basis vector")
-        tower = tower or _Tower(self)
-        if jacobi_violations(*tower.bracket_index()):
-            raise ProlongConsistencyError("n_+ violates Jacobi")
-        for (i, j), vec in self.nplus.brackets.items():
-            dd = self.degrees[i] + self.degrees[j]
-            _require(all(self.degrees[k] == dd for k in vec),
-                     f"bracket ({i}, {j}) is not additive in degree")
-        comp = self.components()
-        for d, ix in comp.items():
-            if d == 1:
-                continue
-            span = RrefBasis(n)
-            for i in comp.get(1, ()):
-                for j in comp.get(d - 1, ()):
-                    if span.rank < len(ix):
-                        span.add(self.nplus.bracket_basis(i, j))
-            _require(span.rank == len(ix), "degree-1 component does not generate")
-        for a, mat in enumerate(self.n0_mats):
-            _require(all(self.degrees[k] == self.degrees[j]
-                         for j, col in enumerate(mat) for k in col),
-                     f"n0 element {a} is not degree-preserving")
-        # a degree-preserving derivation is a level-0 solution of the
-        # compatibility equation; its columns are its row of the level-0
-        # action table, whose degree-1 sources hold its degree-1 block
-        ones = tower.comp_list.get(1, ())
-        m = len(ones)
-        flat = RrefBasis(m * m)
-        cols, rows = [], []  # per element: {k: column k}, {k: row k} of A_1
-        for a, slot in enumerate(tower.action(0)):
-            phi = [slot.get(j, {}) for j in range(n)]
-            _require(residual_is_zero(self, tower, 0, phi),
-                     f"n0 element {a} is not a derivation")
-            block = [phi[j] for j in ones]
-            _require(flat.add(_flatten(block, m)),
-                     "n0 matrices are linearly dependent")
-            cols.append({k: col for k, col in enumerate(block) if col})
-            row: dict[int, Vec] = {}
-            for j, col in enumerate(block):
-                for i, v in col.items():
-                    row.setdefault(i, {})[j] = v
-            rows.append(row)
-        diagonal = [all(col.keys() == {k} for k, col in x.items()) for x in cols]
-        for a in range(len(cols)):
-            for b in range(a + 1, len(cols)):
-                if diagonal[a] and diagonal[b]:
-                    continue  # diagonal matrices commute
-                # (XY)_ij = sum_k X_ik Y_kj over the k where column k of X
-                # and row k of Y are both nonzero
-                comm: Vec = {}
-                for X, Y, sign in ((cols[a], rows[b], 1), (cols[b], rows[a], -1)):
-                    for k in X.keys() & Y.keys():
-                        yk = Y[k]
-                        for i, v in X[k].items():
-                            sv = sign * v
-                            for j, c in yk.items():
-                                key = i * m + j
-                                comm[key] = comm.get(key, 0) + sv * c
-                _require(not any(comm.values()) or flat.contains(comm),
-                         "n0 not closed under commutator")
 
 
 def _require(ok: bool, message: str) -> None:
@@ -222,7 +133,9 @@ class _Tower:
 
     def __init__(self, inp: ProlongInput):
         self.inp = inp
-        comp = inp.components()
+        comp: dict[int, list] = {}
+        for i, d in enumerate(inp.degrees):
+            comp.setdefault(d, []).append(i)
         self.comp_list = {d: tuple(ix) for d, ix in comp.items()}
         self.pos_in_comp = {
             d: {g: i for i, g in enumerate(ix)} for d, ix in self.comp_list.items()
@@ -282,20 +195,100 @@ class _Tower:
             self._index = bracket_index(self.inp.nplus)
         return self._index
 
+    def validate(self) -> None:
+        """Raise ProlongConsistencyError unless n_+ is a graded Lie algebra
+        generated in degree 1 and n_0 a commutator-closed family of
+        independent degree-preserving derivations.
 
-def unknown_layout(inp: ProlongInput, tower: _Tower, k: int):
-    offsets = []
-    sizes = []
-    total = 0
-    for u in range(inp.dim):
-        m = tower.space_dim(inp.degrees[u] - k)
-        offsets.append(total)
-        sizes.append(m)
-        total += m
-    return offsets, sizes, total
+        The checks run in this order: degrees, Jacobi, degree additivity,
+        generation in degree 1, degree preservation, then per n_0 element
+        the derivation property and independence, then closure.  Each one
+        relies on those before it:
+        - with Jacobi and additivity, n_+ is generated in degree 1 exactly
+          when [n_1, n_{d-1}] = n_d in each degree d >= 2, read on basis
+          brackets;
+        - a derivation of an n_+ generated in degree 1 is fixed by its
+          degree-1 block A_1, so derivations are independent exactly when
+          their blocks are, and [A, B], itself a degree-preserving
+          derivation, lies in their span exactly when
+          [A, B]|_1 = A_1 B_1 - B_1 A_1 lies in the span of the blocks.
+        Independence and closure are tested on the blocks.  The Jacobi scan
+        reads the tower's bracket index and the derivation checks its
+        level-0 action table.
+        """
+        inp = self.inp
+        n, degrees = inp.dim, inp.degrees
+        _require(len(degrees) == n and all(d >= 1 for d in degrees),
+                 "degrees must be >= 1, one per basis vector")
+        if jacobi_violations(*self.bracket_index()):
+            raise ProlongConsistencyError("n_+ violates Jacobi")
+        for (i, j), vec in inp.nplus.brackets.items():
+            dd = degrees[i] + degrees[j]
+            _require(all(degrees[k] == dd for k in vec),
+                     f"bracket ({i}, {j}) is not additive in degree")
+        comp = self.comp_list
+        for d, ix in comp.items():
+            if d == 1:
+                continue
+            span = RrefBasis(n)
+            for i in comp.get(1, ()):
+                for j in comp.get(d - 1, ()):
+                    if span.rank < len(ix):
+                        span.add(inp.nplus.bracket_basis(i, j))
+            _require(span.rank == len(ix), "degree-1 component does not generate")
+        for a, mat in enumerate(inp.n0_mats):
+            _require(all(degrees[k] == degrees[j]
+                         for j, col in enumerate(mat) for k in col),
+                     f"n0 element {a} is not degree-preserving")
+        # a degree-preserving derivation is a level-0 solution of the
+        # compatibility equation; its columns are its row of the level-0
+        # action table, whose degree-1 sources hold its degree-1 block
+        ones = comp.get(1, ())
+        m = len(ones)
+        flat = RrefBasis(m * m)
+        cols, rows = [], []  # per element: {k: column k}, {k: row k} of A_1
+        for a, slot in enumerate(self.action(0)):
+            phi = [slot.get(j, {}) for j in range(n)]
+            _require(residual_is_zero(self, 0, phi),
+                     f"n0 element {a} is not a derivation")
+            block = [phi[j] for j in ones]
+            _require(flat.add(_flatten(block, m)),
+                     "n0 matrices are linearly dependent")
+            cols.append({k: col for k, col in enumerate(block) if col})
+            row: dict[int, Vec] = {}
+            for j, col in enumerate(block):
+                for i, v in col.items():
+                    row.setdefault(i, {})[j] = v
+            rows.append(row)
+        diagonal = [all(col.keys() == {k} for k, col in x.items()) for x in cols]
+        for a in range(len(cols)):
+            for b in range(a + 1, len(cols)):
+                if diagonal[a] and diagonal[b]:
+                    continue  # diagonal matrices commute
+                # (XY)_ij = sum_k X_ik Y_kj over the k where column k of X
+                # and row k of Y are both nonzero
+                comm: Vec = {}
+                for X, Y, sign in ((cols[a], rows[b], 1), (cols[b], rows[a], -1)):
+                    for k in X.keys() & Y.keys():
+                        yk = Y[k]
+                        for i, v in X[k].items():
+                            sv = sign * v
+                            for j, c in yk.items():
+                                key = i * m + j
+                                comm[key] = comm.get(key, 0) + sv * c
+                _require(not any(comm.values()) or flat.contains(comm),
+                         "n0 not closed under commutator")
 
 
-def pair_rows(inp: ProlongInput, tower: _Tower, k: int, offsets, u: int, v: int,
+def unknown_layout(tower: _Tower, k: int):
+    """(offsets, sizes, total) of the level-k unknowns: phi(u) takes
+    sizes[u] columns from offsets[u] on."""
+    sizes = [tower.space_dim(d - k) for d in tower.inp.degrees]
+    offsets = [0, *accumulate(sizes)]
+    return offsets[:-1], sizes, offsets[-1]
+
+
+def pair_rows(tower: _Tower, k: int, offsets, u: int, v: int,
               only: dict | None = None):
     """Constraint rows of phi([u,v]) - [phi(u),v] - [u,phi(v)] = 0.
 
@@ -307,6 +300,7 @@ def pair_rows(inp: ProlongInput, tower: _Tower, k: int, offsets, u: int, v: int,
     source): the rows are then those of that column block, with the same
     column numbers and zero rows dropped.
     """
+    inp = tower.inp
     du, dv = inp.degrees[u], inp.degrees[v]
     S = du + dv - k
     mS = tower.space_dim(S)
@@ -347,7 +341,7 @@ def pair_rows(inp: ProlongInput, tower: _Tower, k: int, offsets, u: int, v: int,
     return [row for _, row in sorted(bycoord.items()) if row]
 
 
-def forced_rank(inp: ProlongInput, tower: _Tower, k: int, offsets, ncols: int,
+def forced_rank(tower: _Tower, k: int, offsets, ncols: int,
                 floor: int) -> tuple[RrefBasis, bool]:
     """Eliminate the level-k pair rows until the rank reaches ncols - floor.
 
@@ -358,31 +352,24 @@ def forced_rank(inp: ProlongInput, tower: _Tower, k: int, offsets, ncols: int,
     rows than index order.  Returns the accumulator and whether rows were
     left when it stopped.
     """
-    pairs = sorted(((u, v) for u in range(inp.dim) for v in range(u + 1, inp.dim)),
-                   key=lambda p: -inp.degrees[p[0]] - inp.degrees[p[1]])
+    n, degrees = tower.inp.dim, tower.inp.degrees
+    pairs = sorted(((u, v) for u in range(n) for v in range(u + 1, n)),
+                   key=lambda p: -degrees[p[0]] - degrees[p[1]])
     acc = RrefBasis(ncols)
     for u, v in pairs:
-        for row in pair_rows(inp, tower, k, offsets, u, v):
+        for row in pair_rows(tower, k, offsets, u, v):
             if acc.rank >= ncols - floor:
                 return acc, True
             acc.add(row)
     return acc, False
 
 
-def _kernel_vec_to_map(inp, tower, k, offsets, sizes, vec: Vec) -> TaggedMap:
-    phi: TaggedMap = [dict() for _ in range(inp.dim)]
-    for u in range(inp.dim):
-        base = offsets[u]
-        block = {}
-        for s in range(sizes[u]):
-            c = vec.get(base + s)
-            if c:
-                block[s] = c
-        phi[u] = block
-    return phi
+def _kernel_vec_to_map(offsets, sizes, vec: Vec) -> TaggedMap:
+    return [{s: c for s in range(size) if (c := vec.get(base + s))}
+            for base, size in zip(offsets, sizes)]
 
 
-def residual_is_zero(inp: ProlongInput, tower: _Tower, k: int, phi: TaggedMap) -> bool:
+def residual_is_zero(tower: _Tower, k: int, phi: TaggedMap) -> bool:
     """Substitute phi back into the compatibility equation on every pair.
 
     The residual phi([u, v]) - [phi(u), v] + [phi(v), u] of each pair u < v
@@ -391,7 +378,7 @@ def residual_is_zero(inp: ProlongInput, tower: _Tower, k: int, phi: TaggedMap) -
     the action table at the slots of phi(u).  Every other term vanishes.
     A pair whose target space is empty has no equation.
     """
-    degrees = inp.degrees
+    degrees = tower.inp.degrees
     terms = tower.bracket_index()[1]
     support = [u for u, block in enumerate(phi) if block]
     tables = {d: tower.action(d - k) for d in {degrees[u] for u in support}}
@@ -425,7 +412,7 @@ def prolongation(inp: ProlongInput, k_max: int, witnesses: dict | None = None,
     floor at which `forced_rank` stops.  `stopped_early[k]` says whether it
     stopped with rows left.  Raises ProlongDepthError for k_max beyond
     DEPTH_LIMIT unless allow_deep, and ProlongConsistencyError if the input
-    fails `ProlongInput.validate` or a witness or kernel map fails
+    fails `_Tower.validate` or a witness or kernel map fails
     substitution.
     """
     if k_max < 1:
@@ -436,27 +423,25 @@ def prolongation(inp: ProlongInput, k_max: int, witnesses: dict | None = None,
             f"allow_deep=True for inputs with known infinite prolongations"
         )
     tower = _Tower(inp)
-    inp.validate(tower)
+    tower.validate()
     witnesses = witnesses or {}
     dims: dict[int, int] = {}
     stopped: dict[int, bool] = {}
 
     for k in range(1, k_max + 1):
-        offsets, sizes, ncols = unknown_layout(inp, tower, k)
+        offsets, sizes, ncols = unknown_layout(tower, k)
         wits = witnesses.get(k, [])
-        if not all(residual_is_zero(inp, tower, k, phi) for phi in wits):
+        if not all(residual_is_zero(tower, k, phi) for phi in wits):
             raise ProlongConsistencyError(
                 f"witness map fails the compatibility equation at level {k}",
                 witness=True)
-        acc, stopped[k] = forced_rank(inp, tower, k, offsets, ncols,
+        acc, stopped[k] = forced_rank(tower, k, offsets, ncols,
                                       witness_rank(wits))
         dims[k] = acc.kernel_dim()
-        basis = [
-            _kernel_vec_to_map(inp, tower, k, offsets, sizes, vec)
-            for vec in acc.kernel_basis()
-        ]
+        basis = [_kernel_vec_to_map(offsets, sizes, vec)
+                 for vec in acc.kernel_basis()]
         for phi in basis:
-            if not residual_is_zero(inp, tower, k, phi):
+            if not residual_is_zero(tower, k, phi):
                 raise ProlongConsistencyError(
                     f"solver kernel fails substitution at level {k}")
         tower.bases[k] = basis
@@ -475,7 +460,7 @@ def prolongation(inp: ProlongInput, k_max: int, witnesses: dict | None = None,
 # The tower of a GAlgebra
 # --------------------------------------------------------------------------
 
-def g_tower(g) -> tuple[ProlongInput, _Tower]:
+def g_tower(g) -> _Tower:
     """The tower of g itself: n_+ = g_+, n_0 = ad g_0, level 1 = ad g_{-1}.
 
     One pass over the stored brackets of g builds all three, each bracket
@@ -487,9 +472,9 @@ def g_tower(g) -> tuple[ProlongInput, _Tower]:
     (u, w) for u in g_+ and w in g_{deg u - k}, both in g-index order.
 
     A bracket with a g_+ element and a term outside g_{deg i + deg j}
-    raises ProlongConsistencyError.  The input is not validated otherwise,
-    so a corrupted table still yields rows and the checks built on them
-    FAIL instead of raising.
+    raises ProlongConsistencyError.  The input is not validated otherwise
+    (the returned tower's `validate` does that), so a corrupted table still
+    yields rows and the checks built on them FAIL instead of raising.
     """
     t, degree = g.table, g.degree
     comps = g.components()
@@ -520,11 +505,11 @@ def g_tower(g) -> tuple[ProlongInput, _Tower]:
     nplus = LieAlgebraTable(dim=len(gplus),
                             labels=tuple(t.labels[i] for i in gplus),
                             brackets=brackets)
-    inp = ProlongInput(nplus=nplus, degrees=tuple(degree[i] for i in gplus),
-                       n0_mats=tuple(n0_mats))
-    tower = _Tower(inp)
+    tower = _Tower(ProlongInput(nplus=nplus,
+                                degrees=tuple(degree[i] for i in gplus),
+                                n0_mats=tuple(n0_mats)))
     tower.bases[1] = ad_maps
-    return inp, tower
+    return tower
 
 
 def witness_rank(maps: list[TaggedMap]) -> int:

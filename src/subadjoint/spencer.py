@@ -111,7 +111,7 @@ def spencer_spaces(g: GAlgebra, k: int) -> SpencerSpaces:
     return sp
 
 
-def _tower_level(g: GAlgebra, inp, tower, k: int):
+def _tower_level(g: GAlgebra, tower, k: int):
     """(C^{k,1}/C^{k,2} spaces, column offsets) of level -k of `g_tower(g)`.
 
     The level's columns are (u, w) for u in g_+ and w in g_{deg u + k},
@@ -119,7 +119,7 @@ def _tower_level(g: GAlgebra, inp, tower, k: int):
     each u has one column per such w, so that they are the C^{k,1} basis.
     """
     sp = spencer_spaces(g, k)
-    offsets, sizes, _ = unknown_layout(inp, tower, -k)
+    offsets, sizes, _ = unknown_layout(tower, -k)
     want = [len(sp.components.get(d + k, ())) for d in g.degree if d >= 1]
     _check(sizes == want, "tower columns differ from the C^{k,1} basis")
     return sp, offsets
@@ -129,11 +129,12 @@ def spencer_differential(g: GAlgebra, k: int) -> tuple[SparseRationalMatrix, Spe
     """Matrix of del: C^{k,1} -> C^{k,2}, the level -k pair rows of
     `g_tower(g)` negated: one row per nonzero coordinate (u, v, w) of
     C^{k,2}, zero rows omitted, pairs u < v in g_+ order."""
-    inp, tower = g_tower(g)
-    sp, offsets = _tower_level(g, inp, tower, k)
+    tower = g_tower(g)
+    sp, offsets = _tower_level(g, tower, k)
+    n = tower.inp.dim
     rows = ({c: -x for c, x in row.items()}
-            for u in range(inp.dim) for v in range(u + 1, inp.dim)
-            for row in pair_rows(inp, tower, -k, offsets, u, v))
+            for u in range(n) for v in range(u + 1, n)
+            for row in pair_rows(tower, -k, offsets, u, v))
     return SparseRationalMatrix.from_rows(rows, sp.dim_C1), sp
 
 
@@ -161,9 +162,9 @@ class CaseTower:
     """
 
     def __init__(self, g: GAlgebra):
-        self.inp, self.tower = g_tower(g)
+        self.tower = g_tower(g)
         self.witnesses = self.tower.bases[1]
-        self.passes = [residual_is_zero(self.inp, self.tower, 1, phi)
+        self.passes = [residual_is_zero(self.tower, 1, phi)
                        for phi in self.witnesses]
         self.cocycle_rank = witness_rank(
             [phi for phi, ok in zip(self.witnesses, self.passes) if ok])
@@ -181,8 +182,8 @@ def q_dimension(g: GAlgebra, k: int, tower: CaseTower | None = None) -> QDimensi
     """
     tower = tower or CaseTower(g)
     if k not in tower.qdims:
-        sp, offsets = _tower_level(g, tower.inp, tower.tower, k)
-        acc, stopped = forced_rank(tower.inp, tower.tower, -k, offsets, sp.dim_C1,
+        sp, offsets = _tower_level(g, tower.tower, k)
+        acc, stopped = forced_rank(tower.tower, -k, offsets, sp.dim_C1,
                                    tower.cocycle_rank if k == -1 else 0)
         tower.qdims[k] = QDimension(k, sp.dim_C1, sp.dim_C2, acc.rank,
                                     sp.dim_C2 - acc.rank, stopped)
@@ -397,8 +398,8 @@ def partial_prime_checks(g: GAlgebra,
     _check(len(l1) == len(V2),
            "dim l_1 != dim V_2: the pairing l_1 x V_2 -> V_3 is not square")
     v3 = V3[0]
-    inp, tower = g_tower(g) if tower is None else (tower.inp, tower.tower)
-    offsets, _, _ = unknown_layout(inp, tower, 1)
+    tower = g_tower(g) if tower is None else tower.tower
+    offsets, _, _ = unknown_layout(tower, 1)
     gplus = [i for i, d in enumerate(g.degree) if d >= 1]
     pos = {gi: i for i, gi in enumerate(gplus)}
     ones = g.components()[1]
@@ -411,8 +412,7 @@ def partial_prime_checks(g: GAlgebra,
     def restricted(pairs) -> SparseRationalMatrix:
         rows = [{block[c]: x for c, x in row.items()}
                 for u, v in pairs
-                for row in pair_rows(inp, tower, 1, offsets, pos[u], pos[v],
-                                     only)]
+                for row in pair_rows(tower, 1, offsets, pos[u], pos[v], only)]
         return SparseRationalMatrix.from_rows(rows, len(block))
 
     mat_prime = restricted(combinations(V2, 2))

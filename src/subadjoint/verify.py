@@ -471,7 +471,7 @@ def _prolong_dims(ctx: _Context) -> list[dict]:
     # dim C^{-1,1} - rank del, the second dim C^{-2,1} - rank del
     g, tower = ctx.g, ctx.tower
     dminus1 = g.component_dims()[-1]
-    tower.inp.validate(tower.tower)
+    tower.tower.validate()
     _check(all(tower.passes),
            "witness map fails the compatibility equation at level 1")
     q1, q2 = (q_dimension(g, k, tower) for k in (-1, -2))

@@ -2,9 +2,11 @@ import subprocess
 import sys
 from collections import Counter
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+from subadjoint import cases
 from subadjoint.cases import (
     CaseConsistencyError,
     CaseExcludedError,
@@ -20,6 +22,7 @@ from subadjoint.cases import (
     sample_closed_orbit,
     symplectic_form,
 )
+from subadjoint.galg import build_g, verify_g_module_structure
 from subadjoint.linalg import (RrefBasis, SparseRationalMatrix, integer_inverse,
                                span)
 
@@ -187,9 +190,12 @@ def test_b3_parabolic_stabilizer_dimension(b3):
 
 
 def test_c_functional_values(b3):
-    # [b, v0] = c(b) v0 was asserted during construction; the functional is
-    # nonzero somewhere on l_0 (v0 spans a weight line, not an l-fixed line)
-    assert any(b3.c_functional.values())
+    # [b, v0] = c(b) v0 on l_0, checked inside g; the functional is nonzero
+    # somewhere on l_0 (v0 spans a weight line, not an l-fixed line)
+    rec = next(c for c in verify_g_module_structure(build_g(b3))
+               if c.check_id == "c-functional")
+    assert rec.status == "PASS"
+    assert rec.detail["nonzero_values"] > 0
 
 
 def test_sampling_first_point_is_highest_weight_vector(b3):
@@ -337,6 +343,49 @@ def test_swapped_l_degrees_fail_line_stabilizer_under_python_O():
         "except CaseConsistencyError as e:",
         "    sys.exit(0 if 'line stabilizer disagrees' in str(e) else str(e))",
         "sys.exit('swapped l degrees accepted')",
+    ])
+    assert r.returncode == 0, r.stderr
+
+
+def _l0_moves_v0_table(label):
+    """A `chevalley_table` for `cases` to call: the real table with a
+    spurious V_1 term added to [e_r, e_v0], r the first l_0 root of the
+    case, so that l_0 moves the v0 line."""
+    case = build_case(label)
+    (i,), (j,) = case.e(case.l0_roots()[0]), case.e(case.v0_root)
+    (w,) = case.e(next(v for v in case.V_roots if case.V_root_level[v] == 1))
+    real = cases.chevalley_table
+
+    def corrupted(rs):
+        table = real(rs)
+        vec = table.brackets.setdefault((min(i, j), max(i, j)), {})
+        vec[w] = vec.get(w, 0) + 1
+        return table
+
+    return corrupted
+
+
+@pytest.mark.parametrize("label", ["B4", "D5", "F4", "E6"])
+def test_l0_moving_v0_fails_line_stabilizer(label, monkeypatch):
+    # no other check of the case reads [l_0, v0]: the stabilizer of the v0
+    # line is no longer l_{-1} + l_0
+    monkeypatch.setattr(cases, "chevalley_table", _l0_moves_v0_table(label))
+    with pytest.raises(CaseConsistencyError,
+                       match="line stabilizer disagrees"):
+        build_case(label)
+
+
+def test_l0_moving_v0_fails_line_stabilizer_under_python_O():
+    r = _run_under_O([
+        f"sys.path.insert(0, {str(Path(__file__).parent)!r})",
+        "from test_cases import _l0_moves_v0_table",
+        "from subadjoint import cases",
+        "cases.chevalley_table = _l0_moves_v0_table('E6')",
+        "try:",
+        "    cases.build_case('E6')",
+        "except cases.CaseConsistencyError as e:",
+        "    sys.exit(0 if 'line stabilizer disagrees' in str(e) else str(e))",
+        "sys.exit('l_0 moving the v0 line accepted')",
     ])
     assert r.returncode == 0, r.stderr
 

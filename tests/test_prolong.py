@@ -134,18 +134,18 @@ def test_l_input_f4_dims():
 def test_main_prolongation_exact(label, d1):
     case = build_case(label)
     g = build_g(case)
-    inp, tower = g_tower(g)
+    tower = g_tower(g)
     wits = tower.bases[1]
     assert witness_rank(wits) == d1
-    res = prolongation(inp, 2, witnesses={1: wits})
+    res = prolongation(tower.inp, 2, witnesses={1: wits})
     assert res.dims == {1: d1, 2: 0}
 
 
 def test_witness_floor_stops_early():
     case = build_case("B3")
     g = build_g(case)
-    inp, tower = g_tower(g)
-    wits = tower.bases[1]
+    tower = g_tower(g)
+    inp, wits = tower.inp, tower.bases[1]
     # the witnesses pin level 1 at their rank before every pair is fed
     res = prolongation(inp, 1, witnesses={1: wits})
     assert res.stopped_early == {1: True}
@@ -159,27 +159,28 @@ def _corrupted_b3_witnesses():
     """The B3 ad witnesses with one coefficient of the first one changed."""
     case = build_case("B3")
     g = build_g(case)
-    inp, tower = g_tower(g)
+    tower = g_tower(g)
     wits = tower.bases[1]
     block = next(b for b in wits[0] if b)
     block[next(iter(block))] += 1
-    return inp, wits
+    return tower.inp, wits
 
 
 def test_non_jacobi_nplus_raises():
-    inp, _ = g_tower(build_g(build_case("B3")))
+    tower = g_tower(build_g(build_case("B3")))
+    inp = tower.inp
     t = inp.nplus
     key = min(k for k, v in t.brackets.items()
               if v and inp.degrees[k[0]] == inp.degrees[k[1]] == 1)
     vec = t.brackets[key]
     vec[min(vec)] *= 2
     with pytest.raises(ProlongConsistencyError, match="Jacobi"):
-        inp.validate()
+        tower.validate()
 
 
 def _tripled_n0_entry_input():
     """The B3 input with one entry of one n_0 matrix tripled."""
-    inp, _ = g_tower(build_g(build_case("B3")))
+    inp = g_tower(build_g(build_case("B3"))).inp
     col = next(c for c in inp.n0_mats[1] if c)
     col[min(col)] *= 3
     return inp
@@ -211,7 +212,7 @@ def test_non_derivation_n0_raises_under_python_O():
 
 
 def test_direct_sum_rejects_unsupported_factors():
-    inp, _ = g_tower(build_g(build_case("B3")))
+    inp = g_tower(build_g(build_case("B3"))).inp
     with pytest.raises(ValueError, match="degree 1 only"):
         direct_sum_input(sl2_line_input(), inp)
     bracketed = ProlongInput(
@@ -254,28 +255,27 @@ def test_corrupted_witness_raises_under_python_O():
 def test_solver_kernel_satisfies_compatibility():
     case = build_case("B4")
     g = build_g(case)
-    inp, _ = g_tower(g)
+    inp = g_tower(g).inp
     res = prolongation(inp, 1)
     tower = _Tower(inp)
     for phi in res.bases[1]:
-        assert residual_is_zero(inp, tower, 1, phi)
+        assert residual_is_zero(tower, 1, phi)
 
 
 def test_witnesses_are_solver_solutions():
     case = build_case("B3")
     g = build_g(case)
-    inp, tower = g_tower(g)
+    tower = g_tower(g)
     wits = tower.bases[1]
-    tower = _Tower(inp)
+    tower = _Tower(tower.inp)
     for phi in wits:
-        assert residual_is_zero(inp, tower, 1, phi)
+        assert residual_is_zero(tower, 1, phi)
 
 
 def test_monotone_vanishing_reported():
     case = build_case("F4")
     g = build_g(case)
-    inp, _ = g_tower(g)
-    res = prolongation(inp, 2)
+    res = prolongation(g_tower(g).inp, 2)
     assert res.monotone_vanishing_ok()
 
 
@@ -361,9 +361,10 @@ def _substitution_maps(inp, tower, level):
 def test_substitution_matches_all_pairs(label, level):
     # seeded single-entry perturbations of exact solutions: the pairs
     # residual_is_zero selects must catch every one the full scan catches
-    inp, tower = g_tower(build_g(build_case(label)))
+    tower = g_tower(build_g(build_case(label)))
+    inp = tower.inp
     maps = _substitution_maps(inp, tower, level)
-    assert all(residual_is_zero(inp, tower, level, phi) for phi in maps)
+    assert all(residual_is_zero(tower, level, phi) for phi in maps)
     rng = random.Random(f"{label}-{level}")
     verdicts = []
     for _ in range(50):
@@ -373,7 +374,7 @@ def test_substitution_matches_all_pairs(label, level):
         s = rng.randrange(tower.space_dim(inp.degrees[u] - level))
         vec_add_scaled(phi[u], {s: 1}, rng.choice([-2, -1, 1, 2]))
         want = _reference_residual_is_zero(inp, tower, level, phi)
-        assert residual_is_zero(inp, tower, level, phi) == want
+        assert residual_is_zero(tower, level, phi) == want
         verdicts.append(want)
     assert False in verdicts
 
@@ -381,15 +382,16 @@ def test_substitution_matches_all_pairs(label, level):
 @pytest.mark.parametrize("label", ["B3", "D4", "F4"])
 def test_pair_rows_match_term_by_term_reference(label):
     g = build_g(build_case(label))
-    inp, tower = g_tower(g)
+    tower = g_tower(g)
+    inp = tower.inp
 
     def items(rows):
         return [list(row.items()) for row in rows]
 
     for k in range(1, 8):
-        offsets, _, _ = unknown_layout(inp, tower, k)
+        offsets, _, _ = unknown_layout(tower, k)
         for u, v in combinations(range(inp.dim), 2):
-            assert items(pair_rows(inp, tower, k, offsets, u, v)) == items(
+            assert items(pair_rows(tower, k, offsets, u, v)) == items(
                 _reference_pair_rows(inp, tower, k, offsets, u, v))
     # the (V_2, l_1) block of the restricted differentials
     gplus = [i for i, d in enumerate(g.degree) if d >= 1]
@@ -397,19 +399,19 @@ def test_pair_rows_match_term_by_term_reference(label):
     V1, V2 = (g.V_level_indices[j] for j in (1, 2))
     only = {pos[v]: [tower.pos_in_comp[1][pos[a]] for a in g.l1_indices]
             for v in V2}
-    offsets, _, _ = unknown_layout(inp, tower, 1)
+    offsets, _, _ = unknown_layout(tower, 1)
     pairs = list(combinations(V2, 2)) + [(u, v) for u in V1 for v in V2]
-    assert any(pair_rows(inp, tower, 1, offsets, pos[u], pos[v], only)
+    assert any(pair_rows(tower, 1, offsets, pos[u], pos[v], only)
                for u, v in pairs)
     for u, v in pairs:
-        assert items(pair_rows(inp, tower, 1, offsets, pos[u], pos[v], only)) \
+        assert items(pair_rows(tower, 1, offsets, pos[u], pos[v], only)) \
             == items(_reference_pair_rows(inp, tower, 1, offsets, pos[u],
                                           pos[v], only))
 
 
 def _duplicated_n0_input():
     """The B3 input with its last n_0 matrix appended a second time."""
-    inp, _ = g_tower(build_g(build_case("B3")))
+    inp = g_tower(build_g(build_case("B3"))).inp
     return ProlongInput(nplus=inp.nplus, degrees=inp.degrees,
                         n0_mats=inp.n0_mats + (inp.n0_mats[-1],))
 
@@ -422,7 +424,7 @@ def _unclosed_n0_input():
     matrices are independent derivations whose span is not closed.
     """
     g = build_g(build_case("F4"))
-    inp, _ = g_tower(g)
+    inp = g_tower(g).inp
     g0 = g.components()[0]
     top = max((r for r in g.case.l0_roots() if sum(r) > 0), key=sum)
     drop = g0.index(g.l_offset + g.l_basis_keys.index(("e", top)))
@@ -438,7 +440,7 @@ def _ungenerated_input():
 
 def _degree_mixing_n0_input():
     """The B3 input with one n_0 column moved partly into degree 2."""
-    inp, _ = g_tower(build_g(build_case("B3")))
+    inp = g_tower(build_g(build_case("B3"))).inp
     j = inp.degrees.index(1)
     inp.n0_mats[0][j][inp.degrees.index(2)] = 1
     return inp
@@ -455,7 +457,7 @@ VALIDATE_CONTROLS = [
 @pytest.mark.parametrize("make,message", VALIDATE_CONTROLS)
 def test_validate_controls_raise(make, message):
     with pytest.raises(ProlongConsistencyError, match=message):
-        globals()[make]().validate()
+        _Tower(globals()[make]()).validate()
 
 
 @pytest.mark.parametrize("make,message", VALIDATE_CONTROLS)
@@ -465,11 +467,11 @@ def test_validate_controls_raise_under_python_O(make, message):
         "import sys",
         f"sys.path.insert(0, {str(Path(__file__).parent)!r})",
         f"from test_prolong import {make}",
-        "from subadjoint.prolong import ProlongConsistencyError",
+        "from subadjoint.prolong import ProlongConsistencyError, _Tower",
         "if __debug__:",
         "    sys.exit('not running under -O')",
         "try:",
-        f"    {make}().validate()",
+        f"    _Tower({make}()).validate()",
         "except ProlongConsistencyError as e:",
         f"    sys.exit(0 if str(e) == {message!r} else str(e))",
         "sys.exit('invalid input accepted')",

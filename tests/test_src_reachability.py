@@ -19,6 +19,11 @@ so what it uses is kept too.  Each entry expires with its reason: a
 tracer-held name must still be a `perfbench/tracer.py` TARGETS entry, a
 mod-p name must still be called by tests/test_linalg.py, and no entry may
 be reached from `cli.main` itself.
+
+A second scan reads every parameter list: each parameter of a src/
+function or method is read by name in its body, so that no caller passes
+a value nothing uses.  A method's receiver (self, cls) is exempt, and so
+are lambdas, whose signature a table of them fixes.
 """
 
 import ast
@@ -197,3 +202,35 @@ def test_allow_list_entries_still_hold():
         elif why == MODP and key[1].split(".")[-1] not in linalg_calls:
             stale.append(f"{name}: no longer called by test_linalg.py")
     assert not stale, stale
+
+
+def _unread_parameters() -> list[str]:
+    """"module.function(parameter)" for each parameter of a src/ function
+    or method that its body does not read by name."""
+    out = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        receivers = {
+            id((*item.args.posonlyargs, *item.args.args)[0])
+            for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef)
+            for item in cls.body
+            if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
+            and (item.args.posonlyargs or item.args.args)
+            and not any(isinstance(d, ast.Name) and d.id == "staticmethod"
+                        for d in item.decorator_list)
+        }
+        for node in ast.walk(tree):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            a = node.args
+            params = [*a.posonlyargs, *a.args, *a.kwonlyargs,
+                      *(x for x in (a.vararg, a.kwarg) if x)]
+            read = {n.id for stmt in node.body for n in ast.walk(stmt)
+                    if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+            out += [f"{path.stem}.{node.name}({p.arg})" for p in params
+                    if id(p) not in receivers and p.arg not in read]
+    return out
+
+
+def test_every_parameter_is_read():
+    assert not _unread_parameters()

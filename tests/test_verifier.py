@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from subadjoint import galg, prolong, spencer, verify
+from subadjoint import cli, galg, prolong, spencer, verify
 from subadjoint.cases import CaseExcludedError, build_case
 from subadjoint.cli import main
 from subadjoint.galg import build_g
@@ -181,10 +181,10 @@ def test_corrupted_witness_fails_prolong_checks(monkeypatch):
     real = spencer.g_tower
 
     def corrupted(g):
-        inp, tower = real(g)
+        tower = real(g)
         block = next(b for b in tower.bases[1][0] if b)
         block[next(iter(block))] += 1
-        return inp, tower
+        return tower
 
     monkeypatch.setattr(spencer, "g_tower", corrupted)
     rep = run("B3", {"prolong"}, RunOptions(seed=7))
@@ -232,14 +232,14 @@ def test_prolong_and_spencer_share_one_tower(monkeypatch):
         calls["g_tower"] += 1
         return real_tower(g)
 
-    def forced_rank(inp, tower, k, *args):
+    def forced_rank(tower, k, *args):
         calls["levels"].append(k)
-        return real_forced(inp, tower, k, *args)
+        return real_forced(tower, k, *args)
 
     def counting(real):
-        def residual_is_zero(inp, tower, k, phi):
+        def residual_is_zero(tower, k, phi):
             calls["substitutions"] += k == 1
-            return real(inp, tower, k, phi)
+            return real(tower, k, phi)
         return residual_is_zero
 
     monkeypatch.setattr(spencer, "g_tower", g_tower)
@@ -299,8 +299,8 @@ def test_solve_error_fails_every_reader(monkeypatch):
 @pytest.mark.parametrize("label", ["B3", "D4", "F4"])
 def test_prolong_dims_match_prolongation(label):
     g = build_g(build_case(label))
-    inp, tower = g_tower(g)
-    res = prolongation(inp, 2, witnesses={1: tower.bases[1]})
+    tower = g_tower(g)
+    res = prolongation(tower.inp, 2, witnesses={1: tower.bases[1]})
     rep = run(label, {"prolong"}, RunOptions(seed=7))
     rec = next(c for c in rep.checks if c.check_id == "prolong-dims")
     assert (rec.dims["p_minus_1"], rec.dims["p_minus_2"]) == (res.dims[1],
@@ -584,6 +584,18 @@ def test_cli_unwritable_out_usage_error(tmp_path, capsys, where):
     # the report cannot be written: a usage error, not a check FAIL
     out = tmp_path / "missing" / "rep.json" if where != "directory" else tmp_path
     assert main(["--case", "B3", "--checks", "weights", "--out", str(out)]) == 3
+    assert capsys.readouterr().err.startswith("error: cannot write --out")
+
+
+@pytest.mark.parametrize("where", ["missing-directory", "directory"])
+def test_cli_unwritable_out_fails_before_the_run(tmp_path, capsys, monkeypatch,
+                                                 where):
+    # a path that cannot be opened is reported before the first case runs
+    calls = []
+    monkeypatch.setattr(cli, "run", lambda *args: calls.append(args))
+    out = tmp_path / "missing" / "rep.json" if where != "directory" else tmp_path
+    assert main(["--case", "B3", "--checks", "weights", "--out", str(out)]) == 3
+    assert calls == []
     assert capsys.readouterr().err.startswith("error: cannot write --out")
 
 
