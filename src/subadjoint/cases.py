@@ -555,48 +555,9 @@ def fundamental_forms(case: SubadjointCase) -> FundamentalForms:
     )
 
 
-def ii_value(case: SubadjointCase, forms: FundamentalForms, b: Vec) -> list:
-    """II(b, b) for an arbitrary vector b in l_1 (V_2 coordinates)."""
-    l1_idx = [case.root_index(r) for r in forms.l1_roots]
-    coeffs = [b.get(i, 0) for i in l1_idx]
-    d = forms.dim
-    out = [0] * len(forms.V2_roots)
-    for i in range(d):
-        if not coeffs[i]:
-            continue
-        for j in range(d):
-            if not coeffs[j]:
-                continue
-            c = coeffs[i] * coeffs[j]
-            row = forms.II[i][j]
-            for k, v in enumerate(row):
-                if v:
-                    out[k] += c * v
-    return out
-
-
-def iii_value(case: SubadjointCase, forms: FundamentalForms, b: Vec):
-    """III(b, b, b) for an arbitrary vector b in l_1."""
-    l1_idx = [case.root_index(r) for r in forms.l1_roots]
-    coeffs = [b.get(i, 0) for i in l1_idx]
-    d = forms.dim
-    total = 0
-    for i in range(d):
-        if not coeffs[i]:
-            continue
-        for j in range(d):
-            if not coeffs[j]:
-                continue
-            cij = coeffs[i] * coeffs[j]
-            row = forms.III[i][j]
-            for k in range(d):
-                if coeffs[k] and row[k]:
-                    total += cij * coeffs[k] * row[k]
-    return total
-
-
 # --------------------------------------------------------------------------
-# Closed-orbit sampling and the bracket kernel certificate
+# The closed orbits in l_1: highest weight vectors, the l_0-stable core of
+# the bracket kernel, and orbit sampling for its cross-check
 # --------------------------------------------------------------------------
 
 def highest_weight_roots_of_l1(case: SubadjointCase) -> list[tuple]:
@@ -615,6 +576,99 @@ def highest_weight_roots_of_l1(case: SubadjointCase) -> list[tuple]:
                f"ideal {ci} has {len(cands)} highest weight roots in l_1")
         out.append(cands[0])
     return out
+
+
+def _l0_basis(case: SubadjointCase) -> list[Vec]:
+    """Basis of l_0 inside s: the coroots of l, then its degree-0 roots."""
+    return ([case.coroot_vec(b) for b in case.l_simple_roots]
+            + [case.e(r) for r in case.l0_roots()])
+
+
+def l0_module(case: SubadjointCase, v: Vec) -> RrefBasis:
+    """The l_0-module generated by v: the span of v and its iterated
+    brackets with l_0.  Each vector that enlarges the span is bracketed
+    with every basis vector of l_0; by linearity the others add nothing."""
+    s, l0 = case.s_table, _l0_basis(case)
+    acc = span(s.dim, [v])
+    todo = [v]
+    while todo:
+        w = todo.pop()
+        for x in l0:
+            y = s.bracket(x, w)
+            if acc.add(y):
+                todo.append(y)
+    return acc
+
+
+def _kernel_combinations(vecs: list[Vec], image) -> list[Vec]:
+    """Basis of {sum_t c_t vecs[t] : sum_t c_t image(vecs[t]) = 0} for a
+    linear map `image` with sparse, sortably keyed values."""
+    out = []
+    for k in SparseRationalMatrix.from_columns([image(v) for v in vecs]).kernel():
+        w: Vec = {}
+        for t, c in k.items():
+            vec_add_scaled(w, vecs[t], c)
+        out.append(w)
+    return out
+
+
+def bracket_kernel(case: SubadjointCase, points: list[Vec]) -> list[Vec]:
+    """Basis of {a in l_{-1} : [[a, b], b] = 0 for every b in points}."""
+    s = case.s_table
+
+    def image(a: Vec) -> dict:
+        return {(bi, m): c for bi, b in enumerate(points)
+                for m, c in s.bracket(s.bracket(a, b), b).items()}
+
+    return _kernel_combinations([case.e(r) for r in case.lminus1_roots()], image)
+
+
+@dataclass
+class XvvCore:
+    dim_K_hw: int   # dim K(hw)
+    rounds: int     # refinements K_j -> K_{j+1} computed
+    dim: int        # dim of the l_0-stable core
+
+
+def xvv_core(case: SubadjointCase) -> XvvCore:
+    """The largest l_0-submodule of K(hw) = {a in l_{-1} : [[a, hw_i], hw_i]
+    = 0 for the highest weight vector hw_i of each simple ideal of l_1}.
+
+    Lemma.  Let C be the cone over the closed L_0-orbits in l_1, and
+    K(C) = {a in l_{-1} : [[a, b], b] = 0 for all b in C}.  Then K(C) = 0
+    exactly when this core is 0.
+    - L_0 acts on s by automorphisms (Jacobi on s, `jacobi-ambient`) and
+      keeps C, so K(C) is L_0-stable, hence an l_0-submodule.  It lies in
+      K(hw), as each hw_i is in C, so it lies in the core.
+    - Conversely, the core is L_0-stable, since L_0 is generated by the
+      exp(ad x), x in l_0.  For a in it and g in L_0, g a is in K(hw), so
+      [[a, g^-1 hw_i], g^-1 hw_i] = g^-1 [[g a, hw_i], hw_i] = 0.  The
+      closed orbit of an irreducible module is the orbit of its highest
+      weight line (Borel-Weil), so these points and their multiples fill
+      C, and the core lies in K(C).
+    So a zero core certifies the claim and a nonzero core refutes it.
+
+    The core is the limit of K_0 = K(hw), K_{j+1} = {a in K_j : [x, a] in
+    K_j for every basis vector x of l_0}: every l_0-submodule of K_0 lies
+    in each K_j, and a K_j with K_{j+1} = K_j is an l_0-submodule.
+    """
+    s, l0 = case.s_table, _l0_basis(case)
+    core = bracket_kernel(case, [case.e(r) for r in highest_weight_roots_of_l1(case)])
+    dim_hw, rounds = len(core), 0
+    while core:
+        rounds += 1
+        inside = span(s.dim, core)
+
+        def outside(a: Vec) -> dict:
+            # [x, a] modulo K_j, for each x
+            return {(xi, m): c for xi, x in enumerate(l0)
+                    for m, c in inside.reduce(s.bracket(x, a)).items()}
+
+        smaller = _kernel_combinations(core, outside)
+        if len(smaller) == len(core):
+            break
+        core = smaller
+    return XvvCore(dim_K_hw=dim_hw, rounds=rounds, dim=len(core))
 
 
 def sample_closed_orbit(case: SubadjointCase, count: int, seed: int) -> list[Vec]:
@@ -676,12 +730,7 @@ def check_xvv(case: SubadjointCase, samples: list[Vec]) -> XvvCertificate:
     (the kernel over the whole orbit cone is contained in this one); a
     nonzero kernel is INCONCLUSIVE, never a refutation.
     """
-    s = case.s_table
-    lm1 = [case.e(r) for r in case.lminus1_roots()]
-    kdim = len(SparseRationalMatrix.from_columns(
-        [{(bi, m): c for bi, b in enumerate(samples)
-          for m, c in s.bracket(s.bracket(a, b), b).items()} for a in lm1]
-    ).kernel())
+    kdim = len(bracket_kernel(case, samples))
     status = "PASS" if kdim == 0 else "INCONCLUSIVE"
     return XvvCertificate(status=status, samples_used=len(samples),
                           kernel_dim=kdim)

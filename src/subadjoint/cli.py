@@ -42,7 +42,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="no effect: every solver runs by default; accepted "
                         "so existing command lines keep working")
     p.add_argument("--seed", type=int, default=0,
-                   help="seed for sampling and random trials")
+                   help="seed of the xvv-kernel sampled cross-check; no status "
+                        "reads it")
     p.add_argument("--format", dest="fmt", default="text",
                    choices=("text", "json"))
     p.add_argument("--timings", action="store_true",

@@ -11,14 +11,19 @@ these; the tests compare the package against them:
 - weight-coordinate conversions and root-string lengths;
 - antisymmetry and grading-additivity scans of a bracket table;
 - the C^{k,2} basis listed term by term, the row order of the Spencer
-  differential.
+  differential;
+- II and III evaluated at any point of l_1, and the conjugation expansion
+  tested on random cochains: the sampled references for the exact
+  `base-locus-samples` and `est-expansion` verdicts.
 """
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass
 from fractions import Fraction
 
+from subadjoint.galg import operator_a
 from subadjoint.liecore import Grading, LieAlgebraTable
 from subadjoint.linalg import RrefBasis, Vec, integer_inverse, vec_add_scaled
 from subadjoint.prolong import ProlongInput, TaggedMap, _flatten, prolongation
@@ -314,3 +319,150 @@ def basis_C2(sp) -> list:
         for v in gplus[ui + 1 :]
         for w in sp.components.get(degree[u] + degree[v] + sp.k, ())
     ]
+
+
+# --------------------------------------------------------------------------
+# Sampled references: the forms at any point, the expansion on random
+# cochains
+# --------------------------------------------------------------------------
+
+def ii_value(case, forms, b: Vec) -> list:
+    """II(b, b) for an arbitrary vector b in l_1 (V_2 coordinates)."""
+    l1_idx = [case.root_index(r) for r in forms.l1_roots]
+    coeffs = [b.get(i, 0) for i in l1_idx]
+    d = forms.dim
+    out = [0] * len(forms.V2_roots)
+    for i in range(d):
+        if not coeffs[i]:
+            continue
+        for j in range(d):
+            if not coeffs[j]:
+                continue
+            c = coeffs[i] * coeffs[j]
+            row = forms.II[i][j]
+            for k, v in enumerate(row):
+                if v:
+                    out[k] += c * v
+    return out
+
+
+def iii_value(case, forms, b: Vec):
+    """III(b, b, b) for an arbitrary vector b in l_1."""
+    l1_idx = [case.root_index(r) for r in forms.l1_roots]
+    coeffs = [b.get(i, 0) for i in l1_idx]
+    d = forms.dim
+    total = 0
+    for i in range(d):
+        if not coeffs[i]:
+            continue
+        for j in range(d):
+            if not coeffs[j]:
+                continue
+            cij = coeffs[i] * coeffs[j]
+            row = forms.III[i][j]
+            for k in range(d):
+                if coeffs[k] and row[k]:
+                    total += cij * coeffs[k] * row[k]
+    return total
+
+
+_SMAX = 7  # track s^0..s^6; everything above degree 3 must vanish
+
+
+def _poly_add(dst: list, src: Vec, power: int, c: Fraction) -> None:
+    vec_add_scaled(dst[power], src, c)
+
+
+@dataclass
+class ExpansionTrials:
+    trials: int
+    status: str
+
+
+def conjugation_expansion_check(g, trials: int = 5,
+                                seed: int = 0) -> ExpansionTrials:
+    """(Id + sA) f((Id - sA)u, (Id - sA)u') equals the eight displayed terms,
+    on `trials` random cochains f of degree -1, -2 or -3 and random u, u'.
+
+    The exponential series is applied with its quadratic term included, so
+    the identity genuinely exercises A^2 = 0; coefficients of s^4 and above
+    must vanish identically.
+    """
+    rng = random.Random(f"expansion-{g.case.s_label}-{seed}")
+    A = operator_a(g)
+    gplus = [i for i, d in enumerate(g.degree) if d >= 1]
+    comps = g.components()
+
+    def rand_f(kf: int):
+        table: dict[tuple[int, int], Vec] = {}
+        for ui, u in enumerate(gplus):
+            for v in gplus[ui + 1 :]:
+                tgt = comps.get(g.degree[u] + g.degree[v] + kf, ())
+                if not tgt or rng.random() < 0.5:
+                    continue
+                w = rng.choice(tgt)
+                c = Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+                if c:
+                    table[(u, v)] = {w: c}
+        def f(x: Vec, y: Vec) -> Vec:
+            out: Vec = {}
+            for a, ca in x.items():
+                for b, cb in y.items():
+                    if a == b:
+                        continue
+                    key, sign = ((a, b), 1) if a < b else ((b, a), -1)
+                    val = table.get(key)
+                    if val:
+                        vec_add_scaled(out, val, sign * ca * cb)
+            return out
+        return f
+
+    def rand_vec() -> Vec:
+        out: Vec = {}
+        for _ in range(rng.randint(1, 3)):
+            out[rng.choice(gplus)] = Fraction(rng.randint(-3, 3))
+        return {k: v for k, v in out.items() if v}
+
+    def apply_poly_A(poly: list, sign: int) -> list:
+        """(Id + sign*sA + s^2 A^2/2) applied to an s-polynomial of vectors."""
+        out = [dict() for _ in range(_SMAX)]
+        for i, vec in enumerate(poly):
+            if not vec:
+                continue
+            _poly_add(out, vec, i, Fraction(1))
+            av = A.apply(vec)
+            if av and i + 1 < _SMAX:
+                _poly_add(out, av, i + 1, Fraction(sign))
+            aav = A.apply(av)
+            if aav and i + 2 < _SMAX:
+                _poly_add(out, aav, i + 2, Fraction(1, 2))
+        return out
+
+    for trial in range(trials):
+        kf = rng.choice((-1, -2, -3))
+        f = rand_f(kf)
+        u, up = rand_vec(), rand_vec()
+        pu = apply_poly_A([u], -1)
+        pup = apply_poly_A([up], -1)
+        inner = [dict() for _ in range(_SMAX)]
+        for i in range(_SMAX):
+            for j in range(_SMAX - i):
+                val = f(pu[i], pup[j])
+                if val:
+                    _poly_add(inner, val, i + j, Fraction(1))
+        lhs = apply_poly_A(inner, +1)
+
+        Au, Aup = A.apply(u), A.apply(up)
+        rhs = [dict() for _ in range(_SMAX)]
+        _poly_add(rhs, f(u, up), 0, Fraction(1))
+        _poly_add(rhs, A.apply(f(u, up)), 1, Fraction(1))
+        _poly_add(rhs, f(u, Aup), 1, Fraction(-1))
+        _poly_add(rhs, f(Au, up), 1, Fraction(-1))
+        _poly_add(rhs, f(Au, Aup), 2, Fraction(1))
+        _poly_add(rhs, A.apply(f(u, Aup)), 2, Fraction(-1))
+        _poly_add(rhs, A.apply(f(Au, up)), 2, Fraction(-1))
+        _poly_add(rhs, A.apply(f(Au, Aup)), 3, Fraction(1))
+
+        if lhs != rhs:
+            return ExpansionTrials(trials=trial + 1, status="FAIL")
+    return ExpansionTrials(trials=trials, status="PASS")

@@ -17,14 +17,14 @@ from subadjoint.cases import (
     check_xvv,
     fundamental_forms,
     highest_weight_roots_of_l1,
-    ii_value,
-    iii_value,
     sample_closed_orbit,
     symplectic_form,
 )
 from subadjoint.galg import build_g, verify_g_module_structure
 from subadjoint.linalg import (RrefBasis, SparseRationalMatrix, integer_inverse,
                                span)
+
+from oracles import ii_value, iii_value
 
 
 @pytest.fixture(scope="module")

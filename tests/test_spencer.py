@@ -14,7 +14,6 @@ from subadjoint.linalg import SparseRationalMatrix
 from subadjoint.prolong import g_tower, unknown_layout
 from subadjoint.spencer import (
     CaseTower,
-    conjugation_expansion_check,
     expected_cI,
     g_basis_cI,
     hom_decomposition,
@@ -27,7 +26,7 @@ from subadjoint.spencer import (
     summand_cI_table,
 )
 
-from oracles import _map_to_vec, basis_C2
+from oracles import _map_to_vec, basis_C2, conjugation_expansion_check
 
 
 @pytest.fixture(scope="module")

@@ -8,9 +8,16 @@ from pathlib import Path
 import pytest
 
 from subadjoint import cli, galg, prolong, spencer, verify
-from subadjoint.cases import CaseExcludedError, build_case
+from subadjoint.cases import (
+    CaseExcludedError,
+    build_case,
+    fundamental_forms,
+    highest_weight_roots_of_l1,
+    sample_closed_orbit,
+)
 from subadjoint.cli import main
 from subadjoint.galg import build_g
+from subadjoint.linalg import span
 from subadjoint.prolong import g_tower, prolongation
 from subadjoint.verify import (
     CaseDescriptor,
@@ -23,6 +30,8 @@ from subadjoint.verify import (
     registry_entry,
     run,
 )
+
+import oracles
 
 
 def test_registry_default_counts():
@@ -502,6 +511,112 @@ def test_merged_ideals_fail_xvv_kernel(monkeypatch):
     assert exit_code(rep) == 1
 
 
+def test_zeroed_l_pairing_leaves_all_of_lminus1_in_the_core():
+    rep = _corrupted_run("B3", _zero_lminus1_l1_brackets, {"xvv"})
+    rec = next(c for c in rep.checks if c.check_id == "xvv-kernel")
+    assert rec.status == "FAIL"
+    dim_lm1 = len(build_case("B3").lminus1_roots())
+    assert rec.dims["kernel"] == rec.values["dim_K_hw"] == dim_lm1
+    assert rec.values["core_rounds"] == 1
+
+
+def _ii_nonzero_at_hw(case, g):
+    # [hw, [hw, v0]] gains a V_2 term, so II(hw, hw) != 0 on the first ideal
+    hw = highest_weight_roots_of_l1(case)[0]
+    v1 = tuple(a + b for a, b in zip(hw, case.v0_root))
+    v2 = next(v for v in case.V_roots if case.V_root_level[v] == 2)
+    i, j = sorted((case.root_index(hw), case.root_index(v1)))
+    case.s_table.brackets[(i, j)] = {case.root_index(v2): 1}
+
+
+def test_ii_at_hw_outside_b3_fails_base_locus():
+    # outside B3 every ideal of l_1 lies in the base locus of II
+    rep = _corrupted_run("F4", _ii_nonzero_at_hw, {"forms"})
+    rec = next(c for c in rep.checks if c.check_id == "base-locus-samples")
+    assert rec.status == "FAIL"
+    assert "error" not in rec.values
+    assert rec.values["ii_pattern_ok"] is False
+    assert exit_code(rep) == 1
+
+
+def _sampled_base_locus(case, seed):
+    """The base-locus verdict from sampled orbit points: II and III at
+    max(10, ideal dims) points per ideal, and the points span each ideal."""
+    forms = fundamental_forms(case)
+    hw = highest_weight_roots_of_l1(case)
+    ideals = [[r for r in case.l1_roots() if case.ideal_of_root(r) == ci]
+              for ci in range(len(hw))]
+    per = max([10, *map(len, ideals)])
+    samples = sample_closed_orbit(case, per, seed)
+    batches = [samples[ci * per:(ci + 1) * per] for ci in range(len(hw))]
+    ii_null = [all(not any(oracles.ii_value(case, forms, b)) for b in batch)
+               for batch in batches]
+    if case.s_label == "B3":
+        marked = [next(m for m in case.marked if case._node_comp[m] == ci)
+                  for ci in range(len(hw))]
+        ii_ok = all(null == (case.embedding_weight.coords[m] == 1)
+                    for null, m in zip(ii_null, marked))
+    else:
+        ii_ok = all(ii_null)
+    return {
+        "iii_vanishes_at_hw": all(oracles.iii_value(case, forms, b) == 0
+                                  for b in samples),
+        "ii_pattern_ok": ii_ok,
+        "hw_generates_each_ideal": all(
+            span(case.s_table.dim, batch).rank == len(ideal)
+            for batch, ideal in zip(batches, ideals)),
+        "strictness_case": case.s_label == "B3",
+    }
+
+
+@pytest.mark.parametrize("label,corrupt", [
+    ("B3", None), ("F4", None), ("E6", None),
+    ("B3", "_swap_line_and_conic"), ("F4", "_ii_nonzero_at_hw"),
+])
+def test_base_locus_at_hw_matches_sampled_evaluation(label, corrupt):
+    case = build_case(label)
+    if corrupt:
+        globals()[corrupt](case, None)
+    ctx = verify._Context(registry_entry(label), case, None,
+                          RunOptions(seed=7), {})
+    [rec] = verify._base_locus_samples(ctx)
+    assert rec["values"] == _sampled_base_locus(case, seed=7)
+    assert rec["status"] == ("FAIL" if corrupt else "PASS")
+
+
+@pytest.mark.parametrize("label,corrupt", [
+    ("B3", None), ("E6", None), ("B3", "_ad_v0_plus_identity_on_g_plus"),
+])
+def test_a_squared_verdict_matches_random_trials(label, corrupt):
+    case = build_case(label)
+    g = build_g(case)
+    if corrupt:
+        globals()[corrupt](case, g)
+    exact = spencer.conjugation_expansion_check(g)
+    trials = oracles.conjugation_expansion_check(g, trials=5, seed=7)
+    assert exact.status == trials.status == ("FAIL" if corrupt else "PASS")
+
+
+def test_no_status_reads_the_seed():
+    # the reports at two seeds differ only in the seed and in the sampled
+    # cross-check of xvv-kernel
+    def records(seed):
+        out = []
+        for label, groups in [("B3", {"all"}), ("D4", {"all"}),
+                              ("F4", {"all"}), ("E6", {"all"}),
+                              ("E8", {"forms", "xvv", "gstructure"})]:
+            doc = run(label, groups, RunOptions(seed=seed)).to_json_dict()
+            assert doc["environment"].pop("seed") == seed
+            for rec in doc["checks"]:
+                if rec["id"] == "xvv-kernel":
+                    del rec["values"]["sampled_kernel"]
+                    del rec["values"]["samples"]
+            out.append(doc)
+        return out
+
+    assert records(7) == records(8)
+
+
 def test_lost_v3_fails_six_families(monkeypatch):
     def drop_v3(g):
         g.V_level_indices = {**g.V_level_indices, 3: ()}
@@ -664,6 +779,16 @@ def _swap_line_and_conic(case, g):
         w, coords=tuple(swap.get(c, c) for c in w.coords))
 
 
+def _zero_lminus1_l1_brackets(case, g):
+    # [l_{-1}, l_1] = 0 in s: K(hw) is all of l_{-1}, and l_0 keeps it
+    s = case.s_table
+    lm1 = {case.root_index(r) for r in case.lminus1_roots()}
+    l1 = {case.root_index(r) for r in case.l1_roots()}
+    for i, j in s.brackets:
+        if (i in lm1 and j in l1) or (i in l1 and j in lm1):
+            s.brackets[(i, j)] = {}
+
+
 def _l1_bracket_hits_v0(case, g):
     a, b = g.l1_indices[:2]
     _set_bracket(g, a, b, {g.v0_index: 1})
@@ -762,9 +887,7 @@ NEGATIVE_CONTROLS = {
     "sigma-form": ("B3", lambda case, g: _zero_sigma_pair(case), None),
     "fundamental-forms": ("B3", lambda case, g: _zero_beta_entry(case), None),
     "base-locus-samples": ("B3", _swap_line_and_conic, None),
-    # PASS or INCONCLUSIVE are its only verdicts: it FAILs on errors only
-    "xvv-kernel": ("B3", lambda case, g: _merged_ideals(case),
-                   "highest weight"),
+    "xvv-kernel": ("B3", _zero_lminus1_l1_brackets, None),
     "g-jacobi": ("B3", lambda case, g: _double_g1_g1(g), None),
     "g-dims": ("B3", lambda case, g: _v3_to_degree_4(g), None),
     "identity-eII-coefficients": ("B3", _l1_bracket_hits_v0, None),
