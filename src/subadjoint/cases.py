@@ -15,10 +15,13 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 from .liecore import (
+    ConsistencyError,
     Grading,
     LieAlgebraTable,
+    _check,
     contact_grading,
     line_stabilizer,
 )
@@ -44,19 +47,6 @@ from .rootsys import (
 
 class CaseExcludedError(ValueError):
     """Raised for labels with no subadjoint case."""
-
-
-class CaseConsistencyError(RuntimeError):
-    """The built case or its g disagrees with an independent construction:
-    grading bookkeeping, line stabilizers, iterated brackets or the
-    marked-node table.
-    """
-
-
-def _check(ok: bool, message: str) -> None:
-    """Raise CaseConsistencyError unless ok (an assert would vanish under -O)."""
-    if not ok:
-        raise CaseConsistencyError(message)
 
 
 # marked-node oracle per case: (factor type, 1-based Bourbaki index of the
@@ -146,8 +136,9 @@ class SubadjointCase:
         The l basis is `_l_basis_vectors`: the simple coroots of l, then the
         root vectors of l.  Root-vector entries map by position; the Cartan
         part h gets t = C_l^{-T} (<beta_j, h>)_j, in integers over the one
-        denominator of C_l^{-1}.  Raises ValueError if v has a root
-        component outside l or h is not sum_i t_i beta_i^vee.
+        denominator of C_l^{-1}.  Raises ConsistencyError if v has a root
+        component outside l or h is not sum_i t_i beta_i^vee: l is closed
+        under the bracket, so only a corrupted table gets there.
         """
         rank, nh = self.rs.rank, len(self.l_simple_roots)
         h = {k: c for k, c in v.items() if k < rank}
@@ -162,13 +153,13 @@ class SubadjointCase:
                 if t:
                     out[i] = Fraction(t, den)
                     vec_add_scaled(back, cor, t)
-            if back != {k: den * c for k, c in h.items()}:
-                raise ValueError("Cartan part outside the coroot span of l")
+            _check(back == {k: den * c for k, c in h.items()},
+                   "Cartan part outside the coroot span of l")
         for k, c in v.items():
             if k >= rank:
                 pos = self._l_root_pos.get(k)
                 if pos is None:
-                    raise ValueError(
+                    raise ConsistencyError(
                         f"root {self.root_of_index(k)} is not a root of l")
                 out[nh + pos] = c
         return out
@@ -728,9 +719,15 @@ def check_xvv(case: SubadjointCase, samples: list[Vec]) -> XvvCertificate:
 
     A zero kernel on finitely many orbit points certifies the full claim
     (the kernel over the whole orbit cone is contained in this one); a
-    nonzero kernel is INCONCLUSIVE, never a refutation.
+    nonzero kernel is INCONCLUSIVE, never a refutation.  Each point is
+    scaled by the lcm m of its denominators first: [[a, m b], m b] =
+    m^2 [[a, b], b], so the kernel is the same and is found in integers.
     """
-    kdim = len(bracket_kernel(case, samples))
+    points = []
+    for b in samples:
+        m = lcm(*(c.denominator for c in b.values()))
+        points.append({k: int(c * m) for k, c in b.items()})
+    kdim = len(bracket_kernel(case, points))
     status = "PASS" if kdim == 0 else "INCONCLUSIVE"
     return XvvCertificate(status=status, samples_used=len(samples),
                           kernel_dim=kdim)

@@ -1,8 +1,9 @@
 """Batch verification CLI.
 
-Exit codes: 0 all checks pass, 1 any check fails, 2 only
+Exit codes: 0 all checks pass, 1 any check fails (a broken input, one
+that breaks a property the construction relies on, is a FAIL too), 2 only
 INCONCLUSIVE/SKIPPED degradations, 3 usage errors (including excluded or
-unknown case ids).
+unknown case ids).  Any other exception is a bug and ends in a traceback.
 """
 
 from __future__ import annotations

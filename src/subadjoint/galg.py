@@ -12,13 +12,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .cases import (
-    CaseConsistencyError,
-    SubadjointCase,
-    _check,
-    _l_basis_vectors,
-)
-from .liecore import LieAlgebraTable, check_jacobi
+from .cases import SubadjointCase, _l_basis_vectors
+from .liecore import LieAlgebraTable, _check, check_jacobi
 from .linalg import SparseRationalMatrix, Vec, span, vec_add_scaled
 
 
@@ -63,19 +58,13 @@ def build_g(case: SubadjointCase) -> GAlgebra:
     l_pos = {key: l_offset + i for i, key in enumerate(l_keys)}
     v_pos = {r: v_offset + i for i, r in enumerate(case.V_roots)}
 
+    # every key (i, j) has i < j: Id is index 0, l indices precede V
+    # indices, and the l table stores its pairs with i < j
     brackets: dict[tuple[int, int], Vec] = {}
-
-    def put(i, j, vec):
-        if not vec:
-            return
-        if i < j:
-            brackets[(i, j)] = vec
-        else:
-            brackets[(j, i)] = {k: -v for k, v in vec.items()}
 
     # [Id, v] = v for v in V; [Id, l] = 0
     for r in case.V_roots:
-        put(0, v_pos[r], {v_pos[r]: 1})
+        brackets[(0, v_pos[r])] = {v_pos[r]: 1}
     # [l, l] from the restricted table of l, [l, V] from s; [V, V] = 0 by
     # construction of the semidirect product
     l_rows: dict[int, list] = {}  # i -> [(j, [l_i, l_j])], j ascending
@@ -87,8 +76,9 @@ def build_g(case: SubadjointCase) -> GAlgebra:
     s_index_to_v = {k: v_offset + i for i, k in enumerate(v_idx)}
     for i in range(nl):
         for j, b in l_rows.get(i, ()):
-            put(l_offset + i, l_offset + j,
-                {l_offset + k: c for k, c in b.items()})
+            if b:
+                brackets[(l_offset + i, l_offset + j)] = {
+                    l_offset + k: c for k, c in b.items()}
         # for a root vector e_r of l, [e_r, e_v] is one stored entry of s
         x = case.root_index(l_keys[i][1]) if i >= nh else None
         for k in v_idx:
@@ -99,8 +89,8 @@ def build_g(case: SubadjointCase) -> GAlgebra:
             else:
                 b = {w: -c for w, c in st.brackets.get((k, x), {}).items()}
             if b:
-                put(l_offset + i, s_index_to_v[k],
-                    {s_index_to_v[w]: c for w, c in b.items()})
+                brackets[(l_offset + i, s_index_to_v[k])] = {
+                    s_index_to_v[w]: c for w, c in b.items()}
 
     labels = ["Id"] + [
         ("H" if k[0] == "h" else "x") + "".join(f"{c:+d}" for c in k[1])
@@ -158,8 +148,7 @@ def _validate_g(g: GAlgebra) -> None:
     # V abelian ideal: [V, V] = 0 and [g, V] in V
     vidx = set(range(g.v_offset, t.dim))
     for (i, j), vec in t.brackets.items():
-        if i in vidx and j in vidx:
-            raise CaseConsistencyError("V not abelian in g")
+        _check(not (i in vidx and j in vidx), "V not abelian in g")
         if i in vidx or j in vidx:
             _check(set(vec) <= vidx, "V not an ideal")
     # Id acts as the identity on V and zero on l

@@ -16,8 +16,17 @@ from .linalg import (RrefBasis, SparseRationalMatrix, Vec, span,
                      vec_add_scaled, vec_scale)
 
 
-class InvalidGradingElement(ValueError):
-    """ad(h) is not diagonalizable with integer spectrum over Q."""
+class ConsistencyError(Exception):
+    """An input breaks a property the construction relies on: root data, a
+    Chevalley table, a grading, a case or its g disagreeing with an
+    independent construction, or a prolongation input.  The message names
+    the property."""
+
+
+def _check(ok: bool, message: str) -> None:
+    """Raise ConsistencyError unless ok (an assert would vanish under -O)."""
+    if not ok:
+        raise ConsistencyError(message)
 
 
 @dataclass
@@ -159,17 +168,15 @@ def grade_by_element(L: LieAlgebraTable, h: Vec) -> Grading:
 
     That holds whenever h lies in the Cartan subalgebra of a Chevalley-basis
     table, the only gradings the verifier builds; any other h raises
-    InvalidGradingElement.
+    ConsistencyError.
     """
     cols = L.ad_columns(h)
     degree = {}
     for j, col in enumerate(cols):
-        if not set(col) <= {j}:
-            raise InvalidGradingElement(
-                f"ad(h) is not diagonal in the basis (column {j})")
+        _check(set(col) <= {j},
+               f"ad(h) is not diagonal in the basis (column {j})")
         ev = col.get(j, 0)
-        if ev.denominator != 1:
-            raise InvalidGradingElement(f"non-integer eigenvalue {ev}")
+        _check(ev.denominator == 1, f"non-integer eigenvalue {ev}")
         degree[j] = int(ev)
     return Grading(degree=degree)
 
@@ -178,17 +185,16 @@ def contact_grading(L: LieAlgebraTable, rs) -> Grading:
     """The 5-grading of a simple algebra by the coroot of the highest root.
 
     Basis layout must be the chevalley_table layout for rs.  The extreme
-    components are 1-dimensional; InvalidGradingElement is raised otherwise.
+    components are 1-dimensional; ConsistencyError is raised otherwise.
     """
     cor = rs.coroot_coords(rs.highest_root)
     h: Vec = {i: c for i, c in enumerate(cor) if c}
     g = grade_by_element(L, h)
     dims = g.dims()
-    if not set(dims) <= {-2, -1, 0, 1, 2}:
-        raise InvalidGradingElement(
-            f"contact grading degrees {list(dims)} out of range")
-    if not dims.get(2) == dims.get(-2) == 1:
-        raise InvalidGradingElement("extreme contact components must be lines")
+    _check(set(dims) <= {-2, -1, 0, 1, 2},
+           f"contact grading degrees {list(dims)} out of range")
+    _check(dims.get(2) == dims.get(-2) == 1,
+           "extreme contact components must be lines")
     return g
 
 

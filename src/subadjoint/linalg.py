@@ -12,16 +12,15 @@ exact rationals, `int` when integral (a `Fraction` otherwise).
   dense inverse (`integer_inverse`: the Cartan inverses of s and of l).
   It shares no code with RrefBasis.
 - ModpDenseRref is the RrefBasis accumulator over a prime field (float64
-  rows reduced through BLAS).  No check uses it: it remains for rank
-  cross-checks and for the benchmark's solve tracing.  A mod-p rank is
-  always a lower bound on the exact rank.  numpy is imported only by the
-  mod-p helpers (ModpDenseRref, rows_to_modp_array), so importing the
+  rows reduced through BLAS).  No check uses it: it and rows_to_modp_array
+  stay only because perfbench/tracer.py wraps them, until benchmark v2
+  retires the mod-p path.  A mod-p rank is always a lower bound on the
+  exact rank.  numpy is imported only by these two, so importing the
   package does not load it.
 """
 
 from __future__ import annotations
 
-import random
 from fractions import Fraction
 from math import lcm
 from typing import Iterable
@@ -32,7 +31,6 @@ Vec = dict  # {int: int | Fraction}
 # p < 2**20 and the inner dimension chunked at 4096, every intermediate is an
 # integer below 4096 * (2**20)**2 = 2**52 < 2**53, hence exactly represented.
 MODP_BITS = 20
-_MODP_LO = 1 << (MODP_BITS - 1)
 _MODP_HI = 1 << MODP_BITS
 _MATMUL_BLOCK = 4096
 
@@ -188,9 +186,6 @@ class ModpDenseRref:
     def rank(self) -> int:
         return self.nrows
 
-    def kernel_dim(self) -> int:
-        return self.ncols - self.nrows
-
     def _grow(self, extra: int) -> None:
         import numpy as np
         need = self.nrows + extra
@@ -268,53 +263,6 @@ class ModpDenseRref:
         self.nrows += len(new)
         self.piv_cols.extend(newcols)
 
-    def kernel_basis(self) -> np.ndarray:
-        import numpy as np
-        free = [c for c in range(self.ncols) if c not in set(self.piv_cols)]
-        K = np.zeros((len(free), self.ncols), dtype=np.int64)
-        for i, f in enumerate(free):
-            K[i, f] = 1
-            for j, pc in enumerate(self.piv_cols):
-                v = int(self.R[j, f])
-                if v:
-                    K[i, pc] = (-v) % self.p
-        return K
-
-
-def _is_probable_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    for q in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
-        if n % q == 0:
-            return n == q
-    d = n - 1
-    s = 0
-    while d % 2 == 0:
-        d //= 2
-        s += 1
-    for a in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
-        x = pow(a, d, n)
-        if x in (1, n - 1):
-            continue
-        for _ in range(s - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
-
-
-def modp_primes(seed: int, count: int = 2) -> list[int]:
-    """Deterministic pseudorandom primes just under 2**25."""
-    rng = random.Random(f"subadjoint-primes-{seed}")
-    out: list[int] = []
-    while len(out) < count:
-        cand = rng.randrange(_MODP_LO, _MODP_HI) | 1
-        if cand not in out and _is_probable_prime(cand):
-            out.append(cand)
-    return out
-
 
 def rows_to_modp_array(rows: list[Vec], ncols: int, p: int) -> np.ndarray:
     """Dense float64 reduction of sparse rational rows modulo p."""
@@ -331,7 +279,7 @@ def rows_to_modp_array(rows: list[Vec], ncols: int, p: int) -> np.ndarray:
 
 
 class SparseRationalMatrix:
-    """Row-sparse exact matrix with kernel/rank/det and a mod-p rank."""
+    """Row-sparse exact matrix with kernel, rank, det and solve."""
 
     def __init__(self, nrows: int, ncols: int, rows: list[Vec]):
         self.nrows = nrows
@@ -372,13 +320,6 @@ class SparseRationalMatrix:
 
     def kernel(self) -> list[Vec]:
         return span(self.ncols, self.rows).kernel_basis()
-
-    def rank_modp(self, p: int, batch: int = 512) -> int:
-        acc = ModpDenseRref(self.ncols, p)
-        for lo in range(0, len(self.rows), batch):
-            chunk = self.rows[lo : lo + batch]
-            acc.add_batch(rows_to_modp_array(chunk, self.ncols, p))
-        return acc.rank
 
     def solve(self, b: Vec) -> Vec | None:
         """One exact solution of Mx = b, or None if inconsistent.

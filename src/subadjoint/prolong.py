@@ -21,14 +21,14 @@ reaches dim minus that floor.  `prolongation` then substitutes every
 kernel basis map into the equation.  Substitution accumulates only the
 terms that can be nonzero, found from the support of the map, the
 brackets and the action tables.  A failed substitution raises
-ProlongConsistencyError, not an assert, so `python -O` keeps the check.
+ConsistencyError, not an assert, so `python -O` keeps the check.
 
 One `_Tower` holds a run: its input (`tower.inp`), the stored levels and
 the action tables.  `_Tower.validate` checks the input, and every solve
 routine here takes the tower alone.  `g_tower(g)` returns the tower of a
 graded Lie algebra g = g_{-1} + ... + g_3, built in one pass over its
 brackets (n_+ = g_+, n_0 = ad g_0, level 1 = ad g_{-1}); a bracket that
-breaks the grading stops it with ProlongConsistencyError.
+breaks the grading stops it with ConsistencyError.
 """
 
 from __future__ import annotations
@@ -36,26 +36,13 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from itertools import accumulate
 
-from .liecore import LieAlgebraTable, bracket_index, jacobi_violations
+from .liecore import (ConsistencyError, LieAlgebraTable, _check,
+                      bracket_index, jacobi_violations)
 from .linalg import RrefBasis, Vec, span
 
 
 class ProlongDepthError(RuntimeError):
     """k_max beyond the safety bound: the prolongation may be infinite."""
-
-
-class ProlongConsistencyError(RuntimeError):
-    """The input is not a graded nilpotent algebra with degree-0 derivations
-    (n_+ violates Jacobi, say), a witness or kernel map fails the
-    compatibility equation, or the computed dimensions vanish
-    non-monotonically.
-
-    `witness` is True when a supplied witness map failed.
-    """
-
-    def __init__(self, message: str, witness: bool = False):
-        super().__init__(message)
-        self.witness = witness
 
 
 DEPTH_LIMIT = 6  # deeper levels need allow_deep
@@ -80,12 +67,6 @@ class ProlongInput:
     @property
     def n0_dim(self) -> int:
         return len(self.n0_mats)
-
-
-def _require(ok: bool, message: str) -> None:
-    """Raise ProlongConsistencyError unless ok (an assert would vanish under -O)."""
-    if not ok:
-        raise ProlongConsistencyError(message)
 
 
 def _flatten(mat, n) -> Vec:
@@ -196,7 +177,7 @@ class _Tower:
         return self._index
 
     def validate(self) -> None:
-        """Raise ProlongConsistencyError unless n_+ is a graded Lie algebra
+        """Raise ConsistencyError unless n_+ is a graded Lie algebra
         generated in degree 1 and n_0 a commutator-closed family of
         independent degree-preserving derivations.
 
@@ -218,14 +199,14 @@ class _Tower:
         """
         inp = self.inp
         n, degrees = inp.dim, inp.degrees
-        _require(len(degrees) == n and all(d >= 1 for d in degrees),
-                 "degrees must be >= 1, one per basis vector")
-        if jacobi_violations(*self.bracket_index()):
-            raise ProlongConsistencyError("n_+ violates Jacobi")
+        _check(len(degrees) == n and all(d >= 1 for d in degrees),
+               "degrees must be >= 1, one per basis vector")
+        _check(not jacobi_violations(*self.bracket_index()),
+               "n_+ violates Jacobi")
         for (i, j), vec in inp.nplus.brackets.items():
             dd = degrees[i] + degrees[j]
-            _require(all(degrees[k] == dd for k in vec),
-                     f"bracket ({i}, {j}) is not additive in degree")
+            _check(all(degrees[k] == dd for k in vec),
+                   f"bracket ({i}, {j}) is not additive in degree")
         comp = self.comp_list
         for d, ix in comp.items():
             if d == 1:
@@ -235,11 +216,11 @@ class _Tower:
                 for j in comp.get(d - 1, ()):
                     if span.rank < len(ix):
                         span.add(inp.nplus.bracket_basis(i, j))
-            _require(span.rank == len(ix), "degree-1 component does not generate")
+            _check(span.rank == len(ix), "degree-1 component does not generate")
         for a, mat in enumerate(inp.n0_mats):
-            _require(all(degrees[k] == degrees[j]
-                         for j, col in enumerate(mat) for k in col),
-                     f"n0 element {a} is not degree-preserving")
+            _check(all(degrees[k] == degrees[j]
+                       for j, col in enumerate(mat) for k in col),
+                   f"n0 element {a} is not degree-preserving")
         # a degree-preserving derivation is a level-0 solution of the
         # compatibility equation; its columns are its row of the level-0
         # action table, whose degree-1 sources hold its degree-1 block
@@ -249,11 +230,11 @@ class _Tower:
         cols, rows = [], []  # per element: {k: column k}, {k: row k} of A_1
         for a, slot in enumerate(self.action(0)):
             phi = [slot.get(j, {}) for j in range(n)]
-            _require(residual_is_zero(self, 0, phi),
-                     f"n0 element {a} is not a derivation")
+            _check(residual_is_zero(self, 0, phi),
+                   f"n0 element {a} is not a derivation")
             block = [phi[j] for j in ones]
-            _require(flat.add(_flatten(block, m)),
-                     "n0 matrices are linearly dependent")
+            _check(flat.add(_flatten(block, m)),
+                   "n0 matrices are linearly dependent")
             cols.append({k: col for k, col in enumerate(block) if col})
             row: dict[int, Vec] = {}
             for j, col in enumerate(block):
@@ -276,8 +257,8 @@ class _Tower:
                             for j, c in yk.items():
                                 key = i * m + j
                                 comm[key] = comm.get(key, 0) + sv * c
-                _require(not any(comm.values()) or flat.contains(comm),
-                         "n0 not closed under commutator")
+                _check(not any(comm.values()) or flat.contains(comm),
+                       "n0 not closed under commutator")
 
 
 def unknown_layout(tower: _Tower, k: int):
@@ -411,7 +392,7 @@ def prolongation(inp: ProlongInput, k_max: int, witnesses: dict | None = None,
     prolongation; they are verified by substitution and their rank is the
     floor at which `forced_rank` stops.  `stopped_early[k]` says whether it
     stopped with rows left.  Raises ProlongDepthError for k_max beyond
-    DEPTH_LIMIT unless allow_deep, and ProlongConsistencyError if the input
+    DEPTH_LIMIT unless allow_deep, and ConsistencyError if the input
     fails `_Tower.validate` or a witness or kernel map fails
     substitution.
     """
@@ -431,19 +412,15 @@ def prolongation(inp: ProlongInput, k_max: int, witnesses: dict | None = None,
     for k in range(1, k_max + 1):
         offsets, sizes, ncols = unknown_layout(tower, k)
         wits = witnesses.get(k, [])
-        if not all(residual_is_zero(tower, k, phi) for phi in wits):
-            raise ProlongConsistencyError(
-                f"witness map fails the compatibility equation at level {k}",
-                witness=True)
+        _check(all(residual_is_zero(tower, k, phi) for phi in wits),
+               f"witness map fails the compatibility equation at level {k}")
         acc, stopped[k] = forced_rank(tower, k, offsets, ncols,
                                       witness_rank(wits))
         dims[k] = acc.kernel_dim()
         basis = [_kernel_vec_to_map(offsets, sizes, vec)
                  for vec in acc.kernel_basis()]
-        for phi in basis:
-            if not residual_is_zero(tower, k, phi):
-                raise ProlongConsistencyError(
-                    f"solver kernel fails substitution at level {k}")
+        _check(all(residual_is_zero(tower, k, phi) for phi in basis),
+               f"solver kernel fails substitution at level {k}")
         tower.bases[k] = basis
 
     res = ProlongResult(
@@ -451,8 +428,7 @@ def prolongation(inp: ProlongInput, k_max: int, witnesses: dict | None = None,
         bases={k: tower.bases.get(k, []) for k in dims},
         stopped_early=stopped,
     )
-    if not res.monotone_vanishing_ok():
-        raise ProlongConsistencyError("vanishing is not monotone")
+    _check(res.monotone_vanishing_ok(), "vanishing is not monotone")
     return res
 
 
@@ -472,7 +448,7 @@ def g_tower(g) -> _Tower:
     (u, w) for u in g_+ and w in g_{deg u - k}, both in g-index order.
 
     A bracket with a g_+ element and a term outside g_{deg i + deg j}
-    raises ProlongConsistencyError.  The input is not validated otherwise
+    raises ConsistencyError.  The input is not validated otherwise
     (the returned tower's `validate` does that), so a corrupted table still
     yields rows and the checks built on them FAIL instead of raising.
     """
@@ -489,7 +465,7 @@ def g_tower(g) -> _Tower:
         if di < 1 and dj < 1:
             continue
         if any(degree[w] != di + dj for w in vec):
-            raise ProlongConsistencyError(
+            raise ConsistencyError(
                 f"[{t.labels[i]}, {t.labels[j]}] is not in g_{di + dj}: "
                 f"the grading of g is not additive")
         if di >= 1 and dj >= 1:

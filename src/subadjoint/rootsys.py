@@ -29,23 +29,9 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 
-from .liecore import LieAlgebraTable
+from .liecore import ConsistencyError, LieAlgebraTable, _check
 
 Root = tuple  # integer coordinates in the simple-root basis
-
-
-class RootDataError(ValueError):
-    """Root data that breaks what the construction relies on: the positive
-    root count, a unique dominant highest root, a nonzero extraspecial
-    constant, integral Chevalley constants and coroot coefficients, half
-    lengths in {1, 1/2, 1/3}, or a Dynkin diagram of one of the supported
-    types."""
-
-
-def _require(ok: bool, message: str) -> None:
-    """Raise RootDataError unless ok (an assert would vanish under -O)."""
-    if not ok:
-        raise RootDataError(message)
 
 
 _CLASSICAL_POSITIVE_COUNTS = {
@@ -142,10 +128,6 @@ class RootSystem:
     _coroots: dict = field(default_factory=dict, init=False, repr=False,
                            compare=False)  # root -> coroot_coords(root)
 
-    @property
-    def type_label(self) -> str:
-        return f"{self.series}{self.rank}"
-
     def pairing(self, x, i: int):
         """<x, a_i^vee> for x in simple-root coordinates (an `int` for
         integral x)."""
@@ -158,8 +140,8 @@ class RootSystem:
             tuple(6 * d * c for c in row)
             for d, row in zip(self.half_lengths, self.cartan)
         )
-        _require(all(v.denominator == 1 for row in out for v in row),
-                 "half lengths outside {1, 1/2, 1/3}")
+        _check(all(v.denominator == 1 for row in out for v in row),
+               "half lengths outside {1, 1/2, 1/3}")
         return tuple(tuple(int(v) for v in row) for row in out)
 
     def form6(self, x, y) -> int:
@@ -203,7 +185,7 @@ class RootSystem:
     def coroot_coords(self, alpha) -> tuple:
         """alpha^vee = sum_i c_i a_i^vee; returns the integer c_i, cached per
         root.  c_i = alpha_i 6(a_i, a_i) / 6(alpha, alpha), an exact division
-        or RootDataError."""
+        or ConsistencyError."""
         alpha = tuple(alpha)
         out = self._coroots.get(alpha)
         if out is None:
@@ -211,7 +193,7 @@ class RootSystem:
             out = []
             for i, x in enumerate(alpha):
                 c, rem = divmod(x * self._form6[i][i], norm6)
-                _require(not rem, f"non-integral coroot coefficient of {alpha}")
+                _check(not rem, f"non-integral coroot coefficient of {alpha}")
                 out.append(c)
             out = self._coroots[alpha] = tuple(out)
         return out
@@ -267,18 +249,18 @@ def build_root_system(label: str) -> RootSystem:
         layers.append(sorted(nxt))
     positives = tuple(r for layer in layers for r in sorted(layer))
     expected = _CLASSICAL_POSITIVE_COUNTS[series](rank)
-    _require(len(positives) == expected,
-             f"{label}: closure produced {len(positives)} positive roots, "
-             f"expected {expected}")
+    _check(len(positives) == expected,
+           f"{label}: closure produced {len(positives)} positive roots, "
+           f"expected {expected}")
     top_height = max(root_height(r) for r in positives)
     tops = [r for r in positives if root_height(r) == top_height]
-    _require(len(tops) == 1, f"{label}: highest root is not unique")
+    _check(len(tops) == 1, f"{label}: highest root is not unique")
     theta = tops[0]
-    _require(all(all(theta[i] >= r[i] for i in range(rank)) for r in positives),
-             f"{label}: highest root does not dominate every positive root")
+    _check(all(all(theta[i] >= r[i] for i in range(rank)) for r in positives),
+           f"{label}: highest root does not dominate every positive root")
     # root strings have length at most 4, so every vector the root code is
     # read on has coordinates of size at most 6 + 4 * 6 = 30
-    _require(max(theta) <= 6, f"{label}: root coordinates exceed the root code")
+    _check(max(theta) <= 6, f"{label}: root coordinates exceed the root code")
     d = _simple_root_half_lengths(C)
     return RootSystem(
         series=series,
@@ -326,7 +308,7 @@ def _quotient(num: int, den: int, a: Root, b: Root) -> int:
     """num / den, which is the constant N(a, b) and so an integer."""
     q, r = divmod(num, den)
     if r:
-        raise RootDataError(
+        raise ConsistencyError(
             f"structure constant N({a}, {b}) = {Fraction(num, den)} is not "
             f"an integer")
     return q
@@ -334,7 +316,7 @@ def _quotient(num: int, den: int, a: Root, b: Root) -> int:
 
 class ChevalleyConstants:
     """All N(a, b) for a Chevalley basis, built by the height recursion in
-    integer arithmetic: each division is exact or raises RootDataError.
+    integer arithmetic: each division is exact or raises ConsistencyError.
 
     The recursion runs on root indices into `rs.all_roots()`: index i < P
     is the i-th positive root (height order), i + P its negative, and the
@@ -403,7 +385,7 @@ class ChevalleyConstants:
             if bmx is not None:
                 rhs -= self._n(b, mxi) * self._n(bmx, a)
             if not lhs_coef:
-                raise RootDataError(
+                raise ConsistencyError(
                     f"extraspecial constant N({self._roots[s]}, "
                     f"-{self._roots[xi]}) vanished")
             return _quotient(rhs, lhs_coef, self._roots[a], self._roots[b])
@@ -429,7 +411,7 @@ def chevalley_table(rs: RootSystem) -> LieAlgebraTable:
 
     Basis: h_1..h_rank, then e_alpha over all roots (positives in closure
     order, then negatives).  Constants are stored as `int`; a non-integral
-    or vanishing one raises RootDataError.  A pair of roots costs one
+    or vanishing one raises ConsistencyError.  A pair of roots costs one
     lookup of the code of its sum, and only the pairs whose sum is a root
     or zero reach the constants.  Deterministic: two calls on equal input
     give identical tables.
@@ -458,8 +440,9 @@ def chevalley_table(rs: RootSystem) -> LieAlgebraTable:
                 b = roots[ib]
                 c = nconst.n(a, b)
                 if c.denominator != 1 or not c:
-                    raise RootDataError(f"structure constant N({a}, {b}) = {c} "
-                                        f"is not a nonzero integer")
+                    raise ConsistencyError(
+                        f"structure constant N({a}, {b}) = {c} is not a "
+                        f"nonzero integer")
                 brackets[(rank + ia, rank + ib)] = {rank + s: int(c)}
             elif ib == ia + npos:
                 cor = rs.coroot_coords(a)
@@ -548,12 +531,12 @@ def _classify_component(C, nodes, adj) -> DynkinComponent:
             nxt = [w for w in local_adj[cur] if w != prev]
             if not nxt:
                 return path
-            _require(len(nxt) == 1, "diagram branches where a path is required")
+            _check(len(nxt) == 1, "diagram branches where a path is required")
             prev, cur = cur, nxt[0]
             path.append(cur)
 
     if maxmult == 3:
-        _require(k == 2, "triple edge only in G2")
+        _check(k == 2, "triple edge only in G2")
         # Bourbaki G2: a1 short, a2 long; the short root's row holds the -3
         a, b = nodes
         if C[a][b] == -3:
@@ -561,12 +544,12 @@ def _classify_component(C, nodes, adj) -> DynkinComponent:
         return DynkinComponent("G", 2, (b, a))
 
     if maxmult == 2:
-        _require(max(degrees.values()) <= 2 and len(ends) == 2,
-                 "double edge requires a path")
+        _check(max(degrees.values()) <= 2 and len(ends) == 2,
+               "double edge requires a path")
         path = walk_path(ends[0])
         dbl = [(path[i], path[i + 1]) for i in range(k - 1)
                if mults[(path[i], path[i + 1])] == 2]
-        _require(len(dbl) == 1, "path carries more than one double edge")
+        _check(len(dbl) == 1, "path carries more than one double edge")
         i = path.index(dbl[0][0])
         if k == 2:
             # B2 = C2: normalize to B2, long root first
@@ -583,7 +566,7 @@ def _classify_component(C, nodes, adj) -> DynkinComponent:
             if C[w][v] == -2:
                 return DynkinComponent("B", k, tuple(path))
             return DynkinComponent("C", k, tuple(path))
-        _require(k == 4, "interior double edge only in F4")
+        _check(k == 4, "interior double edge only in F4")
         v, w = path[1], path[2]
         if C[v][w] == -1:  # long side first (Bourbaki F4: a2 long, a3 short)
             return DynkinComponent("F", 4, tuple(path))
@@ -595,7 +578,7 @@ def _classify_component(C, nodes, adj) -> DynkinComponent:
         path = walk_path(ends[0])
         alt = walk_path(ends[1])
         return DynkinComponent("A", k, tuple(min(path, alt)))
-    _require(len(branch) == 1, "only one branch node in A-D-E")
+    _check(len(branch) == 1, "only one branch node in A-D-E")
     b = branch[0]
     tails = []
     for w in sorted(local_adj[b]):
@@ -616,7 +599,7 @@ def _classify_component(C, nodes, adj) -> DynkinComponent:
         long = tails[2]
         order = list(reversed(long)) + [b] + [tails[0][0], tails[1][0]]
         return DynkinComponent("D", k, tuple(order))
-    _require((l1, l2) == (1, 2) and k in (6, 7, 8), "unrecognized diagram")
+    _check((l1, l2) == (1, 2) and k in (6, 7, 8), "unrecognized diagram")
     # E_k in Bourbaki order: a1 a3 a4 a5 ... on the long path, a2 the stub
     arm2, arm_long = tails[1], tails[2]
     order = [arm2[1], tails[0][0], arm2[0], b] + arm_long

@@ -19,8 +19,8 @@ from fractions import Fraction
 from itertools import combinations
 from math import comb
 
-from .cases import _check
 from .galg import GAlgebra, operator_a
+from .liecore import _check
 from .linalg import SparseRationalMatrix
 from .prolong import (
     forced_rank,

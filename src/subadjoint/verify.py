@@ -7,10 +7,17 @@ every run does), the ids it records and a function of the case's
 _Context, which returns one dict of record fields per id.  `run` calls the
 entries of the selected groups in table order.
 
-Error policy: an entry that raises CaseConsistencyError or
-ProlongConsistencyError (the input contradicts the construction) records
-each of its ids as FAIL with {"error": message}; any other exception is a
-bug and propagates out of `run`.
+Error policy, one rule per kind of error:
+- broken input: a ConsistencyError (the input breaks a property the
+  construction relies on) records each id of the entry that raised it as
+  FAIL with {"error": message}.  The case and g are built inside that
+  catch, on the first read, so a case that cannot be built FAILs every
+  selected id and its report's dims are empty; `verify` exits 1.
+- usage error: an excluded case (CaseExcludedError), an unknown case id
+  or check group raise out of `run`, and `verify` exits 3, as it does for
+  an unwritable --out.  ProlongDepthError, a `prolongation` deeper than
+  its bound, is a usage error of the library; no check raises it.
+- any other exception is a bug and propagates out of `run`.
 
 Each record's millis is the time since the previous entry ended, so the
 first record, case-dims, includes building the case and g.  Reports are
@@ -28,7 +35,6 @@ from functools import cached_property
 
 from . import __version__
 from .cases import (
-    CaseConsistencyError,
     CaseExcludedError,
     SubadjointCase,
     build_case,
@@ -39,7 +45,6 @@ from .cases import (
     sample_closed_orbit,
     symplectic_form,
     xvv_core,
-    _check,
     _expected_factors,
 )
 from .galg import (
@@ -49,9 +54,9 @@ from .galg import (
     verify_g_module_structure,
     verify_structure_identities,
 )
-from .liecore import check_jacobi
+from .liecore import ConsistencyError, _check, check_jacobi
 from .linalg import SparseRationalMatrix, span
-from .prolong import ProlongConsistencyError, witness_rank
+from .prolong import witness_rank
 from .rootsys import _RANK_RANGES
 from .spencer import (
     KMIN_SUPPORT,
@@ -221,15 +226,32 @@ def _jsonify(obj):
 
 @dataclass
 class _Context:
-    """One case as its checks read it.  The pieces several checks share are
-    built on first read; a build that raises is not kept, so every check
-    that reads it FAILs with the same error."""
+    """One case as its checks read it.  The case, its g and the pieces
+    several checks share are built on first read; a build that raises is
+    not kept, so every check that reads it FAILs with the same error."""
 
     desc: CaseDescriptor
-    case: SubadjointCase
-    g: GAlgebra
     options: RunOptions
-    dims: dict
+
+    @cached_property
+    def g(self) -> GAlgebra:
+        return build_g(build_case(self.desc.case_id))
+
+    @cached_property
+    def case(self) -> SubadjointCase:
+        # read off g, so that no check reads a case whose g fails to build
+        return self.g.case
+
+    @cached_property
+    def dims(self) -> dict:
+        case, g = self.case, self.g
+        return {
+            "V": case.dim_V, "l1": case.dim_l1, "l": case.dim_l,
+            "V_levels": [list(case.V_root_level.values()).count(j)
+                         for j in range(4)],
+            "g": [g.component_dims().get(d, 0) for d in (-1, 0, 1, 2, 3)],
+            "factors": [c.type_label for c in case.l_components],
+        }
 
     @cached_property
     def forms(self):
@@ -265,23 +287,14 @@ def run(case_id: str, check_set, options: RunOptions | None = None) -> Verificat
         )
 
     t0 = time.monotonic()
-    case = build_case(case_id)
-    g = build_g(case)
-    dims = {
-        "V": case.dim_V, "l1": case.dim_l1, "l": case.dim_l,
-        "V_levels": [list(case.V_root_level.values()).count(j)
-                     for j in range(4)],
-        "g": [g.component_dims().get(d, 0) for d in (-1, 0, 1, 2, 3)],
-        "factors": [c.type_label for c in case.l_components],
-    }
-    ctx = _Context(desc, case, g, options, dims)
+    ctx = _Context(desc, options)
     records = []
     for group, ids, check in CHECKS:
         if group is not None and group not in checks:
             continue
         try:
             results = check(ctx)
-        except (CaseConsistencyError, ProlongConsistencyError) as e:
+        except ConsistencyError as e:
             results = [{"status": "FAIL", "values": {"error": str(e)}}
                        for _ in ids]
         t1 = time.monotonic()
@@ -296,10 +309,11 @@ def run(case_id: str, check_set, options: RunOptions | None = None) -> Verificat
         "convention": "v0 is a lowest weight vector; c(b) from [b, v0] = c(b) v0",
         "weight_claims": "verified at weight level per the cokernel analysis",
     }
+    # case-dims, the first record, holds the dims of a case that was built
     return VerificationReport(
         case_id=case_id, version=__version__,
         checks=records,
-        dims=dims,
+        dims=records[0].dims,
         environment=env,
         vacuous=not records,
     )

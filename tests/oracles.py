@@ -9,7 +9,8 @@ these; the tests compare the package against them:
 - block direct sums of abelian prolongation inputs;
 - `input_from_l`, the (l_1 abelian, ad l_0) input of a case;
 - weight-coordinate conversions and root-string lengths;
-- antisymmetry and grading-additivity scans of a bracket table;
+- antisymmetry and grading-additivity scans of a bracket table, and the
+  Chevalley table in a randomly re-signed basis;
 - the C^{k,2} basis listed term by term, the row order of the Spencer
   differential;
 - II and III evaluated at any point of l_1, and the conjugation expansion
@@ -27,7 +28,8 @@ from subadjoint.galg import operator_a
 from subadjoint.liecore import Grading, LieAlgebraTable
 from subadjoint.linalg import RrefBasis, Vec, integer_inverse, vec_add_scaled
 from subadjoint.prolong import ProlongInput, TaggedMap, _flatten, prolongation
-from subadjoint.rootsys import Root, RootSystem, WeightVector, _string_down
+from subadjoint.rootsys import (Root, RootSystem, WeightVector, _string_down,
+                                chevalley_table)
 
 
 # --------------------------------------------------------------------------
@@ -302,6 +304,27 @@ def bracket_additivity_violations(L: LieAlgebraTable, g: Grading) -> list:
         if any(deg[k] != di + dj for k in vec):
             bad.add((di, dj))
     return sorted(bad)
+
+
+def regauged_table(rs: RootSystem, seed: int) -> LieAlgebraTable:
+    """`chevalley_table(rs)` in the basis e_a -> sigma_a e_a, with
+    sigma_{-a} = sigma_a = +-1 drawn per positive root from a seeded RNG.
+
+    In the new basis [e_i, e_j] = sum_k sigma_i sigma_j sigma_k c_k e_k
+    (sigma = 1 on the Cartan), so N(a, b) becomes sigma_a sigma_b
+    sigma_{a+b} N(a, b) and the Cartan brackets stay.  It is another
+    Chevalley basis of the same algebra: every verdict must be unchanged.
+    """
+    table = chevalley_table(rs)
+    rng = random.Random(f"regauge-{seed}")
+    npos = len(rs.positive_roots)
+    signs = [rng.choice((1, -1)) for _ in range(npos)]
+    sigma = [1] * rs.rank + signs + signs
+    return LieAlgebraTable(
+        dim=table.dim, labels=table.labels,
+        brackets={(i, j): {k: sigma[i] * sigma[j] * sigma[k] * c
+                           for k, c in vec.items()}
+                  for (i, j), vec in table.brackets.items()})
 
 
 # --------------------------------------------------------------------------

@@ -8,7 +8,6 @@ import pytest
 
 from subadjoint import cases
 from subadjoint.cases import (
-    CaseConsistencyError,
     CaseExcludedError,
     _exp_ad,
     _l_basis_vectors,
@@ -21,6 +20,7 @@ from subadjoint.cases import (
     symplectic_form,
 )
 from subadjoint.galg import build_g, verify_g_module_structure
+from subadjoint.liecore import ConsistencyError
 from subadjoint.linalg import (RrefBasis, SparseRationalMatrix, integer_inverse,
                                span)
 
@@ -275,21 +275,22 @@ def test_l_coords(label):
     for i, v in enumerate(_l_basis_vectors(case)):
         assert case.l_coords(v) == {i: Fraction(1)}
     # theta^vee spans the centre of s_0, outside l; V is outside l
-    with pytest.raises(ValueError):
+    with pytest.raises(ConsistencyError, match="outside the coroot span"):
         case.l_coords(case.coroot_vec(case.rs.highest_root))
-    with pytest.raises(ValueError):
+    with pytest.raises(ConsistencyError, match="not a root of l"):
         case.l_coords(case.e(case.v0_root))
 
 
 def test_l_coords_rejects_under_python_O():
     r = _run_under_O([
         "from subadjoint.cases import build_case",
+        "from subadjoint.liecore import ConsistencyError",
         "case = build_case('D4')",
         "for v in (case.coroot_vec(case.rs.highest_root),",
         "          case.e(case.v0_root)):",
         "    try:",
         "        case.l_coords(v)",
-        "    except ValueError:",
+        "    except ConsistencyError:",
         "        continue",
         "    sys.exit(f'{v} accepted as a vector of l')",
     ])
@@ -300,20 +301,20 @@ def test_swapped_osculating_levels_raise():
     case = build_case("B3")
     case.V_root_level = {v: {1: 2, 2: 1}.get(j, j)
                          for v, j in case.V_root_level.items()}
-    with pytest.raises(CaseConsistencyError):
+    with pytest.raises(ConsistencyError, match="bracket route disagrees"):
         _validate_case(case)
 
 
 def test_swapped_osculating_levels_raise_under_python_O():
     r = _run_under_O([
-        "from subadjoint.cases import (",
-        "    CaseConsistencyError, _validate_case, build_case)",
+        "from subadjoint.cases import _validate_case, build_case",
+        "from subadjoint.liecore import ConsistencyError",
         "case = build_case('B3')",
         "case.V_root_level = {v: {1: 2, 2: 1}.get(j, j)",
         "                     for v, j in case.V_root_level.items()}",
         "try:",
         "    _validate_case(case)",
-        "except CaseConsistencyError:",
+        "except ConsistencyError:",
         "    sys.exit(0)",
         "sys.exit('swapped V_1, V_2 accepted')",
     ])
@@ -326,21 +327,21 @@ def test_swapped_l_degrees_fail_line_stabilizer():
     case = build_case("B3")
     a, b = case.l1_roots()[0], case.lminus1_roots()[0]
     case.l_degree[a], case.l_degree[b] = -1, 1
-    with pytest.raises(CaseConsistencyError,
+    with pytest.raises(ConsistencyError,
                        match="line stabilizer disagrees"):
         _validate_case(case)
 
 
 def test_swapped_l_degrees_fail_line_stabilizer_under_python_O():
     r = _run_under_O([
-        "from subadjoint.cases import (",
-        "    CaseConsistencyError, _validate_case, build_case)",
+        "from subadjoint.cases import _validate_case, build_case",
+        "from subadjoint.liecore import ConsistencyError",
         "case = build_case('B3')",
         "a, b = case.l1_roots()[0], case.lminus1_roots()[0]",
         "case.l_degree[a], case.l_degree[b] = -1, 1",
         "try:",
         "    _validate_case(case)",
-        "except CaseConsistencyError as e:",
+        "except ConsistencyError as e:",
         "    sys.exit(0 if 'line stabilizer disagrees' in str(e) else str(e))",
         "sys.exit('swapped l degrees accepted')",
     ])
@@ -370,7 +371,7 @@ def test_l0_moving_v0_fails_line_stabilizer(label, monkeypatch):
     # no other check of the case reads [l_0, v0]: the stabilizer of the v0
     # line is no longer l_{-1} + l_0
     monkeypatch.setattr(cases, "chevalley_table", _l0_moves_v0_table(label))
-    with pytest.raises(CaseConsistencyError,
+    with pytest.raises(ConsistencyError,
                        match="line stabilizer disagrees"):
         build_case(label)
 
@@ -380,10 +381,11 @@ def test_l0_moving_v0_fails_line_stabilizer_under_python_O():
         f"sys.path.insert(0, {str(Path(__file__).parent)!r})",
         "from test_cases import _l0_moves_v0_table",
         "from subadjoint import cases",
+        "from subadjoint.liecore import ConsistencyError",
         "cases.chevalley_table = _l0_moves_v0_table('E6')",
         "try:",
         "    cases.build_case('E6')",
-        "except cases.CaseConsistencyError as e:",
+        "except ConsistencyError as e:",
         "    sys.exit(0 if 'line stabilizer disagrees' in str(e) else str(e))",
         "sys.exit('l_0 moving the v0 line accepted')",
     ])
@@ -393,18 +395,19 @@ def test_l0_moving_v0_fails_line_stabilizer_under_python_O():
 def test_non_nilpotent_exp_ad_raises(b3):
     # [h_b, e_b] = 2 e_b, so the exponential series never terminates
     b = b3.l_simple_roots[0]
-    with pytest.raises(CaseConsistencyError, match="nilpotent"):
+    with pytest.raises(ConsistencyError, match="nilpotent"):
         _exp_ad(b3.s_table, b3.coroot_vec(b), b3.e(b))
 
 
 def test_non_nilpotent_exp_ad_raises_under_python_O():
     r = _run_under_O([
-        "from subadjoint.cases import CaseConsistencyError, _exp_ad, build_case",
+        "from subadjoint.cases import _exp_ad, build_case",
+        "from subadjoint.liecore import ConsistencyError",
         "case = build_case('B3')",
         "b = case.l_simple_roots[0]",
         "try:",
         "    _exp_ad(case.s_table, case.coroot_vec(b), case.e(b))",
-        "except CaseConsistencyError:",
+        "except ConsistencyError:",
         "    sys.exit(0)",
         "sys.exit('non-nilpotent ad f accepted')",
     ])

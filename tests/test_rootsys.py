@@ -9,10 +9,9 @@ from pathlib import Path
 import pytest
 
 from subadjoint import rootsys
-from subadjoint.liecore import check_jacobi
+from subadjoint.liecore import ConsistencyError, check_jacobi
 from subadjoint.rootsys import (
     ChevalleyConstants,
-    RootDataError,
     WeightVector,
     build_root_system,
     chevalley_table,
@@ -133,7 +132,7 @@ def _half_constant_table():
 
 
 def test_non_integral_constant_raises():
-    with pytest.raises(RootDataError, match="not a nonzero integer"):
+    with pytest.raises(ConsistencyError, match="not a nonzero integer"):
         _half_constant_table()
 
 
@@ -143,12 +142,12 @@ def test_non_integral_constant_raises_under_python_O():
         "import sys",
         f"sys.path.insert(0, {str(Path(__file__).parent)!r})",
         "from test_rootsys import _half_constant_table",
-        "from subadjoint.rootsys import RootDataError",
+        "from subadjoint.liecore import ConsistencyError",
         "if __debug__:",
         "    sys.exit('not running under -O')",
         "try:",
         "    _half_constant_table()",
-        "except RootDataError:",
+        "except ConsistencyError:",
         "    sys.exit(0)",
         "sys.exit('non-integral constant stored')",
     ])
@@ -173,7 +172,7 @@ def _non_integral_form6():
     return _a2_with_half_lengths(1, Fraction(1, 4)).form6((1, 0), (0, 1))
 
 
-# (fault, a word of its message); each guard must raise RootDataError
+# (fault, a word of its message); each guard must raise ConsistencyError
 ROOT_DATA_FAULTS = [
     ("_non_integral_coroot", "coroot coefficient"),
     ("_non_integral_form6", "half lengths"),
@@ -182,7 +181,7 @@ ROOT_DATA_FAULTS = [
 
 @pytest.mark.parametrize("fault,word", ROOT_DATA_FAULTS)
 def test_bad_root_data_raises(fault, word):
-    with pytest.raises(RootDataError, match=word):
+    with pytest.raises(ConsistencyError, match=word):
         globals()[fault]()
 
 
@@ -193,12 +192,12 @@ def test_bad_root_data_raises_under_python_O(fault, word):
         "import sys",
         f"sys.path.insert(0, {str(Path(__file__).parent)!r})",
         f"from test_rootsys import {fault}",
-        "from subadjoint.rootsys import RootDataError",
+        "from subadjoint.liecore import ConsistencyError",
         "if __debug__:",
         "    sys.exit('not running under -O')",
         "try:",
         f"    {fault}()",
-        "except RootDataError:",
+        "except ConsistencyError:",
         "    sys.exit(0)",
         "sys.exit('non-integral root data accepted')",
     ])
@@ -223,7 +222,7 @@ def test_two_branch_nodes_rejected():
     cartan = [[2 if i == j else 0 for j in range(n)] for i in range(n)]
     for i, j in ((0, 2), (1, 2), (2, 3), (3, 4), (3, 5)):
         cartan[i][j] = cartan[j][i] = -1
-    with pytest.raises(RootDataError, match="one branch node"):
+    with pytest.raises(ConsistencyError, match="one branch node"):
         classify_dynkin(cartan)
 
 

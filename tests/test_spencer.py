@@ -8,7 +8,8 @@ from pathlib import Path
 import pytest
 
 from subadjoint import liecore, prolong
-from subadjoint.cases import CaseConsistencyError, build_case
+from subadjoint.cases import build_case
+from subadjoint.liecore import ConsistencyError
 from subadjoint.galg import build_g
 from subadjoint.linalg import SparseRationalMatrix
 from subadjoint.prolong import g_tower, unknown_layout
@@ -205,7 +206,7 @@ def test_spencer_spaces_bookkeeping_raises():
     # a degree-4 element is enumerated but not in the closed-form count
     g = build_g(build_case("B3"))
     g.degree[g.V_level_indices[3][0]] = 4
-    with pytest.raises(CaseConsistencyError, match="C\\^\\{k,1\\}"):
+    with pytest.raises(ConsistencyError, match="C\\^\\{k,1\\}"):
         spencer_spaces(g, -2)
 
 

@@ -15,10 +15,9 @@ with `ast` and follows names from `cli.main`:
 
 ALLOWED lists the definitions kept although `cli.main` does not reach
 them, a method as ("module", "Class.method"); each is a root of the walk,
-so what it uses is kept too.  Each entry expires with its reason: a
-tracer-held name must still be a `perfbench/tracer.py` TARGETS entry, a
-mod-p name must still be called by tests/test_linalg.py, and no entry may
-be reached from `cli.main` itself.
+so what it uses is kept too, and a method root reaches its class.  Each
+entry must still be a `perfbench/tracer.py` TARGETS entry, and no entry
+may be reached from `cli.main` itself.
 
 A second scan reads every parameter list: each parameter of a src/
 function or method is read by name in its body, so that no caller passes
@@ -36,13 +35,12 @@ SRC = ROOT / "src" / "subadjoint"
 ENTRY = ("cli", "main")
 
 TRACER = "wrapped by perfbench/tracer.py TARGETS; leaves after benchmark v2"
-MODP = "mod-p rank path, tested in tests/test_linalg.py; leaves with it"
 ALLOWED = {
     ("prolong", "prolongation"): TRACER,
     ("spencer", "spencer_differential"): TRACER,
     ("linalg", "SparseRationalMatrix.solve"): TRACER,
-    ("linalg", "modp_primes"): MODP,
-    ("linalg", "SparseRationalMatrix.rank_modp"): MODP,
+    ("linalg", "ModpDenseRref.add_batch"): TRACER,
+    ("linalg", "rows_to_modp_array"): TRACER,
 }
 
 
@@ -139,6 +137,8 @@ def _graph():
                 for x in reads.names - {name}
                 if x in bindings or x in imported
             }
+            if "." in name:  # a method reaches its class
+                edges[(module, name)].add((module, name.split(".")[0]))
             attrs[(module, name)] = reads.attrs
     return edges, attrs, methods, checked
 
@@ -163,19 +163,6 @@ def _reached(graph, roots) -> set:
     return seen
 
 
-def _called_in(path: Path) -> set:
-    """Names called in a file, as `name(...)` or `obj.name(...)`."""
-    out = set()
-    for node in ast.walk(ast.parse(path.read_text(), str(path))):
-        if isinstance(node, ast.Call):
-            func = node.func
-            if isinstance(func, ast.Name):
-                out.add(func.id)
-            elif isinstance(func, ast.Attribute):
-                out.add(func.attr)
-    return out
-
-
 def test_src_is_reachable_from_cli_main():
     graph = _graph()
     checked = graph[3]
@@ -189,18 +176,15 @@ def test_allow_list_entries_still_hold():
     checked = graph[3]
     from_entry = _reached(graph, [ENTRY])
     targets = {(mod, path) for mod, path, _, _ in _load_tracer().TARGETS}
-    linalg_calls = _called_in(ROOT / "tests" / "test_linalg.py")
     stale = []
-    for key, why in ALLOWED.items():
+    for key in ALLOWED:
         name = ".".join(key)
         if key not in checked:
             stale.append(f"{name}: not defined in src/")
         elif key in from_entry:
             stale.append(f"{name}: reached from cli.main, drop the entry")
-        elif why == TRACER and key not in targets:
+        elif key not in targets:
             stale.append(f"{name}: no longer a tracer target")
-        elif why == MODP and key[1].split(".")[-1] not in linalg_calls:
-            stale.append(f"{name}: no longer called by test_linalg.py")
     assert not stale, stale
 
 

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from subadjoint import cli, galg, prolong, spencer, verify
+from subadjoint import cases, cli, galg, prolong, rootsys, spencer, verify
 from subadjoint.cases import (
     CaseExcludedError,
     build_case,
@@ -17,8 +17,10 @@ from subadjoint.cases import (
 )
 from subadjoint.cli import main
 from subadjoint.galg import build_g
+from subadjoint.liecore import check_jacobi
 from subadjoint.linalg import span
 from subadjoint.prolong import g_tower, prolongation
+from subadjoint.rootsys import build_root_system, chevalley_table
 from subadjoint.verify import (
     CaseDescriptor,
     CheckRecord,
@@ -32,6 +34,7 @@ from subadjoint.verify import (
 )
 
 import oracles
+from test_cases import _l0_moves_v0_table
 
 
 def test_registry_default_counts():
@@ -577,8 +580,8 @@ def test_base_locus_at_hw_matches_sampled_evaluation(label, corrupt):
     case = build_case(label)
     if corrupt:
         globals()[corrupt](case, None)
-    ctx = verify._Context(registry_entry(label), case, None,
-                          RunOptions(seed=7), {})
+    ctx = verify._Context(registry_entry(label), RunOptions(seed=7))
+    ctx.case = case
     [rec] = verify._base_locus_samples(ctx)
     assert rec["values"] == _sampled_base_locus(case, seed=7)
     assert rec["status"] == ("FAIL" if corrupt else "PASS")
@@ -1012,3 +1015,108 @@ def test_clean_report_emits_the_check_table_in_order():
     rep = run("B3", {"all"}, RunOptions(seed=7))
     assert [c.check_id for c in rep.checks] == CHECK_IDS
     assert rep.status == "PASS"
+
+
+# Corruptions that stop the case or its g from being built.  Each installer
+# takes a setattr (monkeypatch.setattr, or the builtin in a subprocess).
+
+def _cartan_term_in_h_row(set_attr):
+    """The first stored [h_1, e_r] gains an h_2 term: ad of the contact
+    grading element is no longer diagonal in the basis."""
+    real = cases.chevalley_table
+
+    def corrupted(rs):
+        table = real(rs)
+        key = min(k for k in table.brackets if k[0] == 0)
+        table.brackets[key] = {**table.brackets[key], 1: 1}
+        return table
+
+    set_attr(cases, "chevalley_table", corrupted)
+
+
+def _coroot_off_by_half(set_attr):
+    """The first coefficient of theta^vee is off by 1/2: the contact grading
+    element has a non-integer eigenvalue."""
+    real = rootsys.RootSystem.coroot_coords
+
+    def coroot_coords(rs, alpha):
+        cor = real(rs, alpha)
+        if tuple(alpha) != rs.highest_root:
+            return cor
+        return (cor[0] + Fraction(1, 2), *cor[1:])
+
+    set_attr(rootsys.RootSystem, "coroot_coords", coroot_coords)
+
+
+def _l0_moves_v0_on_e6(set_attr):
+    set_attr(cases, "chevalley_table", _l0_moves_v0_table("E6"))
+
+
+def _half_chevalley_constants(set_attr):
+    """Every N(a, b) is 1/2, as in test_rootsys._half_constant_table."""
+    set_attr(rootsys.ChevalleyConstants, "n", lambda self, a, b: Fraction(1, 2))
+
+
+# fault -> (case, installer, a word of every record's error)
+CONSTRUCTION_FAULTS = {
+    "cartan-term": ("B3", _cartan_term_in_h_row, "not diagonal"),
+    "coroot-off-by-half": ("B3", _coroot_off_by_half, "non-integer eigenvalue"),
+    "l0-moves-v0": ("E6", _l0_moves_v0_on_e6, "line stabilizer disagrees"),
+    "half-constant": ("B3", _half_chevalley_constants,
+                      "not a nonzero integer"),
+}
+
+
+def _assert_every_record_fails(doc, word):
+    assert doc["status"] == "FAIL" and doc["dims"] == {}
+    assert [c["id"] for c in doc["checks"]] == CHECK_IDS
+    for c in doc["checks"]:
+        assert c["status"] == "FAIL"
+        assert word in c["values"]["error"]
+
+
+@pytest.mark.parametrize("fault", sorted(CONSTRUCTION_FAULTS))
+def test_unbuildable_case_fails_every_record(fault, monkeypatch, capsys):
+    # the error of the build is a FAIL record on every selected id, the two
+    # every run records included, and verify exits 1 instead of raising
+    label, install, word = CONSTRUCTION_FAULTS[fault]
+    install(monkeypatch.setattr)
+    assert main(["--case", label, "--checks", "all", "--format", "json"]) == 1
+    _assert_every_record_fails(json.loads(capsys.readouterr().out), word)
+
+
+@pytest.mark.parametrize("fault", sorted(CONSTRUCTION_FAULTS))
+def test_unbuildable_case_fails_every_record_under_python_O(fault):
+    # the guards must not be asserts, which -O strips
+    script = "\n".join([
+        "import sys",
+        f"sys.path.insert(0, {str(Path(__file__).parent)!r})",
+        "from test_verifier import CONSTRUCTION_FAULTS",
+        "from subadjoint.cli import main",
+        "if __debug__:",
+        "    sys.exit('not running under -O')",
+        f"label, install, _ = CONSTRUCTION_FAULTS[{fault!r}]",
+        "install(setattr)",
+        "sys.exit(main(['--case', label, '--checks', 'all', "
+        "'--format', 'json']))",
+    ])
+    r = subprocess.run([sys.executable, "-O", "-c", script],
+                       capture_output=True, text=True)
+    assert r.returncode == 1, r.stderr
+    _assert_every_record_fails(json.loads(r.stdout), CONSTRUCTION_FAULTS[fault][2])
+
+
+@pytest.mark.parametrize("label", ["B3", "B4", "F4"])
+def test_regauged_chevalley_basis_gives_identical_records(label, monkeypatch):
+    # re-signing the root vectors gives another Chevalley basis of s: no
+    # record may depend on the sign convention of the structure constants
+    rs = build_root_system(label)
+    shipped, regauged = chevalley_table(rs), oracles.regauged_table(rs, seed=7)
+    assert shipped.brackets.keys() == regauged.brackets.keys()
+    assert any(shipped.brackets[k] != regauged.brackets[k]
+               for k in shipped.brackets)
+    assert check_jacobi(regauged) == []
+    want = emit(run(label, {"all"}, RunOptions(seed=7)), fmt="json")
+    monkeypatch.setattr(cases, "chevalley_table",
+                        lambda rs: oracles.regauged_table(rs, seed=7))
+    assert emit(run(label, {"all"}, RunOptions(seed=7)), fmt="json") == want
