@@ -40,7 +40,6 @@ from .prolong import (  # noqa: F401
 )
 from .rootsys import (  # noqa: F401
     RootSystem,
-    WeightVector,
     build_root_system,
     chevalley_table,
 )

@@ -27,16 +27,15 @@ from .liecore import (
 )
 from .linalg import (
     RrefBasis,
-    SparseRationalMatrix,
     Vec,
     integer_inverse,
+    kernel_combinations,
     span,
     vec_add_scaled,
     vec_scale,
 )
 from .rootsys import (
     RootSystem,
-    WeightVector,
     build_root_system,
     chevalley_table,
     classify_dynkin,
@@ -71,7 +70,13 @@ def _expected_factors(series: str, rank: int) -> list[tuple[str, int]]:
 
 @dataclass
 class SubadjointCase:
-    """One subadjoint case with its graded data inside the ambient s."""
+    """One subadjoint case with its graded data inside the ambient s.
+
+    l has no table of its own: its basis is `_l_basis_vectors` (the simple
+    coroots of l, then its root vectors) as vectors of s, every bracket of
+    l is read from s_table, and `l_coords` maps a vector of l to that
+    basis (for g's [l, l] block).
+    """
 
     s_label: str
     rs: RootSystem
@@ -84,13 +89,12 @@ class SubadjointCase:
     l_simple_roots: tuple    # roots of s spanning the simple system of l
     l_components: tuple      # DynkinComponent per simple ideal
     marked: tuple            # indices into l_simple_roots (the set I)
-    embedding_weight: WeightVector       # omega_* in l fundamental coords
-    embedding_weight_simple: WeightVector  # same in l simple-root coords
+    embedding_weight: tuple          # omega_* in l fundamental coords
+    embedding_weight_simple: tuple   # same in l simple-root coords
     z: Vec                   # grading element of l, s coordinates
     l_roots: tuple           # all roots of l
     l_degree: dict           # root -> degree in {-1, 0, 1}
     V_root_level: dict       # root -> j in 0..3
-    l_table: LieAlgebraTable | None = None  # [l, l] over the l basis
 
     # ---- derived basis bookkeeping -------------------------------------
     @property
@@ -262,10 +266,9 @@ def build_case(label: str) -> SubadjointCase:
     _check(all(x >= 0 for x in fund),
            f"v0 is not a lowest weight vector: {fund}")
     marked = tuple(i for i, x in enumerate(fund) if x > 0)
-    embedding_weight = WeightVector(tuple(fund), "fundamental")
-    embedding_weight_simple = WeightVector(
-        tuple(Fraction(_dot(row, fund), l_den) for row in l_inv), "simple"
-    )
+    embedding_weight = tuple(fund)
+    embedding_weight_simple = tuple(Fraction(_dot(row, fund), l_den)
+                                    for row in l_inv)
 
     # each simple ideal carries exactly one marked node
     node_comp = {}
@@ -341,7 +344,6 @@ def build_case(label: str) -> SubadjointCase:
         ideal_of[r] = cis.pop()
     case._ideal_of_root = ideal_of
     case._node_comp = node_comp
-    case.l_table = _restricted_table(case)
 
     _validate_case(case)
     return case
@@ -392,28 +394,15 @@ def _validate_case(case: SubadjointCase) -> None:
     have = sorted(orbit_key(g) for g in got)
     _check(have == want, f"marked nodes {have}, table says {want}")
 
-    # stabilizer cross-checks: p = l_{-1} + l_0 is the stabilizer of the
-    # line through v0 (so [x, v0] lies on that line for every x in p), and
-    # the opposite parabolic that of the highest weight line
+    # stabilizer cross-checks inside s: p = l_{-1} + l_0 is the stabilizer
+    # in l of the line through v0 (so [x, v0] lies on that line for every x
+    # in p), and the opposite parabolic that of the highest weight line
     l_basis = _l_basis_vectors(case)
-
-    def in_s(xcoeffs: Vec) -> Vec:
-        x: Vec = {}
-        for i, c in xcoeffs.items():
-            vec_add_scaled(x, l_basis[i], c)
-        return x
-
-    def act(xcoeffs: Vec, v: Vec) -> Vec:
-        return s.bracket(in_s(xcoeffs), v)
-
-    def stabilizer_in_s(v: Vec) -> RrefBasis:
-        stab = line_stabilizer(case.l_table, v, act, dim)
-        return span(dim, (in_s(row) for row in stab.rows.values()))
-
     v0 = case.e(case.v0_root)
-    _check(stabilizer_in_s(v0) == span(dim, l_pieces[-1] + l_pieces[0]),
+    _check(line_stabilizer(s, l_basis, v0)
+           == span(dim, l_pieces[-1] + l_pieces[0]),
            "line stabilizer disagrees with l_{-1}+l_0")
-    _check(stabilizer_in_s(case.e(case.vhi_root))
+    _check(line_stabilizer(s, l_basis, case.e(case.vhi_root))
            == span(dim, l_pieces[0] + l_pieces[1]),
            "opposite stabilizer disagrees")
 
@@ -451,30 +440,6 @@ def _l_basis_vectors(case: SubadjointCase) -> list[Vec]:
     out = [case.coroot_vec(b) for b in case.l_simple_roots]
     out += [case.e(r) for r in case.l_roots]
     return out
-
-
-def _restricted_table(case: SubadjointCase) -> LieAlgebraTable:
-    """l as an abstract table over the l basis (stabilizers, and g's [l, l])."""
-    s = case.s_table
-    l_basis = _l_basis_vectors(case)
-    n, nh = len(l_basis), len(case.l_simple_roots)
-    # the root vectors of l come in s-index order, so the bracket of two of
-    # them is one stored entry of the s table
-    l_idx = [case.root_index(r) for r in case.l_roots]
-    brackets = {}
-    for i in range(n):
-        for j in range(i + 1, n):
-            if i < nh:
-                b = s.bracket(l_basis[i], l_basis[j])
-            else:
-                b = s.brackets.get((l_idx[i - nh], l_idx[j - nh]))
-            if b:
-                brackets[(i, j)] = case.l_coords(b)
-    labels = tuple(
-        [f"H{i}" for i in range(len(case.l_simple_roots))]
-        + [f"X{i}" for i in range(len(case.l_roots))]
-    )
-    return LieAlgebraTable(dim=n, labels=labels, brackets=brackets)
 
 
 # --------------------------------------------------------------------------
@@ -591,18 +556,6 @@ def l0_module(case: SubadjointCase, v: Vec) -> RrefBasis:
     return acc
 
 
-def _kernel_combinations(vecs: list[Vec], image) -> list[Vec]:
-    """Basis of {sum_t c_t vecs[t] : sum_t c_t image(vecs[t]) = 0} for a
-    linear map `image` with sparse, sortably keyed values."""
-    out = []
-    for k in SparseRationalMatrix.from_columns([image(v) for v in vecs]).kernel():
-        w: Vec = {}
-        for t, c in k.items():
-            vec_add_scaled(w, vecs[t], c)
-        out.append(w)
-    return out
-
-
 def bracket_kernel(case: SubadjointCase, points: list[Vec]) -> list[Vec]:
     """Basis of {a in l_{-1} : [[a, b], b] = 0 for every b in points}."""
     s = case.s_table
@@ -611,7 +564,7 @@ def bracket_kernel(case: SubadjointCase, points: list[Vec]) -> list[Vec]:
         return {(bi, m): c for bi, b in enumerate(points)
                 for m, c in s.bracket(s.bracket(a, b), b).items()}
 
-    return _kernel_combinations([case.e(r) for r in case.lminus1_roots()], image)
+    return kernel_combinations([case.e(r) for r in case.lminus1_roots()], image)
 
 
 @dataclass
@@ -655,7 +608,7 @@ def xvv_core(case: SubadjointCase) -> XvvCore:
             return {(xi, m): c for xi, x in enumerate(l0)
                     for m, c in inside.reduce(s.bracket(x, a)).items()}
 
-        smaller = _kernel_combinations(core, outside)
+        smaller = kernel_combinations(core, outside)
         if len(smaller) == len(core):
             break
         core = smaller

@@ -14,7 +14,8 @@ from dataclasses import dataclass, field
 
 from .cases import SubadjointCase, _l_basis_vectors
 from .liecore import LieAlgebraTable, _check, check_jacobi
-from .linalg import SparseRationalMatrix, Vec, span, vec_add_scaled
+from .linalg import (SparseRationalMatrix, Vec, kernel_combinations, span,
+                     vec_add_scaled)
 
 
 @dataclass
@@ -59,28 +60,32 @@ def build_g(case: SubadjointCase) -> GAlgebra:
     v_pos = {r: v_offset + i for i, r in enumerate(case.V_roots)}
 
     # every key (i, j) has i < j: Id is index 0, l indices precede V
-    # indices, and the l table stores its pairs with i < j
+    # indices, and each row i of l takes the l indices j > i
     brackets: dict[tuple[int, int], Vec] = {}
 
     # [Id, v] = v for v in V; [Id, l] = 0
     for r in case.V_roots:
         brackets[(0, v_pos[r])] = {v_pos[r]: 1}
-    # [l, l] from the restricted table of l, [l, V] from s; [V, V] = 0 by
-    # construction of the semidirect product
-    l_rows: dict[int, list] = {}  # i -> [(j, [l_i, l_j])], j ascending
-    for (i, j), b in sorted(case.l_table.brackets.items()):
-        l_rows.setdefault(i, []).append((j, b))
+    # [l, l] and [l, V] from s, row by row; [V, V] = 0 by construction of
+    # the semidirect product
     l_vecs = _l_basis_vectors(case)
     nh = len(case.l_simple_roots)
+    # for a root vector e_r of l, [e_r, e_w] is one stored entry of s; the
+    # root vectors of l come in s-index order, so for l positions i < j
+    # that entry is keyed (l_idx[i], l_idx[j])
+    l_idx = [case.root_index(r) for r in case.l_roots]
     v_idx = [case.root_index(r) for r in case.V_roots]
     s_index_to_v = {k: v_offset + i for i, k in enumerate(v_idx)}
     for i in range(nl):
-        for j, b in l_rows.get(i, ()):
+        x = l_idx[i - nh] if i >= nh else None
+        for j in range(i + 1, nl):
+            if x is None:
+                b = st.bracket(l_vecs[i], l_vecs[j])
+            else:
+                b = st.brackets.get((x, l_idx[j - nh]))
             if b:
                 brackets[(l_offset + i, l_offset + j)] = {
-                    l_offset + k: c for k, c in b.items()}
-        # for a root vector e_r of l, [e_r, e_v] is one stored entry of s
-        x = case.root_index(l_keys[i][1]) if i >= nh else None
+                    l_offset + k: c for k, c in case.l_coords(b).items()}
         for k in v_idx:
             if x is None:
                 b = st.bracket(l_vecs[i], {k: 1})
@@ -238,11 +243,10 @@ def verify_structure_identities(g: GAlgebra) -> list[IdentityCheck]:
     # (b): annihilator of V_2 inside g_1
     g1 = [i for i, d in enumerate(g.degree) if d == 1]
     V2 = g.V_level_indices[2]
-    ker = SparseRationalMatrix.from_columns(
-        [{(wi, m): c for wi, w in enumerate(V2)
-          for m, c in t.bracket_basis(u, w).items()} for u in g1]
-    ).kernel()
-    ann = span(t.dim, ({g1[i]: c for i, c in k.items()} for k in ker))
+    ann = span(t.dim, kernel_combinations(
+        [{u: 1} for u in g1],
+        lambda u: {(wi, m): c for wi, w in enumerate(V2)
+                   for m, c in t.bracket(u, {w: 1}).items()}))
     V1 = span(t.dim, ({i: 1} for i in g.V_level_indices[1]))
     out.append(IdentityCheck(
         "v1-annihilator-of-v2", "PASS" if ann == V1 else "FAIL",

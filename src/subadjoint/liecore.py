@@ -3,17 +3,19 @@
 Everything is exact: vectors are sparse {index: value} dicts whose values
 are exact rationals, `int` when integral; brackets are sparse
 structure-constant tables; a grading diagonal in the basis is its degree
-map; a subspace is the `linalg.RrefBasis` of its span.  Tables are
-immutable by convention after construction and safe to share.
+map; a subspace is the `linalg.RrefBasis` of its span.  A line
+stabilizer is taken inside one table, over a basis of the subalgebra
+given as vectors of that table, so a subalgebra needs no table of its
+own.  Tables are immutable by convention after construction and safe to
+share.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable
 
-from .linalg import (RrefBasis, SparseRationalMatrix, Vec, span,
-                     vec_add_scaled, vec_scale)
+from .linalg import (RrefBasis, Vec, kernel_combinations, span,
+                     vec_add_scaled)
 
 
 class ConsistencyError(Exception):
@@ -198,17 +200,13 @@ def contact_grading(L: LieAlgebraTable, rs) -> Grading:
     return g
 
 
-def line_stabilizer(L: LieAlgebraTable, v: Vec, action: Callable[[Vec, Vec], Vec],
-                    module_dim: int) -> RrefBasis:
-    """{x in L : action(x, v) in span(v)}, as the reduced echelon basis of
+def line_stabilizer(L: LieAlgebraTable, basis: list[Vec], v: Vec) -> RrefBasis:
+    """{x in span(basis) : [x, v] in C v}, as the reduced echelon basis of
     its span in the coordinates of L.
 
-    Solved as a kernel: unknowns are the coefficients of x plus one scalar t
-    with action(x, v) = t*v.
+    The kernel of x -> [x, v] modulo the line through v, on the
+    combinations of basis; v = 0 gives all of span(basis).
     """
-    columns = [action({i: 1}, v) for i in range(L.dim)] + [vec_scale(v, -1)]
-    ker = SparseRationalMatrix.from_columns(
-        [{m: c for m, c in col.items() if m < module_dim} for col in columns]
-    ).kernel()
-    return span(L.dim, ({i: c for i, c in k.items() if i < L.dim}
-                        for k in ker))
+    line = span(L.dim, [v])
+    return span(L.dim, kernel_combinations(
+        basis, lambda x: line.reduce(L.bracket(x, v))))

@@ -7,6 +7,9 @@ exact rationals, `int` when integral (a `Fraction` otherwise).
   rationals, is the workhorse: every rank and kernel of the verifier
   comes from it.  It is also the one subspace type: `span` builds it,
   and equal spaces compare equal by their unique reduced rows.
+  `kernel_combinations` is the one "kernel, then recombine the given
+  vectors" helper: the solution space of a linear condition on the span
+  of given vectors, as vectors, not coefficients.
 - `bareiss`, one fraction-free Gauss-Jordan elimination on dense integer
   rows, gives every determinant (`SparseRationalMatrix.det`) and every
   dense inverse (`integer_inverse`: the Cartan inverses of s and of l).
@@ -359,6 +362,20 @@ class SparseRationalMatrix:
             scale *= m
             a.append([int(row.get(j, 0) * m) for j in range(n)])
         return Fraction(bareiss(a, n), scale)
+
+
+def kernel_combinations(vecs: list[Vec], image) -> list[Vec]:
+    """Basis of {sum_t c_t vecs[t] : sum_t c_t image(vecs[t]) = 0} for a
+    linear map `image` with sparse, sortably keyed values: the kernel of
+    the map on the coefficients, recombined into vectors.  A linear
+    dependency among vecs gives a zero vector."""
+    out = []
+    for k in SparseRationalMatrix.from_columns([image(v) for v in vecs]).kernel():
+        w: Vec = {}
+        for t, c in k.items():
+            vec_add_scaled(w, vecs[t], c)
+        out.append(w)
+    return out
 
 
 def bareiss(a: list[list[int]], n: int) -> int:

@@ -1,4 +1,4 @@
-"""Root systems, Chevalley bases, and the weight vector type.
+"""Root systems and Chevalley bases.
 
 Conventions fixed once for the whole package:
 
@@ -270,22 +270,6 @@ def build_root_system(label: str) -> RootSystem:
         highest_root=theta,
         half_lengths=tuple(d),
     )
-
-
-# --------------------------------------------------------------------------
-# Weight coordinates
-# --------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class WeightVector:
-    """Weight with an explicit basis tag (fundamental or simple-root)."""
-
-    coords: tuple
-    basis: str  # "fundamental" | "simple"
-
-    def __post_init__(self):
-        if self.basis not in ("fundamental", "simple"):
-            raise ValueError(f"unknown weight basis {self.basis!r}")
 
 
 # --------------------------------------------------------------------------

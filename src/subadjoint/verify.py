@@ -73,7 +73,6 @@ class CaseDescriptor:
     """Registry row: expected dimensions from the classical formulas."""
 
     case_id: str
-    s_label: str
     dim_V: int
     dim_l1: int
     dim_l: int
@@ -102,8 +101,7 @@ def _so_case(series: str, l: int) -> CaseDescriptor:
         f"{series}{l}", f"line x quadric Q^{m - 2} (m={m})")
     l0 = dim_l - 2 * d1
     return CaseDescriptor(
-        case_id=f"{series}{l}", s_label=f"{series}{l}",
-        dim_V=dim_V, dim_l1=d1, dim_l=dim_l,
+        case_id=f"{series}{l}", dim_V=dim_V, dim_l1=d1, dim_l=dim_l,
         g_dims=(d1, 2 + l0, 2 * d1, d1, 1),
         l_factors=tuple(_expected_factors(series, l)), note=note,
     )
@@ -119,7 +117,7 @@ def _exceptional_case(label: str) -> CaseDescriptor:
     dim_V, d1, dim_l, note = data
     l0 = dim_l - 2 * d1
     return CaseDescriptor(
-        case_id=label, s_label=label, dim_V=dim_V, dim_l1=d1, dim_l=dim_l,
+        case_id=label, dim_V=dim_V, dim_l1=d1, dim_l=dim_l,
         g_dims=(d1, 2 + l0, 2 * d1, d1, 1),
         l_factors=tuple(_expected_factors(label[0], int(label[1:]))),
         note=note,
@@ -132,7 +130,7 @@ def list_cases(rank_ceiling: int = 8) -> list[CaseDescriptor]:
     out += [_so_case("D", l) for l in range(4, rank_ceiling + 1)]
     out += [_exceptional_case(lab) for lab in ("F4", "E6", "E7", "E8")]
     out.append(CaseDescriptor(
-        case_id="G2", s_label="G2", dim_V=4, dim_l1=1, dim_l=3,
+        case_id="G2", dim_V=4, dim_l1=1, dim_l=3,
         g_dims=(1, 3, 2, 1, 1), l_factors=(("A1", 1),),
         note="twisted cubic case (0)", excluded=True,
         exclusion_reason="twisted cubic case (0): dim V = 4 falls outside "
@@ -315,7 +313,6 @@ def run(case_id: str, check_set, options: RunOptions | None = None) -> Verificat
         checks=records,
         dims=records[0].dims,
         environment=env,
-        vacuous=not records,
     )
 
 
@@ -425,7 +422,7 @@ def _base_locus_samples(ctx: _Context) -> list[dict]:
         dvals = {}
         for ci in range(len(hw)):
             m = [mm for mm in case.marked if case._node_comp[mm] == ci][0]
-            dvals[ci] = case.embedding_weight.coords[m]
+            dvals[ci] = case.embedding_weight[m]
         # line factor (degree 1) lies in the base locus of II, the conic
         # factor does not: the strict inclusion of the (ii-1) row
         ii_ok = all(
@@ -548,7 +545,7 @@ def _spencer_qdim(ctx: _Context) -> list[dict]:
 def _cI_embedding_weight(ctx: _Context) -> list[dict]:
     case = ctx.case
     cI_star = sum(
-        (case.embedding_weight_simple.coords[i] for i in case.marked),
+        (case.embedding_weight_simple[i] for i in case.marked),
         Fraction(0),
     )
     return [{"status": "PASS" if cI_star == Fraction(3, 2) else "FAIL",

@@ -8,7 +8,8 @@ these; the tests compare the package against them:
   prolongation of the projective line;
 - block direct sums of abelian prolongation inputs;
 - `input_from_l`, the (l_1 abelian, ad l_0) input of a case;
-- weight-coordinate conversions and root-string lengths;
+- `WeightVector`, a weight tagged with its basis, its coordinate
+  conversions, and root-string lengths;
 - antisymmetry and grading-additivity scans of a bracket table, and the
   Chevalley table in a randomly re-signed basis;
 - the C^{k,2} basis listed term by term, the row order of the Spencer
@@ -28,7 +29,7 @@ from subadjoint.galg import operator_a
 from subadjoint.liecore import Grading, LieAlgebraTable
 from subadjoint.linalg import RrefBasis, Vec, integer_inverse, vec_add_scaled
 from subadjoint.prolong import ProlongInput, TaggedMap, _flatten, prolongation
-from subadjoint.rootsys import (Root, RootSystem, WeightVector, _string_down,
+from subadjoint.rootsys import (Root, RootSystem, _string_down,
                                 chevalley_table)
 
 
@@ -255,6 +256,18 @@ def _map_to_vec(offsets, phi: TaggedMap) -> Vec:
 # --------------------------------------------------------------------------
 # Weight coordinates and root strings
 # --------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class WeightVector:
+    """Weight with an explicit basis tag (fundamental or simple-root)."""
+
+    coords: tuple
+    basis: str  # "fundamental" | "simple"
+
+    def __post_init__(self):
+        if self.basis not in ("fundamental", "simple"):
+            raise ValueError(f"unknown weight basis {self.basis!r}")
+
 
 def to_simple_root_coords(w: WeightVector, rs: RootSystem) -> WeightVector:
     """Fundamental-weight coordinates -> exact simple-root coordinates."""

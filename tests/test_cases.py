@@ -79,7 +79,7 @@ def test_e6_case_summary():
 def test_embedding_weight_cI_is_three_halves(b3, f4):
     for case in (b3, f4):
         cI = sum(
-            (case.embedding_weight_simple.coords[i] for i in case.marked),
+            (case.embedding_weight_simple[i] for i in case.marked),
             Fraction(0),
         )
         assert cI == Fraction(3, 2)
@@ -87,7 +87,7 @@ def test_embedding_weight_cI_is_three_halves(b3, f4):
 
 def test_b3_embedding_weight_is_one_two(b3):
     # line x conic: degrees (1, 2) on the two A1 factors
-    assert sorted(b3.embedding_weight.coords) == [Fraction(1), Fraction(2)]
+    assert sorted(b3.embedding_weight) == [Fraction(1), Fraction(2)]
 
 
 def test_symplectic_form(b3):
@@ -158,7 +158,7 @@ def test_ii_vanishes_on_line_factor_b3(b3):
     dvals = {}
     for ci in range(len(b3.l_components)):
         m = [mm for mm in b3.marked if b3._node_comp[mm] == ci][0]
-        dvals[ci] = b3.embedding_weight.coords[m]
+        dvals[ci] = b3.embedding_weight[m]
     line = next(ci for ci, d in dvals.items() if d == 1)
     line_idx = [i for i, r in enumerate(forms.l1_roots)
                 if b3.ideal_of_root(r) == line]

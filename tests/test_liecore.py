@@ -240,12 +240,8 @@ def test_grading_component_dims_sum():
 
 def test_line_stabilizer_sl2_adjoint():
     t = chevalley_table(build_root_system("A1"))
-
-    def act(x, v):
-        return t.bracket(x, v)
-
     # highest weight vector of the adjoint module: e
-    stab = line_stabilizer(t, {1: Fraction(1)}, act, t.dim)
+    stab = line_stabilizer(t, [{i: 1} for i in range(t.dim)], {1: Fraction(1)})
     assert stab.rank == 2
     assert stab.contains({1: Fraction(1)})   # e
     assert stab.contains({0: Fraction(1)})   # h
@@ -254,12 +250,22 @@ def test_line_stabilizer_sl2_adjoint():
 
 def test_line_stabilizer_zero_vector():
     t = chevalley_table(build_root_system("A2"))
-
-    def act(x, v):
-        return t.bracket(x, v)
-
-    stab = line_stabilizer(t, {}, act, t.dim)
+    stab = line_stabilizer(t, [{i: 1} for i in range(t.dim)], {})
     assert stab.rank == t.dim
+
+
+def test_line_stabilizer_inside_a2_borel():
+    # basis h1, h2, e_a2, e_a1, e_a1+a2, then the negative root vectors
+    t = chevalley_table(build_root_system("A2"))
+    assert t.labels[2:5] == ("e+0+1", "e+1+0", "e+1+1")
+    borel = [{i: 1} for i in range(5)]
+    # the highest root vector spans a line the whole Borel keeps
+    assert line_stabilizer(t, borel, {4: 1}).rank == 5
+    # e_a2 moves the e_a1 line to e_a1+a2; the rest of the Borel keeps it
+    stab = line_stabilizer(t, borel, {3: 1})
+    assert stab.rank == 4
+    assert not stab.contains({2: 1})
+    assert stab == span(t.dim, [{0: 1}, {1: 1}, {3: 1}, {4: 1}])
 
 
 def test_subspace_canonical_idempotent():

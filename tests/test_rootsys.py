@@ -12,7 +12,6 @@ from subadjoint import rootsys
 from subadjoint.liecore import ConsistencyError, check_jacobi
 from subadjoint.rootsys import (
     ChevalleyConstants,
-    WeightVector,
     build_root_system,
     chevalley_table,
     classify_dynkin,
@@ -20,6 +19,7 @@ from subadjoint.rootsys import (
 )
 
 from oracles import (
+    WeightVector,
     check_antisymmetry,
     string_length_down,
     to_fundamental_coords,

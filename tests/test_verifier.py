@@ -73,9 +73,8 @@ def test_registry_dims_internally_consistent():
 
 def _bad_registry_row():
     """A registry row with dim V = 13 != 2 dim l_1 + 2 = 12."""
-    return CaseDescriptor(case_id="X", s_label="B3", dim_V=13, dim_l1=5,
-                          dim_l=6, g_dims=(5, 3, 10, 5, 1), l_factors=(),
-                          note="")
+    return CaseDescriptor(case_id="X", dim_V=13, dim_l1=5, dim_l=6,
+                          g_dims=(5, 3, 10, 5, 1), l_factors=(), note="")
 
 
 def test_bad_registry_row_raises():
@@ -557,7 +556,7 @@ def _sampled_base_locus(case, seed):
     if case.s_label == "B3":
         marked = [next(m for m in case.marked if case._node_comp[m] == ci)
                   for ci in range(len(hw))]
-        ii_ok = all(null == (case.embedding_weight.coords[m] == 1)
+        ii_ok = all(null == (case.embedding_weight[m] == 1)
                     for null, m in zip(ii_null, marked))
     else:
         ii_ok = all(ii_null)
@@ -688,6 +687,18 @@ def test_json_report_matches_golden_file(tmp_path):
     assert out.read_bytes() == golden.read_bytes()
 
 
+def test_json_report_matches_golden_file_under_python_O():
+    # the same report from `python -O -m subadjoint`: no record may rest on
+    # an assert, which -O strips
+    r = subprocess.run(
+        [sys.executable, "-O", "-m", "subadjoint", "--case", "B3,D4,F4",
+         "--checks", "all", "--seed", "7", "--format", "json"],
+        capture_output=True, timeout=300)
+    assert r.returncode == 0, r.stderr
+    golden = Path(__file__).parent / "report_B3_D4_F4_seed7.json"
+    assert r.stdout == golden.read_bytes()
+
+
 def test_cli_single_case_json(capsys, tmp_path):
     out = tmp_path / "rep.json"
     code = main(["--case", "B3", "--checks", "weights", "--seed", "7",
@@ -776,10 +787,9 @@ def _double_s_bracket(case, g):
 def _swap_line_and_conic(case, g):
     # B3's l_1 is (line) + (conic): the check expects the line, the factor
     # of degree 1, in the base locus of II
-    w = case.embedding_weight
     swap = {1: 2, 2: 1}
-    case.embedding_weight = dataclasses.replace(
-        w, coords=tuple(swap.get(c, c) for c in w.coords))
+    case.embedding_weight = tuple(swap.get(c, c)
+                                  for c in case.embedding_weight)
 
 
 def _zero_lminus1_l1_brackets(case, g):
@@ -871,9 +881,8 @@ def _double_gm1_g1(case, g):
 
 
 def _double_embedding_weight(case, g):
-    w = case.embedding_weight_simple
-    case.embedding_weight_simple = dataclasses.replace(
-        w, coords=tuple(2 * c for c in w.coords))
+    case.embedding_weight_simple = tuple(
+        2 * c for c in case.embedding_weight_simple)
 
 
 def _swap_v1_v2(case, g):
