@@ -26,7 +26,6 @@ from .liecore import (
     line_stabilizer,
 )
 from .linalg import (
-    RrefBasis,
     Vec,
     integer_inverse,
     kernel_combinations,
@@ -84,7 +83,6 @@ class SubadjointCase:
     contact: Grading
     V_roots: tuple           # degree-1 roots, table order
     v0_root: tuple
-    v0_index: int            # index in s_table basis
     vhi_root: tuple
     l_simple_roots: tuple    # roots of s spanning the simple system of l
     l_components: tuple      # DynkinComponent per simple ideal
@@ -316,7 +314,6 @@ def build_case(label: str) -> SubadjointCase:
         contact=contact,
         V_roots=V_roots,
         v0_root=v0_root,
-        v0_index=root_index[v0_root],
         vhi_root=vhi_root,
         l_simple_roots=tuple(l_simple),
         l_components=tuple(comps),
@@ -538,22 +535,6 @@ def _l0_basis(case: SubadjointCase) -> list[Vec]:
     """Basis of l_0 inside s: the coroots of l, then its degree-0 roots."""
     return ([case.coroot_vec(b) for b in case.l_simple_roots]
             + [case.e(r) for r in case.l0_roots()])
-
-
-def l0_module(case: SubadjointCase, v: Vec) -> RrefBasis:
-    """The l_0-module generated by v: the span of v and its iterated
-    brackets with l_0.  Each vector that enlarges the span is bracketed
-    with every basis vector of l_0; by linearity the others add nothing."""
-    s, l0 = case.s_table, _l0_basis(case)
-    acc = span(s.dim, [v])
-    todo = [v]
-    while todo:
-        w = todo.pop()
-        for x in l0:
-            y = s.bracket(x, w)
-            if acc.add(y):
-                todo.append(y)
-    return acc
 
 
 def bracket_kernel(case: SubadjointCase, points: list[Vec]) -> list[Vec]:

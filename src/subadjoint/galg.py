@@ -25,7 +25,6 @@ class GAlgebra:
     degree: list            # degree per basis index
     osc_level: list         # osculating level per basis index
     id_index: int
-    l_offset: int           # first l basis index
     v_offset: int           # first V basis index
     l_basis_keys: tuple     # ("h", root) | ("e", root) per l position
     v0_index: int           # g-basis index of v0
@@ -129,7 +128,6 @@ def build_g(case: SubadjointCase) -> GAlgebra:
         degree=degree,
         osc_level=osc,
         id_index=0,
-        l_offset=l_offset,
         v_offset=v_offset,
         l_basis_keys=tuple(l_keys),
         v0_index=v_pos[case.v0_root],
@@ -191,9 +189,7 @@ class OperatorA:
 
 
 def operator_a(g: GAlgebra) -> OperatorA:
-    v0 = {g.v0_index: 1}
-    return OperatorA(g=g, columns=[g.table.bracket(v0, {j: 1})
-                                   for j in range(g.table.dim)])
+    return OperatorA(g=g, columns=g.table.ad_columns({g.v0_index: 1}))
 
 
 # --------------------------------------------------------------------------
@@ -332,5 +328,13 @@ def verify_g_module_structure(g: GAlgebra) -> list[IdentityCheck]:
     return out
 
 
+def g_generators(g: GAlgebra) -> list[int]:
+    """The g indices of Id, of e_{+-beta} over the simple roots beta of l
+    (they generate l) and of v0 (it generates the irreducible l-module V)."""
+    pos = {key: i for i, key in enumerate(g.l_basis_keys, g.id_index + 1)}
+    return [g.id_index, *(pos[("e", r)] for b in g.case.l_simple_roots
+                          for r in (b, tuple(-c for c in b))), g.v0_index]
+
+
 def g_jacobi_violations(g: GAlgebra) -> list:
-    return check_jacobi(g.table)
+    return check_jacobi(g.table, g_generators(g))

@@ -3,11 +3,11 @@
 Everything is exact: vectors are sparse {index: value} dicts whose values
 are exact rationals, `int` when integral; brackets are sparse
 structure-constant tables; a grading diagonal in the basis is its degree
-map; a subspace is the `linalg.RrefBasis` of its span.  A line
-stabilizer is taken inside one table, over a basis of the subalgebra
-given as vectors of that table, so a subalgebra needs no table of its
-own.  Tables are immutable by convention after construction and safe to
-share.
+map; a subspace is the `linalg.RrefBasis` of its span, and a span of
+iterated brackets one `bracket_closure`.  A line stabilizer is taken
+inside one table, over a basis of the subalgebra given as vectors of that
+table, so a subalgebra needs no table of its own.  Jacobi is checked on a
+generating set.  Tables are immutable by convention once built.
 """
 
 from __future__ import annotations
@@ -99,49 +99,68 @@ def bracket_index(L: LieAlgebraTable) -> tuple[list[dict], list[list]]:
     return ad, terms
 
 
-def check_jacobi(L: LieAlgebraTable) -> list[tuple[int, int, int]]:
-    """All basis triples of L violating Jacobi (see `jacobi_violations`)."""
-    return jacobi_violations(*bracket_index(L))
+def bracket_closure(L: LieAlgebraTable, xs: list[Vec], start: list[Vec]
+                    ) -> RrefBasis:
+    """The span of start and of its iterated brackets [x, .], x in xs, on
+    the table as given.  Each vector that enlarges the span is bracketed
+    with every x; by linearity the others add nothing."""
+    acc = RrefBasis(L.dim)
+    todo = [v for v in start if acc.add(v)]
+    while todo:
+        w = todo.pop()
+        todo += [y for y in (L.bracket(x, w) for x in xs) if acc.add(y)]
+    return acc
 
 
-def jacobi_violations(ad: list[dict], terms: list[list]
+def check_jacobi(L: LieAlgebraTable, S: list[int]) -> list[tuple]:
+    """The `jacobi_violations` of L on the basis vectors S, which must
+    generate L (ConsistencyError otherwise); empty iff Jacobi holds.
+
+    Lemma.  In any bilinear antisymmetric table, D = {x : ad x is a
+    derivation} is a subalgebra: for x, y in D, ad[x, y] = [ad x, ad y], a
+    commutator of derivations.  So S in D, with the iterated brackets of S
+    spanning L (`bracket_closure`), gives D = L: a table that breaks Jacobi
+    FAILs on S, or S fails to generate.
+    """
+    gens = [{x: 1} for x in S]
+    rank = bracket_closure(L, gens, gens).rank
+    _check(rank == L.dim, f"generators do not generate: {rank} of {L.dim}")
+    return jacobi_violations(*bracket_index(L), S)
+
+
+def jacobi_violations(ad: list[dict], terms: list[list], S: list[int]
                       ) -> list[tuple[int, int, int]]:
-    """All basis triples violating Jacobi, read off the `bracket_index`
-    (ad, terms) of a table.  Empty list iff Jacobi holds.
+    """The basis triples (x, y, z), x in S, y < z, x not in {y, z}, with
+    J(x, y, z) = [[x, y], z] - [[x, z], y] + [[y, z], x] != 0, in the order
+    of S, then (y, z); J(x, ., .) = 0 says ad(x) is a derivation.
 
-    J(a, b, c) = [[a, b], c] - [[a, c], b] + [[b, c], a] is accumulated,
-    for a < b < c, from its nonzero products only, one smallest index a at
-    a time: the [[a, y], z] products are read off ad(a), the [[b, c], a]
-    products off the term index k -> (b, c, [b, c]_k) of `bracket_index`.
-    A triple with no nonzero product satisfies the identity term by term.
-    The violations come in lexicographic order.  No weight grading of the
-    basis is assumed: a table breaking weight homogeneity is among the
-    faults to catch.
+    Read off the `bracket_index` (ad, terms) of a table, from the nonzero
+    products only, one x at a time: [[x, y], z] off ad(x), [[y, z], x] off
+    the term index.  No weight grading of the basis is assumed: a table
+    breaking weight homogeneity is among the faults to catch.
     """
     violations = []
-    for a in range(len(ad)):
+    for x in S:
         acc: dict[tuple[int, int], dict] = {}
-        for y, ay in ad[a].items():
-            if y < a:
-                continue
-            for k, coef in ay.items():
+        for y, xy in ad[x].items():
+            for k, coef in xy.items():
                 for z, kz in ad[k].items():
-                    if z <= a or z == y:
+                    if z == x or z == y:
                         continue
-                    # [[a, y], z] is + in J(a, y, z) and - in J(a, z, y)
+                    # [[x, y], z] is + in J(x, y, z) and - in J(x, z, y)
                     key, sign = ((y, z), coef) if y < z else ((z, y), -coef)
                     total = acc.setdefault(key, {})
                     for m, w in kz.items():
                         total[m] = total.get(m, 0) + sign * w
-        for k in ad[a]:
-            ka = ad[k][a]
-            for b, c, coef in terms[k]:
-                if b > a:
-                    total = acc.setdefault((b, c), {})
-                    for m, w in ka.items():
+        for k in ad[x]:
+            kx = ad[k][x]
+            for y, z, coef in terms[k]:
+                if x != y and x != z:
+                    total = acc.setdefault((y, z), {})
+                    for m, w in kx.items():
                         total[m] = total.get(m, 0) + coef * w
-        violations.extend((a, b, c) for (b, c), total in sorted(acc.items())
-                          if any(total.values()))
+        violations.extend((x, y, z) for y, z in sorted(
+            key for key, total in acc.items() if any(total.values())))
     return violations
 
 

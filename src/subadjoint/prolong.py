@@ -34,10 +34,11 @@ breaks the grading stops it with ConsistencyError.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import accumulate
 
 from .liecore import (ConsistencyError, LieAlgebraTable, _check,
-                      bracket_index, jacobi_violations)
+                      bracket_closure, bracket_index, jacobi_violations)
 from .linalg import RrefBasis, Vec, span
 
 
@@ -123,7 +124,6 @@ class _Tower:
         }
         self.bases: dict[int, list[TaggedMap]] = {}  # level j -> maps
         self._actions: dict[int, list[dict]] = {}
-        self._index: tuple[list[dict], list[list]] | None = None
 
     def space_dim(self, j: int) -> int:
         if j >= 1:
@@ -150,7 +150,7 @@ class _Tower:
         elif j == 0:
             sources = (enumerate(mat) for mat in inp.n0_mats)
         else:
-            ad = self.bracket_index()[0]
+            ad = self.bracket_index[0]
             sources = (ad[w].items() for w in self.comp_list.get(j, ()))
         table = [self._table_row(j, raws) for raws in sources]
         self._actions[j] = table
@@ -170,53 +170,43 @@ class _Tower:
                 out[v] = coords
         return out
 
+    @cached_property
     def bracket_index(self) -> tuple[list[dict], list[list]]:
         """`liecore.bracket_index` of n_+, built on first use."""
-        if self._index is None:
-            self._index = bracket_index(self.inp.nplus)
-        return self._index
+        return bracket_index(self.inp.nplus)
 
     def validate(self) -> None:
         """Raise ConsistencyError unless n_+ is a graded Lie algebra
         generated in degree 1 and n_0 a commutator-closed family of
         independent degree-preserving derivations.
 
-        The checks run in this order: degrees, Jacobi, degree additivity,
-        generation in degree 1, degree preservation, then per n_0 element
-        the derivation property and independence, then closure.  Each one
-        relies on those before it:
-        - with Jacobi and additivity, n_+ is generated in degree 1 exactly
-          when [n_1, n_{d-1}] = n_d in each degree d >= 2, read on basis
-          brackets;
-        - a derivation of an n_+ generated in degree 1 is fixed by its
-          degree-1 block A_1, so derivations are independent exactly when
-          their blocks are, and [A, B], itself a degree-preserving
-          derivation, lies in their span exactly when
-          [A, B]|_1 = A_1 B_1 - B_1 A_1 lies in the span of the blocks.
-        Independence and closure are tested on the blocks.  The Jacobi scan
-        reads the tower's bracket index and the derivation checks its
-        level-0 action table.
+        The checks run in this order, each relying on those before it:
+        degrees, generation in degree 1 (one `bracket_closure`), Jacobi
+        (ad(x) a derivation for x in degree 1, by the lemma of
+        `liecore.check_jacobi`), degree additivity, degree preservation,
+        then per n_0 element the derivation property and independence, then
+        closure.  A derivation of an n_+ generated in degree 1 is fixed by
+        its degree-1 block A_1, so derivations are independent exactly when
+        their blocks are, and [A, B], itself a degree-preserving derivation,
+        lies in their span exactly when [A, B]|_1 = A_1 B_1 - B_1 A_1 lies
+        in the span of the blocks: both are tested on the blocks.  The
+        Jacobi check reads the tower's bracket index and the derivation
+        checks its level-0 action table.
         """
         inp = self.inp
         n, degrees = inp.dim, inp.degrees
         _check(len(degrees) == n and all(d >= 1 for d in degrees),
                "degrees must be >= 1, one per basis vector")
-        _check(not jacobi_violations(*self.bracket_index()),
+        ones = self.comp_list.get(1, ())
+        gens = [{i: 1} for i in ones]
+        _check(bracket_closure(inp.nplus, gens, gens).rank == n,
+               "degree-1 component does not generate")
+        _check(not jacobi_violations(*self.bracket_index, ones),
                "n_+ violates Jacobi")
         for (i, j), vec in inp.nplus.brackets.items():
             dd = degrees[i] + degrees[j]
             _check(all(degrees[k] == dd for k in vec),
                    f"bracket ({i}, {j}) is not additive in degree")
-        comp = self.comp_list
-        for d, ix in comp.items():
-            if d == 1:
-                continue
-            span = RrefBasis(n)
-            for i in comp.get(1, ()):
-                for j in comp.get(d - 1, ()):
-                    if span.rank < len(ix):
-                        span.add(inp.nplus.bracket_basis(i, j))
-            _check(span.rank == len(ix), "degree-1 component does not generate")
         for a, mat in enumerate(inp.n0_mats):
             _check(all(degrees[k] == degrees[j]
                        for j, col in enumerate(mat) for k in col),
@@ -224,7 +214,6 @@ class _Tower:
         # a degree-preserving derivation is a level-0 solution of the
         # compatibility equation; its columns are its row of the level-0
         # action table, whose degree-1 sources hold its degree-1 block
-        ones = comp.get(1, ())
         m = len(ones)
         flat = RrefBasis(m * m)
         cols, rows = [], []  # per element: {k: column k}, {k: row k} of A_1
@@ -360,7 +349,7 @@ def residual_is_zero(tower: _Tower, k: int, phi: TaggedMap) -> bool:
     A pair whose target space is empty has no equation.
     """
     degrees = tower.inp.degrees
-    terms = tower.bracket_index()[1]
+    terms = tower.bracket_index[1]
     support = [u for u, block in enumerate(phi) if block]
     tables = {d: tower.action(d - k) for d in {degrees[u] for u in support}}
     total: dict = {}  # (u, v, coordinate) -> value

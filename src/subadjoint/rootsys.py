@@ -438,6 +438,13 @@ def chevalley_table(rs: RootSystem) -> LieAlgebraTable:
                            brackets=brackets)
 
 
+def chevalley_generators(rs: RootSystem) -> list[int]:
+    """The `chevalley_table` indices of e_a, then of e_{-a}, over the simple
+    roots a, the first rank positive roots: they generate the algebra."""
+    r, npos = rs.rank, len(rs.positive_roots)
+    return [*range(r, 2 * r), *range(r + npos, 2 * r + npos)]
+
+
 # --------------------------------------------------------------------------
 # Dynkin diagram classification of sub-root-systems
 # --------------------------------------------------------------------------

@@ -41,11 +41,11 @@ from .cases import (
     check_xvv,
     fundamental_forms,
     highest_weight_roots_of_l1,
-    l0_module,
     sample_closed_orbit,
     symplectic_form,
     xvv_core,
     _expected_factors,
+    _l0_basis,
 )
 from .galg import (
     GAlgebra,
@@ -54,10 +54,10 @@ from .galg import (
     verify_g_module_structure,
     verify_structure_identities,
 )
-from .liecore import ConsistencyError, _check, check_jacobi
+from .liecore import ConsistencyError, _check, bracket_closure, check_jacobi
 from .linalg import SparseRationalMatrix, span
 from .prolong import witness_rank
-from .rootsys import _RANK_RANGES
+from .rootsys import _RANK_RANGES, chevalley_generators
 from .spencer import (
     KMIN_SUPPORT,
     CaseTower,
@@ -341,7 +341,7 @@ def _contact_grading(ctx: _Context) -> list[dict]:
 
 
 def _jacobi_ambient(ctx: _Context) -> list[dict]:
-    viol = check_jacobi(ctx.case.s_table)
+    viol = check_jacobi(ctx.case.s_table, chevalley_generators(ctx.case.rs))
     return [{"status": "PASS" if not viol else "FAIL",
              "values": {"violations": len(viol)},
              "witnesses": {"first": viol[:3]} if viol else {}}]
@@ -411,11 +411,11 @@ def _base_locus_samples(ctx: _Context) -> list[dict]:
     at = [forms.l1_roots.index(r) for r in hw]
     iii_null = all(forms.III[p][p][p] == 0 for p in at)
     ii_null_flags = [not any(forms.II[p][p]) for p in at]
-    dim = case.s_table.dim
+    s, l0 = case.s_table, _l0_basis(case)
     gen_ok = all(
-        l0_module(case, case.e(r)) == span(
-            dim, (case.e(x) for x in case.l1_roots()
-                  if case.ideal_of_root(x) == ci))
+        bracket_closure(s, l0, [case.e(r)]) == span(
+            s.dim, (case.e(x) for x in case.l1_roots()
+                    if case.ideal_of_root(x) == ci))
         for ci, r in enumerate(hw))
     is_ii1 = case.s_label == "B3"
     if is_ii1:

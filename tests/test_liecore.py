@@ -12,15 +12,17 @@ from subadjoint.liecore import (
     ConsistencyError,
     LieAlgebraTable,
     bracket_index,
+    bracket_closure,
     check_jacobi,
     contact_grading,
     grade_by_element,
     line_stabilizer,
 )
 from subadjoint.cases import build_case
-from subadjoint.galg import build_g
+from subadjoint.galg import build_g, g_generators
 from subadjoint.linalg import span, vec_add_scaled
-from subadjoint.rootsys import build_root_system, chevalley_table
+from subadjoint.rootsys import (build_root_system, chevalley_generators,
+                                chevalley_table)
 
 from oracles import bracket_additivity_violations
 
@@ -31,7 +33,25 @@ def _abelian(n):
 
 
 def test_jacobi_abelian():
-    assert check_jacobi(_abelian(5)) == []
+    assert check_jacobi(_abelian(5), range(5)) == []
+
+
+def test_jacobi_rejects_generators_that_do_not_generate():
+    # an abelian algebra is generated by no proper subset of a basis
+    with pytest.raises(ConsistencyError, match="do not generate"):
+        check_jacobi(_abelian(5), [0])
+
+
+def test_bracket_closure_of_a2_simple_root_vectors():
+    t = chevalley_table(build_root_system("A2"))
+    gens = chevalley_generators(build_root_system("A2"))
+    e = [{i: 1} for i in gens]
+    assert bracket_closure(t, e, e).rank == t.dim
+    # the positive simple root vectors close to the positive nilradical
+    assert bracket_closure(t, e[:2], e[:2]) == span(t.dim, [{2: 1}, {3: 1},
+                                                            {4: 1}])
+    # start need not lie in the closure of xs: h1 only spans its own line
+    assert bracket_closure(t, [{0: 1}], [{0: 1}]).rank == 1
 
 
 @pytest.mark.parametrize("label", ["B3", "G2", "E6"])
@@ -67,13 +87,15 @@ def _jacobi_all_triples(L):
 
 
 def _jacobi_table(name):
-    """A fresh copy of the table plus one bracket key per corruption site."""
+    """A fresh copy of the table, one bracket key per corruption site and
+    the generators its Jacobi check reads."""
     if name.startswith("g-"):
         g = build_g(build_case(name[2:]))
-        t = g.table
-        cartan = {g.l_offset + i for i, key in enumerate(g.l_basis_keys)
+        t, gens = g.table, g_generators(g)
+        l_offset = g.id_index + 1
+        cartan = {l_offset + i for i, key in enumerate(g.l_basis_keys)
                   if key[0] == "h"}
-        l_roots = set(range(g.l_offset, g.v_offset)) - cartan
+        l_roots = set(range(l_offset, g.v_offset)) - cartan
         V = set(range(g.v_offset, t.dim))
         sites = {
             "id-v": min(k for k in t.brackets if k[0] == g.id_index),
@@ -81,15 +103,16 @@ def _jacobi_table(name):
                        if k[0] in l_roots and k[1] in V),
         }
     else:
-        t = chevalley_table(build_root_system(name))
-        cartan = set(range(build_root_system(name).rank))
+        rs = build_root_system(name)
+        t, gens = chevalley_table(rs), chevalley_generators(rs)
+        cartan = set(range(rs.rank))
         l_roots = set(range(t.dim)) - cartan
         sites = {}
     sites["cartan"] = min(k for k in t.brackets
                           if k[0] in cartan and k[1] in l_roots)
     t = LieAlgebraTable(t.dim, t.labels,
                         {k: dict(v) for k, v in t.brackets.items()})
-    return t, sites
+    return t, sites, gens
 
 
 _G_SITES = ("cartan", "id-v", "l-V", "seeded", "zeroed")
@@ -105,7 +128,7 @@ _JACOBI_CONTROLS = [
 
 @pytest.mark.parametrize("name,site", _JACOBI_CONTROLS)
 def test_jacobi_scan_matches_all_triples(name, site):
-    t, sites = _jacobi_table(name)
+    t, sites, gens = _jacobi_table(name)
     if site in ("seeded", "zeroed"):
         # one seeded entry: bumped, or set to an explicit zero
         rng = random.Random(f"{name}-{site}")
@@ -115,18 +138,43 @@ def test_jacobi_scan_matches_all_triples(name, site):
     elif site != "clean":
         vec = t.brackets[sites[site]]
         vec[min(vec)] += 1
-    want = _jacobi_all_triples(t)
-    assert check_jacobi(t) == want
-    assert (want == []) == (site == "clean")
+    # the violations are the all-triples ones that meet the generators,
+    # each once per generator in it
+    got = check_jacobi(t, gens)
+    assert len(got) == len(set(got))
+    assert all(x in gens and y < z and x not in (y, z) for x, y, z in got)
+    assert {tuple(sorted(v)) for v in got} == {
+        v for v in _jacobi_all_triples(t) if set(v) & set(gens)}
+    assert (got == []) == (site == "clean")
+
+
+@pytest.mark.parametrize("name", ["B3", "g-B3", "D4", "g-D4"])
+def test_every_doubled_constant_fails_the_generator_check(name):
+    # each stored constant doubled in turn: 116, 36, 195 and 65 mutants;
+    # a mutant FAILs when its generators break a derivation or no longer
+    # generate
+    t, _, gens = _jacobi_table(name)
+    mutants = passed = 0
+    for vec in t.brackets.values():
+        for m, c in list(vec.items()):
+            vec[m] = 2 * c
+            mutants += 1
+            try:
+                passed += check_jacobi(t, gens) == []
+            except ConsistencyError:
+                pass
+            vec[m] = c
+    assert mutants == {"B3": 116, "g-B3": 36, "D4": 195, "g-D4": 65}[name]
+    assert passed == 0
 
 
 def test_jacobi_scan_memory_is_per_index():
-    # the products are accumulated one smallest index at a time, so the
-    # sums of only one index's triples are held at once
-    t = build_case("E6").s_table
+    # the products are accumulated one generator at a time, so the sums
+    # of only one generator's triples are held at once
+    case = build_case("E6")
     tracemalloc.start()
     try:
-        assert check_jacobi(t) == []
+        assert check_jacobi(case.s_table, chevalley_generators(case.rs)) == []
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -427,7 +427,7 @@ def _unclosed_n0_input():
     inp = g_tower(g).inp
     g0 = g.components()[0]
     top = max((r for r in g.case.l0_roots() if sum(r) > 0), key=sum)
-    drop = g0.index(g.l_offset + g.l_basis_keys.index(("e", top)))
+    drop = g0.index(g.id_index + 1 + g.l_basis_keys.index(("e", top)))
     return ProlongInput(nplus=inp.nplus, degrees=inp.degrees,
                         n0_mats=inp.n0_mats[:drop] + inp.n0_mats[drop + 1:])
 

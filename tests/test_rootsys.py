@@ -13,6 +13,7 @@ from subadjoint.liecore import ConsistencyError, check_jacobi
 from subadjoint.rootsys import (
     ChevalleyConstants,
     build_root_system,
+    chevalley_generators,
     chevalley_table,
     classify_dynkin,
     node_orbit,
@@ -88,17 +89,24 @@ def test_sl2_relations():
 
 @pytest.mark.parametrize("label", ["A2", "B3", "C3", "D4", "G2", "F4"])
 def test_chevalley_antisymmetry_and_jacobi(label):
-    t = chevalley_table(build_root_system(label))
+    rs = build_root_system(label)
+    t = chevalley_table(rs)
     assert check_antisymmetry(t)
-    assert check_jacobi(t) == []
+    gens = chevalley_generators(rs)
+    simple = [tuple(int(i == j) for j in range(rs.rank)) for i in range(rs.rank)]
+    roots = rs.all_roots()
+    assert sorted(roots[k - rs.rank] for k in gens) == sorted(
+        simple + [tuple(-c for c in a) for a in simple])
+    assert check_jacobi(t, gens) == []
 
 
 def test_corrupted_table_detected():
-    t = chevalley_table(build_root_system("B3"))
+    rs = build_root_system("B3")
+    t = chevalley_table(rs)
     key = next(k for k, v in t.brackets.items() if v)
     tgt = next(iter(t.brackets[key]))
     t.brackets[key][tgt] += 1
-    assert check_jacobi(t) != []
+    assert check_jacobi(t, chevalley_generators(rs)) != []
 
 
 @pytest.mark.parametrize("label", ["B3", "G2", "F4", "D4"])

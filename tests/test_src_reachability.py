@@ -23,6 +23,12 @@ A second scan reads every parameter list: each parameter of a src/
 function or method is read by name in its body, so that no caller passes
 a value nothing uses.  A method's receiver (self, cls) is exempt, and so
 are lambdas, whose signature a table of them fixes.
+
+A third scan reads every dataclass: each field of a src/ dataclass is read
+somewhere in src/ as `.field`, so that no constructor stores a value only
+tests read.  It matches attribute names only, so a same-named attribute
+read anywhere else in src/ still hides a field: `SubadjointCase.v0_index`
+went unnoticed that way, behind the `GAlgebra.v0_index` reads.
 """
 
 import ast
@@ -218,3 +224,31 @@ def _unread_parameters() -> list[str]:
 
 def test_every_parameter_is_read():
     assert not _unread_parameters()
+
+
+def _is_dataclass(cls: ast.ClassDef) -> bool:
+    return any(isinstance(d, ast.Name) and d.id == "dataclass"
+               or isinstance(d, ast.Call) and isinstance(d.func, ast.Name)
+               and d.func.id == "dataclass"
+               for d in cls.decorator_list)
+
+
+def _unread_fields() -> list[str]:
+    """"module.Class.field" for each field of a src/ dataclass that no src/
+    code reads as an attribute of that name."""
+    fields, read = [], set()
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                read.add(node.attr)
+            elif isinstance(node, ast.ClassDef) and _is_dataclass(node):
+                fields += [(path.stem, node.name, stmt.target.id)
+                           for stmt in node.body
+                           if isinstance(stmt, ast.AnnAssign)
+                           and isinstance(stmt.target, ast.Name)]
+    return [f"{m}.{c}.{f}" for m, c, f in fields if f not in read]
+
+
+def test_every_dataclass_field_is_read():
+    assert not _unread_fields()

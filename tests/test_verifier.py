@@ -20,7 +20,8 @@ from subadjoint.galg import build_g
 from subadjoint.liecore import check_jacobi
 from subadjoint.linalg import span
 from subadjoint.prolong import g_tower, prolongation
-from subadjoint.rootsys import build_root_system, chevalley_table
+from subadjoint.rootsys import (build_root_system, chevalley_generators,
+                               chevalley_table)
 from subadjoint.verify import (
     CaseDescriptor,
     CheckRecord,
@@ -443,7 +444,8 @@ def _zero_sigma_pair(case):
     """Zero one [v, theta - v] bracket of s, v and theta - v both not v0."""
     s = case.s_table
     theta = case.root_index(case.rs.highest_root)
-    idx = {case.root_index(v) for v in case.V_roots} - {case.v0_index}
+    idx = ({case.root_index(v) for v in case.V_roots}
+           - {case.root_index(case.v0_root)})
     key = min(k for k, vec in s.brackets.items()
               if theta in vec and k[0] in idx and k[1] in idx)
     s.brackets[key] = {}
@@ -1115,6 +1117,48 @@ def test_unbuildable_case_fails_every_record_under_python_O(fault):
     _assert_every_record_fails(json.loads(r.stdout), CONSTRUCTION_FAULTS[fault][2])
 
 
+def _drop_e_minus_alpha1(set_attr):
+    """s's generators for `jacobi-ambient` without e_{-alpha_1}: the rest
+    generate a proper parabolic subalgebra."""
+    def gens(rs):
+        full = chevalley_generators(rs)
+        return full[:rs.rank] + full[rs.rank + 1:]
+    set_attr(verify, "chevalley_generators", gens)
+
+
+def _jacobi_ambient_record(doc):
+    return next(c for c in doc["checks"] if c["id"] == "jacobi-ambient")
+
+
+def test_non_generating_s_generators_fail_jacobi_ambient(monkeypatch, capsys):
+    _drop_e_minus_alpha1(monkeypatch.setattr)
+    assert main(["--case", "B3", "--checks", "jacobi", "--format", "json"]) == 1
+    rec = _jacobi_ambient_record(json.loads(capsys.readouterr().out))
+    assert rec["status"] == "FAIL"
+    assert "do not generate" in rec["values"]["error"]
+
+
+def test_non_generating_s_generators_fail_jacobi_ambient_under_python_O():
+    # the generation check must not be an assert, which -O strips
+    script = "\n".join([
+        "import sys",
+        f"sys.path.insert(0, {str(Path(__file__).parent)!r})",
+        "from test_verifier import _drop_e_minus_alpha1",
+        "from subadjoint.cli import main",
+        "if __debug__:",
+        "    sys.exit('not running under -O')",
+        "_drop_e_minus_alpha1(setattr)",
+        "sys.exit(main(['--case', 'B3', '--checks', 'jacobi', "
+        "'--format', 'json']))",
+    ])
+    r = subprocess.run([sys.executable, "-O", "-c", script],
+                       capture_output=True, text=True)
+    assert r.returncode == 1, r.stderr
+    rec = _jacobi_ambient_record(json.loads(r.stdout))
+    assert rec["status"] == "FAIL"
+    assert "do not generate" in rec["values"]["error"]
+
+
 @pytest.mark.parametrize("label", ["B3", "B4", "F4"])
 def test_regauged_chevalley_basis_gives_identical_records(label, monkeypatch):
     # re-signing the root vectors gives another Chevalley basis of s: no
@@ -1124,7 +1168,7 @@ def test_regauged_chevalley_basis_gives_identical_records(label, monkeypatch):
     assert shipped.brackets.keys() == regauged.brackets.keys()
     assert any(shipped.brackets[k] != regauged.brackets[k]
                for k in shipped.brackets)
-    assert check_jacobi(regauged) == []
+    assert check_jacobi(regauged, chevalley_generators(rs)) == []
     want = emit(run(label, {"all"}, RunOptions(seed=7)), fmt="json")
     monkeypatch.setattr(cases, "chevalley_table",
                         lambda rs: oracles.regauged_table(rs, seed=7))
