@@ -641,27 +641,17 @@ def _exp_ad(s: LieAlgebraTable, f: Vec, v: Vec) -> Vec:
     return out
 
 
-@dataclass
-class XvvCertificate:
-    status: str          # "PASS" | "INCONCLUSIVE"
-    samples_used: int
-    kernel_dim: int
-
-
-def check_xvv(case: SubadjointCase, samples: list[Vec]) -> XvvCertificate:
-    """Certify {a in l_{-1} : [[a,b],b] = 0 for all sampled b} = 0.
+def check_xvv(case: SubadjointCase, samples: list[Vec]) -> int:
+    """dim {a in l_{-1} : [[a,b],b] = 0 for all sampled b}.
 
     A zero kernel on finitely many orbit points certifies the full claim
     (the kernel over the whole orbit cone is contained in this one); a
-    nonzero kernel is INCONCLUSIVE, never a refutation.  Each point is
-    scaled by the lcm m of its denominators first: [[a, m b], m b] =
-    m^2 [[a, b], b], so the kernel is the same and is found in integers.
+    nonzero kernel is never a refutation.  Each point is scaled by the lcm
+    m of its denominators first: [[a, m b], m b] = m^2 [[a, b], b], so the
+    kernel is the same and is found in integers.
     """
     points = []
     for b in samples:
         m = lcm(*(c.denominator for c in b.values()))
         points.append({k: int(c * m) for k, c in b.items()})
-    kdim = len(bracket_kernel(case, points))
-    status = "PASS" if kdim == 0 else "INCONCLUSIVE"
-    return XvvCertificate(status=status, samples_used=len(samples),
-                          kernel_dim=kdim)
+    return len(bracket_kernel(case, points))

@@ -18,6 +18,7 @@ from .rootsys import _RANK_RANGES
 from .verify import (
     CHECK_GROUPS,
     RunOptions,
+    active_entry,
     emit,
     exit_code,
     list_cases,
@@ -105,17 +106,17 @@ def main(argv=None) -> int:
         if not os.path.isdir(os.path.dirname(args.out) or "."):
             return _unwritable(args.out, os.strerror(errno.ENOENT))
 
-    reports = []
-    for cid in case_ids:
-        try:
-            reports.append(run(cid, checks, options))
-        except CaseExcludedError as e:
-            print(f"error: {e}", file=sys.stderr)
-            return 3
-        except KeyError as e:
-            print(f"error: {e}", file=sys.stderr)
-            return 3
+    # every id is resolved before the first case runs, so that an unknown
+    # or excluded id stops the command at once, and a KeyError out of a
+    # check stays a bug
+    try:
+        for cid in case_ids:
+            active_entry(cid)
+    except (KeyError, CaseExcludedError) as e:
+        print(f"error: {e}", file=sys.stderr)
+        return 3
 
+    reports = [run(cid, checks, options) for cid in case_ids]
     doc = emit(reports, fmt=args.fmt, timings=args.timings)
     if args.out:
         try:

@@ -10,7 +10,7 @@ what the operator A = ad(v0) shifts by one.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .cases import SubadjointCase, _l_basis_vectors
 from .liecore import LieAlgebraTable, _check, check_jacobi
@@ -196,21 +196,16 @@ def operator_a(g: GAlgebra) -> OperatorA:
 # Structure identity suite
 # --------------------------------------------------------------------------
 
-@dataclass
-class IdentityCheck:
-    check_id: str
-    status: str  # "PASS" | "FAIL"
-    detail: dict = field(default_factory=dict)
-
-
-def verify_structure_identities(g: GAlgebra) -> list[IdentityCheck]:
-    """The bracket identities used by the vanishing argument, checked exactly.
+def verify_structure_identities(g: GAlgebra) -> list[tuple[bool, dict]]:
+    """The bracket identities used by the vanishing argument, checked exactly:
+    one (holds, detail) pair per claim, in this order.
 
     (a) [a + t a.v0, b + t b.v0] = 0 coefficientwise in t;
     (b) V_1 = {u in g_1 : [u, V_2] = 0};
     (c) l_1 and V_1 meet only in 0 inside g_1;
     (d) [v0, l_1] = V_1;
-    (e) A^2 = 0, so exp(s v0) = Id + s A.
+    (e) A^2 = 0, so exp(s v0) = Id + s A;
+    (f) A raises the osculating level by one.
     """
     t = g.table
     out = []
@@ -231,10 +226,8 @@ def verify_structure_identities(g: GAlgebra) -> list[IdentityCheck]:
                 break
         if bad:
             break
-    out.append(IdentityCheck(
-        "eII-coefficients", "FAIL" if bad else "PASS",
-        {"witness": bad} if bad else {"pairs": len(g.l1_indices) ** 2},
-    ))
+    out.append((not bad, {"witness": bad} if bad
+                else {"pairs": len(g.l1_indices) ** 2}))
 
     # (b): annihilator of V_2 inside g_1
     g1 = [i for i, d in enumerate(g.degree) if d == 1]
@@ -244,38 +237,27 @@ def verify_structure_identities(g: GAlgebra) -> list[IdentityCheck]:
         lambda u: {(wi, m): c for wi, w in enumerate(V2)
                    for m, c in t.bracket(u, {w: 1}).items()}))
     V1 = span(t.dim, ({i: 1} for i in g.V_level_indices[1]))
-    out.append(IdentityCheck(
-        "v1-annihilator-of-v2", "PASS" if ann == V1 else "FAIL",
-        {"annihilator_dim": ann.rank, "dim_V1": V1.rank},
-    ))
+    out.append((ann == V1, {"annihilator_dim": ann.rank, "dim_V1": V1.rank}))
 
     # (c): l_1 and V_1 transverse; both are spanned by basis vectors, so
     # their intersection is spanned by the basis vectors they share
     shared = len(set(g.l1_indices) & set(g.V_level_indices[1]))
-    out.append(IdentityCheck(
-        "l1-V1-intersection", "FAIL" if shared else "PASS",
-        {"intersection_dim": shared},
-    ))
+    out.append((not shared, {"intersection_dim": shared}))
 
     # (d): A l_1 = V_1
     A = operator_a(g)
     img = span(t.dim, (A.columns[a] for a in g.l1_indices))
-    out.append(IdentityCheck(
-        "v0-bracket-image", "PASS" if img == V1 else "FAIL",
-        {"image_dim": img.rank},
-    ))
+    out.append((img == V1, {"image_dim": img.rank}))
 
-    # (e): A^2 = 0 and the level shift
-    sq = A.squared_is_zero()
-    out.append(IdentityCheck("a-squared-zero", "PASS" if sq else "FAIL", {}))
-    out.append(IdentityCheck(
-        "a-level-shift", "PASS" if A.level_shift_ok() else "FAIL", {}
-    ))
+    # (e), (f)
+    out.append((A.squared_is_zero(), {}))
+    out.append((A.level_shift_ok(), {}))
     return out
 
 
-def verify_g_module_structure(g: GAlgebra) -> list[IdentityCheck]:
-    """g_0-level checks: faithful action on g_1, quotient action, c functional."""
+def verify_g_module_structure(g: GAlgebra) -> list[tuple[bool, dict]]:
+    """g_0-level checks, one (holds, detail) pair each, in this order:
+    faithful action on g_1, quotient action, c functional."""
     t = g.table
     out = []
     g0 = [i for i, d in enumerate(g.degree) if d == 0]
@@ -287,10 +269,7 @@ def verify_g_module_structure(g: GAlgebra) -> list[IdentityCheck]:
         [{(u, m): c for u in g1 for m, c in t.bracket_basis(x, u).items()}
          for x in g0]
     ).kernel()
-    out.append(IdentityCheck(
-        "ad-g0-faithful-on-g1", "PASS" if not ker else "FAIL",
-        {"kernel_dim": len(ker)},
-    ))
+    out.append((not ker, {"kernel_dim": len(ker)}))
 
     # [g_0, V_1] stays in V_1 and the induced action on g_1/V_1 kills
     # V_0 + C Id, i.e. factors through l_0
@@ -307,11 +286,8 @@ def verify_g_module_structure(g: GAlgebra) -> list[IdentityCheck]:
             br = t.bracket_basis(x, u)
             if any(k not in V1set for k in br):
                 ok_factor = False
-    out.append(IdentityCheck(
-        "g0-preserves-tensor-split",
-        "PASS" if (ok_pres and ok_factor) else "FAIL",
-        {"V1_stable": ok_pres, "quotient_is_l0_action": ok_factor},
-    ))
+    out.append((ok_pres and ok_factor,
+                {"V1_stable": ok_pres, "quotient_is_l0_action": ok_factor}))
 
     # c functional inside g: [b, v0] = c(b) v0 for b in l_0
     ok_c = True
@@ -321,10 +297,7 @@ def verify_g_module_structure(g: GAlgebra) -> list[IdentityCheck]:
         if set(br) - {g.v0_index}:
             ok_c = False
         vals[t.labels[x]] = br.get(g.v0_index, 0)
-    out.append(IdentityCheck(
-        "c-functional", "PASS" if ok_c else "FAIL",
-        {"nonzero_values": sum(1 for v in vals.values() if v)},
-    ))
+    out.append((ok_c, {"nonzero_values": sum(1 for v in vals.values() if v)}))
     return out
 
 

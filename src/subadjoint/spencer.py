@@ -4,12 +4,12 @@ restricted-differential facts feeding the cokernel analysis.
 C^{k,1} = Hom(g_+, g)_k and C^{k,2} = Hom(L^2 g_+, g)_k with
 del f(u, v) = [f(u), v] + [u, f(v)] - f([u, v]).  That is the compatibility
 equation of the Tanaka tower of g, so del and its restrictions are read off
-the tower's pair rows (`prolong.g_tower`, kept with its ranks of del in one
-`CaseTower` per case).  The decomposition splits C^{k,2} by source factors
-(l_1 vs the osculating pieces V_i) and target (l-hat vs V); each piece
-carries a single c^I value, and the verdict checks that every piece meeting
-the nonnegative rationals is one of the designated R_k pieces (plus the one
-quotiented piece Hom(L^2 V_2, V_3) at k = -1).
+the tower's pair rows (`prolong.g_tower`).  The decomposition splits
+C^{k,2} by source factors (l_1 vs the osculating pieces V_i) and target
+(l-hat vs V); each piece should carry a single c^I value, and every piece
+meeting the nonnegative rationals should be one of the designated R_k
+pieces (or the one quotiented piece Hom(L^2 V_2, V_3) at k = -1).  The
+functions here return these facts; `verify` decides the checks.
 """
 
 from __future__ import annotations
@@ -22,14 +22,7 @@ from math import comb
 from .galg import GAlgebra, operator_a
 from .liecore import _check
 from .linalg import SparseRationalMatrix
-from .prolong import (
-    forced_rank,
-    g_tower,
-    pair_rows,
-    residual_is_zero,
-    unknown_layout,
-    witness_rank,
-)
+from .prolong import _Tower, forced_rank, g_tower, pair_rows, unknown_layout
 
 KMIN_SUPPORT = -6  # C^{k,2} vanishes for k <= -7: source degrees cap at 5
 
@@ -144,49 +137,21 @@ class QDimension:
     dim_C2: int
     rank: int
     value: int
-    stopped_early: bool = False  # the forced rank came with rows left
-
-    def expected_rank(self, dim_g_minus_1: int) -> int:
-        """ker del on C^{k,1} is the (-k)-th prolongation: g_{-1}, then 0."""
-        return self.dim_C1 - (dim_g_minus_1 if self.k == -1 else 0)
+    stopped_early: bool   # the forced rank came with rows left
 
 
-class CaseTower:
-    """`g_tower(g)` for one case, its ad witnesses substituted once, and the
-    per-degree solves of `q_dimension`, kept in `qdims`.
+def q_dimension(g: GAlgebra, k: int, tower: _Tower, floor: int) -> QDimension:
+    """dim Q^k(g) = dim C^{k,2} - rank del, by exact elimination on level -k
+    of `tower`, which is `g_tower(g)`.
 
-    `passes[i]` says whether ad witness i satisfies the compatibility
-    equation at level 1 (C^{-1,1}), i.e. is a cocycle; the rank of those
-    that do is `cocycle_rank`.
-    """
-
-    def __init__(self, g: GAlgebra):
-        self.tower = g_tower(g)
-        self.witnesses = self.tower.bases[1]
-        self.passes = [residual_is_zero(self.tower, 1, phi)
-                       for phi in self.witnesses]
-        self.cocycle_rank = witness_rank(
-            [phi for phi, ok in zip(self.witnesses, self.passes) if ok])
-        self.qdims: dict[int, QDimension] = {}
-
-
-def q_dimension(g: GAlgebra, k: int, tower: CaseTower | None = None) -> QDimension:
-    """dim Q^k(g) = dim C^{k,2} - rank del, by exact elimination.
-
-    ker del contains the ad cocycles at k = -1, so rank del is at most
-    dim C^{k,1} minus their rank (at most dim C^{k,1} below k = -1);
+    `floor` is the rank of maps known to lie in ker del, such as the ad
+    cocycles at k = -1, so rank del is at most dim C^{k,1} - floor;
     `forced_rank` stops at that cap, and the rank is then the full one.
-    `tower` is the case's `CaseTower`, built when not given; the result is
-    kept there, so each degree is solved once per tower.
     """
-    tower = tower or CaseTower(g)
-    if k not in tower.qdims:
-        sp, offsets = _tower_level(g, tower.tower, k)
-        acc, stopped = forced_rank(tower.tower, -k, offsets, sp.dim_C1,
-                                   tower.cocycle_rank if k == -1 else 0)
-        tower.qdims[k] = QDimension(k, sp.dim_C1, sp.dim_C2, acc.rank,
-                                    sp.dim_C2 - acc.rank, stopped)
-    return tower.qdims[k]
+    sp, offsets = _tower_level(g, tower, k)
+    acc, stopped = forced_rank(tower, -k, offsets, sp.dim_C1, floor)
+    return QDimension(k, sp.dim_C1, sp.dim_C2, acc.rank,
+                      sp.dim_C2 - acc.rank, stopped)
 
 
 # --------------------------------------------------------------------------
@@ -239,17 +204,14 @@ def _v_piece(g: GAlgebra, j: int) -> list:
     return []
 
 
-def hom_decomposition(g: GAlgebra, k: int,
-                      cIs: list | None = None) -> list[SummandDescriptor]:
+def hom_decomposition(g: GAlgebra, k: int, cIs: list) -> list[SummandDescriptor]:
     """The direct-sum pieces of C^{k,2} with their c^I value sets.
 
     c^I is linear in the weight, so Hom(A (x) B, C) takes exactly the values
     c(w) - s for w a target and s a source pair sum c(a) + c(b), and its
     dimension is (number of source pairs) x (number of targets).  cIs is
-    `g_basis_cI(g)`, recomputed when not given.
+    `g_basis_cI(g)`.
     """
-    if cIs is None:
-        cIs = g_basis_cI(g)
 
     def wedge(ix):
         sums = {cIs[ix[a]] + cIs[ix[b]]
@@ -311,51 +273,29 @@ def rk_allowed_extra(k: int, family: int, index: tuple | None) -> bool:
     return k == -1 and family == 6 and index == (2, 2)
 
 
-@dataclass
-class SummandTable:
-    k: int
-    descriptors: list
-    table_ok: bool
-    containment_ok: bool
-    closure_ok: bool
-    offending: list = field(default_factory=list)
-
-    @property
-    def status(self) -> str:
-        return "PASS" if (self.table_ok and self.containment_ok
-                          and self.closure_ok) else "FAIL"
-
-
-def summand_cI_table(g: GAlgebra, k: int,
-                     cIs: list | None = None) -> SummandTable:
-    """Check the six c^I values and the R_k containment verdict at level k,
-    and that the pieces add up to all of C^{k,2} (k <= -1).  cIs is
-    `g_basis_cI(g)`, recomputed when not given."""
+def summand_cI_table(g: GAlgebra, k: int, cIs: list) -> tuple[list, list]:
+    """(pieces, offenders) at level k <= -1: the pieces of C^{k,2}
+    (`hom_decomposition`), and one offender for each nonzero piece whose
+    c^I values are not its family's single value, one for each nonzero
+    piece that meets the nonnegative rationals and is neither in R_k nor
+    the quotiented piece, and a last one when the pieces do not add up to
+    C^{k,2}.  cIs is `g_basis_cI(g)`."""
     desc = hom_decomposition(g, k, cIs)
-    table_ok = True
-    containment_ok = True
     offending = []
     for d in desc:
         if d.dim == 0:
             continue
         want = expected_cI(d.family, k)
         if set(d.cI_values) != {want}:
-            table_ok = False
             offending.append((d.name, d.index, d.cI_values, want))
         if max(d.cI_values) >= 0:
             if not (rk_designated(k, d.family, d.index)
                     or rk_allowed_extra(k, d.family, d.index)):
-                containment_ok = False
                 offending.append((d.name, d.index, "not in R_k", None))
     total, dim_C2 = sum(d.dim for d in desc), cochain_dims(g, k)[1]
-    closure_ok = total == dim_C2
-    if not closure_ok:
+    if total != dim_C2:
         offending.append(("pieces of C^{k,2}", None, total, dim_C2))
-    return SummandTable(
-        k=k, descriptors=desc, table_ok=table_ok,
-        containment_ok=containment_ok, closure_ok=closure_ok,
-        offending=offending,
-    )
+    return desc, offending
 
 
 # --------------------------------------------------------------------------
@@ -370,25 +310,16 @@ class PartialDifferentialReport:
     nullity_doubleprime: int
     pairing_nondegenerate: bool
 
-    @property
-    def status(self) -> str:
-        ok = (
-            self.rank_prime == self.dim_target_prime
-            and self.nullity_doubleprime == 0
-            and self.pairing_nondegenerate
-        )
-        return "PASS" if ok else "FAIL"
 
-
-def partial_prime_checks(g: GAlgebra,
-                         tower: CaseTower | None = None) -> PartialDifferentialReport:
-    """del' surjective onto Hom(L2 V_2, V_3), del'' injective, pairing perfect.
+def partial_prime_checks(g: GAlgebra, tower: _Tower) -> PartialDifferentialReport:
+    """The facts behind del' surjective onto Hom(L2 V_2, V_3), del''
+    injective and the pairing l_1 x V_2 -> V_3 perfect.
 
     del', del'' are the restrictions of del to f: V_2 -> l_1 extended by
     zero, landing in Hom(L2 V_2, V_3) and Hom(V_1 ^ V_2, V_2): the
     (v in V_2, a in l_1) column block of the level-1 pair rows of
-    `g_tower(g)` on the pairs of V_2 ^ V_2 and of V_1 x V_2.  `tower` is the
-    case's `CaseTower`; the tower is built when it is not given.
+    `tower`, which is `g_tower(g)`, on the pairs of V_2 ^ V_2 and of
+    V_1 x V_2.
     """
     t = g.table
     V1, V2, V3 = (list(g.V_level_indices[j]) for j in (1, 2, 3))
@@ -397,7 +328,6 @@ def partial_prime_checks(g: GAlgebra,
     _check(len(l1) == len(V2),
            "dim l_1 != dim V_2: the pairing l_1 x V_2 -> V_3 is not square")
     v3 = V3[0]
-    tower = g_tower(g) if tower is None else tower.tower
     offsets, _, _ = unknown_layout(tower, 1)
     gplus = [i for i, d in enumerate(g.degree) if d >= 1]
     pos = {gi: i for i, gi in enumerate(gplus)}
@@ -437,23 +367,17 @@ def partial_prime_checks(g: GAlgebra,
 EXPANSION_DEGREES = (-1, -2, -3)  # the degrees k of the expanded cochains
 
 
-@dataclass
-class ExpansionReport:
-    status: str
-    argument_degrees: list  # the degrees of g_+ that the arguments range over
-    value_degrees: list     # the degrees of g the cochain values reach
-
-
-def conjugation_expansion_check(g: GAlgebra) -> ExpansionReport:
+def conjugation_expansion_check(g: GAlgebra) -> tuple[bool, list, list]:
     """exp(sA) f(exp(-sA) u, exp(-sA) u') equals the eight displayed terms
 
         f(u, u') + s (A f(u, u') - f(Au, u') - f(u, Au'))
         + s^2 (f(Au, Au') - A f(Au, u') - A f(u, Au')) + s^3 A f(Au, Au')
 
     for every f in C^{k,2} (k in EXPANSION_DEGREES) and u, u' in g_+,
-    decided by the lemma: PASS iff A = ad(v0) squares to zero on the
+    decided by the lemma: it holds iff A = ad(v0) squares to zero on the
     spaces the cochains read, g_+ for the arguments and the degrees of
-    g_{deg u + deg u' + k} for the values.
+    g_{deg u + deg u' + k} for the values.  Returns (holds, the degrees of
+    g_+ the arguments range over, the degrees of g the values reach).
 
     Lemma.  A keeps degrees, so exp(-sA) maps g_+ into itself.  If A^2 = 0
     there and on the values, exp(+-sA) is Id +- sA on both, and expanding
@@ -469,6 +393,4 @@ def conjugation_expansion_check(g: GAlgebra) -> ExpansionReport:
     values = sorted({a + b + k for a in args for b in args
                      for k in EXPANSION_DEGREES} & set(g.degree))
     read = [j for j, d in enumerate(g.degree) if d in args or d in values]
-    ok = all(not A.apply(A.columns[j]) for j in read)
-    return ExpansionReport(status="PASS" if ok else "FAIL",
-                           argument_degrees=args, value_degrees=values)
+    return all(not A.apply(A.columns[j]) for j in read), args, values

@@ -14,15 +14,24 @@ Error policy, one rule per kind of error:
   catch, on the first read, so a case that cannot be built FAILs every
   selected id and its report's dims are empty; `verify` exits 1.
 - usage error: an excluded case (CaseExcludedError), an unknown case id
-  or check group raise out of `run`, and `verify` exits 3, as it does for
-  an unwritable --out.  ProlongDepthError, a `prolongation` deeper than
-  its bound, is a usage error of the library; no check raises it.
+  (KeyError, both from `active_entry`) or check group raise out of `run`.
+  `verify` resolves every case id before the first case runs and exits 3,
+  as it does for an unwritable --out.  ProlongDepthError, a
+  `prolongation` deeper than its bound, is a usage error of the library;
+  no check raises it.
 - any other exception is a bug and propagates out of `run`.
 
-Each record's millis is the time since the previous entry ended, so the
-first record, case-dims, includes building the case and g.  Reports are
-deterministic for a fixed (case, checks, seed, version); millis are zeroed
-in JSON output unless explicitly requested, keeping byte-identical reruns.
+This module is the one place that decides a check: galg, spencer and
+cases return facts (ranks, dimensions, flags), and each check here turns
+them into its status.  The pieces several checks share, the tower of g
+among them, are built once per case in `_Context`.
+
+An entry's millis is the time since the previous entry ended, so the
+first record, case-dims, includes building the case and g.  The entry's
+first id carries it and its other ids carry 0, so summed millis count
+each entry once.  Reports are deterministic for a fixed (case, checks,
+seed, version); millis are zeroed in JSON output unless explicitly
+requested, keeping byte-identical reruns.
 """
 
 from __future__ import annotations
@@ -56,11 +65,11 @@ from .galg import (
 )
 from .liecore import ConsistencyError, _check, bracket_closure, check_jacobi
 from .linalg import SparseRationalMatrix, span
-from .prolong import witness_rank
+from .prolong import _Tower, g_tower, residual_is_zero, witness_rank
 from .rootsys import _RANK_RANGES, chevalley_generators
 from .spencer import (
     KMIN_SUPPORT,
-    CaseTower,
+    QDimension,
     conjugation_expansion_check,
     g_basis_cI,
     partial_prime_checks,
@@ -148,6 +157,15 @@ def registry_entry(case_id: str) -> CaseDescriptor:
     raise KeyError(f"unknown case id {case_id!r}")
 
 
+def active_entry(case_id: str) -> CaseDescriptor:
+    """The registry row of a case `run` verifies.  Raises KeyError for an
+    unknown id and CaseExcludedError for an excluded case."""
+    desc = registry_entry(case_id)
+    if desc.excluded:
+        raise CaseExcludedError(f"excluded case: {desc.exclusion_reason}")
+    return desc
+
+
 SAMPLES_PER_IDEAL = 10  # orbit points per ideal of the xvv-kernel cross-check
 
 
@@ -224,12 +242,14 @@ def _jsonify(obj):
 
 @dataclass
 class _Context:
-    """One case as its checks read it.  The case, its g and the pieces
-    several checks share are built on first read; a build that raises is
-    not kept, so every check that reads it FAILs with the same error."""
+    """One case as its checks read it, and the one cache of a run.  The
+    case, its g and the pieces several checks share are built on first
+    read; a build that raises is not kept, so every check that reads it
+    FAILs with the same error."""
 
     desc: CaseDescriptor
     options: RunOptions
+    qdims: dict = field(default_factory=dict, init=False)  # k -> `qdim(k)`
 
     @cached_property
     def g(self) -> GAlgebra:
@@ -256,8 +276,29 @@ class _Context:
         return fundamental_forms(self.case)
 
     @cached_property
-    def tower(self) -> CaseTower:
-        return CaseTower(self.g)
+    def tower(self) -> _Tower:
+        return g_tower(self.g)
+
+    @cached_property
+    def ad_passes(self) -> list[bool]:
+        """Whether each ad witness of level 1 of the tower (C^{-1,1})
+        satisfies the compatibility equation, i.e. is a cocycle."""
+        return [residual_is_zero(self.tower, 1, phi)
+                for phi in self.tower.bases[1]]
+
+    @cached_property
+    def cocycle_rank(self) -> int:
+        """The rank of the ad witnesses that are cocycles."""
+        return witness_rank([phi for phi, ok in
+                             zip(self.tower.bases[1], self.ad_passes) if ok])
+
+    def qdim(self, k: int) -> QDimension:
+        """`q_dimension` at degree k, solved once per case; its floor is the
+        cocycle rank at k = -1 and 0 below."""
+        if k not in self.qdims:
+            floor = self.cocycle_rank if k == -1 else 0
+            self.qdims[k] = q_dimension(self.g, k, self.tower, floor)
+        return self.qdims[k]
 
     @cached_property
     def cIs(self) -> list:
@@ -273,9 +314,7 @@ def run(case_id: str, check_set, options: RunOptions | None = None) -> Verificat
     unknown = checks - set(CHECK_GROUPS)
     if unknown:
         raise ValueError(f"unknown checks: {sorted(unknown)}")
-    desc = registry_entry(case_id)
-    if desc.excluded:
-        raise CaseExcludedError(f"excluded case: {desc.exclusion_reason}")
+    desc = active_entry(case_id)
 
     if not checks:
         return VerificationReport(
@@ -296,9 +335,10 @@ def run(case_id: str, check_set, options: RunOptions | None = None) -> Verificat
             results = [{"status": "FAIL", "values": {"error": str(e)}}
                        for _ in ids]
         t1 = time.monotonic()
-        millis = int((t1 - t0) * 1000)
-        records += [CheckRecord(check_id, millis=millis, **fields)
-                    for check_id, fields in zip(ids, results, strict=True)]
+        millis = [int((t1 - t0) * 1000)] + [0] * (len(ids) - 1)
+        records += [CheckRecord(check_id, millis=ms, **fields)
+                    for check_id, ms, fields in zip(ids, millis, results,
+                                                    strict=True)]
         t0 = t1
 
     env = {
@@ -358,8 +398,8 @@ def _sigma_form(ctx: _Context) -> list[dict]:
         (sig[i0][j] == 0) == (case.V_root_level[v] <= 2)
         for j, v in enumerate(case.V_roots)
     )
-    # Lagrangian tangency: sigma(v0, [a, v0]) = 0 for a in l_1 is the level
-    # <= 2 part of osc_ok; record it explicitly anyway
+    # Lagrangian tangency, sigma(v0, [a, v0]) = 0 for a in l_1, is the
+    # level <= 2 part of osc_ok
     ok = alternating and det != 0 and osc_ok
     return [{"status": "PASS" if ok else "FAIL",
              "values": {"alternating": alternating, "det_nonzero": det != 0,
@@ -443,15 +483,14 @@ def _xvv_kernel(ctx: _Context) -> list[dict]:
     # contains it and is a cross-check only
     case = ctx.case
     core = xvv_core(case)
-    sampled = check_xvv(
-        case, sample_closed_orbit(case, SAMPLES_PER_IDEAL, ctx.options.seed))
+    points = sample_closed_orbit(case, SAMPLES_PER_IDEAL, ctx.options.seed)
     return [{"status": "PASS" if core.dim == 0 else "FAIL",
              "dims": {"kernel": core.dim},
              "values": {"dim_K_hw": core.dim_K_hw,
                         "core_rounds": core.rounds,
-                        "samples": sampled.samples_used,
+                        "samples": len(points),
                         "budget_per_ideal": SAMPLES_PER_IDEAL,
-                        "sampled_kernel": sampled.kernel_dim}}]
+                        "sampled_kernel": check_xvv(case, points)}}]
 
 
 def _g_jacobi(ctx: _Context) -> list[dict]:
@@ -468,31 +507,30 @@ def _g_dims(ctx: _Context) -> list[dict]:
 
 
 def _identities(ctx: _Context) -> list[dict]:
-    return [{"status": c.status, "values": c.detail}
-            for c in verify_structure_identities(ctx.g)]
+    return [{"status": "PASS" if holds else "FAIL", "values": detail}
+            for holds, detail in verify_structure_identities(ctx.g)]
 
 
 def _module_structure(ctx: _Context) -> list[dict]:
-    return [{"status": c.status, "values": c.detail}
-            for c in verify_g_module_structure(ctx.g)]
+    return [{"status": "PASS" if holds else "FAIL", "values": detail}
+            for holds, detail in verify_g_module_structure(ctx.g)]
 
 
 def _est_expansion(ctx: _Context) -> list[dict]:
-    er = conjugation_expansion_check(ctx.g)
-    return [{"status": er.status,
-             "values": {"argument_degrees": er.argument_degrees,
-                        "value_degrees": er.value_degrees}}]
+    holds, args, values = conjugation_expansion_check(ctx.g)
+    return [{"status": "PASS" if holds else "FAIL",
+             "values": {"argument_degrees": args, "value_degrees": values}}]
 
 
 def _prolong_dims(ctx: _Context) -> list[dict]:
     # level k of the tower is C^{-k,1}: the first prolongation is
     # dim C^{-1,1} - rank del, the second dim C^{-2,1} - rank del
-    g, tower = ctx.g, ctx.tower
-    dminus1 = g.component_dims()[-1]
-    tower.tower.validate()
-    _check(all(tower.passes),
+    dminus1 = ctx.g.component_dims()[-1]
+    passes = ctx.ad_passes
+    ctx.tower.validate()
+    _check(all(passes),
            "witness map fails the compatibility equation at level 1")
-    q1, q2 = (q_dimension(g, k, tower) for k in (-1, -2))
+    q1, q2 = ctx.qdim(-1), ctx.qdim(-2)
     p1, p2 = q1.dim_C1 - q1.rank, q2.dim_C1 - q2.rank
     ok = p1 == dminus1 and p2 == 0
     return [{"status": "PASS" if ok else "FAIL",
@@ -503,11 +541,10 @@ def _prolong_dims(ctx: _Context) -> list[dict]:
 
 
 def _prolong_ad_witnesses(ctx: _Context) -> list[dict]:
-    tower = ctx.tower
     dminus1 = ctx.g.component_dims()[-1]
-    wits_ok = all(tower.passes)
+    wits_ok = all(ctx.ad_passes)
     # when every witness passes, the cocycle rank is the rank of them all
-    wrank = tower.cocycle_rank if wits_ok else witness_rank(tower.witnesses)
+    wrank = ctx.cocycle_rank if wits_ok else witness_rank(ctx.tower.bases[1])
     ok = wrank == dminus1 and wits_ok
     return [{"status": "PASS" if ok else "FAIL",
              "dims": {"witness_rank": wrank, "dim_g_minus_1": dminus1},
@@ -517,12 +554,15 @@ def _prolong_ad_witnesses(ctx: _Context) -> list[dict]:
 def _spencer_cocycle_ad(ctx: _Context) -> list[dict]:
     # del(ad x) = 0 for x in g_{-1}: each ad witness solves level 1 of the
     # tower of g, which is C^{-1,1}; the ones that do bound ker del there
-    return [{"status": "PASS" if all(ctx.tower.passes) else "FAIL"}]
+    return [{"status": "PASS" if all(ctx.ad_passes) else "FAIL"}]
 
 
 def _restricted_differentials(ctx: _Context) -> list[dict]:
+    # del' surjective, del'' injective, the pairing l_1 x V_2 -> V_3 perfect
     rep = partial_prime_checks(ctx.g, ctx.tower)
-    return [{"status": rep.status,
+    ok = (rep.rank_prime == rep.dim_target_prime
+          and rep.nullity_doubleprime == 0 and rep.pairing_nondegenerate)
+    return [{"status": "PASS" if ok else "FAIL",
              "dims": {"dim_hom_V2_l1": rep.dim_hom,
                       "rank_prime": rep.rank_prime,
                       "target_prime": rep.dim_target_prime,
@@ -531,11 +571,11 @@ def _restricted_differentials(ctx: _Context) -> list[dict]:
 
 
 def _spencer_qdim(ctx: _Context) -> list[dict]:
-    # ker del on C^{k,1} is the (-k)-th prolongation, so the ranks are forced
-    g = ctx.g
-    dminus1 = g.component_dims()[-1]
-    qs = [q_dimension(g, k, ctx.tower) for k in range(KMIN_SUPPORT - 1, 0)]
-    ok = all(q.rank == q.expected_rank(dminus1) for q in qs)
+    # ker del on C^{k,1} is the (-k)-th prolongation, g_{-1} at k = -1 and
+    # 0 below, so the ranks are forced
+    dminus1 = ctx.g.component_dims()[-1]
+    qs = [ctx.qdim(k) for k in range(KMIN_SUPPORT - 1, 0)]
+    ok = all(q.rank == q.dim_C1 - (dminus1 if q.k == -1 else 0) for q in qs)
     return [{"status": "PASS" if ok else "FAIL",
              "values": {"q_dims": {q.k: q.value for q in qs},
                         "ranks": {q.k: q.rank for q in qs},
@@ -571,23 +611,20 @@ def _cI_components(ctx: _Context) -> list[dict]:
 
 
 def _cI_six_families(ctx: _Context) -> list[dict]:
-    all_ok = True
     offenders = []
     per_k = {}
     for k in range(KMIN_SUPPORT - 1, 0):
-        tab = summand_cI_table(ctx.g, k, ctx.cIs)
+        pieces, bad = summand_cI_table(ctx.g, k, ctx.cIs)
         per_k[k] = {
-            "status": tab.status,
+            "status": "FAIL" if bad else "PASS",
             "families": [
                 {"name": d.name, "index": d.index, "dim": d.dim,
                  "cI": list(d.cI_values)}
-                for d in tab.descriptors if d.dim > 0
+                for d in pieces if d.dim > 0
             ],
         }
-        if tab.status != "PASS":
-            all_ok = False
-            offenders.extend(tab.offending)
-    return [{"status": "PASS" if all_ok else "FAIL",
+        offenders.extend(bad)
+    return [{"status": "FAIL" if offenders else "PASS",
              "values": {"per_k": per_k},
              "witnesses": {"offending": offenders} if offenders else {}}]
 

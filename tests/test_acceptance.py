@@ -15,7 +15,7 @@ import pytest
 
 from subadjoint.cases import build_case, check_xvv
 from subadjoint.galg import build_g
-from subadjoint.prolong import witness_rank
+from subadjoint.prolong import g_tower, witness_rank
 from subadjoint.rootsys import build_root_system, chevalley_table
 from subadjoint.spencer import partial_prime_checks
 from subadjoint.verify import RunOptions, list_cases, run
@@ -144,11 +144,11 @@ def test_criterion_07_partial_differentials():
     for cid in ACTIVE:
         case = build_case(cid)
         g = build_g(case)
-        rep = partial_prime_checks(g)
+        rep = partial_prime_checks(g, g_tower(g))
         d = len(g.V_level_indices[2])
-        ok = ok and rep.status == "PASS"
         ok = ok and rep.rank_prime == comb(d, 2) == rep.dim_target_prime
         ok = ok and rep.nullity_doubleprime == 0
+        ok = ok and rep.pairing_nondegenerate
         details.append(f"{cid}:{rep.rank_prime}")
     report_line(7, "restricted-differentials", ok,
                 f"({len(ACTIVE)} cases)")
@@ -172,11 +172,10 @@ def test_criterion_09_bracket_kernel_certificate(sweep):
         ok = ok and rec.status == "PASS"
         ok = ok and rec.dims["kernel"] == 0
         ok = ok and rec.values["budget_per_ideal"] == 10
-    # escalation path: zero samples must be inconclusive, never a refutation
+    # no samples leave all of l_{-1} in the sampled kernel: the sampled
+    # cross-check proves nothing then, and no status reads it
     case = build_case("B3")
-    cert = check_xvv(case, [])
-    ok = ok and cert.status == "INCONCLUSIVE"
-    ok = ok and cert.kernel_dim == len(case.lminus1_roots())
+    ok = ok and check_xvv(case, []) == len(case.lminus1_roots())
     report_line(9, "orbit-sample-kernel-certificate", ok)
 
 

@@ -192,10 +192,9 @@ def test_b3_parabolic_stabilizer_dimension(b3):
 def test_c_functional_values(b3):
     # [b, v0] = c(b) v0 on l_0, checked inside g; the functional is nonzero
     # somewhere on l_0 (v0 spans a weight line, not an l-fixed line)
-    rec = next(c for c in verify_g_module_structure(build_g(b3))
-               if c.check_id == "c-functional")
-    assert rec.status == "PASS"
-    assert rec.detail["nonzero_values"] > 0
+    *_, (holds, detail) = verify_g_module_structure(build_g(b3))
+    assert holds
+    assert detail["nonzero_values"] > 0
 
 
 def test_sampling_first_point_is_highest_weight_vector(b3):
@@ -247,15 +246,11 @@ def test_samples_span_each_summand(b3):
 @pytest.mark.parametrize("label", ["B3", "D4", "F4"])
 def test_xvv_certificate_passes(label):
     case = build_case(label)
-    cert = check_xvv(case, sample_closed_orbit(case, 10, seed=7))
-    assert cert.status == "PASS"
-    assert cert.kernel_dim == 0
+    assert check_xvv(case, sample_closed_orbit(case, 10, seed=7)) == 0
 
 
 def test_xvv_no_samples_inconclusive(b3):
-    cert = check_xvv(b3, [])
-    assert cert.status == "INCONCLUSIVE"
-    assert cert.kernel_dim == len(b3.lminus1_roots())
+    assert check_xvv(b3, []) == len(b3.lminus1_roots())
 
 
 def _run_under_O(lines):

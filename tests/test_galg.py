@@ -90,10 +90,10 @@ def test_operator_a(gb3):
 @pytest.mark.parametrize("label", ["B3", "B4", "D4", "F4"])
 def test_identity_suite_passes(label):
     g = build_g(build_case(label))
-    for chk in verify_structure_identities(g):
-        assert chk.status == "PASS", (label, chk.check_id, chk.detail)
-    for chk in verify_g_module_structure(g):
-        assert chk.status == "PASS", (label, chk.check_id, chk.detail)
+    suites = verify_structure_identities(g) + verify_g_module_structure(g)
+    assert len(suites) == 9
+    for n, (holds, detail) in enumerate(suites):
+        assert holds, (label, n, detail)
 
 
 def test_identity_checks_detect_corruption(gd5):

@@ -29,6 +29,10 @@ somewhere in src/ as `.field`, so that no constructor stores a value only
 tests read.  It matches attribute names only, so a same-named attribute
 read anywhere else in src/ still hides a field: `SubadjointCase.v0_index`
 went unnoticed that way, behind the `GAlgebra.v0_index` reads.
+
+A fourth scan keeps verdicts in verify.py: no other src/ module holds the
+string constant "PASS", "FAIL", "INCONCLUSIVE" or "SKIPPED" outside its
+docstrings.  The other modules return facts, and verify.py decides.
 """
 
 import ast
@@ -252,3 +256,31 @@ def _unread_fields() -> list[str]:
 
 def test_every_dataclass_field_is_read():
     assert not _unread_fields()
+
+
+STATUSES = {"PASS", "FAIL", "INCONCLUSIVE", "SKIPPED"}
+
+
+def _status_constants() -> list[str]:
+    """"module.py:line" for each status string constant outside verify.py
+    that is not a docstring."""
+    out = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "verify.py":
+            continue
+        tree = ast.parse(path.read_text(), str(path))
+        docstrings = {
+            id(node.body[0].value) for node in ast.walk(tree)
+            if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef,
+                                 ast.AsyncFunctionDef))
+            and node.body and isinstance(node.body[0], ast.Expr)
+            and isinstance(node.body[0].value, ast.Constant)
+        }
+        out += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
+                if isinstance(node, ast.Constant) and node.value in STATUSES
+                and id(node) not in docstrings]
+    return out
+
+
+def test_statuses_are_decided_in_verify_only():
+    assert not _status_constants()

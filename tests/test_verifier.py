@@ -1,13 +1,16 @@
 import dataclasses
+import hashlib
+import itertools
 import json
 import subprocess
 import sys
+import types
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from subadjoint import cases, cli, galg, prolong, rootsys, spencer, verify
+from subadjoint import cases, cli, prolong, rootsys, spencer, verify
 from subadjoint.cases import (
     CaseExcludedError,
     build_case,
@@ -190,7 +193,7 @@ def test_e_series_runs_solvers_by_default():
 
 
 def test_corrupted_witness_fails_prolong_checks(monkeypatch):
-    real = spencer.g_tower
+    real = verify.g_tower
 
     def corrupted(g):
         tower = real(g)
@@ -198,7 +201,7 @@ def test_corrupted_witness_fails_prolong_checks(monkeypatch):
         block[next(iter(block))] += 1
         return tower
 
-    monkeypatch.setattr(spencer, "g_tower", corrupted)
+    monkeypatch.setattr(verify, "g_tower", corrupted)
     rep = run("B3", {"prolong"}, RunOptions(seed=7))
     recs = {c.check_id: c for c in rep.checks}
     assert recs["prolong-dims"].status == "FAIL"
@@ -238,7 +241,7 @@ def test_corrupted_bracket_fails_spencer_qdim(monkeypatch):
 
 def test_prolong_and_spencer_share_one_tower(monkeypatch):
     calls = {"g_tower": 0, "substitutions": 0, "levels": []}
-    real_tower, real_forced = spencer.g_tower, spencer.forced_rank
+    real_tower, real_forced = verify.g_tower, spencer.forced_rank
 
     def g_tower(g):
         calls["g_tower"] += 1
@@ -254,9 +257,9 @@ def test_prolong_and_spencer_share_one_tower(monkeypatch):
             return real(tower, k, phi)
         return residual_is_zero
 
-    monkeypatch.setattr(spencer, "g_tower", g_tower)
+    monkeypatch.setattr(verify, "g_tower", g_tower)
     monkeypatch.setattr(spencer, "forced_rank", forced_rank)
-    for mod in (prolong, spencer):
+    for mod in (prolong, verify):
         monkeypatch.setattr(mod, "residual_is_zero",
                             counting(mod.residual_is_zero))
     rep = run("B3", {"prolong", "spencer"}, RunOptions(seed=7))
@@ -596,9 +599,10 @@ def test_a_squared_verdict_matches_random_trials(label, corrupt):
     g = build_g(case)
     if corrupt:
         globals()[corrupt](case, g)
-    exact = spencer.conjugation_expansion_check(g)
+    holds, _, _ = spencer.conjugation_expansion_check(g)
     trials = oracles.conjugation_expansion_check(g, trials=5, seed=7)
-    assert exact.status == trials.status == ("FAIL" if corrupt else "PASS")
+    assert trials.status == ("FAIL" if corrupt else "PASS")
+    assert holds == (not corrupt)
 
 
 def test_no_status_reads_the_seed():
@@ -740,6 +744,64 @@ def test_e_series_json_report_matches_golden_file(tmp_path):
           "--seed", "7", "--format", "json", "--out", str(out)])
     golden = Path(__file__).parent / "report_E6_E7_seed7.json"
     assert out.read_bytes() == golden.read_bytes()
+
+
+# sha256 of `verify --case all --checks all --seed 7 --format json`; change
+# it only for an intended change of a report
+DEFAULT_RUN_SHA256 = \
+    "2cf22e3bbf0378881d24b665e5c1badf75c8f9b518f27f1c1ff96b8e5d6eff2e"
+
+
+def test_default_run_json_digest(tmp_path):
+    # every active case, B5..B8, D5..D8 and E8 included, which the golden
+    # files above do not cover
+    out = tmp_path / "rep.json"
+    assert main(["--case", "all", "--checks", "all", "--seed", "7",
+                 "--format", "json", "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == DEFAULT_RUN_SHA256
+
+
+def test_key_error_in_a_check_propagates_out_of_main(monkeypatch):
+    # a KeyError inside a check is a bug: a traceback, not a usage error
+    def broken(ctx):
+        raise KeyError("missing")
+
+    table = list(verify.CHECKS)
+    group, ids, _ = table[2]
+    table[2] = (group, ids, broken)
+    monkeypatch.setattr(verify, "CHECKS", tuple(table))
+    with pytest.raises(KeyError, match="missing"):
+        main(["--case", "B3", "--checks", group])
+
+
+@pytest.mark.parametrize("case_arg,word", [
+    ("B3,Z9", "unknown case id 'Z9'"),
+    ("B3,G2", "excluded case"),
+])
+def test_cli_bad_case_id_fails_before_the_run(monkeypatch, capsys, case_arg,
+                                              word):
+    # every --case id is resolved before the first case runs
+    calls = []
+    monkeypatch.setattr(cli, "run", lambda *args: calls.append(args))
+    assert main(["--case", case_arg]) == 3
+    assert calls == []
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert word in captured.err
+
+
+def test_timings_count_each_entry_once(monkeypatch):
+    # each entry takes one second of a fake clock: its first id carries
+    # 1000 ms and its other ids 0, so the millis sum to one per entry
+    ticks = itertools.count()
+    monkeypatch.setattr(verify, "time",
+                        types.SimpleNamespace(monotonic=lambda: next(ticks)))
+    rep = run("B3", {"all"}, RunOptions(seed=7))
+    millis = {c.check_id: c.millis for c in rep.checks}
+    for _, ids, _ in verify.CHECKS:
+        assert [millis[i] for i in ids] == [1000] + [0] * (len(ids) - 1)
+    doc = json.loads(emit(rep, fmt="json", timings=True))
+    assert sum(c["millis"] for c in doc["checks"]) == 1000 * len(verify.CHECKS)
 
 
 def _drop_v3(g):
@@ -1016,13 +1078,7 @@ def test_no_corruption_escapes_run():
 
 
 def test_clean_report_emits_the_check_table_in_order():
-    g = build_g(build_case("B3"))
-    suite_ids = ([f"identity-{c.check_id}" for c in
-                  galg.verify_structure_identities(g)]
-                 + [c.check_id for c in galg.verify_g_module_structure(g)])
-    table = dict((check, ids) for _, ids, check in verify.CHECKS)
-    assert suite_ids == [*table[verify._identities],
-                         *table[verify._module_structure]]
+    # run's zip(strict=True) ties the length of each suite to its ids
     rep = run("B3", {"all"}, RunOptions(seed=7))
     assert [c.check_id for c in rep.checks] == CHECK_IDS
     assert rep.status == "PASS"
