@@ -44,7 +44,9 @@ from .rootsys import (
 
 
 class CaseExcludedError(ValueError):
-    """Raised for labels with no subadjoint case."""
+    """Raised for a case that is not verified: `build_case` raises it for
+    types A and C, which carry no subadjoint case, and `verify.active_entry`
+    for an excluded registry row (G2, the twisted cubic)."""
 
 
 # marked-node oracle per case: (factor type, 1-based Bourbaki index of the
@@ -64,6 +66,8 @@ def _expected_factors(series: str, rank: int) -> list[tuple[str, int]]:
         return [("A1", 1), (f"D{rank - 2}", 1)]
     if series == "F":
         return [("C3", 3)]
+    if series == "G":
+        return [("A1", 1)]
     return {6: [("A5", 3)], 7: [("D6", 6)], 8: [("E7", 7)]}[rank]
 
 
@@ -166,15 +170,11 @@ class SubadjointCase:
                 out[nh + pos] = c
         return out
 
-    def weight_in_l_coords(self, weight_root) -> tuple:
-        """Simple-root coordinates (over l) of an s-weight restricted to l:
-        C_l^{-1} applied to the integer pairings <weight_root, b^vee> with
-        the simple roots b of l.  Both steps are linear, so this is one
-        integer matrix over the denominator of C_l^{-1}; every coordinate
-        is a `Fraction`."""
-        den = self._l_den
-        return tuple(Fraction(_dot(row, weight_root), den)
-                     for row in self._l_weight_map)
+    def cI(self, root) -> Fraction:
+        """c^I of the s-weight root: <root, z>, the sum of its marked l
+        simple-root coordinates, the pairing that gives `l_degree` and
+        `V_root_level`."""
+        return Fraction(_dot(self._z_row, root), self._l_den)
 
     def ideal_of_root(self, r: tuple) -> int:
         """Index of the simple ideal containing the root r of l."""
@@ -194,13 +194,9 @@ def _degree_zero_simple_system(rs: RootSystem, degree: dict) -> list[tuple]:
 
 
 def build_case(label: str) -> SubadjointCase:
-    """Construct the case for s of the given type; raises on excluded types."""
+    """Construct the case for s of the given type; raises CaseExcludedError
+    for types A and C."""
     series = label[:1].upper()
-    if series == "G":
-        raise CaseExcludedError(
-            "excluded case: for type G2 the subadjoint variety is the twisted "
-            "cubic in P3 (case (0) of the classification), outside this toolkit"
-        )
     if series in ("A", "C"):
         raise CaseExcludedError(
             f"excluded case: types A and C carry no subadjoint variety "
@@ -329,7 +325,7 @@ def build_case(label: str) -> SubadjointCase:
     case._s_roots = s_roots
     case._l_root_pos = {root_index[r]: i for i, r in enumerate(l_roots)}
     case._l_inv, case._l_den = l_inv, l_den
-    case._l_weight_map = weight_map
+    case._z_row = z_row
     case._l_coroots = [case.coroot_vec(b) for b in l_simple]
     case._l_pairings = [[rs.pairing(b, k) for k in range(rs.rank)]
                         for b in l_simple]

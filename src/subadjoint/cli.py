@@ -1,9 +1,9 @@
 """Batch verification CLI.
 
 Exit codes: 0 all checks pass, 1 any check fails (a broken input, one
-that breaks a property the construction relies on, is a FAIL too), 2 only
-INCONCLUSIVE/SKIPPED degradations, 3 usage errors (including excluded or
-unknown case ids).  Any other exception is a bug and ends in a traceback.
+that breaks a property the construction relies on, is a FAIL too), 3
+usage errors (including excluded or unknown case ids).  Any other
+exception is a bug and ends in a traceback.
 """
 
 from __future__ import annotations
@@ -61,7 +61,7 @@ def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
     except SystemExit as e:
-        # argparse exits 2 on a usage error, which here means DEGRADED
+        # argparse exits 2 on a usage error; usage errors here exit 3
         return 3 if e.code else 0
     options = RunOptions(seed=args.seed, heavy=args.heavy)
 
@@ -76,7 +76,9 @@ def main(argv=None) -> int:
         case_ids = [c.case_id for c in list_cases()
                     if not c.excluded]
     else:
-        case_ids = [c.strip() for c in args.case.split(",") if c.strip()]
+        # each id once, in first-seen order
+        case_ids = list(dict.fromkeys(
+            c.strip() for c in args.case.split(",") if c.strip()))
         if not case_ids:
             # an empty report would pass with nothing verified
             print(f"error: no case id in --case {args.case!r}", file=sys.stderr)

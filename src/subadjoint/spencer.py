@@ -28,28 +28,17 @@ KMIN_SUPPORT = -6  # C^{k,2} vanishes for k <= -7: source degrees cap at 5
 
 
 # --------------------------------------------------------------------------
-# weights of the g basis under the Cartan torus of l
+# c^I of the g basis
 # --------------------------------------------------------------------------
 
-def g_basis_weights(g: GAlgebra) -> list[tuple]:
-    """Simple-root coordinates over l of each g basis weight (0 on Cartan/Id)."""
-    case = g.case
-    zero = tuple(Fraction(0) for _ in case.l_simple_roots)
-    out = [zero]  # Id
-    for key in g.l_basis_keys:
-        if key[0] == "h":
-            out.append(zero)
-        else:
-            out.append(case.weight_in_l_coords(key[1]))
-    for r in case.V_roots:
-        out.append(case.weight_in_l_coords(r))
-    return out
-
-
 def g_basis_cI(g: GAlgebra) -> list[Fraction]:
-    """c^I of each g basis weight: the sum of its marked-node coordinates."""
-    marked = g.case.marked
-    return [sum((w[i] for i in marked), Fraction(0)) for w in g_basis_weights(g)]
+    """c^I of each g basis weight (`SubadjointCase.cI`); 0 on Id and on the
+    Cartan of l."""
+    case = g.case
+    return ([Fraction(0)]
+            + [Fraction(0) if key[0] == "h" else case.cI(key[1])
+               for key in g.l_basis_keys]
+            + [case.cI(r) for r in case.V_roots])
 
 
 # --------------------------------------------------------------------------

@@ -220,6 +220,6 @@ def test_criterion_12_determinism():
 
 def test_criterion_13_default_run_has_no_fail(sweep):
     failing = [f"{cid}:{c.check_id}:{c.status}" for cid, rep in sweep.items()
-               for c in rep.checks if c.status in ("FAIL", "SKIPPED")]
-    report_line(13, "default-run-no-fail-no-skip", not failing,
-                f"({len(sweep)} cases, FAIL/SKIPPED: {failing})")
+               for c in rep.checks if c.status != "PASS"]
+    report_line(13, "default-run-no-fail", not failing,
+                f"({len(sweep)} cases, not PASS: {failing})")

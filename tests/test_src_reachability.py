@@ -31,8 +31,11 @@ read anywhere else in src/ still hides a field: `SubadjointCase.v0_index`
 went unnoticed that way, behind the `GAlgebra.v0_index` reads.
 
 A fourth scan keeps verdicts in verify.py: no other src/ module holds the
-string constant "PASS", "FAIL", "INCONCLUSIVE" or "SKIPPED" outside its
-docstrings.  The other modules return facts, and verify.py decides.
+string constant "PASS" or "FAIL" outside its docstrings.  The other
+modules return facts, and verify.py decides.  A fifth scan keeps the
+outcomes to those two: no string constant anywhere in src/, verify.py
+and docstrings included, mentions "INCONCLUSIVE", "SKIPPED" or
+"DEGRADED", the statuses no check produces.
 """
 
 import ast
@@ -258,29 +261,45 @@ def test_every_dataclass_field_is_read():
     assert not _unread_fields()
 
 
-STATUSES = {"PASS", "FAIL", "INCONCLUSIVE", "SKIPPED"}
+STATUSES = {"PASS", "FAIL"}
+RETIRED = ("INCONCLUSIVE", "SKIPPED", "DEGRADED")
+
+
+def _constants(path: Path):
+    """The string constants of a src/ file, as (node, is a docstring)."""
+    tree = ast.parse(path.read_text(), str(path))
+    docstrings = {
+        id(node.body[0].value) for node in ast.walk(tree)
+        if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef,
+                             ast.AsyncFunctionDef))
+        and node.body and isinstance(node.body[0], ast.Expr)
+        and isinstance(node.body[0].value, ast.Constant)
+    }
+    return [(node, id(node) in docstrings) for node in ast.walk(tree)
+            if isinstance(node, ast.Constant) and isinstance(node.value, str)]
 
 
 def _status_constants() -> list[str]:
     """"module.py:line" for each status string constant outside verify.py
     that is not a docstring."""
-    out = []
-    for path in sorted(SRC.glob("*.py")):
-        if path.name == "verify.py":
-            continue
-        tree = ast.parse(path.read_text(), str(path))
-        docstrings = {
-            id(node.body[0].value) for node in ast.walk(tree)
-            if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef,
-                                 ast.AsyncFunctionDef))
-            and node.body and isinstance(node.body[0], ast.Expr)
-            and isinstance(node.body[0].value, ast.Constant)
-        }
-        out += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
-                if isinstance(node, ast.Constant) and node.value in STATUSES
-                and id(node) not in docstrings]
-    return out
+    return [f"{path.name}:{node.lineno}"
+            for path in sorted(SRC.glob("*.py")) if path.name != "verify.py"
+            for node, doc in _constants(path)
+            if node.value in STATUSES and not doc]
 
 
 def test_statuses_are_decided_in_verify_only():
     assert not _status_constants()
+
+
+def _retired_status_constants() -> list[str]:
+    """"module.py:line" for each string constant in src/ that mentions a
+    retired status."""
+    return [f"{path.name}:{node.lineno}"
+            for path in sorted(SRC.glob("*.py"))
+            for node, _ in _constants(path)
+            if any(word in node.value for word in RETIRED)]
+
+
+def test_no_status_but_pass_and_fail():
+    assert not _retired_status_constants()

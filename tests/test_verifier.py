@@ -145,17 +145,20 @@ def test_b3_full_run_passes():
     assert exit_code(rep) == 0
 
 
-def test_report_status_ordering():
+def test_report_status_ordering(capsys):
+    # two outcomes: any FAIL record fails the report and exits 1
     mk = lambda status: CheckRecord(check_id="x", status=status)
-    rep = VerificationReport("B3", "0", [mk("PASS"), mk("FAIL"),
-                                         mk("INCONCLUSIVE")], {}, {})
-    assert rep.status == "FAIL"          # INCONCLUSIVE never masks FAIL
-    assert exit_code(rep) == 1
-    rep = VerificationReport("B3", "0", [mk("PASS"), mk("SKIPPED")], {}, {})
-    assert rep.status == "DEGRADED"
-    assert exit_code(rep) == 2
-    rep = VerificationReport("B3", "0", [mk("PASS")], {}, {})
-    assert exit_code(rep) == 0
+    rep = lambda *statuses: VerificationReport(
+        "B3", "0", [mk(s) for s in statuses], {}, {})
+    for failing in (rep("FAIL"), rep("PASS", "FAIL"), rep("FAIL", "PASS")):
+        assert failing.status == "FAIL"
+        assert exit_code(failing) == 1
+    passing = rep("PASS", "PASS")
+    assert passing.status == "PASS"
+    assert exit_code(passing) == 0
+    assert exit_code([passing, rep("PASS", "FAIL")]) == 1
+    assert main(["--case", "B3", "--checks", "none"]) == 0
+    assert "(vacuous)" in capsys.readouterr().out
 
 
 def test_json_roundtrip():
@@ -645,6 +648,30 @@ def test_cli_excluded_case_usage_error(capsys):
     assert main(["--case", "G2"]) == 3
 
 
+def test_g2_is_a_negative_control_without_an_error(monkeypatch):
+    # dim V = 4 lies outside the flatness theorem's hypothesis (dim >= 5):
+    # the first prolongation is 4 where the flat answer, dim g_{-1}, is 1
+    row = dataclasses.replace(registry_entry("G2"), excluded=False)
+    monkeypatch.setattr(verify, "active_entry", lambda case_id: row)
+    rep = run("G2", set(verify.CHECK_GROUPS), RunOptions(seed=7))
+    failing = {c.check_id: c for c in rep.checks if c.status == "FAIL"}
+    assert sorted(failing) == ["base-locus-samples", "prolong-dims",
+                               "spencer-qdim"]
+    assert not any("error" in c.values for c in failing.values())
+    dims = failing["prolong-dims"].dims
+    assert (dims["p_minus_1"], dims["p_minus_2"]) == (4, 0)
+    qdim = failing["spencer-qdim"].values
+    assert (qdim["ranks"][-1], qdim["dim_C1"][-1]) == (5, 9)
+    assert exit_code(rep) == 1
+
+
+def test_cli_repeated_case_id_runs_once(capsys):
+    assert main(["--case", "B3,B3", "--checks", "weights",
+                 "--format", "json"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert isinstance(doc, dict) and doc["case"] == "B3"
+
+
 @pytest.mark.parametrize("value", [",", "", " , "])
 def test_cli_empty_case_list_usage_error(value, capsys):
     # a run that verifies no case must not report success
@@ -669,7 +696,7 @@ def test_cli_unknown_check_usage_error(capsys):
 
 
 def test_cli_argparse_errors_are_usage_errors(capsys):
-    # argparse alone would exit 2, the DEGRADED code
+    # argparse alone would exit 2, which is not a verify exit code
     assert main(["--mode", "exact"]) == 3
     assert main(["--seed", "x"]) == 3
     assert main(["--samples", "10"]) == 3
