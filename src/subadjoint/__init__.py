@@ -50,4 +50,4 @@ from .spencer import (  # noqa: F401
     spencer_differential,
     summand_cI_table,
 )
-from .verify import RunOptions, emit, list_cases, run  # noqa: F401
+from .verify import emit, list_cases, run  # noqa: F401

@@ -367,7 +367,7 @@ def ii_value(case, forms, b: Vec) -> list:
     l1_idx = [case.root_index(r) for r in forms.l1_roots]
     coeffs = [b.get(i, 0) for i in l1_idx]
     d = forms.dim
-    out = [0] * len(forms.V2_roots)
+    out = [0] * len(forms.beta)
     for i in range(d):
         if not coeffs[i]:
             continue

@@ -18,7 +18,7 @@ from subadjoint.galg import build_g
 from subadjoint.prolong import g_tower, witness_rank
 from subadjoint.rootsys import build_root_system, chevalley_table
 from subadjoint.spencer import partial_prime_checks
-from subadjoint.verify import RunOptions, list_cases, run
+from subadjoint.verify import list_cases, run
 
 from oracles import (
     direct_sum_check,
@@ -41,11 +41,10 @@ def report_line(num, name, ok, extra=""):
 @pytest.fixture(scope="module")
 def sweep():
     """One full non-solver pipeline per active case, shared across criteria."""
-    opts = RunOptions(seed=7)
     out = {}
     for cid in ACTIVE:
         out[cid] = run(cid, {"jacobi", "forms", "xvv", "gstructure",
-                             "weights", "spencer"}, opts)
+                             "weights", "spencer"}, seed=7)
     return out
 
 
@@ -54,11 +53,11 @@ def prolong_reports():
     out = {}
     for cid in EXACT_PROLONG:
         t0 = time.monotonic()
-        rep = run(cid, {"prolong"}, RunOptions(seed=7))
+        rep = run(cid, {"prolong"}, seed=7)
         out[cid] = (rep, time.monotonic() - t0)
     for cid in E_SERIES:
         t0 = time.monotonic()
-        rep = run(cid, {"prolong"}, RunOptions(seed=7, heavy=True))
+        rep = run(cid, {"prolong"}, seed=7)
         out[cid] = (rep, time.monotonic() - t0)
     return out
 

@@ -153,7 +153,7 @@ def test_beta_compatibility_with_iii(b3):
             for a3 in range(d):
                 val = sum(
                     forms.II[a2][a3][w] * forms.beta[w][a1]
-                    for w in range(len(forms.V2_roots))
+                    for w in range(len(forms.beta))
                 )
                 assert val == forms.III[a1][a2][a3]
 

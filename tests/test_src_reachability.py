@@ -41,7 +41,7 @@ and docstrings included, mentions "INCONCLUSIVE", "SKIPPED" or
 import ast
 from pathlib import Path
 
-from test_tracer_targets import _load_tracer
+from test_tracer_targets import _load
 
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "subadjoint"
@@ -188,7 +188,7 @@ def test_allow_list_entries_still_hold():
     graph = _graph()
     checked = graph[3]
     from_entry = _reached(graph, [ENTRY])
-    targets = {(mod, path) for mod, path, _, _ in _load_tracer().TARGETS}
+    targets = {(mod, path) for mod, path, _, _ in _load("tracer").TARGETS}
     stale = []
     for key in ALLOWED:
         name = ".".join(key)

@@ -28,7 +28,6 @@ from subadjoint.rootsys import (build_root_system, chevalley_generators,
 from subadjoint.verify import (
     CaseDescriptor,
     CheckRecord,
-    RunOptions,
     VerificationReport,
     emit,
     exit_code,
@@ -111,7 +110,7 @@ def test_patched_registry_row_fails_g_dims(monkeypatch):
     d = real.g_dims
     row = dataclasses.replace(real, g_dims=(d[0], d[1] - 1, d[2] + 1, *d[3:]))
     monkeypatch.setattr(verify, "registry_entry", lambda *args: row)
-    rep = run("B3", {"gstructure"}, RunOptions(seed=7))
+    rep = run("B3", {"gstructure"}, seed=7)
     statuses = {c.check_id: c.status for c in rep.checks}
     assert statuses["g-dims"] == "FAIL"
 
@@ -122,8 +121,10 @@ def test_run_excluded_case_raises():
 
 
 def test_run_unknown_check_rejected():
-    with pytest.raises(ValueError):
-        run("B3", {"bogus"})
+    # "all" does not cover an unknown name
+    for checks in ({"bogus"}, {"all", "bogus"}):
+        with pytest.raises(ValueError, match="bogus"):
+            run("B3", checks)
 
 
 def test_empty_check_set_is_vacuous():
@@ -135,7 +136,7 @@ def test_empty_check_set_is_vacuous():
 
 
 def test_b3_full_run_passes():
-    rep = run("B3", {"all"}, RunOptions(seed=7))
+    rep = run("B3", {"all"}, seed=7)
     assert rep.status == "PASS"
     ids = [c.check_id for c in rep.checks]
     for expected in ("case-dims", "contact-grading", "jacobi-ambient",
@@ -162,7 +163,7 @@ def test_report_status_ordering(capsys):
 
 
 def test_json_roundtrip():
-    rep = run("B3", {"weights"}, RunOptions(seed=7))
+    rep = run("B3", {"weights"}, seed=7)
     doc = emit(rep, fmt="json")
     parsed = json.loads(doc)
     assert parsed["case"] == "B3"
@@ -174,25 +175,19 @@ def test_json_roundtrip():
 
 
 def test_emit_deterministic_in_process():
-    a = emit(run("D4", {"weights"}, RunOptions(seed=7)), fmt="json")
-    b = emit(run("D4", {"weights"}, RunOptions(seed=7)), fmt="json")
+    a = emit(run("D4", {"weights"}, seed=7), fmt="json")
+    b = emit(run("D4", {"weights"}, seed=7), fmt="json")
     assert a == b
 
 
 def test_e_series_runs_solvers_by_default():
-    rep = run("E6", {"prolong", "spencer"}, RunOptions(seed=1))
+    rep = run("E6", {"prolong", "spencer"}, seed=1)
     statuses = {c.check_id: c.status for c in rep.checks}
     assert set(statuses) >= {"prolong-dims", "prolong-ad-witnesses",
                              "spencer-cocycle-ad", "restricted-differentials",
                              "spencer-qdim"}
     assert set(statuses.values()) == {"PASS"}
     assert exit_code(rep) == 0
-    # --heavy changes nothing but the environment stamp
-    heavy = run("E6", {"prolong", "spencer"}, RunOptions(seed=1, heavy=True))
-    a, b = json.loads(emit(rep, fmt="json")), json.loads(emit(heavy, fmt="json"))
-    assert (a["environment"].pop("heavy"), b["environment"].pop("heavy")) \
-        == (False, True)
-    assert a == b
 
 
 def test_corrupted_witness_fails_prolong_checks(monkeypatch):
@@ -205,7 +200,7 @@ def test_corrupted_witness_fails_prolong_checks(monkeypatch):
         return tower
 
     monkeypatch.setattr(verify, "g_tower", corrupted)
-    rep = run("B3", {"prolong"}, RunOptions(seed=7))
+    rep = run("B3", {"prolong"}, seed=7)
     recs = {c.check_id: c for c in rep.checks}
     assert recs["prolong-dims"].status == "FAIL"
     assert "witness" in recs["prolong-dims"].values["error"]
@@ -215,27 +210,30 @@ def test_corrupted_witness_fails_prolong_checks(monkeypatch):
     assert exit_code(rep) == 1
 
 
-def _corrupt_build_g(monkeypatch, corrupt):
+def _corrupted_run(label, corrupt, groups):
+    """Run the groups of label with corrupt(case, g) applied once g is built
+    (build_g itself would reject some corruptions of the case)."""
     real = verify.build_g
 
     def corrupted(case):
         g = real(case)
-        corrupt(g)
+        corrupt(case, g)
         return g
 
-    monkeypatch.setattr(verify, "build_g", corrupted)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(verify, "build_g", corrupted)
+        return run(label, groups, seed=7)
 
 
-def _double_g1_g1(g):
+def _double_g1_g1(case, g):
     key = next(k for k in sorted(g.table.brackets)
                if g.degree[k[0]] == g.degree[k[1]] == 1)
     vec = g.table.brackets[key]
     vec[next(iter(vec))] *= 2
 
 
-def test_corrupted_bracket_fails_spencer_qdim(monkeypatch):
-    _corrupt_build_g(monkeypatch, _double_g1_g1)
-    rep = run("B3", {"spencer"}, RunOptions(seed=7))
+def test_corrupted_bracket_fails_spencer_qdim():
+    rep = _corrupted_run("B3", _double_g1_g1, {"spencer"})
     rec = next(c for c in rep.checks if c.check_id == "spencer-qdim")
     # ad g_{-1} is no longer a cocycle, so del becomes injective on C^{-1,1}
     assert rec.values["ranks"][-1] == rec.values["dim_C1"][-1] == 26
@@ -265,21 +263,20 @@ def test_prolong_and_spencer_share_one_tower(monkeypatch):
     for mod in (prolong, verify):
         monkeypatch.setattr(mod, "residual_is_zero",
                             counting(mod.residual_is_zero))
-    rep = run("B3", {"prolong", "spencer"}, RunOptions(seed=7))
+    rep = run("B3", {"prolong", "spencer"}, seed=7)
     assert rep.status == "PASS"
     assert calls["g_tower"] == 1
     assert calls["substitutions"] == 2      # the two ad witnesses of B3
     assert sorted(calls["levels"]) == list(range(1, 8))
 
 
-def test_doubled_bracket_fails_prolong_and_spencer(monkeypatch):
-    _corrupt_build_g(monkeypatch, _double_g1_g1)
-    rep = run("B3", {"prolong", "spencer"}, RunOptions(seed=7))
+def test_doubled_bracket_fails_prolong_and_spencer():
+    rep = _corrupted_run("B3", _double_g1_g1, {"prolong", "spencer"})
     statuses = {c.check_id: c.status for c in rep.checks}
     assert statuses["prolong-dims"] == statuses["spencer-qdim"] == "FAIL"
 
 
-def _v3_to_degree_4(g):
+def _v3_to_degree_4(case, g):
     g.degree[g.V_level_indices[3][0]] = 4
 
 
@@ -288,11 +285,10 @@ def _v3_to_degree_4(g):
     ({"spencer"}, ["spencer-cocycle-ad", "restricted-differentials",
                    "spencer-qdim"]),
 ])
-def test_corrupted_degree_fails_tower_readers(monkeypatch, groups, failed):
+def test_corrupted_degree_fails_tower_readers(groups, failed):
     # [g_{-1}, V_3] lands in g_2, not in g_3: building the tower stops, and
     # every record that reads it FAILs with the reason instead of run raising
-    _corrupt_build_g(monkeypatch, _v3_to_degree_4)
-    rep = run("B3", groups, RunOptions(seed=7))
+    rep = _corrupted_run("B3", _v3_to_degree_4, groups)
     recs = {c.check_id: c for c in rep.checks}
     assert recs["case-dims"].status == "FAIL"
     for check_id in failed:
@@ -307,7 +303,7 @@ def test_solve_error_fails_every_reader(monkeypatch):
     real = spencer.cochain_dims
     monkeypatch.setattr(spencer, "cochain_dims",
                         lambda g, k: (real(g, k)[0] + 1, real(g, k)[1]))
-    rep = run("B3", {"prolong", "spencer"}, RunOptions(seed=7))
+    rep = run("B3", {"prolong", "spencer"}, seed=7)
     recs = {c.check_id: c for c in rep.checks}
     for check_id in ("prolong-dims", "spencer-qdim"):
         assert recs[check_id].status == "FAIL"
@@ -319,23 +315,14 @@ def test_prolong_dims_match_prolongation(label):
     g = build_g(build_case(label))
     tower = g_tower(g)
     res = prolongation(tower.inp, 2, witnesses={1: tower.bases[1]})
-    rep = run(label, {"prolong"}, RunOptions(seed=7))
+    rep = run(label, {"prolong"}, seed=7)
     rec = next(c for c in rep.checks if c.check_id == "prolong-dims")
     assert (rec.dims["p_minus_1"], rec.dims["p_minus_2"]) == (res.dims[1],
                                                               res.dims[2])
 
 
-def test_doubled_ad_constant_fails_spencer_cocycle(monkeypatch):
-    def double_gm1_g1(g):
-        key = next(k for k in sorted(g.table.brackets)
-                   if sorted((g.degree[k[0]], g.degree[k[1]])) == [-1, 1]
-                   and g.table.brackets[k])
-        vec = g.table.brackets[key]
-        m = min(vec)
-        g.table.brackets[key] = {**vec, m: 2 * vec[m]}
-
-    _corrupt_build_g(monkeypatch, double_gm1_g1)
-    rep = run("B3", {"spencer"}, RunOptions(seed=7))
+def test_doubled_ad_constant_fails_spencer_cocycle():
+    rep = _corrupted_run("B3", _double_gm1_g1, {"spencer"})
     statuses = {c.check_id: c.status for c in rep.checks}
     assert statuses["spencer-cocycle-ad"] == "FAIL"
     assert exit_code(rep) == 1
@@ -355,7 +342,7 @@ def _escaped_sigma_report():
     real = verify.build_case
     verify.build_case = lambda case_id: _v_bracket_hits_v0(real(case_id))
     try:
-        return run("B3", {"forms"}, RunOptions(seed=7))
+        return run("B3", {"forms"}, seed=7)
     finally:
         verify.build_case = real
 
@@ -385,30 +372,13 @@ def test_escaped_sigma_bracket_fails_under_python_O():
     assert r.returncode == 0, r.stderr
 
 
-def _v3_moved_to_v2(case):
+def _v3_moved_to_v2(case, g):
     v3 = next(v for v in case.V_roots if case.V_root_level[v] == 3)
     case.V_root_level[v3] = 2
 
 
-def _merged_ideals(case):
+def _merged_ideals(case, g):
     case._ideal_of_root = dict.fromkeys(case._ideal_of_root, 0)
-
-
-def _corrupted_forms_report(corrupt):
-    """Run B3 forms with the case corrupted once g is built (build_g would
-    reject the first corruption itself)."""
-    real = verify.build_g
-
-    def corrupted(case):
-        g = real(case)
-        corrupt(case)
-        return g
-
-    verify.build_g = corrupted
-    try:
-        return run("B3", {"forms"}, RunOptions(seed=7))
-    finally:
-        verify.build_g = real
 
 
 # (corruption, the records it must turn FAIL, a word of their error)
@@ -420,7 +390,7 @@ FORMS_ERRORS = [
 
 @pytest.mark.parametrize("corrupt,failed,word", FORMS_ERRORS)
 def test_forms_errors_fail_forms_checks(corrupt, failed, word):
-    rep = _corrupted_forms_report(globals()[corrupt])
+    rep = _corrupted_run("B3", globals()[corrupt], {"forms"})
     recs = {c.check_id: c for c in rep.checks}
     for check_id in failed:
         assert recs[check_id].status == "FAIL"
@@ -434,10 +404,10 @@ def test_forms_errors_fail_under_python_O(corrupt, failed, word):
     script = "\n".join([
         "import sys",
         f"sys.path.insert(0, {str(Path(__file__).parent)!r})",
-        f"from test_verifier import _corrupted_forms_report, {corrupt}",
+        f"from test_verifier import _corrupted_run, {corrupt}",
         "if __debug__:",
         "    sys.exit('not running under -O')",
-        f"rep = _corrupted_forms_report({corrupt})",
+        f"rep = _corrupted_run('B3', {corrupt}, {{'forms'}})",
         "st = {c.check_id: c.status for c in rep.checks}",
         f"sys.exit(0 if all(st[c] == 'FAIL' for c in {failed!r}) else str(st))",
     ])
@@ -446,7 +416,7 @@ def test_forms_errors_fail_under_python_O(corrupt, failed, word):
     assert r.returncode == 0, r.stderr
 
 
-def _zero_sigma_pair(case):
+def _zero_sigma_pair(case, g):
     """Zero one [v, theta - v] bracket of s, v and theta - v both not v0."""
     s = case.s_table
     theta = case.root_index(case.rs.highest_root)
@@ -457,7 +427,7 @@ def _zero_sigma_pair(case):
     s.brackets[key] = {}
 
 
-def _zero_beta_entry(case):
+def _zero_beta_entry(case, g):
     """Zero the V_3 coefficient of one [a, w] bracket, a in l_1, w in V_2."""
     s = case.s_table
     v3 = next(case.root_index(v) for v in case.V_roots
@@ -480,41 +450,28 @@ FORMS_VALUE_FAULTS = [
 
 @pytest.mark.parametrize("corrupt,check_id,value", FORMS_VALUE_FAULTS)
 def test_vanishing_determinant_fails_forms_check(corrupt, check_id, value):
-    rep = _corrupted_forms_report(globals()[corrupt])
+    rep = _corrupted_run("B3", globals()[corrupt], {"forms"})
     rec = next(c for c in rep.checks if c.check_id == check_id)
     assert rec.status == "FAIL"
     assert "error" not in rec.values
     assert rec.values[value] is False
     if check_id == "sigma-form":
-        assert rec.values["alternating"] and rec.values["osculating_hyperplane"]
+        assert rec.values["osculating_hyperplane"]
     assert exit_code(rep) == 1
 
 
-def test_swapped_v_levels_fail_cI_components(monkeypatch):
-    def swap_v1_v2(g):
-        levels = g.V_level_indices
-        g.V_level_indices = {**levels, 1: levels[2], 2: levels[1]}
-
-    _corrupt_build_g(monkeypatch, swap_v1_v2)
-    rep = run("B3", {"weights"}, RunOptions(seed=7))
+def test_swapped_v_levels_fail_cI_components():
+    rep = _corrupted_run("B3", _swap_v1_v2, {"weights"})
     rec = next(c for c in rep.checks if c.check_id == "cI-components")
     assert rec.status == "FAIL"
     assert rec.values["cI(V_1)"] == [Fraction(1, 2)]
     assert exit_code(rep) == 1
 
 
-def test_merged_ideals_fail_xvv_kernel(monkeypatch):
+def test_merged_ideals_fail_xvv_kernel():
     # sampling asks for one highest weight per ideal of l_1; the error is a
     # FAIL record, not an exception out of run
-    real = verify.build_g
-
-    def corrupted(case):
-        g = real(case)
-        _merged_ideals(case)
-        return g
-
-    monkeypatch.setattr(verify, "build_g", corrupted)
-    rep = run("B3", {"xvv"}, RunOptions(seed=7))
+    rep = _corrupted_run("B3", _merged_ideals, {"xvv"})
     rec = next(c for c in rep.checks if c.check_id == "xvv-kernel")
     assert rec.status == "FAIL"
     assert "highest weight" in rec.values["error"]
@@ -587,7 +544,7 @@ def test_base_locus_at_hw_matches_sampled_evaluation(label, corrupt):
     case = build_case(label)
     if corrupt:
         globals()[corrupt](case, None)
-    ctx = verify._Context(registry_entry(label), RunOptions(seed=7))
+    ctx = verify._Context(registry_entry(label), seed=7)
     ctx.case = case
     [rec] = verify._base_locus_samples(ctx)
     assert rec["values"] == _sampled_base_locus(case, seed=7)
@@ -616,7 +573,7 @@ def test_no_status_reads_the_seed():
         for label, groups in [("B3", {"all"}), ("D4", {"all"}),
                               ("F4", {"all"}), ("E6", {"all"}),
                               ("E8", {"forms", "xvv", "gstructure"})]:
-            doc = run(label, groups, RunOptions(seed=seed)).to_json_dict()
+            doc = run(label, groups, seed=seed).to_json_dict()
             assert doc["environment"].pop("seed") == seed
             for rec in doc["checks"]:
                 if rec["id"] == "xvv-kernel":
@@ -628,12 +585,8 @@ def test_no_status_reads_the_seed():
     assert records(7) == records(8)
 
 
-def test_lost_v3_fails_six_families(monkeypatch):
-    def drop_v3(g):
-        g.V_level_indices = {**g.V_level_indices, 3: ()}
-
-    _corrupt_build_g(monkeypatch, drop_v3)
-    rep = run("B3", {"weights"}, RunOptions(seed=7))
+def test_lost_v3_fails_six_families():
+    rep = _corrupted_run("B3", _drop_v3, {"weights"})
     statuses = {c.check_id: c.status for c in rep.checks}
     assert statuses["cI-six-families"] == "FAIL"
 
@@ -653,7 +606,7 @@ def test_g2_is_a_negative_control_without_an_error(monkeypatch):
     # the first prolongation is 4 where the flat answer, dim g_{-1}, is 1
     row = dataclasses.replace(registry_entry("G2"), excluded=False)
     monkeypatch.setattr(verify, "active_entry", lambda case_id: row)
-    rep = run("G2", set(verify.CHECK_GROUPS), RunOptions(seed=7))
+    rep = run("G2", set(verify.CHECK_GROUPS), seed=7)
     failing = {c.check_id: c for c in rep.checks if c.status == "FAIL"}
     assert sorted(failing) == ["base-locus-samples", "prolong-dims",
                                "spencer-qdim"]
@@ -776,7 +729,7 @@ def test_e_series_json_report_matches_golden_file(tmp_path):
 # sha256 of `verify --case all --checks all --seed 7 --format json`; change
 # it only for an intended change of a report
 DEFAULT_RUN_SHA256 = \
-    "2cf22e3bbf0378881d24b665e5c1badf75c8f9b518f27f1c1ff96b8e5d6eff2e"
+    "87561f38ac7715abec27c275a0145b426ed5d265e3ffc5b80d47fbf0d7d4af53"
 
 
 def test_default_run_json_digest(tmp_path):
@@ -823,7 +776,7 @@ def test_timings_count_each_entry_once(monkeypatch):
     ticks = itertools.count()
     monkeypatch.setattr(verify, "time",
                         types.SimpleNamespace(monotonic=lambda: next(ticks)))
-    rep = run("B3", {"all"}, RunOptions(seed=7))
+    rep = run("B3", {"all"}, seed=7)
     millis = {c.check_id: c.millis for c in rep.checks}
     for _, ids, _ in verify.CHECKS:
         assert [millis[i] for i in ids] == [1000] + [0] * (len(ids) - 1)
@@ -831,15 +784,14 @@ def test_timings_count_each_entry_once(monkeypatch):
     assert sum(c["millis"] for c in doc["checks"]) == 1000 * len(verify.CHECKS)
 
 
-def _drop_v3(g):
+def _drop_v3(case, g):
     g.V_level_indices = {**g.V_level_indices, 3: ()}
 
 
-def test_lost_v3_fails_restricted_differentials(monkeypatch):
+def test_lost_v3_fails_restricted_differentials():
     # partial_prime_checks needs V_3 to be a line; its error is a FAIL
     # record, not an exception out of run
-    _corrupt_build_g(monkeypatch, _drop_v3)
-    rep = run("B3", {"spencer"}, RunOptions(seed=7))
+    rep = _corrupted_run("B3", _drop_v3, {"spencer"})
     rec = next(c for c in rep.checks if c.check_id == "restricted-differentials")
     assert rec.status == "FAIL"
     assert "V_3" in rec.values["error"]
@@ -984,15 +936,15 @@ def _swap_v1_v2(case, g):
 # check id -> (case, corruption of (case, g) once both are built, a word of
 # the FAIL record's error, or None when the check itself reads the fault)
 NEGATIVE_CONTROLS = {
-    "case-dims": ("B3", lambda case, g: _v3_to_degree_4(g), None),
+    "case-dims": ("B3", _v3_to_degree_4, None),
     "contact-grading": ("B3", _drop_contact_line, None),
     "jacobi-ambient": ("B3", _double_s_bracket, None),
-    "sigma-form": ("B3", lambda case, g: _zero_sigma_pair(case), None),
-    "fundamental-forms": ("B3", lambda case, g: _zero_beta_entry(case), None),
+    "sigma-form": ("B3", _zero_sigma_pair, None),
+    "fundamental-forms": ("B3", _zero_beta_entry, None),
     "base-locus-samples": ("B3", _swap_line_and_conic, None),
     "xvv-kernel": ("B3", _zero_lminus1_l1_brackets, None),
-    "g-jacobi": ("B3", lambda case, g: _double_g1_g1(g), None),
-    "g-dims": ("B3", lambda case, g: _v3_to_degree_4(g), None),
+    "g-jacobi": ("B3", _double_g1_g1, None),
+    "g-dims": ("B3", _v3_to_degree_4, None),
     "identity-eII-coefficients": ("B3", _l1_bracket_hits_v0, None),
     "identity-v1-annihilator-of-v2": ("B3", _v1_bracket_hits_v3, None),
     "identity-l1-V1-intersection": ("B3", _v1_listed_in_l1, None),
@@ -1004,14 +956,14 @@ NEGATIVE_CONTROLS = {
     "c-functional": ("B3", _l0_moves_v0_into_v1, None),
     "est-expansion": ("B3", _ad_v0_plus_identity_on_g_plus, None),
     # every corruption found so far stops validate or a witness first
-    "prolong-dims": ("B3", lambda case, g: _double_g1_g1(g), "Jacobi"),
+    "prolong-dims": ("B3", _double_g1_g1, "Jacobi"),
     "prolong-ad-witnesses": ("B3", _double_gm1_g1, None),
     "spencer-cocycle-ad": ("B3", _double_gm1_g1, None),
     "restricted-differentials": ("B3", _zero_pairing_entry, None),
-    "spencer-qdim": ("B3", lambda case, g: _double_g1_g1(g), None),
+    "spencer-qdim": ("B3", _double_g1_g1, None),
     "cI-embedding-weight": ("B3", _double_embedding_weight, None),
     "cI-components": ("B3", _swap_v1_v2, None),
-    "cI-six-families": ("B3", lambda case, g: _drop_v3(g), None),
+    "cI-six-families": ("B3", _drop_v3, None),
 }
 
 # check id -> why no corruption of a built case or g flips it to FAIL
@@ -1026,18 +978,10 @@ def test_every_check_id_has_a_negative_control_or_a_reason():
 
 
 @pytest.mark.parametrize("check_id", sorted(NEGATIVE_CONTROLS))
-def test_negative_control_fails_check(monkeypatch, check_id):
+def test_negative_control_fails_check(check_id):
     label, corrupt, word = NEGATIVE_CONTROLS[check_id]
     group = next(grp for grp, ids, _ in verify.CHECKS if check_id in ids)
-    real = verify.build_g
-
-    def corrupted(case):
-        g = real(case)
-        corrupt(case, g)
-        return g
-
-    monkeypatch.setattr(verify, "build_g", corrupted)
-    rep = run(label, {group or "jacobi"}, RunOptions(seed=7))
+    rep = _corrupted_run(label, corrupt, {group or "jacobi"})
     rec = next(c for c in rep.checks if c.check_id == check_id)
     assert rec.status == "FAIL"
     if word is None:
@@ -1045,21 +989,6 @@ def test_negative_control_fails_check(monkeypatch, check_id):
     else:
         assert word in rec.values["error"]
     assert exit_code(rep) == 1
-
-
-def _corrupted_run(label, corrupt, groups):
-    real = verify.build_g
-
-    def corrupted(case):
-        g = real(case)
-        corrupt(case, g)
-        return g
-
-    verify.build_g = corrupted
-    try:
-        return run(label, groups, RunOptions(seed=7))
-    finally:
-        verify.build_g = real
 
 
 def _v2_listed_in_l1(case, g):
@@ -1106,7 +1035,7 @@ def test_no_corruption_escapes_run():
 
 def test_clean_report_emits_the_check_table_in_order():
     # run's zip(strict=True) ties the length of each suite to its ids
-    rep = run("B3", {"all"}, RunOptions(seed=7))
+    rep = run("B3", {"all"}, seed=7)
     assert [c.check_id for c in rep.checks] == CHECK_IDS
     assert rep.status == "PASS"
 
@@ -1252,7 +1181,7 @@ def test_regauged_chevalley_basis_gives_identical_records(label, monkeypatch):
     assert any(shipped.brackets[k] != regauged.brackets[k]
                for k in shipped.brackets)
     assert check_jacobi(regauged, chevalley_generators(rs)) == []
-    want = emit(run(label, {"all"}, RunOptions(seed=7)), fmt="json")
+    want = emit(run(label, {"all"}, seed=7), fmt="json")
     monkeypatch.setattr(cases, "chevalley_table",
                         lambda rs: oracles.regauged_table(rs, seed=7))
-    assert emit(run(label, {"all"}, RunOptions(seed=7)), fmt="json") == want
+    assert emit(run(label, {"all"}, seed=7), fmt="json") == want
