@@ -485,6 +485,7 @@ def fundamental_forms(case: SubadjointCase) -> FundamentalForms:
     v0 = case.e(case.v0_root)
 
     def to_v2(vec: Vec) -> list[int]:
+        _check(vec.keys() <= v2_pos.keys(), "[l_1, [l_1, v0]] leaves V_2")
         out = [0] * len(V2)
         for k, c in vec.items():
             out[v2_pos[k]] = c

@@ -65,36 +65,21 @@ def build_g(case: SubadjointCase) -> GAlgebra:
     # [Id, v] = v for v in V; [Id, l] = 0
     for r in case.V_roots:
         brackets[(0, v_pos[r])] = {v_pos[r]: 1}
-    # [l, l] and [l, V] from s, row by row; [V, V] = 0 by construction of
-    # the semidirect product
+    # [l, l] and [l, V] from s, row by row, each entry the s bracket of two
+    # basis vectors mapped by `l_coords` or by the V map below; [V, V] = 0
+    # by construction of the semidirect product
     l_vecs = _l_basis_vectors(case)
-    nh = len(case.l_simple_roots)
-    # for a root vector e_r of l, [e_r, e_w] is one stored entry of s; the
-    # root vectors of l come in s-index order, so for l positions i < j
-    # that entry is keyed (l_idx[i], l_idx[j])
-    l_idx = [case.root_index(r) for r in case.l_roots]
-    v_idx = [case.root_index(r) for r in case.V_roots]
-    s_index_to_v = {k: v_offset + i for i, k in enumerate(v_idx)}
-    for i in range(nl):
-        x = l_idx[i - nh] if i >= nh else None
+    v_of = {case.root_index(r): v_pos[r] for r in case.V_roots}
+    for i, x in enumerate(l_vecs):
         for j in range(i + 1, nl):
-            if x is None:
-                b = st.bracket(l_vecs[i], l_vecs[j])
-            else:
-                b = st.brackets.get((x, l_idx[j - nh]))
-            if b:
+            if b := st.bracket(x, l_vecs[j]):
                 brackets[(l_offset + i, l_offset + j)] = {
                     l_offset + k: c for k, c in case.l_coords(b).items()}
-        for k in v_idx:
-            if x is None:
-                b = st.bracket(l_vecs[i], {k: 1})
-            elif x < k:
-                b = st.brackets.get((x, k))
-            else:
-                b = {w: -c for w, c in st.brackets.get((k, x), {}).items()}
-            if b:
-                brackets[(l_offset + i, s_index_to_v[k])] = {
-                    s_index_to_v[w]: c for w, c in b.items()}
+        for k, w in v_of.items():
+            if b := st.bracket(x, {k: 1}):
+                _check(b.keys() <= v_of.keys(), "[l, V] leaves V")
+                brackets[(l_offset + i, w)] = {
+                    v_of[m]: c for m, c in b.items()}
 
     labels = ["Id"] + [
         ("H" if k[0] == "h" else "x") + "".join(f"{c:+d}" for c in k[1])

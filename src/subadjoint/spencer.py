@@ -14,7 +14,7 @@ functions here return these facts; `verify` decides the checks.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from math import comb
@@ -45,20 +45,11 @@ def g_basis_cI(g: GAlgebra) -> list[Fraction]:
 # cochain spaces and the differential
 # --------------------------------------------------------------------------
 
-@dataclass
-class SpencerSpaces:
-    k: int
-    basis_C1: list   # (u, w) pairs of g basis indices
-    dim_C2: int
-    components: dict = field(repr=False)  # g.components()
-
-    @property
-    def dim_C1(self) -> int:
-        return len(self.basis_C1)
-
-
-def cochain_dims(g: GAlgebra, k: int) -> tuple[int, int]:
-    """dim C^{k,1} and dim C^{k,2} in closed form from the component dims."""
+def spencer_spaces(g: GAlgebra, k: int) -> tuple[int, int]:
+    """(dim C^{k,1}, dim C^{k,2}) in closed form from the component dims
+    of g_+ = g_1 + g_2 + g_3."""
+    if k > -1:
+        raise ValueError("Spencer degree k must be <= -1")
     dims_g = g.component_dims()
     dim_C1 = sum(
         dims_g.get(d, 0) * dims_g.get(d + k, 0) for d in (1, 2, 3)
@@ -74,56 +65,34 @@ def cochain_dims(g: GAlgebra, k: int) -> tuple[int, int]:
     return dim_C1, dim_C2
 
 
-def spencer_spaces(g: GAlgebra, k: int) -> SpencerSpaces:
-    if k > -1:
-        raise ValueError("Spencer degree k must be <= -1")
-    comps = g.components()
-    gplus = [i for i, d in enumerate(g.degree) if d >= 1]
-    C1 = [(u, w) for u in gplus for w in comps.get(g.degree[u] + k, ())]
-    dim_C2 = sum(
-        len(comps.get(g.degree[u] + g.degree[v] + k, ()))
-        for ui, u in enumerate(gplus)
-        for v in gplus[ui + 1 :]
-    )
-    sp = SpencerSpaces(k=k, basis_C1=C1, dim_C2=dim_C2, components=comps)
-    want1, want2 = cochain_dims(g, k)
-    _check(sp.dim_C1 == want1, "C^{k,1} dimension bookkeeping failed")
-    _check(sp.dim_C2 == want2, "C^{k,2} dimension bookkeeping failed")
-    return sp
+def _tower_level(g: GAlgebra, tower, k: int) -> tuple[int, int, list]:
+    """(dim C^{k,1}, dim C^{k,2}, column offsets) of level -k of
+    `g_tower(g)`, whose columns (u, w), u in g_+ and w in g_{deg u + k},
+    are the C^{k,1} basis; checks that the tower has `spencer_spaces`'
+    count of them."""
+    dim_C1, dim_C2 = spencer_spaces(g, k)
+    offsets, _, ncols = unknown_layout(tower, -k)
+    _check(ncols == dim_C1, "C^{k,1} dimension bookkeeping failed")
+    return dim_C1, dim_C2, offsets
 
 
-def _tower_level(g: GAlgebra, tower, k: int):
-    """(C^{k,1}/C^{k,2} spaces, column offsets) of level -k of `g_tower(g)`.
-
-    The level's columns are (u, w) for u in g_+ and w in g_{deg u + k},
-    slot s of w standing for `g.components()[deg u + k][s]`; checks that
-    each u has one column per such w, so that they are the C^{k,1} basis.
-    """
-    sp = spencer_spaces(g, k)
-    offsets, sizes, _ = unknown_layout(tower, -k)
-    want = [len(sp.components.get(d + k, ())) for d in g.degree if d >= 1]
-    _check(sizes == want, "tower columns differ from the C^{k,1} basis")
-    return sp, offsets
-
-
-def spencer_differential(g: GAlgebra, k: int) -> tuple[SparseRationalMatrix, SpencerSpaces]:
+def spencer_differential(g: GAlgebra, k: int) -> SparseRationalMatrix:
     """Matrix of del: C^{k,1} -> C^{k,2}, the level -k pair rows of
     `g_tower(g)` negated: one row per nonzero coordinate (u, v, w) of
     C^{k,2}, zero rows omitted, pairs u < v in g_+ order."""
     tower = g_tower(g)
-    sp, offsets = _tower_level(g, tower, k)
+    dim_C1, _, offsets = _tower_level(g, tower, k)
     n = tower.inp.dim
     rows = ({c: -x for c, x in row.items()}
             for u in range(n) for v in range(u + 1, n)
             for row in pair_rows(tower, -k, offsets, u, v))
-    return SparseRationalMatrix.from_rows(rows, sp.dim_C1), sp
+    return SparseRationalMatrix.from_rows(rows, dim_C1)
 
 
 @dataclass
 class QDimension:
     k: int
     dim_C1: int
-    dim_C2: int
     rank: int
     value: int
     stopped_early: bool   # the forced rank came with rows left
@@ -137,10 +106,9 @@ def q_dimension(g: GAlgebra, k: int, tower: _Tower, floor: int) -> QDimension:
     cocycles at k = -1, so rank del is at most dim C^{k,1} - floor;
     `forced_rank` stops at that cap, and the rank is then the full one.
     """
-    sp, offsets = _tower_level(g, tower, k)
-    acc, stopped = forced_rank(tower, -k, offsets, sp.dim_C1, floor)
-    return QDimension(k, sp.dim_C1, sp.dim_C2, acc.rank,
-                      sp.dim_C2 - acc.rank, stopped)
+    dim_C1, dim_C2, offsets = _tower_level(g, tower, k)
+    acc, stopped = forced_rank(tower, -k, offsets, dim_C1, floor)
+    return QDimension(k, dim_C1, acc.rank, dim_C2 - acc.rank, stopped)
 
 
 # --------------------------------------------------------------------------
@@ -281,7 +249,7 @@ def summand_cI_table(g: GAlgebra, k: int, cIs: list) -> tuple[list, list]:
             if not (rk_designated(k, d.family, d.index)
                     or rk_allowed_extra(k, d.family, d.index)):
                 offending.append((d.name, d.index, "not in R_k", None))
-    total, dim_C2 = sum(d.dim for d in desc), cochain_dims(g, k)[1]
+    total, dim_C2 = sum(d.dim for d in desc), spencer_spaces(g, k)[1]
     if total != dim_C2:
         offending.append(("pieces of C^{k,2}", None, total, dim_C2))
     return desc, offending

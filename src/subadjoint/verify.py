@@ -232,16 +232,25 @@ def _jsonify(obj):
 class _Context:
     """One case as its checks read it, and the one cache of a run.  The
     case, its g and the pieces several checks share are built on first
-    read; a build that raises is not kept, so every check that reads it
-    FAILs with the same error."""
+    read; a failed build is kept as its error, so the case is built once
+    and every check that reads it FAILs with the same message."""
 
     desc: CaseDescriptor
     seed: int
     qdims: dict = field(default_factory=dict, init=False)  # k -> `qdim(k)`
 
     @cached_property
+    def _built(self) -> GAlgebra | ConsistencyError:
+        try:
+            return build_g(build_case(self.desc.case_id))
+        except ConsistencyError as e:
+            return e
+
+    @property
     def g(self) -> GAlgebra:
-        return build_g(build_case(self.desc.case_id))
+        if isinstance(self._built, ConsistencyError):
+            raise ConsistencyError(str(self._built))
+        return self._built
 
     @cached_property
     def case(self) -> SubadjointCase:
@@ -441,25 +450,20 @@ def _base_locus_samples(ctx: _Context) -> list[dict]:
             s.dim, (case.e(x) for x in case.l1_roots()
                     if case.ideal_of_root(x) == ci))
         for ci, r in enumerate(hw))
-    is_ii1 = case.s_label == "B3"
-    if is_ii1:
-        dvals = {}
-        for ci in range(len(hw)):
-            m = [mm for mm in case.marked if case._node_comp[mm] == ci][0]
-            dvals[ci] = case.embedding_weight[m]
-        # line factor (degree 1) lies in the base locus of II, the conic
-        # factor does not: the strict inclusion of the (ii-1) row
-        ii_ok = all(
-            ii_null_flags[ci] == (dvals[ci] == 1) for ci in range(len(hw))
-        )
-    else:
-        ii_ok = all(ii_null_flags)
+    # II(hw_i, hw_i) = 0 exactly when ideal i's marked node has embedding
+    # weight 1: on B3 the line factor lies in the base locus of II and the
+    # conic factor (weight 2) does not, the strict inclusion of the (ii-1)
+    # row
+    weights = [case.embedding_weight[next(
+        m for m in case.marked if case._node_comp[m] == ci)]
+        for ci in range(len(hw))]
+    ii_ok = all(null == (w == 1) for null, w in zip(ii_null_flags, weights))
     ok = iii_null and ii_ok and gen_ok
     return [{"status": "PASS" if ok else "FAIL",
              "values": {"iii_vanishes_at_hw": iii_null,
                         "ii_pattern_ok": ii_ok,
                         "hw_generates_each_ideal": gen_ok,
-                        "strictness_case": is_ii1}}]
+                        "strictness_case": any(w != 1 for w in weights)}}]
 
 
 def _xvv_kernel(ctx: _Context) -> list[dict]:

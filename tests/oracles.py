@@ -10,8 +10,9 @@ these; the tests compare the package against them:
 - `input_from_l`, the (l_1 abelian, ad l_0) input of a case;
 - `WeightVector`, a weight tagged with its basis, its coordinate
   conversions, and root-string lengths;
-- antisymmetry and grading-additivity scans of a bracket table, and the
-  Chevalley table in a randomly re-signed basis;
+- antisymmetry and grading-additivity scans of a bracket table, the
+  Chevalley table in a randomly re-signed basis, and the Chevalley table
+  with one seeded corruption (the fuzz of a run's error policy);
 - the C^{k,2} basis listed term by term, the row order of the Spencer
   differential;
 - II and III evaluated at any point of l_1, and the conjugation expansion
@@ -340,20 +341,52 @@ def regauged_table(rs: RootSystem, seed: int) -> LieAlgebraTable:
                   for (i, j), vec in table.brackets.items()})
 
 
+CORRUPTIONS = ("double", "negate", "drop", "add-term", "add-bracket")
+
+
+def corrupted_chevalley_table(seed: int):
+    """A stand-in for `chevalley_table` that applies one edit, drawn from a
+    RNG seeded by `seed`, to each fresh table, the same edit on every
+    rebuild: double or negate one coefficient, drop one bracket, add a
+    term to one bracket, or add one bracket."""
+    def corrupted(rs: RootSystem) -> LieAlgebraTable:
+        table = chevalley_table(rs)
+        br, dim = table.brackets, table.dim
+        rng = random.Random(f"corrupt-{seed}")
+        kind = rng.choice(CORRUPTIONS)
+        key = rng.choice(sorted(br))
+        vec = br[key]
+        if kind in ("double", "negate"):
+            m = rng.choice(sorted(vec))
+            br[key] = {**vec, m: vec[m] * (2 if kind == "double" else -1)}
+        elif kind == "drop":
+            del br[key]
+        elif kind == "add-term":
+            m = rng.choice([m for m in range(dim) if m not in vec])
+            br[key] = {**vec, m: rng.choice((1, -1))}
+        else:
+            key = rng.choice([(i, j) for i in range(dim)
+                              for j in range(i + 1, dim) if (i, j) not in br])
+            br[key] = {rng.randrange(dim): rng.choice((1, -1))}
+        return table
+
+    return corrupted
+
+
 # --------------------------------------------------------------------------
 # Spencer cochains
 # --------------------------------------------------------------------------
 
-def basis_C2(sp) -> list:
+def basis_C2(g, k: int) -> list:
     """(u, v, w) with u < v in g_+ and w in g_{deg u + deg v + k}, in
-    g-index order, for the `SpencerSpaces` sp of degree k."""
-    degree = {i: d for d, ix in sp.components.items() for i in ix}
-    gplus = sorted(i for i, d in degree.items() if d >= 1)
+    g-index order: the C^{k,2} basis of g."""
+    comps = g.components()
+    gplus = [i for i, d in enumerate(g.degree) if d >= 1]
     return [
         (u, v, w)
         for ui, u in enumerate(gplus)
         for v in gplus[ui + 1 :]
-        for w in sp.components.get(degree[u] + degree[v] + sp.k, ())
+        for w in comps.get(g.degree[u] + g.degree[v] + k, ())
     ]
 
 

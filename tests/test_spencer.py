@@ -43,21 +43,21 @@ def f4():
 
 def test_b3_cochain_dims(b3):
     case, g = b3
-    sp = spencer_spaces(g, -1)
+    dim_C1, dim_C2 = spencer_spaces(g, -1)
     # 4*4 + 2*4 + 1*2
-    assert sp.dim_C1 == 26
-    assert sp.dim_C2 == 45
+    assert dim_C1 == 26
+    assert dim_C2 == 45
 
 
 def test_cochains_vanish_below_minus_six(b3):
     case, g = b3
     for k in (-7, -8, -9):
-        assert spencer_spaces(g, k).dim_C2 == 0
+        assert spencer_spaces(g, k)[1] == 0
 
 
 def test_ad_images_are_cocycles(b3):
     case, g = b3
-    mat, sp = spencer_differential(g, -1)
+    mat = spencer_differential(g, -1)
     tower = g_tower(g)
     offsets, _, _ = unknown_layout(tower, 1)
     assert len(tower.bases[1]) == 2
@@ -74,13 +74,15 @@ def test_ad_images_are_cocycles(b3):
 
 def _reference_differential(g, k) -> list:
     """Rows of del on C^{k,1}, stamped straight from g.table, one per
-    C^{k,2} basis element (u, v, w)."""
-    sp = spencer_spaces(g, k)
-    col_of = {uw: i for i, uw in enumerate(sp.basis_C1)}
-    row_of = {uvw: i for i, uvw in enumerate(basis_C2(sp))}
-    t = g.table
-    rows = [dict() for _ in range(sp.dim_C2)]
+    C^{k,2} basis element (u, v, w); the columns are the C^{k,1} basis
+    (u, w), u in g_+ and w in g_{deg u + k}, both in g-index order."""
+    comps = g.components()
     gplus = [i for i, d in enumerate(g.degree) if d >= 1]
+    col_of = {uw: i for i, uw in enumerate(
+        (u, w) for u in gplus for w in comps.get(g.degree[u] + k, ()))}
+    row_of = {uvw: i for i, uvw in enumerate(basis_C2(g, k))}
+    t = g.table
+    rows = [dict() for _ in row_of]
 
     def stamp(u, v, target_vec, col, sign):
         for m, c in target_vec.items():
@@ -134,7 +136,7 @@ def test_differential_matches_table_reference(label):
             _bump_first(g, bump)
         got = {}
         for k in (-1, -2, -3):
-            mat, sp = spencer_differential(g, k)
+            mat = spencer_differential(g, k)
             ref = [row for row in _reference_differential(g, k) if row]
             assert mat.rows == ref, (label, bump, k)
             got[k] = mat.rows
@@ -162,7 +164,7 @@ def test_rank_and_qdim_b3(b3):
     assert q.rank == 26 - 2
     assert q.value == 45 - 24
     for qk in qs.values():
-        assert 0 <= qk.value <= qk.dim_C2
+        assert 0 <= qk.value <= spencer_spaces(g, qk.k)[1]
     assert qs[-7].value == 0
 
 
@@ -171,7 +173,7 @@ def test_early_exit_rank_equals_full_rank(label):
     # q_dimension stops at the forced rank; the full elimination agrees
     g = build_g(build_case(label))
     for k, q in _qdims(g).items():
-        assert q.rank == spencer_differential(g, k)[0].rank()
+        assert q.rank == spencer_differential(g, k).rank()
 
 
 def test_import_leaves_numpy_unloaded():
@@ -212,18 +214,19 @@ def test_validated_case_tower_builds_one_bracket_index(monkeypatch):
 
 
 def test_spencer_spaces_bookkeeping_raises():
-    # a degree-4 element is enumerated but not in the closed-form count
+    # a degree-4 element lies outside the closed-form count of g_+: the
+    # differential raises instead of building columns for it
     g = build_g(build_case("B3"))
     g.degree[g.V_level_indices[3][0]] = 4
-    with pytest.raises(ConsistencyError, match="C\\^\\{k,1\\}"):
-        spencer_spaces(g, -2)
+    with pytest.raises(ConsistencyError):
+        spencer_differential(g, -2)
 
 
 def test_decomposition_closure(b3, f4):
     for case, g in (b3, f4):
         for k in range(-7, 0):
             desc = hom_decomposition(g, k, g_basis_cI(g))
-            assert sum(d.dim for d in desc) == spencer_spaces(g, k).dim_C2
+            assert sum(d.dim for d in desc) == spencer_spaces(g, k)[1]
 
 
 def test_lambda2_v2_to_v3_piece(b3):

@@ -8,6 +8,8 @@ written next to them, and sys.path and sys.modules are restored afterwards.
 
 import importlib.util
 import json
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -65,3 +67,23 @@ def test_benchmark_invocations_run(capsys):
         assert doc["case"] == "B3"
         assert {c["status"] for c in doc["checks"]} == {"PASS"}
         assert outs[0] == outs[1], (checks, heavy)
+
+
+def test_traced_run_matches_the_untraced_run(tmp_path, capsys):
+    # test_tracer_targets_resolve checks names only: a traced run must also
+    # exit 0, print the untraced bytes and record the layers it wraps
+    args = ["--case", "B3", "--checks", "all", "--seed", "7",
+            "--format", "json"]
+    spans = tmp_path / "spans.jsonl"
+    path = [str(PERFBENCH.parent / "src"), os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONDONTWRITEBYTECODE": "1",
+           "PYTHONPATH": os.pathsep.join(p for p in path if p)}
+    r = subprocess.run([sys.executable, str(PERFBENCH / "tracer.py"),
+                        str(spans), *args], capture_output=True, env=env)
+    assert r.returncode == 0, r.stderr
+    assert main(args) == 0
+    assert r.stdout == capsys.readouterr().out.encode()
+    names = {json.loads(line).get("name")
+             for line in spans.read_text().splitlines()}
+    assert {"spencer.spencer_spaces", "spencer.q_dimension",
+            "galg.build_g"} <= names

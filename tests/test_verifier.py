@@ -300,8 +300,8 @@ def test_corrupted_degree_fails_tower_readers(groups, failed):
 def test_solve_error_fails_every_reader(monkeypatch):
     # an error in the shared solve is a FAIL record on each check that
     # reads it, not an exception out of run
-    real = spencer.cochain_dims
-    monkeypatch.setattr(spencer, "cochain_dims",
+    real = spencer.spencer_spaces
+    monkeypatch.setattr(spencer, "spencer_spaces",
                         lambda g, k: (real(g, k)[0] + 1, real(g, k)[1]))
     rep = run("B3", {"prolong", "spencer"}, seed=7)
     recs = {c.check_id: c for c in rep.checks}
@@ -381,10 +381,25 @@ def _merged_ideals(case, g):
     case._ideal_of_root = dict.fromkeys(case._ideal_of_root, 0)
 
 
+def _v1_term_in_l1_v1_bracket(case, g):
+    """The first stored [l_1, V_1] bracket of s gains a V_1 term, so
+    [l_1, [l_1, v0]] leaves V_2 (g is built before the edit)."""
+    s = case.s_table
+    l1 = {case.root_index(r) for r in case.l1_roots()}
+    v1 = [case.root_index(v) for v in case.V_roots
+          if case.V_root_level[v] == 1]
+    key = next(k for k in sorted(s.brackets)
+               if set(k) & l1 and set(k) & set(v1))
+    m = next(m for m in v1 if m not in key)
+    s.brackets[key] = {**s.brackets[key], m: 1}
+
+
 # (corruption, the records it must turn FAIL, a word of their error)
 FORMS_ERRORS = [
     ("_v3_moved_to_v2", ["fundamental-forms", "base-locus-samples"], "V_3"),
     ("_merged_ideals", ["base-locus-samples"], "highest weight"),
+    ("_v1_term_in_l1_v1_bracket", ["fundamental-forms", "base-locus-samples"],
+     "leaves V_2"),
 ]
 
 
@@ -1127,6 +1142,59 @@ def test_unbuildable_case_fails_every_record_under_python_O(fault):
                        capture_output=True, text=True)
     assert r.returncode == 1, r.stderr
     _assert_every_record_fails(json.loads(r.stdout), CONSTRUCTION_FAULTS[fault][2])
+
+
+def test_unbuildable_case_is_built_once(monkeypatch):
+    # a failed build is kept: one build per run, and every record carries
+    # its message
+    _cartan_term_in_h_row(monkeypatch.setattr)
+    corrupted, calls = cases.chevalley_table, []
+
+    def counted(rs):
+        calls.append(rs)
+        return corrupted(rs)
+
+    monkeypatch.setattr(cases, "chevalley_table", counted)
+    rep = run("B3", {"all"}, seed=7)
+    assert len(calls) == 1
+    _assert_every_record_fails(rep.to_json_dict(), "not diagonal")
+    assert len({c.values["error"] for c in rep.checks}) == 1
+
+
+# seeds of the corruption fuzz per case, about 5 ms a seed on B3 and 20 on F4
+FUZZ_SEEDS = {"B3": 300, "F4": 100}
+# the B3 seeds whose [l, V] bracket leaves V, and the first seven
+FUZZ_SEEDS_UNDER_O = (0, 1, 2, 3, 4, 5, 6, 165, 233, 248)
+
+
+@pytest.mark.parametrize("label", sorted(FUZZ_SEEDS))
+def test_corrupted_table_fuzz_fails_every_run(label, monkeypatch):
+    # one seeded edit of s's table per run: run returns a report that
+    # FAILs, and no error of the corrupted case escapes it
+    for seed in range(FUZZ_SEEDS[label]):
+        monkeypatch.setattr(cases, "chevalley_table",
+                            oracles.corrupted_chevalley_table(seed))
+        assert run(label, {"all"}, seed=7).status == "FAIL", seed
+
+
+def test_corrupted_table_fuzz_under_python_O():
+    # the guards must not be asserts, which -O strips
+    script = "\n".join([
+        "import sys",
+        f"sys.path.insert(0, {str(Path(__file__).parent)!r})",
+        "import oracles",
+        "from subadjoint import cases",
+        "from subadjoint.verify import run",
+        "if __debug__:",
+        "    sys.exit('not running under -O')",
+        f"for seed in {FUZZ_SEEDS_UNDER_O!r}:",
+        "    cases.chevalley_table = oracles.corrupted_chevalley_table(seed)",
+        "    if run('B3', {'all'}, seed=7).status != 'FAIL':",
+        "        sys.exit(f'seed {seed} accepted')",
+    ])
+    r = subprocess.run([sys.executable, "-O", "-c", script],
+                       capture_output=True, text=True)
+    assert r.returncode == 0, r.stderr
 
 
 def _drop_e_minus_alpha1(set_attr):
