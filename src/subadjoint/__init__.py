@@ -11,6 +11,10 @@ tests/oracles.py.  Typical use:
     report = run("B3", {"all"})
     case = build_case("F4")
     g = build_g(case)
+
+`run` takes the check groups of `verify.CHECK_GROUPS`, or "all" for
+every group; a selection that names no group is a usage error
+(ValueError), as an unknown group is.
 """
 
 __version__ = "0.1.0"
@@ -24,7 +28,7 @@ from .cases import (  # noqa: F401
     sample_closed_orbit,
     symplectic_form,
 )
-from .galg import GAlgebra, build_g, operator_a  # noqa: F401
+from .galg import GAlgebra, build_g  # noqa: F401
 from .liecore import (  # noqa: F401
     Grading,
     LieAlgebraTable,

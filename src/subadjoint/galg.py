@@ -149,34 +149,6 @@ def _validate_g(g: GAlgebra) -> None:
         _check(all(g.degree[k] == dd for k in vec), "grading not additive")
 
 
-@dataclass
-class OperatorA:
-    """ad(v0) on g: squares to zero, shifts osculating level by one."""
-
-    g: GAlgebra
-    columns: list  # column j = A(e_j) as sparse Vec
-
-    def apply(self, x: Vec) -> Vec:
-        out: Vec = {}
-        for j, c in x.items():
-            vec_add_scaled(out, self.columns[j], c)
-        return out
-
-    def squared_is_zero(self) -> bool:
-        return all(not self.apply(col) for col in self.columns)
-
-    def level_shift_ok(self) -> bool:
-        for j, col in enumerate(self.columns):
-            for k in col:
-                if self.g.osc_level[k] != self.g.osc_level[j] + 1:
-                    return False
-        return True
-
-
-def operator_a(g: GAlgebra) -> OperatorA:
-    return OperatorA(g=g, columns=g.table.ad_columns({g.v0_index: 1}))
-
-
 # --------------------------------------------------------------------------
 # Structure identity suite
 # --------------------------------------------------------------------------
@@ -229,14 +201,15 @@ def verify_structure_identities(g: GAlgebra) -> list[tuple[bool, dict]]:
     shared = len(set(g.l1_indices) & set(g.V_level_indices[1]))
     out.append((not shared, {"intersection_dim": shared}))
 
-    # (d): A l_1 = V_1
-    A = operator_a(g)
-    img = span(t.dim, (A.columns[a] for a in g.l1_indices))
+    # (d): A l_1 = V_1, column j of A = ad(v0) being [v0, e_j]
+    A = t.ad_columns(v0)
+    img = span(t.dim, (A[a] for a in g.l1_indices))
     out.append((img == V1, {"image_dim": img.rank}))
 
     # (e), (f)
-    out.append((A.squared_is_zero(), {}))
-    out.append((A.level_shift_ok(), {}))
+    out.append((all(not t.bracket(v0, col) for col in A), {}))
+    out.append((all(g.osc_level[k] == g.osc_level[j] + 1
+                    for j, col in enumerate(A) for k in col), {}))
     return out
 
 

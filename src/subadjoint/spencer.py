@@ -19,7 +19,7 @@ from fractions import Fraction
 from itertools import combinations
 from math import comb
 
-from .galg import GAlgebra, operator_a
+from .galg import GAlgebra
 from .liecore import _check
 from .linalg import SparseRationalMatrix
 from .prolong import _Tower, forced_rank, g_tower, pair_rows, unknown_layout
@@ -345,9 +345,10 @@ def conjugation_expansion_check(g: GAlgebra) -> tuple[bool, list, list]:
     so an f supported on one pair makes it nonzero wherever A^2 is nonzero
     on those spaces.
     """
-    A = operator_a(g)
+    t, v0 = g.table, {g.v0_index: 1}
     args = sorted({d for d in g.degree if d >= 1})
     values = sorted({a + b + k for a in args for b in args
                      for k in EXPANSION_DEGREES} & set(g.degree))
     read = [j for j, d in enumerate(g.degree) if d in args or d in values]
-    return all(not A.apply(A.columns[j]) for j in read), args, values
+    return (all(not t.bracket(v0, t.bracket(v0, {j: 1})) for j in read),
+            args, values)

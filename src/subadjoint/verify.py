@@ -14,9 +14,10 @@ Error policy, one rule per kind of error:
   catch, on the first read, so a case that cannot be built FAILs every
   selected id and its report's dims are empty; `verify` exits 1.
 - usage error: an excluded case (CaseExcludedError), an unknown case id
-  (KeyError, both from `active_entry`) or check group raise out of `run`.
-  `verify` resolves every case id before the first case runs and exits 3,
-  as it does for an unwritable --out.
+  (KeyError, both from `active_entry`), and a check selection that names
+  an unknown group or none at all (ValueError, from `select_groups`) raise
+  out of `run`.  `verify` resolves the selection and every case id before
+  the first case runs and exits 3, as it does for an unwritable --out.
 - any other exception is a bug and propagates out of `run`.
 
 This module is the one place that decides a check: galg, spencer and
@@ -79,53 +80,50 @@ from .spencer import (
 
 @dataclass(frozen=True)
 class CaseDescriptor:
-    """Registry row: expected dimensions from the classical formulas."""
+    """Registry row: dim l_1, dim l and the factors of l from the classical
+    formulas; dim V and the dims of g follow from dim l_1 and dim l."""
 
     case_id: str
-    dim_V: int
     dim_l1: int
     dim_l: int
-    g_dims: tuple            # components g_{-1}..g_3
     l_factors: tuple         # ((type, marked node 1-based), ...)
     note: str
     excluded: bool = False
     exclusion_reason: str = ""
 
-    def __post_init__(self):
-        if self.dim_V != 2 * self.dim_l1 + 2:
-            raise ValueError(f"{self.case_id}: dim V != 2 dim l_1 + 2")
-        if sum(self.g_dims) != 1 + self.dim_l + self.dim_V:
-            raise ValueError(f"{self.case_id}: sum of g_dims != 1 + dim l + dim V")
+    @property
+    def dim_V(self) -> int:
+        return 2 * self.dim_l1 + 2
+
+    @property
+    def g_dims(self) -> tuple:
+        """Components g_{-1}..g_3: l_{-1}, C Id + l_0 + V_0, l_1 + V_1, V_2
+        and V_3."""
+        d1 = self.dim_l1
+        return (d1, 2 + self.dim_l - 2 * d1, 2 * d1, d1, 1)
 
 
 def _so_case(series: str, l: int) -> CaseDescriptor:
     # s = so_{m+4}: B_l has m = 2l - 3, D_l has m = 2l - 4
     m = 2 * l - 3 if series == "B" else 2 * l - 4
-    dim_V = 2 * m
-    d1 = m - 1
-    dim_l = 3 + m * (m - 1) // 2  # l = sl_2 + so_m
     note = {"B3": "line x conic in P5 (m=3)", "D4": "three lines (m=4)"}.get(
         f"{series}{l}", f"line x quadric Q^{m - 2} (m={m})")
-    l0 = dim_l - 2 * d1
     return CaseDescriptor(
-        case_id=f"{series}{l}", dim_V=dim_V, dim_l1=d1, dim_l=dim_l,
-        g_dims=(d1, 2 + l0, 2 * d1, d1, 1),
+        case_id=f"{series}{l}", dim_l1=m - 1,
+        dim_l=3 + m * (m - 1) // 2,  # l = sl_2 + so_m
         l_factors=tuple(_expected_factors(series, l)), note=note,
     )
 
 
 def _exceptional_case(label: str) -> CaseDescriptor:
-    data = {
-        "F4": (14, 6, 21, "Lagrangian Grassmannian LG(3,6)"),
-        "E6": (20, 9, 35, "Grassmannian Gr(3,6)"),
-        "E7": (32, 15, 66, "spinor variety S6"),
-        "E8": (56, 27, 133, "27-dim minuscule E7/P7"),
+    d1, dim_l, note = {
+        "F4": (6, 21, "Lagrangian Grassmannian LG(3,6)"),
+        "E6": (9, 35, "Grassmannian Gr(3,6)"),
+        "E7": (15, 66, "spinor variety S6"),
+        "E8": (27, 133, "27-dim minuscule E7/P7"),
     }[label]
-    dim_V, d1, dim_l, note = data
-    l0 = dim_l - 2 * d1
     return CaseDescriptor(
-        case_id=label, dim_V=dim_V, dim_l1=d1, dim_l=dim_l,
-        g_dims=(d1, 2 + l0, 2 * d1, d1, 1),
+        case_id=label, dim_l1=d1, dim_l=dim_l,
         l_factors=tuple(_expected_factors(label[0], int(label[1:]))),
         note=note,
     )
@@ -137,8 +135,8 @@ def list_cases(rank_ceiling: int = 8) -> list[CaseDescriptor]:
     out += [_so_case("D", l) for l in range(4, rank_ceiling + 1)]
     out += [_exceptional_case(lab) for lab in ("F4", "E6", "E7", "E8")]
     out.append(CaseDescriptor(
-        case_id="G2", dim_V=4, dim_l1=1, dim_l=3,
-        g_dims=(1, 3, 2, 1, 1), l_factors=tuple(_expected_factors("G", 2)),
+        case_id="G2", dim_l1=1, dim_l=3,
+        l_factors=tuple(_expected_factors("G", 2)),
         note="twisted cubic case (0)", excluded=True,
         exclusion_reason="twisted cubic case (0): dim V = 4 falls outside "
                          "the verified family",
@@ -184,11 +182,10 @@ class VerificationReport:
     checks: list
     dims: dict
     environment: dict
-    vacuous: bool = False
 
     @property
     def status(self) -> str:
-        """FAIL if any record FAILs, else PASS (a vacuous report too)."""
+        """FAIL if any record FAILs, else PASS."""
         return "FAIL" if any(c.status == "FAIL" for c in self.checks) else "PASS"
 
     def to_json_dict(self, timings: bool = False) -> dict:
@@ -196,7 +193,6 @@ class VerificationReport:
             "version": self.version,
             "case": self.case_id,
             "status": self.status,
-            "vacuous": self.vacuous,
             "dims": _jsonify(self.dims),
             "checks": [
                 {
@@ -302,24 +298,26 @@ class _Context:
         return g_basis_cI(self.g)
 
 
-def run(case_id: str, check_set, seed: int = 0) -> VerificationReport:
-    """Execute the selected checks for one case, in CHECKS order; the seed
-    feeds only the sampled cross-check of xvv-kernel."""
-    checks = set(check_set) if check_set else set()
-    unknown = checks - set(CHECK_GROUPS) - {"all"}
+def select_groups(names) -> set:
+    """The check groups that the names select: groups of CHECK_GROUPS and
+    'all', which selects every group; blank names are dropped.  Raises
+    ValueError when a name is unknown or no group is named, since a report
+    that checks nothing would pass."""
+    groups = {n.strip() for n in names} - {""}
+    if not groups:
+        raise ValueError("no check group named")
+    unknown = groups - set(CHECK_GROUPS) - {"all"}
     if unknown:
-        raise ValueError(f"unknown checks: {sorted(unknown)}")
-    if "all" in checks:
-        checks = set(CHECK_GROUPS)
+        raise ValueError(f"unknown check groups {sorted(unknown)}")
+    return set(CHECK_GROUPS) if "all" in groups else groups
+
+
+def run(case_id: str, check_set, seed: int = 0) -> VerificationReport:
+    """Execute the check groups that `select_groups(check_set)` selects for
+    one case, in CHECKS order; the seed feeds only the sampled cross-check
+    of xvv-kernel."""
+    checks = select_groups(check_set)
     desc = active_entry(case_id)
-
-    if not checks:
-        return VerificationReport(
-            case_id=case_id, version=__version__, checks=[], dims={},
-            environment={"seed": seed},
-            vacuous=True,
-        )
-
     t0 = time.monotonic()
     ctx = _Context(desc, seed)
     records = []
@@ -487,13 +485,6 @@ def _g_jacobi(ctx: _Context) -> list[dict]:
              "values": {"violations": len(viol)}}]
 
 
-def _g_dims(ctx: _Context) -> list[dict]:
-    dims = ctx.g.component_dims()
-    ok = tuple(dims.get(d, 0) for d in (-1, 0, 1, 2, 3)) == ctx.desc.g_dims
-    return [{"status": "PASS" if ok else "FAIL",
-             "dims": {"components": dims}}]
-
-
 def _identities(ctx: _Context) -> list[dict]:
     return [{"status": "PASS" if holds else "FAIL", "values": detail}
             for holds, detail in verify_structure_identities(ctx.g)]
@@ -628,7 +619,6 @@ CHECKS = (
     ("forms", ("base-locus-samples",), _base_locus_samples),
     ("xvv", ("xvv-kernel",), _xvv_kernel),
     ("gstructure", ("g-jacobi",), _g_jacobi),
-    ("gstructure", ("g-dims",), _g_dims),
     ("gstructure", ("identity-eII-coefficients",
                     "identity-v1-annihilator-of-v2",
                     "identity-l1-V1-intersection",
@@ -667,8 +657,7 @@ def emit(reports, fmt: str = "text", timings: bool = False) -> str:
         raise ValueError(f"unknown format {fmt!r}")
     lines = []
     for r in reports:
-        lines.append(f"case {r.case_id}  [{r.status}]"
-                     + ("  (vacuous)" if r.vacuous else ""))
+        lines.append(f"case {r.case_id}  [{r.status}]")
         lines.append(f"  dims: V={r.dims.get('V')} l1={r.dims.get('l1')} "
                      f"l={r.dims.get('l')} g={r.dims.get('g')}")
         lines.append(f"  factors: {' + '.join(r.dims.get('factors', []))}")

@@ -26,7 +26,6 @@ from subadjoint.prolong import g_tower, prolongation
 from subadjoint.rootsys import (build_root_system, chevalley_generators,
                                chevalley_table)
 from subadjoint.verify import (
-    CaseDescriptor,
     CheckRecord,
     VerificationReport,
     emit,
@@ -74,45 +73,15 @@ def test_registry_dims_internally_consistent():
         assert sum(c.g_dims) == 1 + c.dim_l + c.dim_V
 
 
-def _bad_registry_row():
-    """A registry row with dim V = 13 != 2 dim l_1 + 2 = 12."""
-    return CaseDescriptor(case_id="X", dim_V=13, dim_l1=5, dim_l=6,
-                          g_dims=(5, 3, 10, 5, 1), l_factors=(), note="")
-
-
-def test_bad_registry_row_raises():
-    with pytest.raises(ValueError, match="dim V"):
-        _bad_registry_row()
-
-
-def test_bad_registry_row_raises_under_python_O():
-    # the guard must not be an assert, which -O strips
-    script = "\n".join([
-        "import sys",
-        f"sys.path.insert(0, {str(Path(__file__).parent)!r})",
-        "from test_verifier import _bad_registry_row",
-        "if __debug__:",
-        "    sys.exit('not running under -O')",
-        "try:",
-        "    _bad_registry_row()",
-        "except ValueError:",
-        "    sys.exit(0)",
-        "sys.exit('bad registry row accepted')",
-    ])
-    r = subprocess.run([sys.executable, "-O", "-c", script],
-                       capture_output=True, text=True)
-    assert r.returncode == 0, r.stderr
-
-
-def test_patched_registry_row_fails_g_dims(monkeypatch):
-    # one dimension moved from g_0 to g_1 keeps the row's sum rule
+def test_patched_registry_row_fails_case_dims(monkeypatch):
+    # dim l one too large: the row's dim l and its derived g_0 disagree
+    # with the case built
     real = registry_entry("B3")
-    d = real.g_dims
-    row = dataclasses.replace(real, g_dims=(d[0], d[1] - 1, d[2] + 1, *d[3:]))
+    row = dataclasses.replace(real, dim_l=real.dim_l + 1)
     monkeypatch.setattr(verify, "registry_entry", lambda *args: row)
     rep = run("B3", {"gstructure"}, seed=7)
     statuses = {c.check_id: c.status for c in rep.checks}
-    assert statuses["g-dims"] == "FAIL"
+    assert statuses["case-dims"] == "FAIL"
 
 
 def test_run_excluded_case_raises():
@@ -127,12 +96,10 @@ def test_run_unknown_check_rejected():
             run("B3", checks)
 
 
-def test_empty_check_set_is_vacuous():
-    rep = run("B3", set())
-    assert rep.vacuous
-    assert rep.checks == []
-    assert rep.status == "PASS"
-    assert exit_code(rep) == 0
+def test_empty_check_set_raises():
+    # a report that checks nothing would pass
+    with pytest.raises(ValueError, match="no check group"):
+        run("B3", set())
 
 
 def test_b3_full_run_passes():
@@ -146,7 +113,7 @@ def test_b3_full_run_passes():
     assert exit_code(rep) == 0
 
 
-def test_report_status_ordering(capsys):
+def test_report_status_ordering():
     # two outcomes: any FAIL record fails the report and exits 1
     mk = lambda status: CheckRecord(check_id="x", status=status)
     rep = lambda *statuses: VerificationReport(
@@ -158,8 +125,6 @@ def test_report_status_ordering(capsys):
     assert passing.status == "PASS"
     assert exit_code(passing) == 0
     assert exit_code([passing, rep("PASS", "FAIL")]) == 1
-    assert main(["--case", "B3", "--checks", "none"]) == 0
-    assert "(vacuous)" in capsys.readouterr().out
 
 
 def test_json_roundtrip():
@@ -651,8 +616,7 @@ def test_cli_empty_case_list_usage_error(value, capsys):
 
 @pytest.mark.parametrize("value", [",", "", " , "])
 def test_cli_empty_checks_list_usage_error(value, capsys):
-    # a run that checks nothing must not report success; only 'none' asks
-    # for an empty report
+    # a run that checks nothing must not report success
     assert main(["--case", "B3", "--checks", value]) == 3
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -661,6 +625,33 @@ def test_cli_empty_checks_list_usage_error(value, capsys):
 
 def test_cli_unknown_check_usage_error(capsys):
     assert main(["--case", "B3", "--checks", "nope"]) == 3
+    # no group is called 'none': an empty report is not a selection
+    assert main(["--case", "B3", "--checks", "none"]) == 3
+
+
+@pytest.mark.parametrize("value", ["all", "all,jacobi", "jacobi, forms",
+                                   "none", "nope", ",", ""])
+def test_cli_and_run_accept_the_same_check_selections(value, capsys,
+                                                      monkeypatch):
+    # one parser decides a selection for both: verify exits 3 exactly when
+    # select_groups raises, and run raises then too
+    names = value.split(",")
+    try:
+        groups = verify.select_groups(names)
+    except ValueError:
+        groups = None
+    ran = []
+    monkeypatch.setattr(cli, "run", lambda cid, checks, seed:
+                        ran.append(checks) or run(cid, checks, seed))
+    assert main(["--case", "B3", "--checks", value]) == (3 if groups is None
+                                                        else 0)
+    if groups is None:
+        assert ran == []
+        with pytest.raises(ValueError):
+            run("B3", set(names))
+    else:
+        assert ran == [groups]
+        assert run("B3", set(names)).status == "PASS"
 
 
 def test_cli_argparse_errors_are_usage_errors(capsys):
@@ -744,7 +735,7 @@ def test_e_series_json_report_matches_golden_file(tmp_path):
 # sha256 of `verify --case all --checks all --seed 7 --format json`; change
 # it only for an intended change of a report
 DEFAULT_RUN_SHA256 = \
-    "87561f38ac7715abec27c275a0145b426ed5d265e3ffc5b80d47fbf0d7d4af53"
+    "f3597a8dde54aaa22f0dc71ac3cbcca465716b83348d878ca4d8b7bb9bca2d91"
 
 
 def test_default_run_json_digest(tmp_path):
@@ -959,7 +950,6 @@ NEGATIVE_CONTROLS = {
     "base-locus-samples": ("B3", _swap_line_and_conic, None),
     "xvv-kernel": ("B3", _zero_lminus1_l1_brackets, None),
     "g-jacobi": ("B3", _double_g1_g1, None),
-    "g-dims": ("B3", _v3_to_degree_4, None),
     "identity-eII-coefficients": ("B3", _l1_bracket_hits_v0, None),
     "identity-v1-annihilator-of-v2": ("B3", _v1_bracket_hits_v3, None),
     "identity-l1-V1-intersection": ("B3", _v1_listed_in_l1, None),
@@ -1046,6 +1036,18 @@ def test_no_corruption_escapes_run():
                     assert "not additive" in rec.values["error"]
                     failed.add((corrupt.__name__, rec.check_id))
     assert len(failed) == len(NON_ADDITIVE) * len(tower_ids)
+
+
+def test_readme_checks_table_lists_every_check_id():
+    # the "Checks" table of README.md: one row per id, in report order,
+    # with its group ("every run" for the checks every run does)
+    readme = (Path(__file__).parent.parent / "README.md").read_text()
+    section = readme.split("\n## Checks\n", 1)[1].split("\n## ", 1)[0]
+    rows = [[cell.strip() for cell in line.strip("|").split("|")]
+            for line in section.splitlines() if line.startswith("| `")]
+    assert [(r[0].strip("`"), r[1]) for r in rows] == [
+        (check_id, group or "every run")
+        for group, ids, _ in verify.CHECKS for check_id in ids]
 
 
 def test_clean_report_emits_the_check_table_in_order():
